@@ -74,3 +74,28 @@ func TestGoldenDegradedQuick(t *testing.T) {
 	}
 	goldenCompare(t, "degraded_quick.golden", p.Render())
 }
+
+// TestGoldenFig3Quick pins the Figure 3 quick tables: the NVMe/GPFS/VAST
+// fsync paths write back real dirty ranges out of the client page cache.
+func TestGoldenFig3Quick(t *testing.T) {
+	panels, err := Fig3(Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, p := range panels {
+		b.WriteString(p.Render())
+	}
+	goldenCompare(t, "fig3_quick.golden", b.String())
+}
+
+// TestGoldenFig5Quick pins the Figure 5 quick tables: every ResNet-50 DLIO
+// sample opens, reads and closes its file, so the page cache's clean-file
+// flush on close runs once per sample.
+func TestGoldenFig5Quick(t *testing.T) {
+	app, system, err := Fig56("resnet50", Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, "fig5_quick.golden", app.Render()+system.Render())
+}
