@@ -77,21 +77,33 @@ type blockKey struct {
 type entry struct {
 	key   blockKey
 	dirty bool
+	file  *fileState
 	// intrusive LRU list
 	prev, next *entry
+	// intrusive list of the file's resident blocks (unordered)
+	fprev, fnext *entry
+}
+
+// fileState is the per-file index: the sequential-pattern detector plus
+// the file's resident blocks, so flush and invalidate never scan the whole
+// cache. It lives from a file's first access until InvalidateFile.
+type fileState struct {
+	nextSeq  int64 // next sequential block index
+	seqScore int   // sequential streak length
+	dirty    int64 // dirty resident blocks
+	head     *entry
 }
 
 // Cache is the LRU cache. Not safe for concurrent use; in the simulator all
 // accesses are serialized by the event loop.
 type Cache struct {
-	cfg      Config
-	capBlk   int64
-	blocks   map[blockKey]*entry
-	lruHead  *entry // most recently used
-	lruTail  *entry // least recently used
-	stats    Stats
-	nextSeq  map[uint64]int64 // per-file next sequential block index
-	seqScore map[uint64]int   // per-file sequential streak length
+	cfg     Config
+	capBlk  int64
+	blocks  map[blockKey]*entry
+	lruHead *entry // most recently used
+	lruTail *entry // least recently used
+	stats   Stats
+	files   map[uint64]*fileState
 }
 
 // New returns an empty cache; it panics on an invalid config (configs are
@@ -101,12 +113,21 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	return &Cache{
-		cfg:      cfg,
-		capBlk:   cfg.Capacity / cfg.BlockSize,
-		blocks:   map[blockKey]*entry{},
-		nextSeq:  map[uint64]int64{},
-		seqScore: map[uint64]int{},
+		cfg:    cfg,
+		capBlk: cfg.Capacity / cfg.BlockSize,
+		blocks: map[blockKey]*entry{},
+		files:  map[uint64]*fileState{},
 	}
+}
+
+// fileOf returns file's index, creating it on first access.
+func (c *Cache) fileOf(file uint64) *fileState {
+	fs := c.files[file]
+	if fs == nil {
+		fs = &fileState{}
+		c.files[file] = fs
+	}
+	return fs
 }
 
 // Config returns the cache parameters.
@@ -128,6 +149,7 @@ func (c *Cache) Lookup(file uint64, off, size int64) (hitBytes int64, misses []R
 	bs := c.cfg.BlockSize
 	first := off / bs
 	last := (off + size - 1) / bs
+	fs := c.fileOf(file)
 	var missStart, missLen int64 = -1, 0
 	flush := func() {
 		if missStart >= 0 {
@@ -156,12 +178,12 @@ func (c *Cache) Lookup(file uint64, off, size int64) (hitBytes int64, misses []R
 	}
 	flush()
 	// Sequential detection at block granularity.
-	if first == c.nextSeq[file] || c.seqScore[file] == 0 && first == 0 {
-		c.seqScore[file]++
-	} else if first != c.nextSeq[file] {
-		c.seqScore[file] = 0
+	if first == fs.nextSeq || fs.seqScore == 0 && first == 0 {
+		fs.seqScore++
+	} else {
+		fs.seqScore = 0
 	}
-	c.nextSeq[file] = last + 1
+	fs.nextSeq = last + 1
 	return hitBytes, misses
 }
 
@@ -170,11 +192,12 @@ func (c *Cache) Lookup(file uint64, off, size int64) (hitBytes int64, misses []R
 // sequential (or readahead is disabled). The caller fetches it and calls
 // Insert.
 func (c *Cache) ReadaheadRange(file uint64, off, size int64) Range {
-	if c.cfg.ReadaheadBlocks == 0 || c.seqScore[file] < 2 {
+	fs := c.files[file]
+	if c.cfg.ReadaheadBlocks == 0 || fs == nil || fs.seqScore < 2 {
 		return Range{}
 	}
 	bs := c.cfg.BlockSize
-	start := c.nextSeq[file] // next unread block
+	start := fs.nextSeq // next unread block
 	var missLen int64
 	for i := 0; i < c.cfg.ReadaheadBlocks; i++ {
 		if _, ok := c.blocks[blockKey{file, start + int64(i)}]; ok {
@@ -195,22 +218,35 @@ func (c *Cache) Insert(file uint64, off, size int64, dirty bool) (evictedDirty [
 	bs := c.cfg.BlockSize
 	first := off / bs
 	last := (off + size - 1) / bs
+	fs := c.fileOf(file)
 	for b := first; b <= last; b++ {
 		key := blockKey{file, b}
 		if e, ok := c.blocks[key]; ok {
-			e.dirty = e.dirty || dirty
+			if dirty && !e.dirty {
+				e.dirty = true
+				fs.dirty++
+			}
 			c.touch(e)
 			continue
 		}
 		c.stats.Insertions++
-		e := &entry{key: key, dirty: dirty}
+		// A full cache evicts its LRU block first and reuses its entry.
+		var e *entry
+		if int64(len(c.blocks)) >= c.capBlk {
+			e = c.evictOne()
+			if e.dirty {
+				evictedDirty = append(evictedDirty, Range{File: e.key.file, Off: e.key.index * bs, Len: bs})
+			}
+		} else {
+			e = new(entry)
+		}
+		*e = entry{key: key, dirty: dirty, file: fs}
+		if dirty {
+			fs.dirty++
+		}
 		c.blocks[key] = e
 		c.pushFront(e)
-		if int64(len(c.blocks)) > c.capBlk {
-			if victim := c.evictOne(); victim != nil {
-				evictedDirty = append(evictedDirty, *victim)
-			}
-		}
+		fs.link(e)
 	}
 	return evictedDirty
 }
@@ -219,12 +255,16 @@ func (c *Cache) Insert(file uint64, off, size int64, dirty bool) (evictedDirty [
 // when file is 0 and zero is not a real file id in the caller's scheme).
 func (c *Cache) DirtyBytes(file uint64) int64 {
 	var n int64
-	for k, e := range c.blocks {
-		if e.dirty && (file == 0 || k.file == file) {
-			n += c.cfg.BlockSize
+	if file != 0 {
+		if fs := c.files[file]; fs != nil {
+			n = fs.dirty
+		}
+	} else {
+		for _, fs := range c.files {
+			n += fs.dirty
 		}
 	}
-	return n
+	return n * c.cfg.BlockSize
 }
 
 // FlushFile clears dirty flags on file's blocks and returns the byte count
@@ -239,19 +279,22 @@ func (c *Cache) FlushFile(file uint64) int64 {
 
 // FlushFileRanges clears dirty flags on file's blocks and returns the
 // coalesced dirty ranges in ascending offset order, so the caller can
-// write them back preserving sequentiality.
+// write them back preserving sequentiality. A clean file costs O(1); a
+// dirty one walks only that file's blocks.
 func (c *Cache) FlushFileRanges(file uint64) []Range {
-	var idxs []int64
-	for k, e := range c.blocks {
-		if k.file == file && e.dirty {
-			e.dirty = false
-			idxs = append(idxs, k.index)
-		}
-	}
-	if len(idxs) == 0 {
+	fs := c.files[file]
+	if fs == nil || fs.dirty == 0 {
 		return nil
 	}
-	sortInt64s(idxs)
+	idxs := make([]int64, 0, fs.dirty)
+	for e := fs.head; e != nil; e = e.fnext {
+		if e.dirty {
+			e.dirty = false
+			idxs = append(idxs, e.key.index)
+		}
+	}
+	fs.dirty = 0
+	slices.Sort(idxs)
 	bs := c.cfg.BlockSize
 	var out []Range
 	start, length := idxs[0], int64(1)
@@ -271,30 +314,30 @@ func (c *Cache) FlushFileRanges(file uint64) []Range {
 // or the "read from a different node than wrote" trick in the paper's
 // methodology).
 func (c *Cache) InvalidateFile(file uint64) {
-	for k, e := range c.blocks {
-		if k.file == file {
-			c.unlink(e)
-			delete(c.blocks, k)
-		}
+	fs := c.files[file]
+	if fs == nil {
+		return
 	}
-	delete(c.nextSeq, file)
-	delete(c.seqScore, file)
+	for e := fs.head; e != nil; e = e.fnext {
+		c.unlink(e)
+		delete(c.blocks, e.key)
+	}
+	delete(c.files, file)
 }
 
-// evictOne removes the LRU block; returns its range if it was dirty.
-func (c *Cache) evictOne() *Range {
+// evictOne removes the LRU block of a non-empty cache and returns its
+// entry, dirty flag intact, for reuse.
+func (c *Cache) evictOne() *entry {
 	e := c.lruTail
-	if e == nil {
-		return nil
-	}
 	c.unlink(e)
+	e.file.unlink(e)
 	delete(c.blocks, e.key)
 	c.stats.Evictions++
 	if e.dirty {
+		e.file.dirty--
 		c.stats.DirtyEvictedBytes += c.cfg.BlockSize
-		return &Range{File: e.key.file, Off: e.key.index * c.cfg.BlockSize, Len: c.cfg.BlockSize}
 	}
-	return nil
+	return e
 }
 
 func (c *Cache) touch(e *entry) {
@@ -331,6 +374,27 @@ func (c *Cache) unlink(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
+func (fs *fileState) link(e *entry) {
+	e.fprev = nil
+	e.fnext = fs.head
+	if fs.head != nil {
+		fs.head.fprev = e
+	}
+	fs.head = e
+}
+
+func (fs *fileState) unlink(e *entry) {
+	if e.fprev != nil {
+		e.fprev.fnext = e.fnext
+	} else {
+		fs.head = e.fnext
+	}
+	if e.fnext != nil {
+		e.fnext.fprev = e.fprev
+	}
+	e.fprev, e.fnext = nil, nil
+}
+
 func max64(a, b int64) int64 {
 	if a > b {
 		return a
@@ -344,5 +408,3 @@ func min64(a, b int64) int64 {
 	}
 	return b
 }
-
-func sortInt64s(xs []int64) { slices.Sort(xs) }
