@@ -71,7 +71,31 @@ func (c *Config) Validate() error {
 	case c.CacheBlockBytes <= 0:
 		return fmt.Errorf("gpfs %s: cache block size must be positive", c.Name)
 	}
+	if c.ServerCacheBytes > 0 {
+		cc := c.serverCache()
+		if err := cc.Validate(); err != nil {
+			return fmt.Errorf("gpfs %s: server %w", c.Name, err)
+		}
+	}
+	if c.ClientCacheBytes > 0 {
+		cc := c.clientCache()
+		if err := cc.Validate(); err != nil {
+			return fmt.Errorf("gpfs %s: client %w", c.Name, err)
+		}
+	}
 	return c.RaidPerServer.Validate()
+}
+
+// serverCache is the aggregate NSD-side memory cache, enabled by a
+// positive ServerCacheBytes.
+func (c *Config) serverCache() cache.Config {
+	return cache.Config{BlockSize: c.CacheBlockBytes, Capacity: c.ServerCacheBytes}
+}
+
+// clientCache is the per-mount pagepool, enabled by a positive
+// ClientCacheBytes. GPFS prefetch is aggressive.
+func (c *Config) clientCache() cache.Config {
+	return cache.Config{BlockSize: c.CacheBlockBytes, Capacity: c.ClientCacheBytes, ReadaheadBlocks: 16}
 }
 
 // System is a running GPFS instance.
@@ -118,11 +142,7 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 	}
 	s.raid = raid
 	if cfg.ServerCacheBytes > 0 {
-		s.serverCch = cache.New(cache.Config{
-			BlockSize:       cfg.CacheBlockBytes,
-			Capacity:        cfg.ServerCacheBytes,
-			ReadaheadBlocks: 0,
-		})
+		s.serverCch = cache.New(cfg.serverCache())
 	}
 	return s, nil
 }
@@ -177,11 +197,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 	cl.memReadPath = append([]*sim.Pipe{s.serverMem}, cl.readPath...)
 	var pc *cache.Cache
 	if s.cfg.ClientCacheBytes > 0 {
-		pc = cache.New(cache.Config{
-			BlockSize:       s.cfg.CacheBlockBytes,
-			Capacity:        s.cfg.ClientCacheBytes,
-			ReadaheadBlocks: 16, // GPFS prefetch is aggressive
-		})
+		pc = cache.New(s.cfg.clientCache())
 	}
 	cl.core = fsbase.ClientCore{
 		FS:      s.cfg.Name,

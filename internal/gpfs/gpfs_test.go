@@ -1,6 +1,7 @@
 package gpfs
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -187,5 +188,40 @@ func TestDerate(t *testing.T) {
 	sys.Derate(0.5)
 	if sys.serverMem.Capacity() != before/2 {
 		t.Fatalf("derate did not halve server memory bandwidth")
+	}
+}
+
+// TestConfigValidateCaches checks every cache the config enables against
+// the cache's own rules, so New returns an error where cache.New would
+// panic.
+func TestConfigValidateCaches(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*Config)
+		wantErr string
+	}{
+		{"both caches off", func(c *Config) { c.ServerCacheBytes, c.ClientCacheBytes = 0, 0 }, ""},
+		{"server cache below one block", func(c *Config) { c.ServerCacheBytes = 1 << 10 }, "server cache: capacity 1024 smaller than one block"},
+		{"client cache below one block", func(c *Config) { c.ClientCacheBytes = 1 << 10 }, "client cache: capacity 1024 smaller than one block"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testConfig()
+			tc.mutate(&c)
+			err := c.Validate()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Validate() = %v, want %q", err, tc.wantErr)
+			}
+			env := sim.NewEnv()
+			if _, err := New(env, sim.NewFabric(env), c); err == nil {
+				t.Fatal("New accepted the config")
+			}
+		})
 	}
 }

@@ -58,10 +58,20 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("lustre %s: need MDS and OSS servers", c.Name)
 	case c.ServerNICBW <= 0:
 		return fmt.Errorf("lustre %s: server NIC bandwidth must be positive", c.Name)
-	case c.ClientCacheBytes > 0 && c.CacheBlockBytes <= 0:
-		return fmt.Errorf("lustre %s: client cache needs a block size", c.Name)
+	}
+	if c.ClientCacheBytes > 0 {
+		cc := c.clientCache()
+		if err := cc.Validate(); err != nil {
+			return fmt.Errorf("lustre %s: client %w", c.Name, err)
+		}
 	}
 	return c.OSTPerOSS.Validate()
+}
+
+// clientCache is the per-mount client page cache, enabled by a positive
+// ClientCacheBytes.
+func (c *Config) clientCache() cache.Config {
+	return cache.Config{BlockSize: c.CacheBlockBytes, Capacity: c.ClientCacheBytes, ReadaheadBlocks: 8}
 }
 
 // System is a running Lustre instance.
@@ -146,11 +156,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 	cl.readPath = []*sim.Pipe{s.ossDown, nic.Dir(netsim.ServerToClient)}
 	var pc *cache.Cache
 	if s.cfg.ClientCacheBytes > 0 {
-		pc = cache.New(cache.Config{
-			BlockSize:       s.cfg.CacheBlockBytes,
-			Capacity:        s.cfg.ClientCacheBytes,
-			ReadaheadBlocks: 8,
-		})
+		pc = cache.New(s.cfg.clientCache())
 	}
 	cl.core = fsbase.ClientCore{
 		FS:      s.cfg.Name,

@@ -2,6 +2,7 @@ package lustre
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,5 +193,40 @@ func TestDerate(t *testing.T) {
 	sys.Derate(0.8)
 	if got := sys.ossUp.Capacity(); got != 0.8*before {
 		t.Fatalf("derate: %v, want %v", got, 0.8*before)
+	}
+}
+
+// TestConfigValidateCaches checks the client cache, when enabled, against
+// the cache's own rules, so New returns an error where cache.New would
+// panic.
+func TestConfigValidateCaches(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*Config)
+		wantErr string
+	}{
+		{"client cache off, no block size", func(c *Config) { c.ClientCacheBytes, c.CacheBlockBytes = 0, 0 }, ""},
+		{"client cache below one block", func(c *Config) { c.ClientCacheBytes = 1 << 10 }, "client cache: capacity 1024 smaller than one block"},
+		{"client cache without block size", func(c *Config) { c.CacheBlockBytes = 0 }, "client cache: block size must be positive"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testConfig()
+			tc.mutate(&c)
+			err := c.Validate()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Validate() = %v, want %q", err, tc.wantErr)
+			}
+			env := sim.NewEnv()
+			if _, err := New(env, sim.NewFabric(env), c); err == nil {
+				t.Fatal("New accepted the config")
+			}
+		})
 	}
 }

@@ -57,10 +57,20 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("nvmelocal %s: memory bandwidth must be positive", c.Name)
 	case c.DirtyLimitBytes < 0:
 		return fmt.Errorf("nvmelocal %s: negative dirty limit", c.Name)
-	case c.PageCacheBytes > 0 && c.CacheBlockBytes <= 0:
-		return fmt.Errorf("nvmelocal %s: page cache needs a block size", c.Name)
+	}
+	if c.PageCacheBytes > 0 {
+		cc := c.pageCache()
+		if err := cc.Validate(); err != nil {
+			return fmt.Errorf("nvmelocal %s: page %w", c.Name, err)
+		}
 	}
 	return c.PerNode.Validate()
+}
+
+// pageCache is the per-node page cache, enabled by a positive
+// PageCacheBytes.
+func (c *Config) pageCache() cache.Config {
+	return cache.Config{BlockSize: c.CacheBlockBytes, Capacity: c.PageCacheBytes, ReadaheadBlocks: 16}
 }
 
 // System manages the per-node devices. Unlike the shared file systems, each
@@ -136,11 +146,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 		cl := &client{sys: s, node: st}
 		var pc *cache.Cache
 		if s.cfg.PageCacheBytes > 0 {
-			pc = cache.New(cache.Config{
-				BlockSize:       s.cfg.CacheBlockBytes,
-				Capacity:        s.cfg.PageCacheBytes,
-				ReadaheadBlocks: 16,
-			})
+			pc = cache.New(s.cfg.pageCache())
 		}
 		cl.core = fsbase.ClientCore{
 			FS:      s.cfg.Name,

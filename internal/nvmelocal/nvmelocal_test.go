@@ -1,6 +1,7 @@
 package nvmelocal
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -211,5 +212,40 @@ func TestFsyncBarrierSerializesWriters(t *testing.T) {
 	if agg > 0.3*testConfig(fab).PerNode.WriteBW {
 		t.Fatalf("fsync-per-write ran at %.2e, barrier not serializing (device %.2e)",
 			agg, testConfig(fab).PerNode.WriteBW)
+	}
+}
+
+// TestConfigValidateCaches checks the page cache, when enabled, against the
+// cache's own rules, so New returns an error where cache.New would panic.
+func TestConfigValidateCaches(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*Config)
+		wantErr string
+	}{
+		{"page cache off, no block size", func(c *Config) { c.PageCacheBytes, c.CacheBlockBytes = 0, 0 }, ""},
+		{"page cache below one block", func(c *Config) { c.PageCacheBytes = 1 << 10 }, "page cache: capacity 1024 smaller than one block"},
+		{"page cache without block size", func(c *Config) { c.CacheBlockBytes = 0 }, "page cache: block size must be positive"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			fab := sim.NewFabric(env)
+			c := testConfig(fab)
+			tc.mutate(&c)
+			err := c.Validate()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Validate() = %v, want %q", err, tc.wantErr)
+			}
+			if _, err := New(env, fab, c); err == nil {
+				t.Fatal("New accepted the config")
+			}
+		})
 	}
 }

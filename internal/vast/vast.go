@@ -130,8 +130,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("vast %s: SCM replicas must be >= 1", c.Name)
 	case c.Transport == nil:
 		return fmt.Errorf("vast %s: missing transport", c.Name)
-	case c.ClientCacheBytes > 0 && c.CacheBlockBytes <= 0:
-		return fmt.Errorf("vast %s: client cache needs a block size", c.Name)
 	case c.ECParity < 0 || c.ECParity >= c.DBoxes:
 		return fmt.Errorf("vast %s: EC parity %d must be in [0, DBoxes)", c.Name, c.ECParity)
 	case c.StripeBytes < 0:
@@ -144,7 +142,31 @@ func (c *Config) Validate() error {
 	if err := c.Retry.Validate(); err != nil {
 		return fmt.Errorf("vast %s: %w", c.Name, err)
 	}
+	if c.DNodeCacheBytes > 0 {
+		cc := c.dnodeCache()
+		if err := cc.Validate(); err != nil {
+			return fmt.Errorf("vast %s: DNode %w", c.Name, err)
+		}
+	}
+	if c.ClientCacheBytes > 0 {
+		cc := c.clientCache()
+		if err := cc.Validate(); err != nil {
+			return fmt.Errorf("vast %s: client %w", c.Name, err)
+		}
+	}
 	return nil
+}
+
+// dnodeCache is the aggregate DNode read cache, enabled by a positive
+// DNodeCacheBytes.
+func (c *Config) dnodeCache() cache.Config {
+	return cache.Config{BlockSize: c.CacheBlockBytes, Capacity: c.DNodeCacheBytes}
+}
+
+// clientCache is the per-mount NFS client page cache, enabled by a
+// positive ClientCacheBytes.
+func (c *Config) clientCache() cache.Config {
+	return cache.Config{BlockSize: c.CacheBlockBytes, Capacity: c.ClientCacheBytes, ReadaheadBlocks: 8}
 }
 
 // System is a running VAST instance on a simulation fabric.
@@ -232,11 +254,7 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 	s.qlc = qlc
 
 	if cfg.DNodeCacheBytes > 0 {
-		s.dnodeCache = cache.New(cache.Config{
-			BlockSize:       cfg.CacheBlockBytes,
-			Capacity:        cfg.DNodeCacheBytes,
-			ReadaheadBlocks: 0,
-		})
+		s.dnodeCache = cache.New(cfg.dnodeCache())
 	}
 	s.staging = newStager(s)
 	return s, nil
@@ -303,11 +321,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 	s.clients = append(s.clients, cl)
 	var pc *cache.Cache
 	if s.cfg.ClientCacheBytes > 0 {
-		pc = cache.New(cache.Config{
-			BlockSize:       s.cfg.CacheBlockBytes,
-			Capacity:        s.cfg.ClientCacheBytes,
-			ReadaheadBlocks: 8,
-		})
+		pc = cache.New(s.cfg.clientCache())
 	}
 	cl.core = fsbase.ClientCore{
 		FS:      s.cfg.Name,

@@ -3,6 +3,7 @@ package vast
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -285,5 +286,49 @@ func TestFabricAblationKnob(t *testing.T) {
 	up.SetCapacity(5e9)
 	if up.Capacity() != 5e9 {
 		t.Fatal("fabric capacity not adjustable")
+	}
+}
+
+// TestConfigValidateCaches checks every cache the config enables against
+// the cache's own rules, so New returns an error where cache.New would
+// panic.
+func TestConfigValidateCaches(t *testing.T) {
+	tr := &netsim.TCPTransport{PerConnBW: 1e9}
+	cases := []struct {
+		name    string
+		mutate  func(*Config)
+		wantErr string
+	}{
+		{"both caches off, no block size", func(c *Config) {
+			c.ClientCacheBytes, c.DNodeCacheBytes, c.CacheBlockBytes = 0, 0, 0
+		}, ""},
+		{"DNode cache below one block", func(c *Config) { c.DNodeCacheBytes = 1 << 10 }, "DNode cache: capacity 1024 smaller than one block"},
+		{"DNode cache without block size", func(c *Config) {
+			c.ClientCacheBytes, c.CacheBlockBytes = 0, 0
+		}, "DNode cache: block size must be positive"},
+		{"client cache below one block", func(c *Config) { c.ClientCacheBytes = 1 << 10 }, "client cache: capacity 1024 smaller than one block"},
+		{"client cache without block size", func(c *Config) {
+			c.DNodeCacheBytes, c.CacheBlockBytes = 0, 0
+		}, "client cache: block size must be positive"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testConfig(tr)
+			tc.mutate(&c)
+			err := c.Validate()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Validate() = %v, want %q", err, tc.wantErr)
+			}
+			env := sim.NewEnv()
+			if _, err := New(env, sim.NewFabric(env), c); err == nil {
+				t.Fatal("New accepted the config")
+			}
+		})
 	}
 }
