@@ -5,14 +5,15 @@
 # kernel and solver micro-benchmarks (catches benchmark rot without paying
 # for stable timings) + a 10s fuzz pass over each input parser and the
 # scheduler differential + the seeded chaos storms (three pinned seeds per
-# backend, zero invariant violations, byte-deterministic digests).
+# backend, zero invariant violations, byte-deterministic digests) + the
+# repository benchmark's own tests and smoke run.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race reference-smoke bench-smoke bench-diff fuzz-smoke chaos-smoke parallel-smoke fidelity-smoke resilience-smoke whatif-smoke bench test-all
+.PHONY: check vet build test race reference-smoke bench-smoke bench-diff bench-module fuzz-smoke chaos-smoke parallel-smoke fidelity-smoke resilience-smoke whatif-smoke bench test-all
 
-check: vet build race reference-smoke bench-smoke bench-diff fuzz-smoke chaos-smoke parallel-smoke fidelity-smoke resilience-smoke whatif-smoke
+check: vet build race reference-smoke bench-smoke bench-diff bench-module fuzz-smoke chaos-smoke parallel-smoke fidelity-smoke resilience-smoke whatif-smoke
 
 vet:
 	$(GO) vet ./...
@@ -40,7 +41,7 @@ reference-smoke:
 
 bench-smoke:
 	$(GO) test ./internal/sim/ -run XXX -bench BenchmarkFabricSolver -benchtime=1x
-	$(GO) test . -run XXX -bench 'BenchmarkKernel' -benchtime=1x
+	$(GO) test . -run XXX -bench 'BenchmarkKernel|BenchmarkCacheFsyncClean' -benchtime=1x
 	$(GO) test ./internal/traffic -run XXX -bench 'BenchmarkTrafficEngine|BenchmarkResilienceOverhead' -benchtime=1x
 	$(GO) test ./internal/surrogate -run XXX -bench BenchmarkSurrogateScore -benchtime=1x
 
@@ -57,15 +58,25 @@ bench-diff:
 	| $(GO) run ./cmd/benchjson -o /tmp/storagesim-bench-diff.json
 	$(GO) run ./cmd/benchjson -diff -threshold $(BENCHDIFF_TOLERANCE) BENCH_traffic.json /tmp/storagesim-bench-diff.json
 
+# The repository benchmark (bench/, its own Go module, so the root
+# `go test ./...` skips it): its unit tests, which keep BENCHMARK.json and
+# the paperfigs figure list in step with the program, then every workload
+# once at 1/100 size.
+bench-module:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh -smoke
+
 # Each parser gets $(FUZZTIME) of coverage-guided fuzzing, and the calendar
 # queue is fuzzed differentially against the reference heap. Go allows one
-# -fuzz target per invocation, so this is five short runs.
+# -fuzz target per invocation, so this is one short run per target. The
+# page cache is fuzzed differentially against its naive reference model.
 fuzz-smoke:
 	$(GO) test ./internal/units -run XXX -fuzz FuzzParseSize -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/units -run XXX -fuzz FuzzParseDuration -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faults -run XXX -fuzz FuzzSchedule -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run XXX -fuzz FuzzWheelVsHeap -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run XXX -fuzz FuzzDomainsVsSequential -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache -run XXX -fuzz FuzzCacheVsReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traffic -run XXX -fuzz FuzzTenantSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzParseTraceCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzParseTraceJSONL -fuzztime $(FUZZTIME)
@@ -131,11 +142,11 @@ parallel-smoke:
 # BENCH_baseline.json). Kernel micro-benchmarks get stable 1s timings; the
 # heavyweight end-to-end benches run a few fixed iterations.
 bench:
-	( $(GO) test . -run XXX -bench 'BenchmarkKernel|BenchmarkFairShareSolver|BenchmarkCacheLookup' -benchtime=1s -benchmem ; \
+	( $(GO) test . -run XXX -bench 'BenchmarkKernel|BenchmarkFairShareSolver|BenchmarkCache' -benchtime=1s -benchmem ; \
 	  $(GO) test ./internal/sim/ -run XXX -bench BenchmarkFabricSolver -benchtime=3x -benchmem ; \
 	  $(GO) test . -run XXX -bench 'BenchmarkConsistency|BenchmarkFig2a|BenchmarkFig3$$' -benchtime=1x -benchmem ) \
 	| $(GO) run ./cmd/benchjson -baseline BENCH_baseline.json -o BENCH_kernel.json \
-	    -note "post-overhaul kernel numbers; baseline is the pre-overhaul binary-heap scheduler. Recorded with go1.24.0 linux/amd64 on a 1-core Intel Xeon @2.10GHz container, default GOMAXPROCS"
+	    -note "post-overhaul kernel numbers; baseline is the pre-overhaul binary-heap scheduler. CacheFsyncClean is the clean-file fsync of the per-file page-cache index (flat in the resident block count). Recorded with go1.24.0 linux/amd64 on a 2-core Intel Xeon @2.10GHz shared container, default GOMAXPROCS"
 	( $(GO) test ./internal/traffic -run XXX -bench 'BenchmarkTrafficEngine|BenchmarkResilienceOverhead' -benchtime=2s -benchmem ; \
 	  $(GO) test ./internal/surrogate -run XXX -bench BenchmarkSurrogateScore -benchtime=2s -benchmem ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_traffic.json \

@@ -337,6 +337,30 @@ func BenchmarkCacheLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheFsyncClean measures fsync of a clean file against a cache
+// filled with other files' blocks, half of them dirty: the close at the
+// end of every DLIO sample read. The per-file index answers it without
+// looking at other files, so ns/op is flat across cache sizes.
+func BenchmarkCacheFsyncClean(b *testing.B) {
+	const bs, fileBlocks = 4 << 10, 64
+	for _, resident := range []int64{1 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("resident=%dk", resident>>10), func(b *testing.B) {
+			b.ReportAllocs()
+			c := cache.New(cache.Config{BlockSize: bs, Capacity: resident * bs})
+			for f := int64(0); f < resident/fileBlocks; f++ {
+				c.Insert(uint64(f+2), 0, fileBlocks*bs, f%2 == 0)
+			}
+			c.Insert(1, 0, bs, false)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if r := c.FlushFileRanges(1); r != nil {
+					b.Fatalf("clean file flushed %v", r)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkIORFlowLevel measures a full flow-level IOR run (64 nodes, 44
 // ppn — 2816 rank flows through the Lassen gateway).
 func BenchmarkIORFlowLevel(b *testing.B) {
