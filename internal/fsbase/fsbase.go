@@ -147,7 +147,9 @@ func (f *file) WriteAt(p *sim.Proc, off, n int64) {
 	evicted := c.Cache.Insert(f.ino.ID, off, n, true)
 	for _, ev := range evicted {
 		if p.Aborted() {
-			return // remaining write-back stays dirty in the cache
+			// The victims already left the cache, so the write-back
+			// of the remaining ones is dropped with the request.
+			return
 		}
 		if ino := c.NS.ByID(ev.File); ino != nil {
 			c.Backend.OpWrite(p, ino, ev.Off, ev.Len)
