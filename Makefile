@@ -33,10 +33,10 @@ race:
 	$(GO) test -race -tags simreference ./internal/sim/
 
 # The -tags simreference build swaps the DES kernel's calendar queue for the
-# seed's binary-heap scheduler; the whole sim suite (goldens included) must
-# pass identically under both.
+# seed's binary-heap scheduler; the whole sim suite (goldens included) and
+# the whole traffic request pipeline must pass identically under both.
 reference-smoke:
-	$(GO) test -tags simreference ./internal/sim/
+	$(GO) test -tags simreference ./internal/sim/ ./internal/traffic
 	$(GO) test -tags simreference ./internal/experiments -run TestGoldenSaturationQuick -count=1
 
 bench-smoke:
@@ -104,16 +104,16 @@ fidelity-smoke:
 # Resilience gate: the retry-storm metastability golden under all three
 # kernel builds (calendar queue, reference heap, forced-sequential groups),
 # the headline-property assertions that pin the metastable contrast, the
-# sharded resilience lockstep (full policy stack byte-identical on 1/2/4
-# executors and under the sequential oracle), and three seeded chaos
-# storms with breakers armed — zero invariant violations: deadline
-# cancellation and breaker shedding must never over-allocate bandwidth or
-# strand a rebuild.
+# whole traffic request pipeline under the sequential oracle (the sharded
+# resilience lockstep included: full policy stack byte-identical on 1/2/4
+# executors), and three seeded chaos storms with breakers armed — zero
+# invariant violations: deadline cancellation and breaker shedding must
+# never over-allocate bandwidth or strand a rebuild.
 resilience-smoke:
 	$(GO) test ./internal/experiments -run 'TestGoldenRetryStormQuick|TestRetryStormMetastability|TestResilienceChaos' -count=1
 	$(GO) test -tags simreference ./internal/experiments -run TestGoldenRetryStormQuick -count=1
 	$(GO) test -tags simsequential ./internal/experiments -run TestGoldenRetryStormQuick -count=1
-	$(GO) test -tags simsequential ./internal/traffic -run TestShardedResilienceLockstep -count=1
+	$(GO) test -tags simsequential ./internal/traffic -count=1
 
 # What-if explorer gate: the configsearch/surrogate unit suites, the
 # pinned-fixture search and figure goldens (byte-identical frontier under

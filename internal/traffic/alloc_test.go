@@ -75,7 +75,7 @@ func TestSteadyStateRequestAllocs(t *testing.T) {
 // returning a request record twice is always a lifecycle bug and must not
 // silently corrupt the free list.
 func TestRequestRecordDoubleReleasePanics(t *testing.T) {
-	sh := &reqShard{}
+	sh := &shard{}
 	rec := sh.getRec()
 	sh.freeRec(rec)
 	defer func() {
@@ -90,7 +90,7 @@ func TestRequestRecordDoubleReleasePanics(t *testing.T) {
 // every release bumps the record's generation, so a stale reference that
 // snapshotted the generation can tell its record has been rebound.
 func TestRequestRecordGenerationAdvances(t *testing.T) {
-	sh := &reqShard{}
+	sh := &shard{}
 	rec := sh.getRec()
 	gen := rec.gen
 	sh.freeRec(rec)

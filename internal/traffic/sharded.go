@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"storagesim/internal/fsapi"
-	"storagesim/internal/resilience"
 	"storagesim/internal/sim"
 	"storagesim/internal/stats"
 )
@@ -85,19 +84,15 @@ func (r ShardedReport) Digest() string {
 	return out
 }
 
-// rackTenant is the rack-local admission/accounting state of one tenant —
-// touched only from the rack's own Env, so the domain executors never share
-// it.
-type rackTenant struct {
-	tenantState
-	remoteMount fsapi.Client // serves requests forwarded from other racks
-}
-
 // RunSharded executes the spec across the racks of a domain group and
 // reports per-rack and merged SLO outcomes. The group must be fresh (its
 // barrier clock at zero) with every rack's Shard registered on it and
 // inter-rack links declared (required when RemoteFraction > 0). RunSharded
 // drives the group itself; the caller shuts it down afterwards.
+//
+// Racks complete requests on concurrent executors, so the per-request
+// Observer and OutcomeObserver cannot be honoured, and the window always
+// ends at Duration: RunSharded panics when any of them or Drain is set.
 func RunSharded(g *sim.Group, racks []Rack, cfg ShardedConfig) ShardedReport {
 	if err := cfg.Spec.Validate(); err != nil {
 		panic(fmt.Sprintf("traffic: invalid spec: %v", err))
@@ -111,109 +106,27 @@ func RunSharded(g *sim.Group, racks []Rack, cfg ShardedConfig) ShardedReport {
 	if cfg.RemoteFraction < 0 || cfg.RemoteFraction > 1 {
 		panic("traffic: remote fraction out of [0,1]")
 	}
+	if cfg.Observer != nil || cfg.OutcomeObserver != nil || cfg.Drain {
+		panic("traffic: sharded runs support no Observer, OutcomeObserver or Drain")
+	}
 	if g.Now() != 0 {
 		panic("traffic: sharded run needs a fresh group")
 	}
-	scale := cfg.LoadScale
-	if scale == 0 {
-		scale = 1
+	for _, rk := range racks {
+		if rk.Nodes <= 0 {
+			panic("traffic: rack needs at least one node")
+		}
 	}
 	remote := cfg.RemoteFraction
 	if len(racks) == 1 {
 		remote = 0 // nowhere else to place data
 	}
-	end := sim.Time(0).Add(cfg.Duration)
-
-	totalNodes := 0
-	for _, rk := range racks {
-		if rk.Nodes <= 0 {
-			panic("traffic: rack needs at least one node")
-		}
-		totalNodes += rk.Nodes
-	}
-
-	// states[r][ti] is rack r's accounting slot for tenant ti. Breakers
-	// are per tenant×rack — each rack is its own backend instance, which
-	// is exactly the per-tenant×backend granularity the policy wants.
-	// Brownout capacity is likewise split evenly (rounded up) per rack,
-	// mirroring the inflight-cap split: admission state never crosses a
-	// domain boundary.
-	brown := cfg.Spec.Brownout
-	if brown.Enabled() && len(racks) > 1 {
-		brown.Capacity = (brown.Capacity + len(racks) - 1) / len(racks)
-	}
-	engs := make([]*engineState, len(racks))
-	states := make([][]*rackTenant, len(racks))
-	for r := range racks {
-		engs[r] = &engineState{brown: brown}
-		states[r] = make([]*rackTenant, len(cfg.Spec.Tenants))
-	}
-	for ti := range cfg.Spec.Tenants {
-		t := &cfg.Spec.Tenants[ti]
-		// Admission capacity is rack-local: the tenant's global in-flight
-		// cap split evenly (rounded up) across the racks carrying it.
-		rackCap := t.MaxInflight
-		if rackCap > 0 && len(racks) > 1 {
-			rackCap = (rackCap + len(racks) - 1) / len(racks)
-		}
-		for r := range racks {
-			st := &rackTenant{}
-			st.spec = t
-			st.capacity = rackCap
-			st.sketch = stats.NewSketch(cfg.SketchAlpha)
-			st.keep = cfg.KeepLatencies
-			st.breaker = resilience.NewBreaker(t.Resilience.Breaker)
-			states[r][ti] = st
-		}
-	}
-
-	// Mount order per rack: every tenant's per-node generator mounts first
-	// (matching Run's order exactly, so a 1-rack sharded run reproduces the
-	// unsharded byte stream), then — only when remote traffic exists — one
-	// remote-service mount per tenant.
-	base := 0
-	for r := range racks {
-		rk := &racks[r]
-		for ti := range cfg.Spec.Tenants {
-			t := &cfg.Spec.Tenants[ti]
-			shardRate := t.AggregateRate() * scale / float64(totalNodes)
-			for node := 0; node < rk.Nodes; node++ {
-				cl := rk.Mount(t.Name, node)
-				if tg, ok := cl.(fsapi.FlowTagger); ok {
-					tg.SetFlowTag(t.Name)
-				}
-				gen := newArrivalGen(t.Arrival, shardRate, shardSeed(cfg.Seed, ti, base+node))
-				place := placementSeed(cfg.Seed, ti, base+node)
-				launchRackShard(g, engs[r], racks, states, r, ti, cl, gen, node, end, remote, place)
-			}
-		}
-		if remote > 0 {
-			for ti := range cfg.Spec.Tenants {
-				t := &cfg.Spec.Tenants[ti]
-				cl := rk.Mount(t.Name+"@rem", ti%rk.Nodes)
-				if tg, ok := cl.(fsapi.FlowTagger); ok {
-					tg.SetFlowTag(t.Name)
-				}
-				states[r][ti].remoteMount = cl
-			}
-		}
-		base += rk.Nodes
-	}
-
-	g.Run(end)
+	states := startRacks(&cfg.Config, racks, nil, remote)
+	g.Run(sim.Time(0).Add(cfg.Duration))
 
 	rep := ShardedReport{Duration: cfg.Duration}
-	for r := range racks {
-		rr := RackReport{Rack: r, Name: racks[r].Shard.Name()}
-		for ti := range cfg.Spec.Tenants {
-			st := states[r][ti]
-			tr := tenantReport(&st.tenantState)
-			if racks[r].Fab != nil {
-				tr.DeliveredBytes = racks[r].Fab.TagBytes(st.spec.Name)
-			}
-			rr.Tenants = append(rr.Tenants, tr)
-		}
-		rep.Racks = append(rep.Racks, rr)
+	for r, rk := range states {
+		rep.Racks = append(rep.Racks, RackReport{Rack: r, Name: racks[r].Shard.Name(), Tenants: rk.report(racks[r].Fab)})
 	}
 	for ti := range cfg.Spec.Tenants {
 		t := &cfg.Spec.Tenants[ti]
@@ -235,50 +148,14 @@ func RunSharded(g *sim.Group, racks []Rack, cfg ShardedConfig) ShardedReport {
 			merged.Breaker.Closes += tr.Breaker.Closes
 			merged.InFlightEnd += tr.InFlightEnd
 			merged.DeliveredBytes += tr.DeliveredBytes
+			merged.PayloadBytes += tr.PayloadBytes
 			merged.Sketch.Merge(tr.Sketch)
 			merged.Latencies = append(merged.Latencies, tr.Latencies...)
 		}
-		merged.P50 = sketchDur(merged.Sketch, 50)
-		merged.P95 = sketchDur(merged.Sketch, 95)
-		merged.P99 = sketchDur(merged.Sketch, 99)
-		merged.SLOAttainment = math.NaN()
-		if t.SLOP99 > 0 && merged.Completed > 0 {
-			merged.SLOAttainment = merged.Sketch.FractionBelow(t.SLOP99.Seconds())
-		}
+		merged.summarize()
 		rep.Tenants = append(rep.Tenants, merged)
 	}
 	return rep
-}
-
-// tenantReport projects one tenant state onto its report row (shared with
-// the unsharded path's bookkeeping fields).
-func tenantReport(st *tenantState) TenantReport {
-	tr := TenantReport{
-		Name:          st.spec.Name,
-		Offered:       st.offered,
-		Shed:          st.shed,
-		Completed:     st.complete,
-		ShedAdmission: st.shedAdmission,
-		ShedBrownout:  st.shedBrownout,
-		ShedBreaker:   st.shedBreaker,
-		DeadlineMiss:  st.deadlineMiss,
-		Retries:       st.retries,
-		Hedges:        st.hedges,
-		HedgeWins:     st.hedgeWins,
-		Breaker:       st.breaker.Stats(),
-		InFlightEnd:   st.inflight,
-		SLOP99:        st.spec.SLOP99,
-		Sketch:        st.sketch,
-		Latencies:     st.lats,
-	}
-	tr.P50 = sketchDur(st.sketch, 50)
-	tr.P95 = sketchDur(st.sketch, 95)
-	tr.P99 = sketchDur(st.sketch, 99)
-	tr.SLOAttainment = math.NaN()
-	if st.spec.SLOP99 > 0 && st.complete > 0 {
-		tr.SLOAttainment = st.sketch.FractionBelow(st.spec.SLOP99.Seconds())
-	}
-	return tr
 }
 
 // placementSeed derives the per-generator placement RNG seed, independent
@@ -286,247 +163,4 @@ func tenantReport(st *tenantState) TenantReport {
 // arrival times.
 func placementSeed(seed uint64, tenant, shard int) uint64 {
 	return stats.Mix64(shardSeed(seed, tenant, shard) ^ 0x706c6163656d6e74) // "placemnt"
-}
-
-// launchRackShard starts the generator of one tenant×rack×node shard. Local
-// requests run exactly like the unsharded engine's; remote requests are
-// admitted locally, forwarded to the owning rack over the inter-rack link,
-// served there on the tenant's remote-service mount, and completed when the
-// reply message lands back home. The request's latency therefore includes
-// two link crossings plus the remote rack's service time, measured entirely
-// on the home rack's clock.
-//
-// The resilience layer applies to rack-local requests only: a forwarded
-// request's attempts would need cross-domain cancellation (an abort token
-// is single-Env state), so remote requests run the baseline path and hand
-// back any breaker probe grant (Release — the grant is unused, not failed).
-// Breakers still observe every local outcome, which is where the backend
-// they guard actually serves.
-func launchRackShard(g *sim.Group, eng *engineState, racks []Rack, states [][]*rackTenant, r, ti int,
-	cl fsapi.Client, gen *arrivalGen, node int, end sim.Time, remote float64, placeSeed uint64) {
-	rk := &racks[r]
-	st := states[r][ti]
-	sh := &rackShard{
-		eng:       eng,
-		st:        st,
-		cl:        cl,
-		node:      node,
-		r:         r,
-		ti:        ti,
-		racks:     racks,
-		states:    states,
-		home:      rk.Shard,
-		resilient: st.spec.Resilience.Enabled() || eng.brown.Enabled(),
-		remote:    remote,
-		place:     stats.NewRNG(placeSeed),
-		reqName:   fmt.Sprintf("traffic/%s/r%dreq%d", st.spec.Name, r, node),
-	}
-	sh.env = rk.Shard.Env()
-	sh.gen = shardGen{gen: gen, end: end}
-	sh.handle = sh.handleArrival
-	for i := range sh.paths {
-		// Local paths use the unsharded engine's namespace (node indices are
-		// rack-local, and each rack is its own backend), so a 1-rack sharded
-		// run reproduces the unsharded byte stream exactly.
-		sh.paths[i] = fmt.Sprintf("/traffic/%s/n%d/f%d", st.spec.Name, node, i)
-		sh.remPaths[i] = fmt.Sprintf("/traffic/%s/rem-r%dn%d/f%d", st.spec.Name, r, node, i)
-	}
-	sh.arm()
-}
-
-// rackShard drives one tenant×rack×node shard: the sharded-engine analog of
-// reqShard — the same batched arrival tick and pooled request records for
-// rack-local requests; forwarded remote requests keep their per-request
-// message closures (they cross domain boundaries, which pooling cannot).
-type rackShard struct {
-	arrivalTick
-	eng       *engineState
-	st        *rackTenant
-	cl        fsapi.Client
-	node      int
-	r, ti     int
-	racks     []Rack
-	states    [][]*rackTenant
-	home      *sim.Shard
-	resilient bool
-	remote    float64
-	place     *stats.RNG
-	reqName   string
-	paths     [reqFiles]string
-	remPaths  [reqFiles]string
-	reqIdx    uint64
-	free      []*rackRec
-}
-
-// handleArrival mirrors the sharded engine's historical admission chain
-// exactly: breaker and brownout only for resilient tenants, the rack-local
-// cap for everyone, every admitted request counted against the rack-wide
-// brownout gauge, and placement draws consumed unconditionally once
-// admitted so backpressure never shifts the placement stream.
-func (sh *rackShard) handleArrival(now sim.Time) {
-	st, eng := sh.st, sh.eng
-	st.offered++
-	probe := false
-	if sh.resilient {
-		var ok bool
-		if ok, probe = st.breaker.Allow(now); !ok {
-			st.shed++
-			st.shedBreaker++
-			return
-		}
-		if eng.brown.Enabled() && eng.inflight >= eng.brown.Threshold(st.spec.Priority) {
-			st.breaker.Release(probe)
-			st.shed++
-			st.shedBrownout++
-			return
-		}
-	}
-	if st.capacity > 0 && st.inflight >= st.capacity {
-		st.breaker.Release(probe)
-		st.shed++
-		st.shedAdmission++
-		return
-	}
-	idx := sh.reqIdx % reqFiles
-	sh.reqIdx++
-	target := sh.r
-	if sh.remote > 0 {
-		// Placement draw: one uniform for the remote decision, one for the
-		// owning rack among the others.
-		u := sh.place.Uint64()
-		v := sh.place.Uint64()
-		if float64(u>>11)/(1<<53) < sh.remote {
-			target = int(v % uint64(len(sh.racks)-1))
-			if target >= sh.r {
-				target++
-			}
-		}
-	}
-	st.inflight++
-	eng.inflight++
-	if target == sh.r {
-		rec := sh.getRec()
-		rec.path = sh.paths[idx]
-		rec.probe = probe
-		if sh.resilient {
-			rec.call.FlowID = (uint64(sh.node)+1)*0x9e3779b97f4a7c15 + sh.reqIdx
-		}
-		sh.env.GoPooled(sh.reqName, rec.runFn)
-		return
-	}
-	// Forwarded request: baseline path; the probe grant (if any) is
-	// unused — hand it back so half-open probe slots never leak to
-	// requests whose outcome the breaker will not see.
-	st.breaker.Release(probe)
-	start := sh.env.Now()
-	path := sh.remPaths[idx]
-	home, owner := sh.home, sh.racks[target].Shard
-	remoteSt := sh.states[target][sh.ti]
-	keep := st.keep
-	home.Send(owner, 0, func() {
-		owner.Env().Go(sh.reqName+"@rem", func(rp *sim.Proc) {
-			serveRequest(rp, remoteSt.remoteMount, st.spec, path)
-			owner.Send(home, 0, func() {
-				st.inflight--
-				eng.inflight--
-				st.complete++
-				lat := home.Env().Now().Sub(start).Seconds()
-				st.sketch.Add(lat)
-				if keep {
-					st.lats = append(st.lats, lat)
-				}
-			})
-		})
-	})
-}
-
-// rackRec is the sharded engine's pooled request lifecycle for rack-local
-// requests (see reqRec for the pooling contract).
-type rackRec struct {
-	sh    *rackShard
-	gen   uint64
-	freed bool
-	path  string
-	probe bool
-	runFn func(rp *sim.Proc)
-	call  resilience.Call
-}
-
-func (sh *rackShard) getRec() *rackRec {
-	if n := len(sh.free); n > 0 {
-		rec := sh.free[n-1]
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
-		rec.freed = false
-		return rec
-	}
-	rec := &rackRec{sh: sh}
-	if sh.resilient {
-		rec.runFn = rec.runResilient
-		rec.call.Attempt = func(ap *sim.Proc) { serveRequest(ap, sh.cl, sh.st.spec, rec.path) }
-		rec.call.OnIdle = func() { sh.freeRec(rec) }
-	} else {
-		rec.runFn = rec.runLegacy
-	}
-	return rec
-}
-
-func (sh *rackShard) freeRec(rec *rackRec) {
-	if rec.freed {
-		panic("traffic: double release of pooled request record")
-	}
-	rec.freed = true
-	rec.gen++
-	sh.free = append(sh.free, rec)
-}
-
-func (rec *rackRec) release() {
-	if rec.sh.resilient && !rec.call.Idle() {
-		rec.call.DeferRelease()
-		return
-	}
-	rec.sh.freeRec(rec)
-}
-
-func (rec *rackRec) runLegacy(rp *sim.Proc) {
-	sh := rec.sh
-	st := sh.st
-	start := rp.Now()
-	serveRequest(rp, sh.cl, st.spec, rec.path)
-	st.inflight--
-	sh.eng.inflight--
-	st.complete++
-	lat := rp.Now().Sub(start).Seconds()
-	st.sketch.Add(lat)
-	if st.keep {
-		st.lats = append(st.lats, lat)
-	}
-	rec.release()
-}
-
-func (rec *rackRec) runResilient(rp *sim.Proc) {
-	sh := rec.sh
-	st := sh.st
-	pl := st.spec.Resilience
-	hd := pl.Hedge.Delay(st.sketch)
-	out := resilience.ExecuteCall(rp, pl, &rec.call, hd, st.breaker)
-	st.inflight--
-	sh.eng.inflight--
-	st.retries += uint64(out.Retries)
-	st.hedges += uint64(out.Hedges)
-	st.hedgeWins += uint64(out.HedgeWins)
-	if !out.OK {
-		st.breaker.Failure(rp.Now(), rec.probe)
-		st.shed++
-		st.deadlineMiss++
-		rec.release()
-		return
-	}
-	st.breaker.Success(rec.probe)
-	st.complete++
-	st.sketch.Add(out.Elapsed.Seconds())
-	if st.keep {
-		st.lats = append(st.lats, out.Elapsed.Seconds())
-	}
-	rec.release()
 }

@@ -12,6 +12,7 @@ import (
 	"storagesim/internal/netsim"
 	"storagesim/internal/resilience"
 	"storagesim/internal/sim"
+	"storagesim/internal/trace"
 )
 
 // buildShardedRig assembles a domain group with nracks racks — each with
@@ -105,7 +106,7 @@ func resilientShardedDigest(t *testing.T, parallel int) string {
 	g, racks := buildShardedRig(parallel, 3, 2, 1e8, 500*time.Microsecond)
 	defer g.Shutdown()
 	rep := RunSharded(g, racks, ShardedConfig{
-		Config:         Config{Spec: resilientShardedSpec(), Duration: 2 * time.Second, Seed: 7, Drain: true},
+		Config:         Config{Spec: resilientShardedSpec(), Duration: 2 * time.Second, Seed: 7},
 		RemoteFraction: 0.4,
 	})
 	return rep.Digest()
@@ -133,38 +134,55 @@ func TestShardedResilienceLockstep(t *testing.T) {
 
 // TestShardedSingleRackMatchesRun: with one rack the sharded engine is the
 // classic engine — same arrivals, same admissions, same byte stream, same
-// latency list, element for element.
+// payload, same latency list, element for element — both on the plain path
+// and with the full resilience stack engaged.
 func TestShardedSingleRackMatchesRun(t *testing.T) {
-	cfg := Config{Spec: twoTenantSpec(), Duration: 2 * time.Second, Seed: 3, KeepLatencies: true}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		bw   float64
+	}{
+		{"plain", twoTenantSpec(), 1e9},
+		{"resilient", resilientShardedSpec(), 1e8},
+	} {
+		cfg := Config{Spec: tc.spec, Duration: 2 * time.Second, Seed: 3, KeepLatencies: true}
 
-	env, fab, mount := fakeRig(1e9)
-	classic := Run(env, fab, 2, mount, cfg)
+		env, fab, mount := fakeRig(tc.bw)
+		classic := Run(env, fab, 2, mount, cfg)
 
-	// RemoteFraction 0.5 with one rack must be forced to 0: nowhere else
-	// to place data.
-	g, racks := buildShardedRig(2, 1, 2, 1e9, 500*time.Microsecond)
-	defer g.Shutdown()
-	sharded := RunSharded(g, racks, ShardedConfig{Config: cfg, RemoteFraction: 0.5})
+		// RemoteFraction 0.5 with one rack must be forced to 0: nowhere else
+		// to place data.
+		g, racks := buildShardedRig(2, 1, 2, tc.bw, 500*time.Microsecond)
+		defer g.Shutdown()
+		sharded := RunSharded(g, racks, ShardedConfig{Config: cfg, RemoteFraction: 0.5})
 
-	if len(sharded.Tenants) != len(classic.Tenants) || len(sharded.Racks) != 1 {
-		t.Fatalf("report shape: %d tenants / %d racks", len(sharded.Tenants), len(sharded.Racks))
-	}
-	for ti := range classic.Tenants {
-		a, b := classic.Tenants[ti], sharded.Tenants[ti]
-		if a.Offered != b.Offered || a.Shed != b.Shed || a.Completed != b.Completed || a.InFlightEnd != b.InFlightEnd {
-			t.Errorf("%s counters diverged: classic %d/%d/%d/%d sharded %d/%d/%d/%d",
-				a.Name, a.Offered, a.Shed, a.Completed, a.InFlightEnd,
-				b.Offered, b.Shed, b.Completed, b.InFlightEnd)
+		if len(sharded.Tenants) != len(classic.Tenants) || len(sharded.Racks) != 1 {
+			t.Fatalf("%s: report shape: %d tenants / %d racks", tc.name, len(sharded.Tenants), len(sharded.Racks))
 		}
-		if a.DeliveredBytes != b.DeliveredBytes {
-			t.Errorf("%s bytes diverged: classic %v sharded %v", a.Name, a.DeliveredBytes, b.DeliveredBytes)
+		// Digest renders only the rack rows, so the cluster-wide merge is
+		// checked separately by rendering it as a one-rack report.
+		name := sharded.Racks[0].Name
+		want := ShardedReport{Duration: classic.Duration, Racks: []RackReport{{Name: name, Tenants: classic.Tenants}}}.Digest()
+		merged := ShardedReport{Duration: sharded.Duration, Racks: []RackReport{{Name: name, Tenants: sharded.Tenants}}}.Digest()
+		if got := sharded.Digest(); got != want {
+			t.Errorf("%s: rack digest diverged:\nclassic %s\nsharded %s", tc.name, want, got)
 		}
-		if a.P50 != b.P50 || a.P95 != b.P95 || a.P99 != b.P99 {
-			t.Errorf("%s quantiles diverged: classic %v/%v/%v sharded %v/%v/%v",
-				a.Name, a.P50, a.P95, a.P99, b.P50, b.P95, b.P99)
+		if merged != want {
+			t.Errorf("%s: merged digest diverged:\nclassic %s\nmerged  %s", tc.name, want, merged)
 		}
-		if !reflect.DeepEqual(a.Latencies, b.Latencies) {
-			t.Errorf("%s latency streams diverged (%d vs %d values)", a.Name, len(a.Latencies), len(b.Latencies))
+		for ti := range classic.Tenants {
+			a := classic.Tenants[ti]
+			for _, b := range []TenantReport{sharded.Racks[0].Tenants[ti], sharded.Tenants[ti]} {
+				if a.PayloadBytes != b.PayloadBytes {
+					t.Errorf("%s/%s payload diverged: classic %v sharded %v", tc.name, a.Name, a.PayloadBytes, b.PayloadBytes)
+				}
+				if !reflect.DeepEqual(a.Latencies, b.Latencies) {
+					t.Errorf("%s/%s latency streams diverged (%d vs %d values)", tc.name, a.Name, len(a.Latencies), len(b.Latencies))
+				}
+			}
+		}
+		if w := classic.Tenants[0]; tc.name == "resilient" && (w.Retries == 0 || w.DeadlineMiss == 0 || w.ShedBrownout+w.ShedBreaker == 0) {
+			t.Fatalf("resilience layer never engaged: %+v", w)
 		}
 	}
 }
@@ -224,6 +242,17 @@ func TestShardedValidation(t *testing.T) {
 	zero := cfg
 	zero.Duration = 0
 	mustPanic("zero duration", func() { RunSharded(g, racks, zero) })
+	// Racks complete requests on concurrent executors: per-request
+	// observers and draining are refused, not silently ignored.
+	observed := cfg
+	observed.Observer = func(trace.Event) {}
+	mustPanic("observer", func() { RunSharded(g, racks, observed) })
+	outcomes := cfg
+	outcomes.OutcomeObserver = func(OutcomeEvent) {}
+	mustPanic("outcome observer", func() { RunSharded(g, racks, outcomes) })
+	drained := cfg
+	drained.Drain = true
+	mustPanic("drain", func() { RunSharded(g, racks, drained) })
 	RunSharded(g, racks, cfg)
 	mustPanic("stale group", func() { RunSharded(g, racks, cfg) })
 }

@@ -3,11 +3,9 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"storagesim/internal/fsapi"
 	"storagesim/internal/sim"
-	"storagesim/internal/stats"
 	"storagesim/internal/trace"
 )
 
@@ -71,18 +69,13 @@ func workloadOp(k WorkloadKind) trace.Op {
 	}
 }
 
-// traceShard is the per-tenant×node slice of the recorded stream.
-type traceShard struct {
-	tenant string
-	node   int
-	events []trace.Event
-}
-
 // ReplayTrace re-issues the recorded stream against a storage system and
 // reports per-tenant outcomes in the same shape as Run. mount and fab work
 // exactly as in Run: one tagged mount per tenant×node. Events recording a
 // rank are pinned to node rank%nodes (co-located requests stay
 // co-located); rankless events rotate round-robin within their tenant.
+// Each tenant×node slice of the stream is the source of one pipeline
+// shard (see Run), admitted under the MaxInflight cap and served plain.
 // ReplayTrace drives env itself and, unlike the windowed Run, drains: it
 // returns when every replayed request has completed, and the report's
 // Duration is the replay makespan (first issue to last completion).
@@ -100,242 +93,52 @@ func ReplayTrace(env *sim.Env, fab *sim.Fabric, nodes int, mount func(tenant str
 
 	// Partition the stream by tenant and node, preserving issue order.
 	tenants := cfg.Trace.TenantNames()
-	index := map[string]int{}
-	rr := map[string]int{}
+	index := make(map[string]int, len(tenants))
+	specs := make([]Tenant, len(tenants))
+	parts := make([][][]trace.Event, len(tenants))
 	for i, name := range tenants {
 		index[name] = i
+		specs[i] = Tenant{Name: name, MaxInflight: cfg.MaxInflight}
+		parts[i] = make([][]trace.Event, nodes)
 	}
-	shards := map[string]map[int]*traceShard{}
+	rr := make([]int, len(tenants)) // round-robin cursor of rankless events
 	for _, ev := range cfg.Trace.Events {
-		node := rr[ev.Tenant] % nodes
+		ti := index[ev.Tenant]
+		node := rr[ti] % nodes
 		if ev.Rank >= 0 {
 			node = ev.Rank % nodes
 		} else {
-			rr[ev.Tenant]++
+			rr[ti]++
 		}
-		byNode := shards[ev.Tenant]
-		if byNode == nil {
-			byNode = map[int]*traceShard{}
-			shards[ev.Tenant] = byNode
-		}
-		sh := byNode[node]
-		if sh == nil {
-			sh = &traceShard{tenant: ev.Tenant, node: node}
-			byNode[node] = sh
-		}
-		sh.events = append(sh.events, ev)
+		parts[ti][node] = append(parts[ti][node], ev)
 	}
 
-	states := make([]*tenantState, len(tenants))
-	specs := make([]Tenant, len(tenants))
-	var end sim.Time
-	for i, name := range tenants {
-		specs[i] = Tenant{Name: name, MaxInflight: cfg.MaxInflight}
-		states[i] = &tenantState{
-			spec:     &specs[i],
-			capacity: cfg.MaxInflight,
-			sketch:   stats.NewSketch(cfg.SketchAlpha),
-			keep:     cfg.KeepLatencies,
-		}
-	}
-	for _, name := range tenants {
-		byNode := shards[name]
-		order := make([]int, 0, len(byNode))
-		for node := range byNode {
-			order = append(order, node)
-		}
-		sort.Ints(order)
-		st := states[index[name]]
-		for _, node := range order {
-			sh := byNode[node]
-			cl := mount(name, node)
-			if tg, ok := cl.(fsapi.FlowTagger); ok {
-				tg.SetFlowTag(name)
+	rk := newRack(env, nil, &Config{
+		Spec:          Spec{Tenants: specs},
+		SketchAlpha:   cfg.SketchAlpha,
+		KeepLatencies: cfg.KeepLatencies,
+		Observer:      cfg.Observer,
+	}, 1)
+	for ti, st := range rk.tenants {
+		for node, events := range parts[ti] {
+			if len(events) == 0 {
+				continue
 			}
-			launchTraceShard(env, st, cl, sh, ioBytes, cfg.Observer, &end)
+			sh := newShard(rk, st, 0, node, mountTagged(mount, st.spec.Name, node, st.spec.Name), "replay")
+			sh.events, sh.io = events, ioBytes
+			sh.arm()
 		}
 	}
 
 	env.Run()
 
-	rep := Report{Duration: end.Sub(0)}
-	for _, st := range states {
-		tr := TenantReport{
-			Name:         st.spec.Name,
-			Offered:      st.offered,
-			Shed:         st.shed,
-			Completed:    st.complete,
-			InFlightEnd:  st.inflight,
-			PayloadBytes: st.payload,
-			Sketch:       st.sketch,
-			Latencies:    st.lats,
+	var end sim.Time
+	for _, st := range rk.tenants {
+		if st.last > end {
+			end = st.last
 		}
-		if fab != nil {
-			tr.DeliveredBytes = fab.TagBytes(st.spec.Name)
-		}
-		tr.P50 = sketchDur(st.sketch, 50)
-		tr.P95 = sketchDur(st.sketch, 95)
-		tr.P99 = sketchDur(st.sketch, 99)
-		tr.SLOAttainment = math.NaN()
-		rep.Tenants = append(rep.Tenants, tr)
 	}
-	return rep
-}
-
-// launchTraceShard arms the dispatcher tick of one tenant×node shard of
-// the recorded stream.
-func launchTraceShard(env *sim.Env, st *tenantState, cl fsapi.Client, sh *traceShard, ioBytes int64, obs func(trace.Event), end *sim.Time) {
-	rs := &replayShard{
-		env:     env,
-		st:      st,
-		cl:      cl,
-		tr:      sh,
-		ioBytes: ioBytes,
-		obs:     obs,
-		end:     end,
-		reqName: fmt.Sprintf("replay/%s/req%d", sh.tenant, sh.node),
-	}
-	for i := range rs.paths {
-		rs.paths[i] = fmt.Sprintf("/replay/%s/n%d/f%d", sh.tenant, sh.node, i)
-	}
-	rs.fn = rs.tick
-	if len(sh.events) > 0 {
-		at := sh.events[0].At
-		if now := env.Now(); at < now {
-			at = now
-		}
-		env.AfterFunc(at.Sub(env.Now()), rs.fn)
-	}
-}
-
-// replayShard drives one tenant×node slice of the recorded stream: the
-// replay analog of reqShard — a batched dispatcher tick plus pooled request
-// records. Recorded streams carry timestamp ties (concurrent ranks), so the
-// tick's inner loop dispatches every event with at <= now before re-arming,
-// preserving the exact spawn order of the per-event dispatcher it replaced.
-type replayShard struct {
-	env     *sim.Env
-	st      *tenantState
-	cl      fsapi.Client
-	tr      *traceShard
-	ioBytes int64
-	obs     func(trace.Event)
-	end     *sim.Time
-	reqName string
-	paths   [reqFiles]string
-	reqIdx  uint64
-	pos     int
-	free    []*replayRec
-	fn      func()
-}
-
-func (sh *replayShard) tick() {
-	now := sh.env.Now()
-	for sh.pos < len(sh.tr.events) {
-		ev := sh.tr.events[sh.pos]
-		if ev.At > now {
-			sh.env.AfterFunc(ev.At.Sub(now), sh.fn)
-			return
-		}
-		sh.pos++
-		sh.handleArrival(ev)
-	}
-}
-
-func (sh *replayShard) handleArrival(ev trace.Event) {
-	st := sh.st
-	st.offered++
-	if st.capacity > 0 && st.inflight >= st.capacity {
-		st.shed++
-		return
-	}
-	st.inflight++
-	path := ev.File
-	if path == "" {
-		path = sh.paths[sh.reqIdx%reqFiles]
-	}
-	sh.reqIdx++
-	rec := sh.getRec()
-	rec.ev = ev
-	rec.path = path
-	sh.env.GoPooled(sh.reqName, rec.runFn)
-}
-
-// replayRec is the replay engine's pooled request lifecycle (no resilience
-// machinery: replayed requests run the baseline serve path).
-type replayRec struct {
-	sh    *replayShard
-	freed bool
-	ev    trace.Event
-	path  string
-	runFn func(rp *sim.Proc)
-}
-
-func (sh *replayShard) getRec() *replayRec {
-	if n := len(sh.free); n > 0 {
-		rec := sh.free[n-1]
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
-		rec.freed = false
-		return rec
-	}
-	rec := &replayRec{sh: sh}
-	rec.runFn = rec.run
-	return rec
-}
-
-func (rec *replayRec) run(rp *sim.Proc) {
-	sh := rec.sh
-	st := sh.st
-	start := rp.Now()
-	serveEvent(rp, sh.cl, rec.ev, sh.ioBytes, rec.path)
-	st.inflight--
-	st.complete++
-	st.payload += float64(rec.ev.Bytes)
-	lat := rp.Now().Sub(start)
-	st.sketch.Add(lat.Seconds())
-	if st.keep {
-		st.lats = append(st.lats, lat.Seconds())
-	}
-	if rp.Now() > *sh.end {
-		*sh.end = rp.Now()
-	}
-	if sh.obs != nil {
-		out := rec.ev
-		out.Latency = lat
-		out.Rank = sh.tr.node
-		out.File = rec.path
-		sh.obs(out)
-	}
-	if rec.freed {
-		panic("traffic: double release of pooled request record")
-	}
-	rec.freed = true
-	sh.free = append(sh.free, rec)
-}
-
-// serveEvent performs one recorded request's I/O on the tenant's mount.
-// The op size is the event's recorded IO when present, the replay default
-// otherwise, clamped to the request payload.
-func serveEvent(p *sim.Proc, cl fsapi.Client, ev trace.Event, ioBytes int64, path string) {
-	io := ioBytes
-	if ev.IO > 0 {
-		io = ev.IO
-	}
-	if ev.Bytes > 0 && ev.Bytes < io {
-		io = ev.Bytes
-	}
-	switch ev.Op {
-	case trace.OpWrite:
-		cl.StreamWrite(p, path, fsapi.Sequential, io, ev.Bytes)
-	case trace.OpRead:
-		cl.StreamRead(p, path, fsapi.Sequential, io, ev.Bytes)
-	case trace.OpRandRead:
-		cl.StreamRead(p, path, fsapi.Random, io, ev.Bytes)
-	case trace.OpMeta:
-		f := cl.Open(p, path, false)
-		f.Close(p)
-	}
+	return Report{Duration: end.Sub(0), Tenants: rk.report(fab)}
 }
 
 // SpecFromTrace fits a stochastic tenant spec to a recorded stream: one

@@ -165,6 +165,9 @@ func TestReplayAdmission(t *testing.T) {
 	if capped.Shed == 0 {
 		t.Fatal("capped burst shed nothing")
 	}
+	if capped.ShedAdmission != capped.Shed {
+		t.Fatalf("cap sheds not attributed to admission: shed %d, admission %d", capped.Shed, capped.ShedAdmission)
+	}
 	if capped.Completed+capped.Shed != capped.Offered || capped.InFlightEnd != 0 {
 		t.Fatalf("books don't balance after drain: %+v", capped)
 	}

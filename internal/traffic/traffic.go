@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"fmt"
-	"math"
 
 	"storagesim/internal/fsapi"
 	"storagesim/internal/resilience"
@@ -36,6 +35,7 @@ type Config struct {
 	// (issue time, tenant, op, bytes, measured latency, node, path) — the
 	// recording side of the trace pipeline: write the stream out with
 	// trace.WriteJSONL and any run becomes a replayable, auditable trace.
+	// RunSharded rejects it, like OutcomeObserver and Drain.
 	Observer func(trace.Event)
 	// Drain keeps the simulation running after the generation window
 	// closes until every admitted request completes, instead of abandoning
@@ -150,52 +150,6 @@ type Report struct {
 	Tenants  []TenantReport
 }
 
-// tenantState is the shared admission/accounting state of one tenant,
-// touched only from simulated processes (the kernel serializes those).
-type tenantState struct {
-	spec     *Tenant
-	offered  uint64
-	shed     uint64
-	complete uint64
-	inflight int
-	capacity int
-	payload  float64
-	sketch   *stats.Sketch
-	lats     []float64
-	keep     bool
-	obs      func(trace.Event)
-
-	// Resilience-layer state; zero/nil for legacy-path tenants.
-	breaker       *resilience.Breaker
-	shedAdmission uint64
-	shedBrownout  uint64
-	shedBreaker   uint64
-	deadlineMiss  uint64
-	retries       uint64
-	hedges        uint64
-	hedgeWins     uint64
-	outObs        func(OutcomeEvent)
-}
-
-// engineState is the run-wide admission state shared by all tenants —
-// the brownout policy works on the total in-flight count.
-type engineState struct {
-	brown    resilience.Brownout
-	inflight int
-}
-
-// shedEvent reports a refused arrival to the outcome observer.
-func (st *tenantState) shedEvent(at sim.Time, kind OutcomeKind) {
-	if st.outObs != nil {
-		st.outObs(OutcomeEvent{At: at, Tenant: st.spec.Name, Kind: kind, Bytes: st.spec.RequestBytes})
-	}
-}
-
-// reqFiles is the rotating file-set size per tenant×shard: requests cycle
-// through this many paths, so the namespace stays bounded no matter how
-// many requests a run generates.
-const reqFiles = 16
-
 // Run executes the spec against a storage system and reports per-tenant
 // SLO outcomes. mount mints a fresh client mount for the named tenant on
 // compute node `node` (0-based, < nodes); the engine creates one mount per
@@ -203,10 +157,13 @@ const reqFiles = 16
 // it so the tenant's fabric bytes are attributed. fab may be nil when no
 // delivered-byte accounting is wanted.
 //
-// One generator process per tenant×node shard carries 1/nodes-th of the
-// tenant's aggregate arrival stream (see arrivalGen for why the merge is
-// exact for Poisson-family processes), so process count is
-// O(tenants×nodes + in-flight requests) regardless of Tenant.Clients.
+// Run is the one-rack case of the request pipeline RunSharded drives:
+// each tenant×node shard carries 1/nodes-th of the tenant's aggregate
+// arrival stream (see arrivalGen for why the merge is exact for
+// Poisson-family processes) from a pre-drawn ring admitted by calendar
+// ticks, through admission, the tenant's policy, serve and completion. No
+// process exists per client or per generator, so process count is
+// O(in-flight requests) regardless of Tenant.Clients.
 //
 // Run drives env itself (RunUntil the window's end) and must be called
 // with a quiescent env; fault schedules armed on the same env beforehand
@@ -221,468 +178,10 @@ func Run(env *sim.Env, fab *sim.Fabric, nodes int, mount func(tenant string, nod
 	if cfg.Duration <= 0 {
 		panic("traffic: need a positive duration")
 	}
-	scale := cfg.LoadScale
-	if scale == 0 {
-		scale = 1
-	}
-	end := sim.Time(0).Add(cfg.Duration)
-
-	eng := &engineState{brown: cfg.Spec.Brownout}
-	states := make([]*tenantState, len(cfg.Spec.Tenants))
-	for ti := range cfg.Spec.Tenants {
-		t := &cfg.Spec.Tenants[ti]
-		st := &tenantState{
-			spec:     t,
-			capacity: t.MaxInflight,
-			sketch:   stats.NewSketch(cfg.SketchAlpha),
-			keep:     cfg.KeepLatencies,
-			obs:      cfg.Observer,
-			breaker:  resilience.NewBreaker(t.Resilience.Breaker),
-			outObs:   cfg.OutcomeObserver,
-		}
-		states[ti] = st
-		shardRate := t.AggregateRate() * scale / float64(nodes)
-		for node := 0; node < nodes; node++ {
-			cl := mount(t.Name, node)
-			if tg, ok := cl.(fsapi.FlowTagger); ok {
-				tg.SetFlowTag(t.Name)
-			}
-			gen := newArrivalGen(t.Arrival, shardRate, shardSeed(cfg.Seed, ti, node))
-			launchShard(env, eng, st, cl, gen, node, end)
-		}
-	}
-
-	env.RunUntil(end)
+	rk := startRacks(&cfg, []Rack{{Nodes: nodes, Mount: mount}}, env, 0)[0]
+	env.RunUntil(sim.Time(0).Add(cfg.Duration))
 	if cfg.Drain {
 		env.Run()
 	}
-
-	rep := Report{Duration: cfg.Duration}
-	for _, st := range states {
-		tr := TenantReport{
-			Name:          st.spec.Name,
-			Offered:       st.offered,
-			Shed:          st.shed,
-			Completed:     st.complete,
-			ShedAdmission: st.shedAdmission,
-			ShedBrownout:  st.shedBrownout,
-			ShedBreaker:   st.shedBreaker,
-			DeadlineMiss:  st.deadlineMiss,
-			Retries:       st.retries,
-			Hedges:        st.hedges,
-			HedgeWins:     st.hedgeWins,
-			Breaker:       st.breaker.Stats(),
-			InFlightEnd:   st.inflight,
-			PayloadBytes:  st.payload,
-			SLOP99:        st.spec.SLOP99,
-			Sketch:        st.sketch,
-			Latencies:     st.lats,
-		}
-		if fab != nil {
-			tr.DeliveredBytes = fab.TagBytes(st.spec.Name)
-		}
-		tr.P50 = sketchDur(st.sketch, 50)
-		tr.P95 = sketchDur(st.sketch, 95)
-		tr.P99 = sketchDur(st.sketch, 99)
-		tr.SLOAttainment = math.NaN()
-		if st.spec.SLOP99 > 0 && st.complete > 0 {
-			tr.SLOAttainment = st.sketch.FractionBelow(st.spec.SLOP99.Seconds())
-		}
-		rep.Tenants = append(rep.Tenants, tr)
-	}
-	return rep
-}
-
-// sketchDur converts a sketch quantile (seconds) to a duration, 0 when the
-// sketch is empty.
-func sketchDur(s *stats.Sketch, p float64) sim.Duration {
-	q := s.Quantile(p)
-	if math.IsNaN(q) {
-		return 0
-	}
-	return sim.Duration(q * 1e9)
-}
-
-// arrivalChunk is the number of arrival timestamps a shard pre-draws per
-// refill of its ring. The draws come from the shard-private RNG in exactly
-// the order the old one-draw-per-wakeup generator made them, so the
-// timestamp sequence is bit-identical; chunking only amortizes the
-// dispatch.
-const arrivalChunk = 64
-
-// shardGen feeds one shard's arrival timestamps from a chunked pre-drawn
-// ring. The underlying arrivalGen is consulted in the same next(prev)
-// sequence the per-request generator loop used (including the final
-// beyond-window draw that terminates the stream).
-type shardGen struct {
-	gen  *arrivalGen
-	end  sim.Time
-	buf  [arrivalChunk]sim.Time
-	idx  int
-	n    int
-	last sim.Time
-	done bool
-}
-
-func (sg *shardGen) fill() {
-	sg.idx, sg.n = 0, 0
-	for sg.n < len(sg.buf) {
-		at := sg.gen.next(sg.last)
-		sg.last = at
-		if at > sg.end {
-			sg.done = true
-			return
-		}
-		sg.buf[sg.n] = at
-		sg.n++
-	}
-}
-
-// peek returns the next arrival time without consuming it; ok is false once
-// the stream passed the window end.
-func (sg *shardGen) peek() (at sim.Time, ok bool) {
-	if sg.idx >= sg.n {
-		if sg.done {
-			return 0, false
-		}
-		sg.fill()
-		if sg.n == 0 {
-			return 0, false
-		}
-	}
-	return sg.buf[sg.idx], true
-}
-
-func (sg *shardGen) pop() { sg.idx++ }
-
-// arrivalTick turns a shard's arrival stream into a self-re-arming calendar
-// callback: one pooled timer event per arrival, no generator process. The
-// tick admits every pending arrival with at <= now (recorded streams carry
-// ties; stochastic streams are strictly increasing), then re-arms itself
-// for the next future arrival. The handler runs on the scheduler's stack —
-// it must not block.
-type arrivalTick struct {
-	env    *sim.Env
-	gen    shardGen
-	handle func(now sim.Time)
-	fn     func() // tick bound once; re-armed for every future arrival
-}
-
-func (tk *arrivalTick) tick() {
-	now := tk.env.Now()
-	for {
-		at, ok := tk.gen.peek()
-		if !ok {
-			return
-		}
-		if at > now {
-			tk.env.AfterFunc(at.Sub(now), tk.fn)
-			return
-		}
-		tk.gen.pop()
-		tk.handle(now)
-	}
-}
-
-// arm schedules the shard's first tick (called once at setup).
-func (tk *arrivalTick) arm() {
-	at, ok := tk.gen.peek()
-	if !ok {
-		return
-	}
-	now := tk.env.Now()
-	if at < now {
-		at = now
-	}
-	tk.fn = tk.tick
-	tk.env.AfterFunc(at.Sub(now), tk.fn)
-}
-
-// reqShard drives one tenant×node shard of the single-fabric engine: a
-// batched arrival tick plus a free list of request records, so the steady
-// request path allocates nothing.
-type reqShard struct {
-	arrivalTick
-	eng       *engineState
-	st        *tenantState
-	cl        fsapi.Client
-	node      int
-	resilient bool
-	// countEng mirrors the historical accounting split: the sharded engine
-	// counts every admitted request against the run-wide brownout gauge,
-	// the single-fabric legacy path never did.
-	countEng bool
-	reqName  string
-	paths    [reqFiles]string
-	reqIdx   uint64
-	free     []*reqRec
-}
-
-// handleArrival runs the admission chain for one arrival and, when
-// admitted, spawns the request body on a pooled process with a pooled
-// record. The legacy path (no resilience policy, no brownout) stays
-// byte-identical to the engine before the policy layer existed: queue-depth
-// backpressure only — beyond the cap the request is shed, never queued.
-func (sh *reqShard) handleArrival(now sim.Time) {
-	st := sh.st
-	st.offered++
-	if sh.resilient {
-		sh.admitResilient(now)
-		return
-	}
-	if st.capacity > 0 && st.inflight >= st.capacity {
-		st.shed++
-		st.shedAdmission++
-		st.shedEvent(now, OutcomeShedAdmission)
-		return
-	}
-	st.inflight++
-	if sh.countEng {
-		sh.eng.inflight++
-	}
-	rec := sh.getRec()
-	rec.path = sh.paths[sh.reqIdx%reqFiles]
-	sh.reqIdx++
-	sh.env.GoPooled(sh.reqName, rec.runFn)
-}
-
-// admitResilient runs the policy-layer admission chain for one arrival —
-// breaker, then brownout tiers, then the per-tenant cap, in that order
-// (cheapest refusal first; a breaker grant consumed by a later stage is
-// handed back with Release so probe slots are never leaked) — and, when
-// admitted, spawns the request coordinator.
-func (sh *reqShard) admitResilient(now sim.Time) {
-	st, eng := sh.st, sh.eng
-	ok, probe := st.breaker.Allow(now)
-	if !ok {
-		st.shed++
-		st.shedBreaker++
-		st.shedEvent(now, OutcomeShedBreaker)
-		return
-	}
-	if eng.brown.Enabled() && eng.inflight >= eng.brown.Threshold(st.spec.Priority) {
-		st.breaker.Release(probe)
-		st.shed++
-		st.shedBrownout++
-		st.shedEvent(now, OutcomeShedBrownout)
-		return
-	}
-	if st.capacity > 0 && st.inflight >= st.capacity {
-		st.breaker.Release(probe)
-		st.shed++
-		st.shedAdmission++
-		st.shedEvent(now, OutcomeShedAdmission)
-		return
-	}
-	st.inflight++
-	eng.inflight++
-	rec := sh.getRec()
-	rec.path = sh.paths[sh.reqIdx%reqFiles]
-	sh.reqIdx++
-	rec.probe = probe
-	// The backoff jitter stream is per request: distinct shards (and
-	// successive requests of one shard) must desynchronize, so the flow id
-	// mixes the shard index with the shard-local sequence number.
-	rec.call.FlowID = (uint64(sh.node)+1)*0x9e3779b97f4a7c15 + sh.reqIdx
-	sh.env.GoPooled(sh.reqName, rec.runFn)
-}
-
-// reqRec is one pooled request lifecycle: arrival/admission state, the
-// resilience call record (completion event, abort tokens, attempt
-// closures), and the request body closure, recycled through the shard's
-// free list. The generation counter makes stale references detectable in
-// the pool-hardening tests; freed guards double release.
-type reqRec struct {
-	sh    *reqShard
-	gen   uint64
-	freed bool
-	path  string
-	probe bool
-	runFn func(rp *sim.Proc)
-	call  resilience.Call
-}
-
-// getRec draws a record from the shard pool, creating (and binding its
-// closures, once) on first use.
-func (sh *reqShard) getRec() *reqRec {
-	if n := len(sh.free); n > 0 {
-		rec := sh.free[n-1]
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
-		rec.freed = false
-		return rec
-	}
-	rec := &reqRec{sh: sh}
-	if sh.resilient {
-		rec.runFn = rec.runResilient
-		rec.call.Attempt = func(ap *sim.Proc) { serveRequest(ap, sh.cl, sh.st.spec, rec.path) }
-		rec.call.OnIdle = func() { sh.freeRec(rec) }
-	} else {
-		rec.runFn = rec.runLegacy
-	}
-	return rec
-}
-
-// freeRec returns a record to the pool. Double release is always a
-// lifecycle bug, so it panics.
-func (sh *reqShard) freeRec(rec *reqRec) {
-	if rec.freed {
-		panic("traffic: double release of pooled request record")
-	}
-	rec.freed = true
-	rec.gen++
-	sh.free = append(sh.free, rec)
-}
-
-// release recycles the record once nothing references it. A cancelled
-// hedge/deadline loser can outlive its coordinator (it unwinds at its next
-// cancellation point), so a resilient record with live attempts defers to
-// the call's OnIdle hook instead of recycling immediately.
-func (rec *reqRec) release() {
-	if rec.sh.resilient && !rec.call.Idle() {
-		rec.call.DeferRelease()
-		return
-	}
-	rec.sh.freeRec(rec)
-}
-
-// runLegacy is the request body of a non-resilient tenant.
-func (rec *reqRec) runLegacy(rp *sim.Proc) {
-	sh := rec.sh
-	st := sh.st
-	start := rp.Now()
-	serveRequest(rp, sh.cl, st.spec, rec.path)
-	st.inflight--
-	if sh.countEng {
-		sh.eng.inflight--
-	}
-	st.complete++
-	st.payload += float64(st.spec.RequestBytes)
-	d := rp.Now().Sub(start)
-	st.sketch.Add(d.Seconds())
-	if st.keep {
-		st.lats = append(st.lats, d.Seconds())
-	}
-	if st.obs != nil {
-		st.obs(trace.Event{
-			At:      start,
-			Tenant:  st.spec.Name,
-			Op:      workloadOp(st.spec.Workload),
-			Bytes:   st.spec.RequestBytes,
-			IO:      ioBytesOf(st.spec),
-			Latency: d,
-			Rank:    sh.node,
-			File:    rec.path,
-		})
-	}
-	if st.outObs != nil {
-		st.outObs(OutcomeEvent{
-			At: rp.Now(), Tenant: st.spec.Name,
-			Kind: OutcomeCompleted, Bytes: st.spec.RequestBytes,
-		})
-	}
-	rec.release()
-}
-
-// runResilient is the request coordinator of a resilient tenant: it runs
-// the pooled call under the tenant policy and settles terminal breaker and
-// outcome accounting.
-func (rec *reqRec) runResilient(rp *sim.Proc) {
-	sh := rec.sh
-	st := sh.st
-	start := rp.Now()
-	pl := st.spec.Resilience
-	hd := pl.Hedge.Delay(st.sketch)
-	out := resilience.ExecuteCall(rp, pl, &rec.call, hd, st.breaker)
-	st.inflight--
-	sh.eng.inflight--
-	st.retries += uint64(out.Retries)
-	st.hedges += uint64(out.Hedges)
-	st.hedgeWins += uint64(out.HedgeWins)
-	if !out.OK {
-		st.breaker.Failure(rp.Now(), rec.probe)
-		st.shed++
-		st.deadlineMiss++
-		if st.outObs != nil {
-			st.outObs(OutcomeEvent{
-				At: rp.Now(), Tenant: st.spec.Name, Kind: OutcomeDeadlineMiss,
-				Bytes: st.spec.RequestBytes, Retries: out.Retries, Hedges: out.Hedges,
-			})
-		}
-		rec.release()
-		return
-	}
-	st.breaker.Success(rec.probe)
-	st.complete++
-	st.payload += float64(st.spec.RequestBytes)
-	st.sketch.Add(out.Elapsed.Seconds())
-	if st.keep {
-		st.lats = append(st.lats, out.Elapsed.Seconds())
-	}
-	if st.obs != nil {
-		st.obs(trace.Event{
-			At:      start,
-			Tenant:  st.spec.Name,
-			Op:      workloadOp(st.spec.Workload),
-			Bytes:   st.spec.RequestBytes,
-			IO:      ioBytesOf(st.spec),
-			Latency: out.Elapsed,
-			Rank:    sh.node,
-			File:    rec.path,
-		})
-	}
-	if st.outObs != nil {
-		st.outObs(OutcomeEvent{
-			At: rp.Now(), Tenant: st.spec.Name, Kind: OutcomeCompleted,
-			Bytes: st.spec.RequestBytes, Retries: out.Retries, Hedges: out.Hedges,
-		})
-	}
-	rec.release()
-}
-
-// launchShard arms the arrival tick of one tenant×node shard. Tenants
-// without a resilience policy (and specs without brownout) take the legacy
-// admission path, byte-identical to the engine before the policy layer
-// existed; resilient tenants route through admitResilient.
-func launchShard(env *sim.Env, eng *engineState, st *tenantState, cl fsapi.Client, gen *arrivalGen, node int, end sim.Time) {
-	sh := &reqShard{
-		eng:       eng,
-		st:        st,
-		cl:        cl,
-		node:      node,
-		resilient: st.spec.Resilience.Enabled() || eng.brown.Enabled(),
-		reqName:   fmt.Sprintf("traffic/%s/req%d", st.spec.Name, node),
-	}
-	sh.env = env
-	sh.gen = shardGen{gen: gen, end: end}
-	sh.handle = sh.handleArrival
-	for i := range sh.paths {
-		sh.paths[i] = fmt.Sprintf("/traffic/%s/n%d/f%d", st.spec.Name, node, i)
-	}
-	sh.arm()
-}
-
-// ioBytesOf is the per-op transfer size a recording should carry for a
-// tenant: its configured IOBytes for data workloads, 0 for metadata (no
-// data moves, so there is no op size).
-func ioBytesOf(t *Tenant) int64 {
-	if t.Workload == Metadata {
-		return 0
-	}
-	return t.IOBytes
-}
-
-// serveRequest performs one request's I/O on the tenant's mount.
-func serveRequest(p *sim.Proc, cl fsapi.Client, t *Tenant, path string) {
-	switch t.Workload {
-	case SeqWrite:
-		cl.StreamWrite(p, path, fsapi.Sequential, t.IOBytes, t.RequestBytes)
-	case SeqRead:
-		cl.StreamRead(p, path, fsapi.Sequential, t.IOBytes, t.RequestBytes)
-	case RandRead:
-		cl.StreamRead(p, path, fsapi.Random, t.IOBytes, t.RequestBytes)
-	case Metadata:
-		f := cl.Open(p, path, false)
-		f.Close(p)
-	}
+	return Report{Duration: cfg.Duration, Tenants: rk.report(fab)}
 }

@@ -135,6 +135,36 @@ func TestEngineBasics(t *testing.T) {
 	}
 }
 
+// TestReportChecksConservation: the report builder refuses books that do
+// not balance — an offered request that neither completed, was shed nor is
+// in flight, or a shed without exactly one cause. Either is an engine bug.
+func TestReportChecksConservation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		st   tenantState
+	}{
+		{"lost request", tenantState{offered: 3, complete: 1, inflight: 1}},
+		{"shed without cause", tenantState{offered: 2, complete: 1, shed: 1}},
+		{"cause without shed", tenantState{offered: 1, complete: 1, deadlineMiss: 1}},
+	} {
+		st := tc.st
+		st.spec, st.sketch = &Tenant{Name: "t"}, stats.NewSketch(0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: unbalanced books did not panic", tc.name)
+				}
+			}()
+			tenantReport(&st, nil)
+		}()
+	}
+	balanced := tenantState{spec: &Tenant{Name: "t"}, sketch: stats.NewSketch(0),
+		offered: 4, complete: 1, inflight: 1, shed: 2, shedBreaker: 1, deadlineMiss: 1}
+	if tr := tenantReport(&balanced, nil); tr.Offered != 4 || tr.Shed != 2 {
+		t.Fatalf("balanced books misreported: %+v", tr)
+	}
+}
+
 // TestEngineDeterminism: two identical runs must produce identical
 // reports, including every kept latency; a different seed must not.
 func TestEngineDeterminism(t *testing.T) {
