@@ -277,10 +277,10 @@ func TestBeyondToleranceReportsLoss(t *testing.T) {
 	}
 }
 
-// TestGoldenRebuildQuick pins the rebuild figure: the throttled/aggressive
+// goldenRebuild renders the rebuild figure: the throttled/aggressive
 // trade-off is part of the deterministic schedule, so the rendered bytes
 // must reproduce exactly.
-func TestGoldenRebuildQuick(t *testing.T) {
+func goldenRebuild(t *testing.T) string {
 	p, err := RebuildSweep(Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
@@ -299,5 +299,5 @@ func TestGoldenRebuildQuick(t *testing.T) {
 	if nonzero == 0 {
 		t.Fatal("rebuild sweep rendered an all-zero figure")
 	}
-	goldenCompare(t, "rebuild_quick.golden", p.Render())
+	return p.Render()
 }

@@ -1,13 +1,12 @@
 package experiments
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
 
-// The quick retry-storm study takes a few seconds; both tests below share
-// one run.
+// The quick retry-storm study takes a few seconds; its golden and
+// TestRetryStormMetastability share one run.
 var (
 	stormOnce sync.Once
 	stormRes  RetryStormResult
@@ -23,21 +22,6 @@ func quickStorm(t *testing.T) RetryStormResult {
 		t.Fatal(stormErr)
 	}
 	return stormRes
-}
-
-// TestGoldenRetryStormQuick pins the full bucketed timeline of the
-// metastable-failure contrast — every goodput and retry digit of both
-// variants. The deadline cancellations, jittered backoffs, breaker
-// transitions and fault delivery are all part of the deterministic
-// schedule, so the bytes must not move across runs, executor counts or
-// kernel builds (default, -tags simreference, -tags simsequential).
-func TestGoldenRetryStormQuick(t *testing.T) {
-	res := quickStorm(t)
-	var b strings.Builder
-	for _, p := range res.Panels {
-		b.WriteString(p.Render())
-	}
-	goldenCompare(t, "retrystorm_quick.golden", b.String())
 }
 
 // TestRetryStormMetastability asserts the study's headline properties

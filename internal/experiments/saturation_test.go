@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -11,23 +10,6 @@ import (
 	"storagesim/internal/stats"
 	"storagesim/internal/traffic"
 )
-
-// TestGoldenSaturationQuick pins the quick saturation sweep: the canonical
-// four-tenant, one-million-client mix driven open-loop over the VAST and
-// Lustre deployments at four load multipliers. The rendered goodput and
-// p99 tables must be byte-identical across runs, Go versions and both
-// event-queue builds (timer wheel and -tags simreference).
-func TestGoldenSaturationQuick(t *testing.T) {
-	panels, err := SaturationSweep(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for _, p := range panels {
-		b.WriteString(p.Render())
-	}
-	goldenCompare(t, "saturation_quick.golden", b.String())
-}
 
 // trafficKey projects a traffic report onto comparable values: every
 // scalar plus the full kept-latency streams, with the sketch pointers
