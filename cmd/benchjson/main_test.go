@@ -36,12 +36,12 @@ func TestDiffDocs(t *testing.T) {
 		return d
 	}
 	cases := []struct {
-		name          string
+		name           string
 		oldDoc, newDoc document
-		threshold     float64
-		wantFailures  int
-		wantLines     []string // expected in order of appearance
-		rejectLines   []string
+		threshold      float64
+		wantFailures   int
+		wantLines      []string // expected in order of appearance
+		rejectLines    []string
 	}{
 		{
 			name:         "within threshold passes",

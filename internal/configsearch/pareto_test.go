@@ -47,10 +47,10 @@ func TestParetoSubsetPreservation(t *testing.T) {
 
 func TestMarginSurvivors(t *testing.T) {
 	ms := []Metrics{
-		m(10, 1, 5),      // 0: frontier
-		m(9.5, 1.05, 5),  // 1: within 10% of 0 on every axis — survives
-		m(5, 2, 5),       // 2: beaten by 0 by far more than the margin
-		m(5, 2, 1),       // 3: cheapest, survives on the cost axis
+		m(10, 1, 5),     // 0: frontier
+		m(9.5, 1.05, 5), // 1: within 10% of 0 on every axis — survives
+		m(5, 2, 5),      // 2: beaten by 0 by far more than the margin
+		m(5, 2, 1),      // 3: cheapest, survives on the cost axis
 	}
 	got := MarginSurvivors(ms, DefaultObjectives(), 0.10)
 	if want := []int{0, 1, 3}; !reflect.DeepEqual(got, want) {
