@@ -224,5 +224,5 @@ func printReport(rep traffic.Report) {
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "tracereplay:", err)
-	os.Exit(2)
+	os.Exit(1)
 }

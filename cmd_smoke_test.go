@@ -5,18 +5,21 @@ package storagesim_test
 // rendering regressions that unit tests of the libraries cannot.
 
 import (
+	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
-// buildCmds compiles all commands once into a temp dir.
-func buildCmds(t *testing.T) string {
+// buildCmds compiles the named commands once into a temp dir.
+func buildCmds(t *testing.T, names ...string) string {
 	t.Helper()
 	dir := t.TempDir()
-	for _, name := range []string{"paperfigs", "iorbench", "dliobench", "tracestat", "mdbench", "trafficbench", "tracereplay", "whatif"} {
+	for _, name := range names {
 		out := filepath.Join(dir, name)
 		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
 		cmd.Env = os.Environ()
@@ -41,7 +44,7 @@ func TestCommandsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	dir := buildCmds(t)
+	dir := buildCmds(t, "paperfigs", "iorbench", "dliobench", "tracestat", "mdbench", "trafficbench", "tracereplay", "whatif")
 
 	out := run(t, filepath.Join(dir, "paperfigs"), "-fig", "table1")
 	if !strings.Contains(out, "Lassen") || !strings.Contains(out, "Wombat") {
@@ -115,6 +118,13 @@ func TestCommandsSmoke(t *testing.T) {
 	if !strings.Contains(out, "tenants") {
 		t.Fatalf("tracereplay -print-spec output:\n%s", out)
 	}
+	// The checked-in fidelity fixture must audit clean end to end.
+	out = run(t, filepath.Join(dir, "tracereplay"),
+		"-trace", "internal/experiments/testdata/fidelity_trace.jsonl",
+		"-machine", "Wombat", "-fs", "vast", "-nodes", "2", "-audit")
+	if !strings.Contains(out, "metrics in band: PASS") {
+		t.Fatalf("tracereplay fixture audit output:\n%s", out)
+	}
 
 	// whatif: search the pinned fixture space (built-in default) and a
 	// space file, with frontier table and JSON export.
@@ -133,5 +143,53 @@ func TestCommandsSmoke(t *testing.T) {
 	run(t, filepath.Join(dir, "paperfigs"), "-fig", "takeaways", "-quick", "-csv", csvDir)
 	if _, err := os.Stat(filepath.Join(csvDir, "takeaway-rdma-vs-tcp.csv")); err != nil {
 		t.Fatalf("csv export missing: %v", err)
+	}
+}
+
+// TestTrafficFlagErrors: a traffic window or load the engine cannot run is
+// a user error. Both traffic CLIs must exit 1 with an error line, never
+// panic, and never hang (a NaN or infinite load once spun forever).
+func TestTrafficFlagErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := buildCmds(t, "trafficbench", "tracereplay")
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-duration", "0s"}, "duration 0s is not positive"},
+		{[]string{"-load", "-2"}, "load scale -2"},
+		{[]string{"-racks", "2", "-remote", "1.5"}, "remote fraction 1.5 out of [0,1]"},
+		{[]string{"-load", "NaN"}, "load scale NaN"},
+		{[]string{"-load", "+Inf"}, "load scale +Inf"},
+	} {
+		// tracereplay takes the window and load in -record mode, and -racks
+		// only when replaying a trace.
+		replay := []string{"tracereplay", "-record"}
+		if tc.flags[0] == "-racks" {
+			replay = []string{"tracereplay", "-trace", "internal/experiments/testdata/fidelity_trace.jsonl"}
+		}
+		for _, args := range [][]string{
+			append([]string{"trafficbench"}, tc.flags...),
+			append(replay, tc.flags...),
+		} {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			var stderr strings.Builder
+			cmd := exec.CommandContext(ctx, filepath.Join(dir, args[0]), args[1:]...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			hung := ctx.Err() != nil
+			cancel()
+			var exit *exec.ExitError
+			switch {
+			case hung:
+				t.Errorf("%v: hung", args)
+			case !errors.As(err, &exit) || exit.ExitCode() != 1:
+				t.Errorf("%v: %v, want exit status 1\n%s", args, err, stderr.String())
+			case strings.Contains(stderr.String(), "panic") || !strings.Contains(stderr.String(), tc.want):
+				t.Errorf("%v: stderr lacks %q or panicked:\n%s", args, tc.want, stderr.String())
+			}
+		}
 	}
 }

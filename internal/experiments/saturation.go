@@ -25,7 +25,7 @@ import (
 // node-local deployments (NVMe, UnifyFS) give each tenant a private
 // allocation — the burst-buffer-per-job model.
 func RunTrafficWithFaults(machine string, fs FS, nodes int, cfg traffic.Config, sched faults.Schedule) (traffic.Report, []faults.Applied, error) {
-	if err := cfg.Spec.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return traffic.Report{}, nil, err
 	}
 	tb, err := buildTestbed(machine, fs, nodes, nil)

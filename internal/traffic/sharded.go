@@ -45,6 +45,22 @@ type ShardedConfig struct {
 	RemoteFraction float64
 }
 
+// Validate reports the first problem with cfg: everything Config.Validate
+// rejects, a remote fraction outside [0,1], and the per-request Observer,
+// OutcomeObserver and Drain, which a sharded run cannot honour.
+func (cfg *ShardedConfig) Validate() error {
+	if err := cfg.Config.Validate(); err != nil {
+		return err
+	}
+	if !(cfg.RemoteFraction >= 0 && cfg.RemoteFraction <= 1) {
+		return fmt.Errorf("traffic: remote fraction %g out of [0,1]", cfg.RemoteFraction)
+	}
+	if cfg.Observer != nil || cfg.OutcomeObserver != nil || cfg.Drain {
+		return fmt.Errorf("traffic: sharded runs support no Observer, OutcomeObserver or Drain")
+	}
+	return nil
+}
+
 // RackReport is the rack-local accounting of one rack: arrivals generated
 // on the rack (including its forwarded remote requests) and bytes served by
 // the rack's own backend.
@@ -94,20 +110,11 @@ func (r ShardedReport) Digest() string {
 // Observer and OutcomeObserver cannot be honoured, and the window always
 // ends at Duration: RunSharded panics when any of them or Drain is set.
 func RunSharded(g *sim.Group, racks []Rack, cfg ShardedConfig) ShardedReport {
-	if err := cfg.Spec.Validate(); err != nil {
-		panic(fmt.Sprintf("traffic: invalid spec: %v", err))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	if len(racks) == 0 {
 		panic("traffic: need at least one rack")
-	}
-	if cfg.Duration <= 0 {
-		panic("traffic: need a positive duration")
-	}
-	if cfg.RemoteFraction < 0 || cfg.RemoteFraction > 1 {
-		panic("traffic: remote fraction out of [0,1]")
-	}
-	if cfg.Observer != nil || cfg.OutcomeObserver != nil || cfg.Drain {
-		panic("traffic: sharded runs support no Observer, OutcomeObserver or Drain")
 	}
 	if g.Now() != 0 {
 		panic("traffic: sharded run needs a fresh group")
