@@ -35,11 +35,9 @@ package storagesim
 
 import (
 	"storagesim/internal/cluster"
-	"storagesim/internal/configsearch"
 	"storagesim/internal/dlio"
 	"storagesim/internal/experiments"
 	"storagesim/internal/faults"
-	"storagesim/internal/fidelity"
 	"storagesim/internal/fsapi"
 	"storagesim/internal/gpfs"
 	"storagesim/internal/ior"
@@ -49,13 +47,9 @@ import (
 	"storagesim/internal/nvmelocal"
 	"storagesim/internal/repair"
 	"storagesim/internal/replay"
-	"storagesim/internal/resilience"
 	"storagesim/internal/sim"
-	"storagesim/internal/stats"
-	"storagesim/internal/surrogate"
 	"storagesim/internal/trace"
 	"storagesim/internal/traffic"
-	"storagesim/internal/unifyfs"
 	"storagesim/internal/vast"
 	"storagesim/internal/workloads"
 )
@@ -68,13 +62,6 @@ type (
 	Proc = sim.Proc
 	// Fabric is the bandwidth-sharing system all pipes live on.
 	Fabric = sim.Fabric
-	// Group coordinates a domain-partitioned simulation: shards advance in
-	// parallel under conservative (lookahead-based) synchronization with
-	// bit-identical results for every executor count.
-	Group = sim.Group
-	// Shard is one domain of a Group — its own Env plus typed links to
-	// peers for timestamped cross-domain messages.
-	Shard = sim.Shard
 	// Client is a per-node mount of a simulated file system.
 	Client = fsapi.Client
 	// File is an open file handle.
@@ -115,15 +102,9 @@ type (
 	FaultEvent = faults.Event
 	// FaultInjector arms schedules on registered targets.
 	FaultInjector = faults.Injector
-	// FaultTarget is the interface every storage deployment implements for
-	// fault injection.
-	FaultTarget = faults.Target
 	// RepairQoS governs background rebuild traffic: RateBps caps the repair
 	// flows (throttled) and zero means fair-share (aggressive).
 	RepairQoS = repair.QoS
-	// RepairScheme describes a deployment's redundancy (EC/declustered
-	// RAID/raidz2/None) and its concurrent-failure tolerance.
-	RepairScheme = repair.Scheme
 	// RepairManager wraps a Protected backend with self-healing: failures
 	// spawn deterministic background rebuild jobs or loss reports.
 	RepairManager = repair.Manager
@@ -171,40 +152,10 @@ func ParseFaultSchedule(data []byte) (FaultSchedule, error) { return faults.Pars
 type (
 	// TrafficSpec is a multi-tenant traffic specification.
 	TrafficSpec = traffic.Spec
-	// TrafficTenant is one tenant: a client population with a workload
-	// mix, an arrival process, an admission cap and an SLO.
-	TrafficTenant = traffic.Tenant
-	// TrafficArrival selects and parameterizes a tenant's arrival process.
-	TrafficArrival = traffic.Arrival
 	// TrafficConfig parameterizes one open-loop window.
 	TrafficConfig = traffic.Config
 	// TrafficReport is the per-tenant outcome of a window.
 	TrafficReport = traffic.Report
-	// ShardedTrafficConfig parameterizes a domain-sharded window: the
-	// classic config plus the cross-rack placement fraction.
-	ShardedTrafficConfig = traffic.ShardedConfig
-	// ShardedTrafficReport carries per-rack and cluster-merged outcomes.
-	ShardedTrafficReport = traffic.ShardedReport
-	// ShardedChaosReport is the outcome of a domain-parallel chaos storm.
-	ShardedChaosReport = experiments.ShardedChaosReport
-	// TenantReport is one tenant's accounting: offered/shed/completed
-	// counts, delivered bytes, latency quantiles and SLO attainment.
-	TenantReport = traffic.TenantReport
-	// LatencySketch is the streaming quantile sketch backing the SLO
-	// accounting (DDSketch-style, 1% relative error by default).
-	LatencySketch = stats.Sketch
-	// TrafficOutcomeEvent is one request's terminal accounting record,
-	// delivered to Config.OutcomeObserver.
-	TrafficOutcomeEvent = traffic.OutcomeEvent
-	// ResiliencePolicy is the per-tenant client-side policy stack:
-	// deadline, retry budget, hedging, circuit breaker.
-	ResiliencePolicy = resilience.Policy
-	// ResilienceHedge configures tail-latency hedging.
-	ResilienceHedge = resilience.Hedge
-	// ResilienceBreakerSpec configures the per-tenant circuit breaker.
-	ResilienceBreakerSpec = resilience.BreakerSpec
-	// ResilienceBrownout is the engine-wide priority-tiered shedding policy.
-	ResilienceBrownout = resilience.Brownout
 	// RetryStormResult is the outcome of the retry-storm metastability
 	// study.
 	RetryStormResult = experiments.RetryStormResult
@@ -214,19 +165,9 @@ type (
 // `trafficbench -spec`.
 func ParseTenantSpec(data []byte) (TrafficSpec, error) { return traffic.ParseSpec(data) }
 
-// NewLatencySketch returns an empty sketch with relative accuracy alpha
-// (0 selects the 1% default).
-func NewLatencySketch(alpha float64) *LatencySketch { return stats.NewSketch(alpha) }
-
 // NewFaultInjector returns an injector delivering schedules through env's
 // event calendar.
 func NewFaultInjector(env *Env) *FaultInjector { return faults.NewInjector(env) }
-
-// Access patterns.
-const (
-	Sequential = fsapi.Sequential
-	Random     = fsapi.Random
-)
 
 // Simulation bundles an event kernel with its bandwidth fabric.
 type Simulation struct {
@@ -279,18 +220,6 @@ var (
 	UnifyFSOnWombat = cluster.UnifyFSOnWombat
 	// UnifyFSWombatConfig exposes the UnifyFS config for policy sweeps.
 	UnifyFSWombatConfig = cluster.UnifyFSWombatConfig
-)
-
-// UnifyFSSystem is the UnifyFS deployment type.
-type UnifyFSSystem = unifyfs.System
-
-// UnifyFSConfig is its parameter set.
-type UnifyFSConfig = unifyfs.Config
-
-// UnifyFS placement policies.
-const (
-	UnifyFSLocalFirst = unifyfs.LocalFirst
-	UnifyFSRoundRobin = unifyfs.RoundRobin
 )
 
 // Mounter is anything that can attach a compute node (all four systems).
@@ -352,11 +281,6 @@ func WorkloadCatalogue(procsPerNode int) map[string]ApplicationWorkload {
 	return workloads.Catalogue(procsPerNode)
 }
 
-// WorkloadByName resolves one preset.
-func WorkloadByName(name string, procsPerNode int) (ApplicationWorkload, error) {
-	return workloads.ByName(name, procsPerNode)
-}
-
 // MDTestConfig parameterizes the metadata benchmark.
 type MDTestConfig = mdtest.Config
 
@@ -382,68 +306,6 @@ func ReplayTrace(env *Env, mounts []Client, spans []TraceSpan, cfg ReplayConfig,
 
 // TraceSpan is one recorded interval.
 type TraceSpan = trace.Span
-
-// Production trace ingestion and fidelity audits (see internal/trace,
-// internal/fidelity and cmd/tracereplay).
-type (
-	// TraceEvent is one recorded request in the common ingestion schema.
-	TraceEvent = trace.Event
-	// IngestedTrace is a normalized recorded request stream: validated,
-	// sorted by issue time, rebased to t=0.
-	IngestedTrace = trace.Trace
-	// TraceFormat names a trace encoding (CSV, JSONL, DXT, Chrome).
-	TraceFormat = trace.Format
-	// TraceReplayConfig parameterizes an open-loop replay of a recorded
-	// stream against a mounted backend.
-	TraceReplayConfig = traffic.TraceConfig
-	// FidelityTolerance bounds acceptable sim-vs-recording error per
-	// metric class.
-	FidelityTolerance = fidelity.Tolerance
-	// FidelityMetric is one audited metric with its error band.
-	FidelityMetric = fidelity.Metric
-	// FidelityReport is the audit outcome: per-metric error bands and an
-	// overall verdict.
-	FidelityReport = fidelity.Report
-	// FidelityAuditOptions parameterizes a fidelity audit.
-	FidelityAuditOptions = experiments.AuditOptions
-)
-
-// Trace encodings.
-const (
-	TraceCSV    = trace.CSV
-	TraceJSONL  = trace.JSONL
-	TraceDXT    = trace.DXT
-	TraceChrome = trace.Chrome
-)
-
-// Trace pipeline entry points.
-var (
-	// ParseTraceEvents parses recorded traffic in any supported encoding
-	// into raw events; pass them through NormalizeTrace before use.
-	ParseTraceEvents = trace.ParseEvents
-	// DetectTraceFormat guesses the encoding from a file name.
-	DetectTraceFormat = trace.DetectFormat
-	// NormalizeTrace validates, canonicalizes, sorts and rebases raw
-	// events into a replayable trace.
-	NormalizeTrace = trace.Normalize
-	// WriteTraceCSV and WriteTraceJSONL render events in the canonical
-	// forms the parsers read back.
-	WriteTraceCSV   = trace.WriteCSV
-	WriteTraceJSONL = trace.WriteJSONL
-	// SpecFromTrace fits a stochastic tenant spec to a recorded stream so
-	// it can ride load scaling, saturation sweeps and sharded replay.
-	SpecFromTrace = traffic.SpecFromTrace
-	// RecordTraffic runs a traffic spec and records its completed request
-	// stream as trace events (the run drains, so the recording is
-	// audit-grade).
-	RecordTraffic = experiments.RecordTraffic
-	// ReplayTraceOn replays a normalized trace open-loop against a
-	// machine+fs testbed at its recorded timestamps.
-	ReplayTraceOn = experiments.ReplayTraceOn
-	// FidelityAudit replays a trace and holds the simulation to the
-	// trace's recorded metrics with per-metric error bands.
-	FidelityAudit = experiments.FidelityAudit
-)
 
 // Paper-figure reproductions (see DESIGN.md's experiment index).
 var (
@@ -492,8 +354,6 @@ var (
 	// RunChaosStorm runs one seeded randomized fault storm with the full
 	// invariant suite attached and reports a deterministic digest.
 	RunChaosStorm = experiments.RunChaosStorm
-	// ChaosBackends lists the deployments the chaos gate covers.
-	ChaosBackends = experiments.ChaosBackends
 	// RepairThrottled and RepairAggressive are the canonical rebuild QoS
 	// presets.
 	RepairThrottled  = repair.Throttled
@@ -503,9 +363,6 @@ var (
 	// deployments: delivered goodput flattens while p99 turns the
 	// hockey-stick corner.
 	SaturationSweep = experiments.SaturationSweep
-	// SaturationTenants is that canonical tenant mix (also trafficbench's
-	// built-in spec).
-	SaturationTenants = experiments.SaturationTenants
 	// RetryStormStudy contrasts unbounded client retries against the
 	// budgeted resilience stack (deadlines, retry budgets, jittered
 	// backoff, circuit breakers) through a transient link brownout — the
@@ -513,19 +370,6 @@ var (
 	RetryStormStudy = experiments.RetryStormStudy
 	// RunTraffic runs an open-loop traffic spec on a machine/fs testbed.
 	RunTraffic = experiments.RunTraffic
-	// RunTrafficWithFaults additionally arms a fault schedule on the
-	// deployment before the window opens.
-	RunTrafficWithFaults = experiments.RunTrafficWithFaults
-	// NewGroup creates a domain group running on up to `parallel`
-	// executors (0 = GOMAXPROCS).
-	NewGroup = sim.NewGroup
-	// RunShardedTraffic splits a deployment over `racks` domain shards and
-	// drives the traffic engine across them in parallel; a remote fraction
-	// of requests is forwarded over inter-rack links.
-	RunShardedTraffic = experiments.RunShardedTraffic
-	// RunShardedChaosStorm is the chaos gate's domain-parallel variant:
-	// per-rack seeded storms under a sharded traffic foreground.
-	RunShardedChaosStorm = experiments.RunShardedChaosStorm
 	// AblationUnifyFS sweeps UnifyFS's placement and I/O-server policies
 	// (the Section I configurability example).
 	AblationUnifyFS = experiments.AblationUnifyFS
@@ -534,42 +378,7 @@ var (
 	// Fig1: the architecture diagrams of Figure 1, generated from the live
 	// deployment parameters.
 	Fig1 = experiments.Fig1
-)
-
-// What-if configuration explorer (internal/configsearch + surrogate):
-// enumerate a typed deployment knob space, score every candidate with the
-// analytical surrogate, DES-verify only the predicted Pareto frontier
-// plus a margin band, report the measured frontier.
-type (
-	// ConfigSpace is a typed deployment knob space.
-	ConfigSpace = configsearch.Space
-	// ConfigCandidate is one fully specified configuration.
-	ConfigCandidate = configsearch.Candidate
-	// ConfigMetrics is one candidate's predicted or measured performance.
-	ConfigMetrics = configsearch.Metrics
-	// WhatIfConfig parameterizes one explorer run.
-	WhatIfConfig = experiments.WhatIfConfig
-	// WhatIfResult is one completed explorer run.
-	WhatIfResult = experiments.WhatIfResult
-	// SurrogateCoeffs are the analytical model's calibratable constants.
-	SurrogateCoeffs = surrogate.Coeffs
-)
-
-var (
-	// ConfigSearch runs the explorer end to end (see cmd/whatif).
-	ConfigSearch = experiments.ConfigSearch
-	// WhatIfTenants is the pinned ckpt/scan/meta tenant mix.
-	WhatIfTenants = experiments.WhatIfTenants
-	// WhatIfFixtureSpace is the pinned Wombat vast-vs-nvme knob space.
-	WhatIfFixtureSpace = experiments.WhatIfFixtureSpace
-	// WhatIfRubySpace is the Ruby vast-vs-lustre knob space.
-	WhatIfRubySpace = experiments.WhatIfRubySpace
-	// FigWhatIf renders both spaces as predicted-vs-measured frontier
-	// panels (paperfigs -fig whatif).
+	// FigWhatIf renders the what-if explorer's predicted-vs-measured
+	// frontier panels (paperfigs -fig whatif).
 	FigWhatIf = experiments.FigWhatIf
-	// ParseConfigSpace parses the JSON knob-space format consumed by
-	// `whatif -space`.
-	ParseConfigSpace = configsearch.ParseSpace
-	// ParseConfigObjectives parses a comma-separated objective list.
-	ParseConfigObjectives = configsearch.ParseObjectives
 )
