@@ -17,8 +17,8 @@ import (
 // the full invariant suite attached — over-allocation, nominal-capacity,
 // clock monotonicity, byte conservation (VAST's staging split) and
 // rebuild-completes-or-reports-loss. A fixed seed reproduces the storm,
-// the run and the report digest byte-for-byte; `make chaos-smoke` pins
-// three seeds per backend.
+// the run and the report digest byte-for-byte; TestGolden/chaos_digests
+// pins three seeds per backend under every kernel build.
 
 // ChaosReport is the outcome of one seeded storm.
 type ChaosReport struct {

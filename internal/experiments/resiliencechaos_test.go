@@ -4,9 +4,8 @@ import (
 	"testing"
 )
 
-// TestResilienceChaosStorm is the resilience half of the chaos gate,
-// wired into `make check` (resilience-smoke): three seeded storms against
-// the VAST deployment with the full client policy stack armed, zero
+// TestResilienceChaosStorm is the resilience half of the chaos tests:
+// three seeded storms against the VAST deployment with the full client policy stack armed, zero
 // invariant violations — deadline cancellation and breaker shedding must
 // never over-allocate bandwidth or strand a rebuild.
 func TestResilienceChaosStorm(t *testing.T) {

@@ -116,8 +116,7 @@ func resilientShardedDigest(t *testing.T, parallel int) string {
 // layer: with deadlines cancelling transfers mid-flight, jittered retries,
 // hedge races and breaker state all active across three coupled racks, the
 // digest must still be byte-identical on 1, 2 and 4 executors. This also
-// holds under -tags simsequential / simreference (the resilience smoke
-// target runs all three kernel builds).
+// holds under -tags simsequential / simreference (`make oracle`).
 func TestShardedResilienceLockstep(t *testing.T) {
 	want := resilientShardedDigest(t, 1)
 	for _, parallel := range []int{2, 4} {
