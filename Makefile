@@ -46,6 +46,7 @@ bench-smoke:
 	$(GO) test . -run XXX -bench 'BenchmarkKernel|BenchmarkCacheFsyncClean' -benchtime=1x
 	$(GO) test ./internal/traffic -run XXX -bench 'BenchmarkTrafficEngine|BenchmarkResilienceOverhead' -benchtime=1x
 	$(GO) test ./internal/surrogate -run XXX -bench BenchmarkSurrogateScore -benchtime=1x
+	$(GO) test ./internal/trace -run XXX -bench BenchmarkParseJSONL -benchtime=1x
 
 # Regression gate over the recorded traffic-path benchmarks: a short fresh
 # run of the hot-path benches diffed against the checked-in BENCH_traffic.json.
@@ -84,16 +85,18 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzParseTraceJSONL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/configsearch -run XXX -fuzz FuzzParseSpace -fuzztime $(FUZZTIME)
 
-# Engine + solver + figure benchmark sweep, recorded machine-readably in
-# BENCH_kernel.json (with the pre-overhaul numbers carried along from
-# BENCH_baseline.json). Kernel micro-benchmarks get stable 1s timings; the
-# heavyweight end-to-end benches run a few fixed iterations.
+# Engine + solver + parser + figure benchmark sweep, recorded
+# machine-readably in BENCH_kernel.json. The pre-overhaul numbers it
+# improved on are kept once, in BENCH_baseline.json. Kernel, cache and
+# parser micro-benchmarks get stable 1s timings; the heavyweight
+# end-to-end benches run a few fixed iterations.
 bench:
 	( $(GO) test . -run XXX -bench 'BenchmarkKernel|BenchmarkFairShareSolver|BenchmarkCache' -benchtime=1s -benchmem ; \
 	  $(GO) test ./internal/sim/ -run XXX -bench BenchmarkFabricSolver -benchtime=3x -benchmem ; \
+	  $(GO) test ./internal/trace -run XXX -bench BenchmarkParseJSONL -benchtime=1s -benchmem ; \
 	  $(GO) test . -run XXX -bench 'BenchmarkConsistency|BenchmarkFig2a|BenchmarkFig3$$' -benchtime=1x -benchmem ) \
-	| $(GO) run ./cmd/benchjson -baseline BENCH_baseline.json -o BENCH_kernel.json \
-	    -note "post-overhaul kernel numbers; baseline is the pre-overhaul binary-heap scheduler. CacheFsyncClean is the clean-file fsync of the per-file page-cache index (flat in the resident block count). Recorded with go1.24.0 linux/amd64 on a 2-core Intel Xeon @2.10GHz shared container, default GOMAXPROCS"
+	| $(GO) run ./cmd/benchjson -o BENCH_kernel.json \
+	    -note "post-overhaul kernel numbers; the pre-overhaul binary-heap scheduler's are in BENCH_baseline.json. CacheFsyncClean is the clean-file fsync of the per-file page-cache index (flat in the resident block count). ParseJSONL decodes a canonical 10k-event JSONL trace with the one-pass scanner. Recorded with go1.24.0 linux/amd64 on a 2-core Intel Xeon @2.10GHz shared container, default GOMAXPROCS"
 	( $(GO) test ./internal/traffic -run XXX -bench 'BenchmarkTrafficEngine|BenchmarkResilienceOverhead' -benchtime=2s -benchmem ; \
 	  $(GO) test ./internal/surrogate -run XXX -bench BenchmarkSurrogateScore -benchtime=2s -benchmem ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_traffic.json \

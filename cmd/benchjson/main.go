@@ -5,12 +5,11 @@
 // Examples:
 //
 //	go test . -bench Kernel -benchmem | go run ./cmd/benchjson -o BENCH_kernel.json
-//	go test . -bench . -benchmem | go run ./cmd/benchjson -baseline BENCH_baseline.json
 //	go run ./cmd/benchjson -diff BENCH_traffic.json /tmp/new.json
 //
 // The output is deterministic for a given input: keys are sorted and no
-// timestamps are embedded. With -baseline, the named JSON file's benchmark
-// map is carried along under "baseline" for side-by-side comparison.
+// timestamps are embedded. Each document holds only its own run: the
+// pre-overhaul kernel numbers live once, in BENCH_baseline.json.
 //
 // With -diff old.json new.json the command compares two recorded documents
 // instead of reading stdin and exits non-zero when any shared benchmark
@@ -44,9 +43,8 @@ type result struct {
 }
 
 type document struct {
-	Benchmarks map[string]result          `json:"benchmarks"`
-	Baseline   map[string]json.RawMessage `json:"baseline,omitempty"`
-	Note       string                     `json:"note,omitempty"`
+	Benchmarks map[string]result `json:"benchmarks"`
+	Note       string            `json:"note,omitempty"`
 }
 
 // cpuSuffix strips the -N GOMAXPROCS suffix Go appends to benchmark names,
@@ -162,7 +160,6 @@ func diffDocs(w io.Writer, oldDoc, newDoc document, threshold float64) (failures
 
 func main() {
 	out := flag.String("o", "", "write JSON here instead of stdout")
-	baseline := flag.String("baseline", "", "JSON file whose benchmarks are embedded under \"baseline\"")
 	note := flag.String("note", "", "free-form provenance note carried into the output")
 	diff := flag.Bool("diff", false, "compare two recorded JSON documents (old new) and exit non-zero on regression")
 	threshold := flag.Float64("threshold", 0.10, "ns/op regression tolerance for -diff, as a fraction")
@@ -210,22 +207,6 @@ func main() {
 	if len(doc.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
-	}
-
-	if *baseline != "" {
-		raw, err := os.ReadFile(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		var base struct {
-			Benchmarks map[string]json.RawMessage `json:"benchmarks"`
-		}
-		if err := json.Unmarshal(raw, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: parse %s: %v\n", *baseline, err)
-			os.Exit(1)
-		}
-		doc.Baseline = base.Benchmarks
 	}
 
 	buf, err := json.MarshalIndent(doc, "", "  ")

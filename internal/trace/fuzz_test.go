@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -65,6 +67,25 @@ func FuzzParseTraceCSV(f *testing.F) {
 	})
 }
 
+// referenceJSONL is ParseJSONL with every line sent through the
+// encoding/json decoder: the oracle the scanner is held to.
+func referenceJSONL(data []byte) ([]Event, error) {
+	var events []Event
+	for n, line := range bytes.Split(data, newline) {
+		if line = bytes.TrimSpace(line); len(line) == 0 {
+			continue
+		}
+		ev, err := decodeJSONLine(line, n+1)
+		if err != nil {
+			return nil, err
+		}
+		events = append(events, ev)
+	}
+	return events, nil
+}
+
+// FuzzParseTraceJSONL also holds ParseJSONL to the reference: the same
+// events, or the same error text.
 func FuzzParseTraceJSONL(f *testing.F) {
 	for _, seed := range []string{
 		`{"ts":"1.5s","tenant":"ml","op":"rand-read","bytes":"1m","io":"128k","latency":"12ms","rank":3,"file":"/f","id":"r1"}` + "\n",
@@ -77,11 +98,37 @@ func FuzzParseTraceJSONL(f *testing.F) {
 		`[]`,
 		"not json\n",
 		"",
+		"{ \"ts\" :\t\"0\" ,\r\"tenant\":\"a\",\"op\":\"read\",\"bytes\": 1 }",
+		// One line per reason the scanner hands a line to the reference.
+		"{\"ts\":\"0\",\f\"tenant\":\"a\",\"op\":\"read\",\"bytes\":1}",
+		`{"tenant":"a","op":"read","bytes":1}`,
+		`{"TS":"0","tenant":"a","op":"read","bytes":1}`,
+		`{"tſ":"0","tenant":"a","op":"read","bytes":1}`,
+		`{"ts":"0","tenant":"a","op":"read","bytes":1,"latency":"1ms","latency":""}`,
+		`{"ts":"0","tenant":"a","op":"read","bytes":1,"rank":null}`,
+		`{"ts":"0","tenant":"a","op":"read","bytes":null}`,
+		`{"ts":"0","ten\u0061nt":"a","op":"read","bytes":1}`,
+		`{"ts":"0","tenant":"\u0061","op":"read","bytes":1}`,
+		"{\"ts\":\"0\",\"tenant\":\"a\xff\",\"op\":\"read\",\"bytes\":1}",
+		"{\"ts\":\"0\",\"tenant\":\"a\tb\",\"op\":\"read\",\"bytes\":1}",
+		`{"ts":"0","tenant":"a","op":"read","bytes":1.0}`,
+		`{"ts":"0","tenant":"a","op":"read","bytes":1e3}`,
+		`{"ts":"0","tenant":"a","op":"read","bytes":1,"rank":01}`,
+		`{"ts":"0","tenant":"a","op":"read","bytes":-}`,
+		`{"ts":"0","tenant":"a","op":"read","bytes":99999999999999999999}`,
+		`{"ts":"0","tenant":"a","op":"read","bytes":"1.5k"}`,
+		`{"ts":"0","tenant":"a","op":"read","bytes":1}}`,
+		`{"ts":"0","tenant":"a","op":"read","bytes":1}]`,
+		`{"ts":"0","tenant":"a","op":"read","bytes":1}]]}}`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := ParseJSONL(bytes.NewReader(data))
+		want, wantErr := referenceJSONL(data)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(events, want) {
+			t.Fatalf("scanner and reference disagree:\n%v\n%+v\nreference:\n%v\n%+v", err, events, wantErr, want)
+		}
 		if err != nil {
 			return
 		}

@@ -16,11 +16,13 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -179,21 +181,27 @@ func Normalize(events []Event) (*Trace, error) {
 	}
 	out := make([]Event, len(events))
 	copy(out, events)
-	canon := map[string]string{} // normalized -> first raw spelling
+	// Each distinct raw spelling is folded and checked once, at its first
+	// event: a later event of the same spelling would pass both checks.
+	folded := map[string]string{} // raw spelling -> normalized
+	canon := map[string]string{}  // normalized -> first raw spelling
 	ids := map[string]int{}
 	for i := range out {
 		ev := &out[i]
 		if err := ev.validate(i); err != nil {
 			return nil, fmt.Errorf("trace: %w", err)
 		}
-		norm := NormalizeTenant(ev.Tenant)
-		if norm == "" {
-			return nil, fmt.Errorf("trace: event %d: tenant %q normalizes to nothing", i, ev.Tenant)
-		}
-		if first, ok := canon[norm]; ok && first != ev.Tenant {
-			return nil, fmt.Errorf("trace: tenants %q and %q collide after normalization (%q)", first, ev.Tenant, norm)
-		} else if !ok {
+		norm, ok := folded[ev.Tenant]
+		if !ok {
+			norm = NormalizeTenant(ev.Tenant)
+			if norm == "" {
+				return nil, fmt.Errorf("trace: event %d: tenant %q normalizes to nothing", i, ev.Tenant)
+			}
+			if first, ok := canon[norm]; ok {
+				return nil, fmt.Errorf("trace: tenants %q and %q collide after normalization (%q)", first, ev.Tenant, norm)
+			}
 			canon[norm] = ev.Tenant
+			folded[ev.Tenant] = norm
 		}
 		ev.Tenant = norm
 		if ev.ID != "" {
@@ -203,7 +211,7 @@ func Normalize(events []Event) (*Trace, error) {
 			ids[ev.ID] = i
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].At < out[b].At })
+	slices.SortStableFunc(out, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
 	base := out[0].At
 	for i := range out {
 		out[i].At -= base
@@ -250,7 +258,7 @@ func ParseEvents(data []byte, f Format, tenant string) ([]Event, error) {
 	case CSV:
 		return ParseCSV(bytes.NewReader(data))
 	case JSONL:
-		return ParseJSONL(bytes.NewReader(data))
+		return parseJSONL(data)
 	case DXT:
 		return ParseDXT(bytes.NewReader(data), tenant)
 	case Chrome:
@@ -411,6 +419,13 @@ func WriteCSV(w io.Writer, events []Event) error {
 //
 // Fields mirror the CSV columns; "bytes" accepts a number or a suffixed
 // string. Unknown fields are rejected per line.
+//
+// Decoding is one pass over the input. The scanner (scanJSONLine) decodes
+// every line whose syntax it fully recognises, all of WriteJSONL's output
+// among them, and hands any other line to decodeJSONLine, the
+// encoding/json decoder. The scanner only accepts a line the reference
+// decodes to the same event, so every error and every non-canonical
+// acceptance is the reference's, byte for byte.
 
 // jsonBytes accepts a JSON number or a size string with IOR suffixes.
 type jsonBytes int64
@@ -451,52 +466,78 @@ type jsonEvent struct {
 
 // ParseJSONL parses the JSONL trace format.
 func ParseJSONL(r io.Reader) ([]Event, error) {
-	var events []Event
-	// Split on newlines by hand rather than bufio.Scanner: recorded lines
-	// can exceed any fixed token size.
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: jsonl: %v", err)
 	}
-	for n, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
+	return parseJSONL(data)
+}
+
+// parseJSONL splits data into lines in place rather than with
+// bufio.Scanner (recorded lines can exceed any fixed token size) and
+// decodes each. Tenant and op names are interned: a trace has few of each.
+func parseJSONL(data []byte) ([]Event, error) {
+	events := make([]Event, 0, bytes.Count(data, newline)+1)
+	names := interner{}
+	for n := 1; len(data) > 0; n++ {
+		var line []byte
+		line, data, _ = bytes.Cut(data, newline)
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
 			continue
 		}
-		dec := json.NewDecoder(strings.NewReader(line))
-		dec.DisallowUnknownFields()
-		var je jsonEvent
-		if err := dec.Decode(&je); err != nil {
-			return nil, fmt.Errorf("trace: jsonl line %d: %v", n+1, err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("trace: jsonl line %d: trailing data after event", n+1)
-		}
-		ev := Event{
-			Tenant: je.Tenant,
-			Op:     Op(je.Op),
-			Bytes:  int64(je.Bytes),
-			IO:     int64(je.IO),
-			File:   je.File,
-			ID:     je.ID,
-			Rank:   -1,
-		}
-		ts, err := units.ParseDuration(je.Ts)
-		if err != nil {
-			return nil, fmt.Errorf("trace: jsonl line %d: ts: %v", n+1, err)
-		}
-		ev.At = sim.Time(0).Add(ts)
-		if je.Latency != "" {
-			if ev.Latency, err = units.ParseDuration(je.Latency); err != nil {
-				return nil, fmt.Errorf("trace: jsonl line %d: latency: %v", n+1, err)
+		ev, ok := scanJSONLine(line, names)
+		if !ok {
+			var err error
+			if ev, err = decodeJSONLine(line, n); err != nil {
+				return nil, err
 			}
-		}
-		if je.Rank != nil {
-			ev.Rank = *je.Rank
 		}
 		events = append(events, ev)
 	}
 	return events, nil
+}
+
+var newline = []byte{'\n'}
+
+// decodeJSONLine decodes line n, already trimmed, with encoding/json: the
+// fallback for every line the scanner declines and the reference the
+// scanner is fuzzed against.
+func decodeJSONLine(line []byte, n int) (Event, error) {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	var je jsonEvent
+	if err := dec.Decode(&je); err != nil {
+		return Event{}, fmt.Errorf("trace: jsonl line %d: %v", n, err)
+	}
+	// The event must end the line. Decoder.More cannot tell: it reports
+	// false before a closing '}' or ']'.
+	if dec.InputOffset() != int64(len(line)) {
+		return Event{}, fmt.Errorf("trace: jsonl line %d: trailing data after event", n)
+	}
+	ev := Event{
+		Tenant: je.Tenant,
+		Op:     Op(je.Op),
+		Bytes:  int64(je.Bytes),
+		IO:     int64(je.IO),
+		File:   je.File,
+		ID:     je.ID,
+		Rank:   -1,
+	}
+	ts, err := units.ParseDuration(je.Ts)
+	if err != nil {
+		return Event{}, fmt.Errorf("trace: jsonl line %d: ts: %v", n, err)
+	}
+	ev.At = sim.Time(0).Add(ts)
+	if je.Latency != "" {
+		if ev.Latency, err = units.ParseDuration(je.Latency); err != nil {
+			return Event{}, fmt.Errorf("trace: jsonl line %d: latency: %v", n, err)
+		}
+	}
+	if je.Rank != nil {
+		ev.Rank = *je.Rank
+	}
+	return ev, nil
 }
 
 // WriteJSONL renders events in the canonical JSONL form ParseJSONL reads

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -184,6 +187,9 @@ func TestParseJSONL(t *testing.T) {
 	}{
 		{"unknown field", `{"ts":"0","tenant":"a","op":"read","bytes":1,"latncy":"1ms"}`, "latncy"},
 		{"trailing data", `{"ts":"0","tenant":"a","op":"read","bytes":1} {"x":1}`, "trailing data"},
+		{"trailing brace", `{"ts":"0","tenant":"a","op":"read","bytes":1}}`, "trailing data"},
+		{"trailing bracket", `{"ts":"0","tenant":"a","op":"read","bytes":1}]`, "trailing data"},
+		{"trailing closers", `{"ts":"0","tenant":"a","op":"read","bytes":1}]]}}`, "trailing data"},
 		{"bad ts", `{"ts":"soon","tenant":"a","op":"read","bytes":1}`, "ts:"},
 		{"bad bytes", `{"ts":"0","tenant":"a","op":"read","bytes":true}`, "bytes must be"},
 	}
@@ -194,6 +200,127 @@ func TestParseJSONL(t *testing.T) {
 				t.Fatalf("want error containing %q, got %v", tc.want, err)
 			}
 		})
+	}
+}
+
+// randomEvents draws n events that cover the canonical JSONL form: all
+// four ops; rank, io and latency each present and absent; a file on three
+// events in four and an id on one in four; durations from nanoseconds to
+// hours.
+func randomEvents(seed int64, n int) []Event {
+	rng := rand.New(rand.NewSource(seed))
+	tenants := []string{"ml", "ckpt", "Équipe B", "meta"}
+	ops := []Op{OpRead, OpRandRead, OpWrite, OpMeta}
+	duration := func(i int) sim.Duration {
+		// 1 ns to 2.8 h: one decade per step of i.
+		return sim.Duration((1 + rng.Float64()*9) * math.Pow(10, float64(i%13)))
+	}
+	events := make([]Event, n)
+	for i := range events {
+		ev := Event{At: sim.Time(duration(i)), Tenant: tenants[rng.Intn(len(tenants))], Op: ops[i%4], Rank: -1}
+		if ev.Op.MovesData() {
+			ev.Bytes = 1 + rng.Int63n(64<<20)
+			if i/4%2 == 0 {
+				ev.IO = 1 + rng.Int63n(ev.Bytes)
+			}
+		}
+		if i/8%2 == 0 {
+			ev.Latency = duration(i / 16)
+		}
+		if i/16%2 == 0 {
+			ev.Rank = rng.Intn(1024)
+		}
+		if rng.Intn(4) != 0 {
+			ev.File = fmt.Sprintf("/traffic/%s/n%d/f%d", ev.Tenant, rng.Intn(8), rng.Intn(64))
+		}
+		if rng.Intn(4) == 0 {
+			ev.ID = fmt.Sprintf("r-%d", i)
+		}
+		events[i] = ev
+	}
+	return events
+}
+
+// canonicalJSONL renders n random events with WriteJSONL.
+func canonicalJSONL(t testing.TB, n int) []byte {
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, randomEvents(1, n)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestScanJSONLCanonical: the scanner decodes every line WriteJSONL emits
+// itself, to the reference's event. A scanner that quietly sent
+// everything to the reference would pass every other test.
+func TestScanJSONLCanonical(t *testing.T) {
+	data := canonicalJSONL(t, 1000)
+	names := interner{}
+	for n, line := range bytes.Split(bytes.TrimSuffix(data, newline), newline) {
+		got, ok := scanJSONLine(line, names)
+		if !ok {
+			t.Fatalf("line %d falls back to the reference: %s", n+1, line)
+		}
+		want, err := decodeJSONLine(line, n+1)
+		if err != nil {
+			t.Fatalf("reference rejects line %d: %v", n+1, err)
+		}
+		if got != want {
+			t.Fatalf("line %d: scanner %+v, reference %+v", n+1, got, want)
+		}
+	}
+	events, err := ParseJSONL(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := randomEvents(1, 1000); !reflect.DeepEqual(events, want) {
+		t.Fatal("ParseJSONL does not reproduce the written events")
+	}
+}
+
+// TestParseJSONLAllocs: decoding a canonical trace allocates the event
+// slice, the interned names, and one string per file or id, not a decoder
+// per line. It goes through ParseEvents, which takes the bytes as they
+// are, as the trace-replay commands do.
+func TestParseJSONLAllocs(t *testing.T) {
+	const n = 10000
+	data := canonicalJSONL(t, n)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ParseEvents(data, JSONL, ""); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perEvent := allocs / n; perEvent > 3 {
+		t.Fatalf("%.2f allocations per event, budget 3", perEvent)
+	}
+}
+
+// TestNormalizeAllocs: Normalize folds each tenant spelling once and
+// sorts without reflection, so its allocations do not grow with the
+// event count (the id map's growth aside).
+func TestNormalizeAllocs(t *testing.T) {
+	const n = 10000
+	events := randomEvents(1, n)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Normalize(events); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perEvent := allocs / n; perEvent > 0.01 {
+		t.Fatalf("%.3f allocations per event, budget 0.01", perEvent)
+	}
+}
+
+// BenchmarkParseJSONL decodes a canonical 10k-event trace held in memory.
+func BenchmarkParseJSONL(b *testing.B) {
+	data := canonicalJSONL(b, 10000)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseEvents(data, JSONL, ""); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -107,6 +107,8 @@ func (r BPS) String() string {
 // exception). Negative durations are rejected: no schedule event or timeout
 // can point into the past.
 func ParseDuration(s string) (time.Duration, error) {
+	// Errors quote a copy of s, so s does not escape and a caller that
+	// converts a short []byte to call ParseDuration allocates nothing.
 	t := strings.TrimSpace(s)
 	if t == "" {
 		return 0, fmt.Errorf("units: empty duration")
@@ -114,22 +116,26 @@ func ParseDuration(s string) (time.Duration, error) {
 	// A sign check on the parsed value misses negative zero ("-0", "-0s"):
 	// IEEE -0.0 < 0 is false. Reject the minus itself.
 	if strings.HasPrefix(t, "-") {
-		return 0, fmt.Errorf("units: negative duration %q", s)
+		return 0, fmt.Errorf("units: negative duration %q", strings.Clone(s))
 	}
-	if v, err := strconv.ParseFloat(t, 64); err == nil {
-		// ParseFloat accepts "NaN" and "Inf"; reject them and anything that
-		// overflows an int64 nanosecond count before converting.
-		if v != v || v < 0 || v > float64(1<<62)/float64(time.Second) {
-			return 0, fmt.Errorf("units: duration %q out of range", s)
+	// No float syntax ends in s, m or h, so a unit-suffixed duration skips
+	// the doomed ParseFloat and the error it allocates.
+	if c := t[len(t)-1]; c != 's' && c != 'm' && c != 'h' {
+		if v, err := strconv.ParseFloat(t, 64); err == nil {
+			// ParseFloat accepts "NaN" and "Inf"; reject them and anything
+			// that overflows an int64 nanosecond count before converting.
+			if v != v || v < 0 || v > float64(1<<62)/float64(time.Second) {
+				return 0, fmt.Errorf("units: duration %q out of range", strings.Clone(s))
+			}
+			return time.Duration(v * float64(time.Second)), nil
 		}
-		return time.Duration(v * float64(time.Second)), nil
 	}
 	d, err := time.ParseDuration(t)
 	if err != nil {
-		return 0, fmt.Errorf("units: cannot parse duration %q", s)
+		return 0, fmt.Errorf("units: cannot parse duration %q", strings.Clone(s))
 	}
 	if d < 0 {
-		return 0, fmt.Errorf("units: negative duration %q", s)
+		return 0, fmt.Errorf("units: negative duration %q", strings.Clone(s))
 	}
 	return d, nil
 }
