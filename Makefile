@@ -47,6 +47,8 @@ bench-smoke:
 	$(GO) test ./internal/traffic -run XXX -bench 'BenchmarkTrafficEngine|BenchmarkResilienceOverhead' -benchtime=1x
 	$(GO) test ./internal/surrogate -run XXX -bench BenchmarkSurrogateScore -benchtime=1x
 	$(GO) test ./internal/trace -run XXX -bench BenchmarkParseJSONL -benchtime=1x
+	$(GO) test ./internal/sim/ -run XXX -bench BenchmarkGroupWindow -benchtime=1x -cpu=1,2
+	$(GO) test ./internal/traffic -run XXX -bench BenchmarkParallelTraffic -benchtime=1x -cpu=1,2
 
 # Regression gate over the recorded traffic-path benchmarks: a short fresh
 # run of the hot-path benches diffed against the checked-in BENCH_traffic.json.
@@ -101,6 +103,7 @@ bench:
 	  $(GO) test ./internal/surrogate -run XXX -bench BenchmarkSurrogateScore -benchtime=2s -benchmem ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_traffic.json \
 	    -note "open-loop traffic engine: cost per generated request (arrival draw, admission, spawn, transfer, sketch); ResilienceOverhead arms the full policy stack (deadline, retries, hedge, breaker, brownout) on an uncongested rig — the delta vs TrafficEngine is the layer's pure bookkeeping cost (floor: two goroutine baton hand-offs per request, coordinator and attempt being separate processes). SurrogateScore is the what-if explorer's analytical predictor: cost of scoring one candidate configuration (the search layer assumes >=10k configs/sec). Recorded with go1.24.0 linux/amd64 on a 1-core Intel Xeon @2.10GHz container, default GOMAXPROCS"
-	$(GO) test ./internal/traffic -run XXX -bench BenchmarkParallelTraffic -benchtime=2s -benchmem -cpu=1,2,4,8 \
+	( $(GO) test ./internal/sim/ -run XXX -bench BenchmarkGroupWindow -benchtime=1s -benchmem -cpu=1,2 ; \
+	  $(GO) test ./internal/traffic -run XXX -bench BenchmarkParallelTraffic -benchtime=2s -benchmem -cpu=1,2 ) \
 	| $(GO) run ./cmd/benchjson -keep-cpu -o BENCH_parallel.json \
-	    -note "domain-parallel scaling sweep: 8 racks, executors = GOMAXPROCS (-cpu suffix); results are bit-identical across the sweep, only wall clock moves. Recorded with go1.24.0 linux/amd64 on a 1-core Intel Xeon @2.10GHz container (no physical parallelism: the sweep checks determinism, not speedup, here)"
+	    -note "domain-parallel rungs, executors = GOMAXPROCS (-cpu suffix). GroupWindow is the cost of one barrier window of a two-shard group with one process wake-up per busy shard: busy=1 runs in-line on the coordinator at any executor count, busy=2 on two executors commands the second one. ParallelTraffic is the 8-rack sharded traffic engine per request; its results are bit-identical across the sweep, only wall clock moves. Recorded with go1.24.0 linux/amd64 on a 2-core Intel Xeon @2.10GHz shared container"

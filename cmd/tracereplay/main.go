@@ -49,7 +49,7 @@ func main() {
 	load := flag.Float64("load", 1, "offered-load multiplier for -record")
 	out := flag.String("o", "", "output file (-record: the JSONL stream; -audit: the report as JSON)")
 	racks := flag.Int("racks", 1, "replay across this many racks via the fitted spec (domain-sharded)")
-	domains := flag.Int("domains", 0, "executors advancing the racks in parallel (0 = GOMAXPROCS)")
+	domains := flag.Int("domains", 1, "executors advancing the racks in parallel (0 = GOMAXPROCS); results are identical for every value. 2 executors measured slower than 1 on a 2-core Xeon (2-rack rig 1.45 vs 1.35 s per run, 8-rack rig 2.96 vs 2.37 µs per request)")
 	remote := flag.Float64("remote", 0.25, "fraction of requests placed on another rack (racks > 1)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")

@@ -36,7 +36,7 @@ func main() {
 	faultsFile := flag.String("faults", "", "JSON fault schedule to arm during the window (see internal/faults)")
 	printSpec := flag.Bool("print-spec", false, "print the built-in tenant spec as JSON and exit")
 	racks := flag.Int("racks", 1, "split the cluster into this many racks (domain shards), -nodes per rack")
-	domains := flag.Int("domains", 0, "executors advancing the racks in parallel (0 = GOMAXPROCS); results are identical for every value")
+	domains := flag.Int("domains", 1, "executors advancing the racks in parallel (0 = GOMAXPROCS); results are identical for every value. 2 executors measured slower than 1 on a 2-core Xeon (2-rack rig 1.45 vs 1.35 s per run, 8-rack rig 2.96 vs 2.37 µs per request)")
 	remote := flag.Float64("remote", 0.25, "fraction of requests placed on another rack (racks > 1)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")

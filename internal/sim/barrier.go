@@ -19,9 +19,6 @@ func NewBarrier(env *Env, name string, parties int) *Barrier {
 	return &Barrier{env: env, parties: parties, round: NewEvent(env)}
 }
 
-// Parties returns the configured party count.
-func (b *Barrier) Parties() int { return b.parties }
-
 // Wait blocks the calling process until all parties have arrived, then
 // releases the round together.
 func (b *Barrier) Wait(p *Proc) {

@@ -24,11 +24,16 @@ import (
 //
 //	T' = min(until, max(T+L, earliest pending event across all shards))
 //
-// and has every shard execute its events with timestamps <= T' — serially,
-// or spread over executor goroutines when parallelism is enabled. Messages
-// a shard sends during the window land in a shard-local outbox; the
+// and has every shard execute its events with timestamps <= T'. Messages a
+// shard sends during the window land in a shard-local outbox; the
 // coordinator gathers them at the barrier and delivers them in the global
 // (deliverAt, source shard, send seq) order before any shard moves again.
+//
+// Executors deal the shards round-robin, and executor 0 is the coordinator
+// itself — the Run caller's goroutine. A window runs in-line on the
+// coordinator unless at least two executors own a shard with an event due
+// by T'; only then are the other executors with work commanded, while the
+// coordinator steps its own shards and the idle executors' (see advance).
 //
 // Correctness of the window: a message sent at local time s carries
 // deliverAt >= s+L. In a busy window every executed event has s in [T, T'],
@@ -46,8 +51,10 @@ import (
 // none of them can see how shards were assigned to goroutines. The lockstep
 // tests and FuzzDomainsVsSequential pin exactly this property.
 type Group struct {
-	shards    []*Shard
-	links     map[[2]int32]Duration
+	shards []*Shard
+	links  map[[2]int32]Duration
+	// executors is the requested cap until the first Run, then the
+	// effective count E: clamped to the shard count, 1 under simsequential.
 	executors int
 	lookahead Duration
 
@@ -57,12 +64,21 @@ type Group struct {
 	// pending is the barrier-time message scratch, reused across rounds.
 	pending []xmsg
 
-	// Parallel plumbing: one command channel per executor, a shared ack
-	// channel, and the last round's boundary. Executors are started lazily on
-	// the first parallel round and joined by Shutdown.
-	cmds    []chan Time
-	acks    chan any
-	started bool
+	// next[i] is shard i's earliest pending event as boundary peeked it
+	// (MaxInt64 when its calendar is empty); busy[x] reports whether
+	// executor x owns a shard with an event due by the window's boundary.
+	next []Time
+	busy []bool
+
+	// Parallel plumbing: cmds[x-1] commands executor x's goroutine, and all
+	// of them ack on one channel. The goroutines start on the first window
+	// that needs them and are dismissed by Shutdown.
+	cmds []chan Time
+	acks chan any
+
+	// commanded counts the windows that commanded an executor goroutine;
+	// every other window ran in-line on the coordinator.
+	commanded int
 }
 
 // Shard is one partition of a domain-parallel simulation: an Env plus the
@@ -79,9 +95,9 @@ type Shard struct {
 	// topology.
 	out []Duration
 
-	// outbox collects the messages sent during the current window. Only this
-	// shard's executor touches it until the barrier, where the coordinator
-	// (ordered by the ack channel) drains it.
+	// outbox collects the messages sent during the current window. Only the
+	// goroutine stepping this shard touches it until the barrier, where the
+	// coordinator (ordered by the ack channel) drains it.
 	outbox  []xmsg
 	sendSeq uint64
 }
@@ -96,10 +112,10 @@ type xmsg struct {
 }
 
 // NewGroup returns an empty domain group. parallel caps the number of
-// executor goroutines that advance shards concurrently: 0 means
-// GOMAXPROCS, 1 means strictly sequential in-line execution (the
-// differential oracle), and any value is further clamped to the shard
-// count. Building with `-tags simsequential` forces 1 group-wide.
+// executors that advance shards concurrently, the Run caller's goroutine
+// included: 0 means GOMAXPROCS, 1 means strictly sequential in-line
+// execution (the differential oracle), and any value is further clamped to
+// the shard count. Building with `-tags simsequential` forces 1 group-wide.
 func NewGroup(parallel int) *Group {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
@@ -164,11 +180,6 @@ func (g *Group) LinkAll(latency Duration) {
 	}
 }
 
-// Lookahead returns the group's synchronization lookahead: the minimum
-// declared link latency (0 before the first Run resolves the topology, or
-// when the shards are unlinked and therefore independent).
-func (g *Group) Lookahead() Duration { return g.lookahead }
-
 // Now returns the group's barrier clock — the common virtual time every
 // shard has reached.
 func (g *Group) Now() Time { return g.clock }
@@ -199,7 +210,8 @@ func (s *Shard) Send(to *Shard, extra Duration, fn func()) {
 	s.sendSeq++
 }
 
-// finalize freezes the topology: per-shard link slices and the lookahead.
+// finalize freezes the topology: per-shard link slices, the lookahead and
+// the effective executor count.
 func (g *Group) finalize() {
 	if g.finalized {
 		return
@@ -209,6 +221,12 @@ func (g *Group) finalize() {
 	for _, s := range g.shards {
 		s.out = make([]Duration, n)
 	}
+	g.executors = max(1, min(g.executors, n))
+	if forceSequentialGroups {
+		g.executors = 1
+	}
+	g.next = make([]Time, n)
+	g.busy = make([]bool, g.executors)
 	for key, lat := range g.links {
 		g.shards[key[0]].out[key[1]] = lat
 		if g.lookahead == 0 || lat < g.lookahead {
@@ -228,8 +246,8 @@ func (g *Group) Run(until Time) Time {
 	}
 	for g.clock < until {
 		g.deliver()
-		boundary := g.boundary(until)
-		g.advance(boundary)
+		boundary, busy := g.boundary(until)
+		g.advance(boundary, busy)
 		g.collect()
 		g.clock = boundary
 	}
@@ -240,16 +258,21 @@ func (g *Group) Run(until Time) Time {
 // the earliest pending event when every shard is idle longer than that
 // (idle skip), and capped at the deadline. With no pending events anywhere
 // — and deliver() has already drained the message queue — nothing can
-// happen before `until`, so the window jumps straight there.
-func (g *Group) boundary(until Time) Time {
-	earliest, found := Time(0), false
-	for _, s := range g.shards {
-		if at, ok := s.env.q.nextAt(); ok && (!found || at < earliest) {
-			earliest, found = at, true
+// happen before `until`, so the window jumps straight there. It peeks each
+// shard's calendar once, marks in g.busy the executors owning a shard with
+// an event due by the boundary, and returns how many executors that is.
+func (g *Group) boundary(until Time) (Time, int) {
+	earliest := Time(math.MaxInt64)
+	for i, s := range g.shards {
+		at, ok := s.env.q.nextAt()
+		if !ok {
+			at = math.MaxInt64
 		}
+		g.next[i] = at
+		earliest = min(earliest, at)
 	}
-	if !found {
-		return until
+	if earliest == math.MaxInt64 {
+		return until, 0
 	}
 	boundary := until
 	if g.lookahead > 0 {
@@ -257,14 +280,17 @@ func (g *Group) boundary(until Time) Time {
 		if boundary < g.clock { // overflow
 			boundary = Time(math.MaxInt64)
 		}
-		if earliest > boundary {
-			boundary = earliest
-		}
-		if boundary > until {
-			boundary = until
+		boundary = min(max(boundary, earliest), until)
+	}
+	clear(g.busy)
+	busy := 0
+	for i, at := range g.next {
+		if x := i % g.executors; at <= boundary && !g.busy[x] {
+			g.busy[x] = true
+			busy++
 		}
 	}
-	return boundary
+	return boundary, busy
 }
 
 // collect drains every shard's outbox into the pending set. Runs at the
@@ -314,24 +340,37 @@ func (g *Group) deliver() {
 	g.pending = g.pending[:0]
 }
 
-// advance runs every shard's window [clock, boundary], in-line when the
-// group is sequential and over the executor goroutines otherwise.
-func (g *Group) advance(boundary Time) {
-	if g.parallelism() <= 1 {
+// advance runs every shard's window [clock, boundary], given how many
+// executors have work in it. Before the next barrier only a shard's own
+// events can schedule events on it, so a shard with nothing due by the
+// boundary stays idle for the whole window and stepping it only moves its
+// clock. A window in which at most one executor has work — every window of
+// a sequential group — therefore runs in-line on the coordinator: waking
+// executors would buy no concurrency. Otherwise the coordinator acts as
+// executor 0: it commands the other executors that have work, steps its own
+// shards and the idle executors' shards itself, and then takes exactly one
+// ack per command before re-raising any share's panic.
+func (g *Group) advance(boundary Time, busy int) {
+	if busy <= 1 {
 		for _, s := range g.shards {
 			s.env.StepUntil(boundary)
 		}
 		return
 	}
-	if !g.started {
+	if g.cmds == nil {
 		g.startExecutors()
 	}
-	for _, ch := range g.cmds {
-		ch <- boundary
+	g.commanded++
+	sent := 0
+	for x, ch := range g.cmds {
+		if g.busy[x+1] {
+			ch <- boundary
+			sent++
+		}
 	}
-	var failure any
-	for range g.cmds {
-		if v := <-g.acks; v != nil && failure == nil {
+	failure := g.stepUncommanded(boundary)
+	for ; sent > 0; sent-- {
+		if v := <-g.acks; failure == nil {
 			failure = v
 		}
 	}
@@ -340,34 +379,36 @@ func (g *Group) advance(boundary Time) {
 	}
 }
 
-// parallelism is the effective executor count: the configured cap, clamped
-// to the shard count, forced to 1 by the simsequential build tag.
-func (g *Group) parallelism() int {
-	if forceSequentialGroups {
-		return 1
+// stepUncommanded advances, on the coordinator, every shard no executor
+// goroutine was commanded to step this window: executor 0's and each idle
+// executor's. Like runWindow it returns a panic as a value, so the
+// coordinator still collects every ack before re-raising it.
+func (g *Group) stepUncommanded(boundary Time) (failure any) {
+	defer func() { failure = recover() }()
+	for i, s := range g.shards {
+		if x := i % g.executors; x == 0 || !g.busy[x] {
+			s.env.StepUntil(boundary)
+		}
 	}
-	n := g.executors
-	if n > len(g.shards) {
-		n = len(g.shards)
-	}
-	return n
+	return nil
 }
 
-// startExecutors launches the worker goroutines. Executor i owns shards
-// i, i+E, i+2E, ... — a static round-robin deal, so no two executors ever
-// touch the same Env and the assignment needs no locking. Which executor
-// advances a shard is invisible to the simulation; the deal only spreads
-// wall-clock load.
+// startExecutors launches the goroutines of executors 1..E-1; executor 0 is
+// the coordinator. Executor x owns shards x, x+E, x+2E, ... — a static
+// round-robin deal. In each window every shard is stepped by exactly one
+// goroutine (its executor's when commanded, the coordinator's otherwise),
+// and the command and ack channels order each hand-over, so the deal needs
+// no locking. Which goroutine advances a shard is invisible to the
+// simulation; the deal only spreads wall-clock load.
 func (g *Group) startExecutors() {
-	g.started = true
-	e := g.parallelism()
+	e := g.executors
 	g.acks = make(chan any)
-	g.cmds = make([]chan Time, e)
-	for i := range g.cmds {
+	g.cmds = make([]chan Time, e-1)
+	for x := 1; x < e; x++ {
 		ch := make(chan Time)
-		g.cmds[i] = ch
+		g.cmds[x-1] = ch
 		mine := make([]*Shard, 0, (len(g.shards)+e-1)/e)
-		for j := i; j < len(g.shards); j += e {
+		for j := x; j < len(g.shards); j += e {
 			mine = append(mine, g.shards[j])
 		}
 		go func() {
@@ -378,10 +419,10 @@ func (g *Group) startExecutors() {
 	}
 }
 
-// runWindow advances shards to the boundary, converting a model panic into
-// a value the coordinator re-panics with on its own goroutine — a model bug
-// inside a parallel window must surface at the Run caller, exactly as it
-// does in sequential mode.
+// runWindow advances an executor's shards to the boundary, converting a
+// model panic into a value the coordinator re-panics with on its own
+// goroutine — a model bug inside a parallel window must surface at the Run
+// caller, exactly as it does in sequential mode.
 func runWindow(shards []*Shard, boundary Time) (failure any) {
 	defer func() { failure = recover() }()
 	for _, s := range shards {
@@ -390,16 +431,13 @@ func runWindow(shards []*Shard, boundary Time) (failure any) {
 	return nil
 }
 
-// Shutdown joins the executor goroutines and dismisses every shard Env's
-// pooled workers. The group cannot Run again afterwards.
+// Shutdown dismisses the executor goroutines and every shard Env's pooled
+// workers. The group cannot Run again afterwards.
 func (g *Group) Shutdown() {
-	if g.started {
-		for _, ch := range g.cmds {
-			close(ch)
-		}
-		g.cmds = nil
-		g.started = false
+	for _, ch := range g.cmds {
+		close(ch)
 	}
+	g.cmds = nil
 	for _, s := range g.shards {
 		s.env.stopWorkers()
 	}

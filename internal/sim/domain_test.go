@@ -54,28 +54,78 @@ func ringDigest(rs []*ringShard) string {
 }
 
 // runRing executes the canonical model at the given executor cap and
-// returns its digest.
-func runRing(t *testing.T, parallel, shards int, until Time) string {
+// returns its digest and the number of windows that commanded an executor.
+func runRing(t *testing.T, parallel, shards int, until Time) (string, int) {
 	t.Helper()
 	g := NewGroup(parallel)
 	rs := buildRing(g, shards, 200, 70, 40)
 	g.Run(until)
 	g.Shutdown()
-	return ringDigest(rs)
+	return ringDigest(rs), g.commanded
 }
 
 // TestGroupLockstep pins the tentpole property: the same model produces the
 // byte-identical digest whether its shards are advanced by one executor
-// (the sequential oracle), two, four, or more executors than shards.
+// (the sequential oracle), two, four, or more executors than shards. Every
+// shard of the ring has work in every busy window, so the parallel runs
+// must really command executors rather than fall back to in-line windows.
 func TestGroupLockstep(t *testing.T) {
-	want := runRing(t, 1, 4, 20_000)
+	want, _ := runRing(t, 1, 4, 20_000)
 	if !strings.Contains(want, "digest=") || strings.Contains(want, "digest=0000000000000000") {
 		t.Fatalf("model did not exercise cross-shard messages: %s", want)
 	}
 	for _, parallel := range []int{2, 4, 16} {
-		if got := runRing(t, parallel, 4, 20_000); got != want {
+		got, commanded := runRing(t, parallel, 4, 20_000)
+		if got != want {
 			t.Errorf("parallel=%d diverged from sequential oracle:\n got %s\nwant %s", parallel, got, want)
 		}
+		if commanded == 0 && !forceSequentialGroups {
+			t.Errorf("parallel=%d commanded no executor: every window ran in-line", parallel)
+		}
+	}
+}
+
+// runPingPong bounces one message between two shards: every window has
+// exactly one busy shard. It returns the group and an order-sensitive
+// digest of the receive times.
+func runPingPong(parallel int) (*Group, string) {
+	g := NewGroup(parallel)
+	a := g.AddShard("a", NewEnv())
+	b := g.AddShard("b", NewEnv())
+	g.LinkAll(50)
+	var digest uint64
+	hops := 0
+	var volley func(from, to *Shard) func()
+	volley = func(from, to *Shard) func() {
+		return func() {
+			digest = (digest ^ uint64(to.Env().Now())) * 0x100000001b3
+			if hops++; hops < 100 {
+				to.Send(from, Duration(hops%7), volley(to, from))
+			}
+		}
+	}
+	a.Env().Schedule(10, func() { a.Send(b, 0, volley(a, b)) })
+	g.Run(100_000)
+	g.Shutdown()
+	return g, fmt.Sprintf("hops=%d digest=%016x a=%d b=%d", hops, digest, a.Env().Now(), b.Env().Now())
+}
+
+// TestGroupInlineWindows: when only one executor has work in a window, the
+// coordinator steps every shard itself — a two-executor ping-pong commands
+// no executor, never starts an executor goroutine, and matches the
+// sequential run.
+func TestGroupInlineWindows(t *testing.T) {
+	_, want := runPingPong(1)
+	if !strings.HasPrefix(want, "hops=100 ") {
+		t.Fatalf("ping-pong stopped early: %s", want)
+	}
+	g, got := runPingPong(2)
+	if got != want {
+		t.Errorf("2 executors diverged from sequential:\n got %s\nwant %s", got, want)
+	}
+	if g.commanded != 0 || g.cmds != nil {
+		t.Errorf("one busy shard per window commanded %d windows (executors started: %v), want none",
+			g.commanded, g.cmds != nil)
 	}
 }
 
@@ -178,25 +228,76 @@ func TestGroupResume(t *testing.T) {
 	}
 }
 
-// TestGroupPanicPropagation: a model-callback panic inside a parallel
-// window surfaces at the Run caller (process-function panics crash on their
-// worker goroutine, exactly as in single-Env runs).
-func TestGroupPanicPropagation(t *testing.T) {
-	g := NewGroup(4)
-	shards := make([]*Shard, 4)
+// TestGroupIdleExecutor: two of three executors own an event due exactly at
+// the first boundary (T+L), so the window is parallel; the coordinator must
+// also step the idle executor's shard, whose clock reaches the barrier.
+func TestGroupIdleExecutor(t *testing.T) {
+	g := NewGroup(3)
+	shards := make([]*Shard, 3)
 	for i := range shards {
 		shards[i] = g.AddShard(fmt.Sprintf("s%d", i), NewEnv())
 	}
 	g.LinkAll(100)
-	shards[2].Env().Schedule(30, func() { panic("model bug") })
-	defer func() {
-		if r := recover(); r != "model bug" {
-			t.Fatalf("recovered %v, want model bug", r)
+	ran := make([]int, len(shards)) // one counter per shard: shards run concurrently
+	for i, s := range shards[:2] {
+		s.Env().Schedule(100, func() { ran[i]++ })
+	}
+	g.Run(100)
+	g.Shutdown()
+	if g.commanded != 1 && !forceSequentialGroups {
+		t.Errorf("commanded %d windows, want 1", g.commanded)
+	}
+	for _, s := range shards {
+		if s.Env().Now() != 100 {
+			t.Errorf("%s clock %d after the barrier at 100", s.Name(), s.Env().Now())
 		}
-		g.Shutdown()
-	}()
-	g.Run(1000)
-	t.Fatal("run returned despite panicking model")
+	}
+	if ran[0] != 1 || ran[1] != 1 {
+		t.Errorf("events ran %v times per shard, want [1 1 0]", ran)
+	}
+}
+
+// TestGroupPanicPropagation: a model-callback panic surfaces at the Run
+// caller with its original value (process-function panics crash on their
+// worker goroutine, exactly as in single-Env runs), whether the window runs
+// in-line or in parallel and, in parallel, whether the panicking shard is
+// the coordinator's or an executor's. Shutdown must return afterwards.
+func TestGroupPanicPropagation(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		executors int
+		panicOn   int  // shard whose callback panics at t=30
+		busy      int  // another shard with an event at t=30, or -1
+		parallel  bool // the panicking window commands an executor
+	}{
+		{"lone busy shard in-line", 4, 2, -1, false},
+		{"coordinator shard in parallel window", 2, 0, 1, true},
+		{"executor shard in parallel window", 2, 1, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGroup(tc.executors)
+			shards := make([]*Shard, 4)
+			for i := range shards {
+				shards[i] = g.AddShard(fmt.Sprintf("s%d", i), NewEnv())
+			}
+			g.LinkAll(100)
+			shards[tc.panicOn].Env().Schedule(30, func() { panic("model bug") })
+			if tc.busy >= 0 {
+				shards[tc.busy].Env().Schedule(30, func() {})
+			}
+			defer func() {
+				if r := recover(); r != "model bug" {
+					t.Fatalf("recovered %v, want model bug", r)
+				}
+				if want := tc.parallel && !forceSequentialGroups; (g.commanded > 0) != want {
+					t.Errorf("commanded %d windows, want parallel=%v", g.commanded, want)
+				}
+				g.Shutdown()
+			}()
+			g.Run(1000)
+			t.Fatal("run returned despite panicking model")
+		})
+	}
 }
 
 // TestGroupValidation covers the constructor/topology guard rails.

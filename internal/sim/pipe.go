@@ -299,18 +299,10 @@ func (f *Fabric) StartFlow(pipes []*Pipe, bytes float64, rateCap float64) *Flow 
 	return f.startFlow(pipes, bytes, rateCap, 0, false)
 }
 
-// StartFlowTagged registers a flow carrying an attribution tag: its
-// delivered bytes accumulate under Fabric.TagBytes(tag). Tagged flows form
-// their own fair-share classes per (path, cap, tag) signature; the empty
-// tag is the untagged default.
-func (f *Fabric) StartFlowTagged(pipes []*Pipe, bytes float64, rateCap float64, tag string) *Flow {
-	return f.startFlow(pipes, bytes, rateCap, f.env.InternTag(tag), false)
-}
-
 // startFlow registers a flow. pooled flows (Transfer's) are drawn from and
 // returned to the fabric's free list — the caller must not retain them past
-// their done event; StartFlow/StartFlowTagged flows are heap-allocated and
-// owned by the caller.
+// their done event; StartFlow flows are heap-allocated and owned by the
+// caller.
 func (f *Fabric) startFlow(pipes []*Pipe, bytes float64, rateCap float64, tag FlowTag, pooled bool) *Flow {
 	if len(pipes) == 0 {
 		panic("sim: flow must cross at least one pipe")

@@ -72,9 +72,6 @@ func (p *Proc) SetFlowTagID(tag FlowTag) { p.flowTag = tag }
 // FlowTag returns the process's current flow tag ("" when untagged).
 func (p *Proc) FlowTag() string { return p.env.TagName(p.flowTag) }
 
-// FlowTagID returns the process's current interned tag handle.
-func (p *Proc) FlowTagID() FlowTag { return p.flowTag }
-
 // park hands control to the scheduler and blocks until some event resumes
 // this process. The calling goroutine drains the calendar itself (see
 // Env.dispatch): if the next wake-up belongs to this very process, park
@@ -119,13 +116,6 @@ func (p *Proc) SleepUntil(t Time) {
 		return
 	}
 	p.env.scheduleEvent(t, evResume, nil, p)
-	p.park("")
-}
-
-// Yield lets every other event already scheduled for the current instant run
-// before this process continues.
-func (p *Proc) Yield() {
-	p.wake()
 	p.park("")
 }
 

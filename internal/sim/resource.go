@@ -27,9 +27,6 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 // Capacity returns the total number of slots.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// InUse returns the number of currently held slots.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Acquire blocks the calling process until n slots are available, then takes
 // them. Requests are served strictly in arrival order, so a large request
 // cannot be starved by a stream of small ones.
@@ -43,15 +40,6 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	}
 	r.waiters = append(r.waiters, &resWaiter{p: p, n: n})
 	p.park("resource " + r.name)
-}
-
-// TryAcquire takes n slots if immediately available, reporting success.
-func (r *Resource) TryAcquire(n int) bool {
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
-		r.inUse += n
-		return true
-	}
-	return false
 }
 
 // Release returns n slots and admits as many queued waiters as now fit, in
@@ -70,13 +58,6 @@ func (r *Resource) Release(n int) {
 		r.waiters = r.waiters[1:]
 		w.p.wake()
 	}
-}
-
-// Use runs fn while holding one slot.
-func (r *Resource) Use(p *Proc, fn func()) {
-	r.Acquire(p, 1)
-	defer r.Release(1)
-	fn()
 }
 
 // Queue is a bounded FIFO buffer connecting producer and consumer processes,

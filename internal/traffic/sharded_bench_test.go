@@ -8,9 +8,9 @@ import (
 
 // BenchmarkParallelTraffic measures the domain-parallel engine end to end:
 // 8 racks in a full mesh, each its own shard, driven by as many executors
-// as GOMAXPROCS allows (a `-cpu=1,2,4,8` sweep turns this into the scaling
-// curve recorded in BENCH_parallel.json — results are bit-identical across
-// the sweep, only wall clock moves). ns/op reads as per generated request,
+// as GOMAXPROCS allows (`make bench` records it at `-cpu=1,2` in
+// BENCH_parallel.json — results are bit-identical across the sweep, only
+// wall clock moves). ns/op reads as per generated request,
 // like BenchmarkTrafficEngine, so the two are directly comparable: the gap
 // is the conservative-synchronization overhead, the ratio across -cpu
 // values is the speedup.
