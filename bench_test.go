@@ -331,9 +331,28 @@ func BenchmarkCacheLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := int64(i%1024) << 20
-		if hit, _ := c.Lookup(1, off, 1<<20); hit == 0 {
+		if hit, _ := c.Lookup(nil, 1, off, 1<<20); hit == 0 {
 			b.Fatal("unexpected miss")
 		}
+	}
+}
+
+// BenchmarkCacheChurn measures the page cache under churn: sequential
+// 256 KiB reads of 1 MiB blocks over a working set four times the
+// capacity, so every fourth lookup misses, inserts its block and evicts
+// the least recently used one (the Cosmoflow read pattern).
+func BenchmarkCacheChurn(b *testing.B) {
+	b.ReportAllocs()
+	const bs, read, fileBlocks = 1 << 20, 256 << 10, 256
+	c := cache.New(cache.Config{BlockSize: bs, Capacity: fileBlocks / 4 * bs})
+	var dst [4]cache.Range
+	var off int64
+	for i := 0; i < b.N; i++ {
+		_, misses := c.Lookup(dst[:0], 1, off, read)
+		for _, m := range misses {
+			c.Insert(m.File, m.Off, m.Len, false)
+		}
+		off = (off + read) % (fileBlocks * bs)
 	}
 }
 

@@ -69,20 +69,35 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.HitBytes) / float64(total)
 }
 
-type blockKey struct {
+// entry is one resident block. Entries live in chunked storage and name
+// each other by index; index 0 is never handed out, so 0 means "none" in
+// every link and marks an empty table cell.
+type entry struct {
 	file  uint64
-	index int64
+	block int64
+	fs    *fileState
+	hash  uint32 // hashKey(file, block)
+	// LRU list, most recent first; next also links the free list.
+	prev, next int32
+	// the file's resident blocks, unordered
+	fprev, fnext int32
+	dirty        bool
 }
 
-type entry struct {
-	key   blockKey
-	dirty bool
-	file  *fileState
-	// intrusive LRU list
-	prev, next *entry
-	// intrusive list of the file's resident blocks (unordered)
-	fprev, fnext *entry
+// slot is one cell of the open-addressed block table.
+type slot struct {
+	hash uint32 // the entry's hashKey; hash&mask is its home cell
+	e    int32  // entry index, 0 for an empty cell
 }
+
+// Entry storage grows a fixed-size chunk at a time, so filling a large
+// cache never copies what it already holds.
+const (
+	chunkShift = 7
+	chunkLen   = 1 << chunkShift // 6 KiB of entries
+	chunkMask  = chunkLen - 1
+	minTable   = 16
+)
 
 // fileState is the per-file index: the sequential-pattern detector plus
 // the file's resident blocks, so flush and invalidate never scan the whole
@@ -91,19 +106,37 @@ type fileState struct {
 	nextSeq  int64 // next sequential block index
 	seqScore int   // sequential streak length
 	dirty    int64 // dirty resident blocks
-	head     *entry
+	head     int32 // first of the file's resident blocks, 0 when none
 }
 
 // Cache is the LRU cache. Not safe for concurrent use; in the simulator all
 // accesses are serialized by the event loop.
+//
+// Resident blocks are found through one open-addressed table keyed by
+// (file, block): linear probing, load at most one half, and backward-shift
+// deletion, so constant evict-and-insert leaves no tombstones. The table
+// and the entry storage grow with the resident block count (at most 2³¹−1
+// blocks), never with file extent.
 type Cache struct {
-	cfg     Config
-	capBlk  int64
-	blocks  map[blockKey]*entry
-	lruHead *entry // most recently used
-	lruTail *entry // least recently used
-	stats   Stats
-	files   map[uint64]*fileState
+	cfg    Config
+	capBlk int64
+	stats  Stats
+
+	table []slot
+	mask  uint32 // len(table)-1; len(table) is a power of two
+	n     int    // resident blocks
+
+	chunks  []*[chunkLen]entry
+	used    int32 // entry indices handed out, the reserved 0 included
+	free    int32 // entries released by InvalidateFile, linked by next
+	lruHead int32 // most recently used
+	lruTail int32 // least recently used
+
+	files map[uint64]*fileState
+	// lastFile/lastFS memoize the last file resolved, which saves the
+	// files-map probe on runs of operations on one file.
+	lastFile uint64
+	lastFS   *fileState
 }
 
 // New returns an empty cache; it panics on an invalid config (configs are
@@ -115,18 +148,33 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:    cfg,
 		capBlk: cfg.Capacity / cfg.BlockSize,
-		blocks: map[blockKey]*entry{},
+		table:  make([]slot, minTable),
+		mask:   minTable - 1,
+		used:   1,
 		files:  map[uint64]*fileState{},
 	}
 }
 
+// fileState returns file's index, nil before the file's first access.
+func (c *Cache) fileState(file uint64) *fileState {
+	if c.lastFS != nil && c.lastFile == file {
+		return c.lastFS
+	}
+	fs := c.files[file]
+	if fs != nil {
+		c.lastFile, c.lastFS = file, fs
+	}
+	return fs
+}
+
 // fileOf returns file's index, creating it on first access.
 func (c *Cache) fileOf(file uint64) *fileState {
-	fs := c.files[file]
-	if fs == nil {
-		fs = &fileState{}
-		c.files[file] = fs
+	if fs := c.fileState(file); fs != nil {
+		return fs
 	}
+	fs := &fileState{}
+	c.files[file] = fs
+	c.lastFile, c.lastFS = file, fs
 	return fs
 }
 
@@ -137,46 +185,42 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Len returns the number of resident blocks.
-func (c *Cache) Len() int { return len(c.blocks) }
+func (c *Cache) Len() int { return c.n }
 
 // Lookup checks [off, off+size) of file: hit bytes are counted and
-// refreshed in LRU order; missing bytes are returned as coalesced ranges
-// (block-aligned). It also updates the sequential-pattern detector.
-func (c *Cache) Lookup(file uint64, off, size int64) (hitBytes int64, misses []Range) {
+// refreshed in LRU order; missing bytes are appended to dst as coalesced,
+// block-aligned ranges, and the extended slice is returned. It also
+// updates the sequential-pattern detector.
+//
+// The misses alias dst's array while it has room, and the cache keeps no
+// reference to them: a caller passes a small array of its own (on its
+// stack) and may block between misses while other processes use the
+// cache.
+func (c *Cache) Lookup(dst []Range, file uint64, off, size int64) (hitBytes int64, misses []Range) {
+	misses = dst
 	if size <= 0 {
-		return 0, nil
+		return 0, misses
 	}
 	bs := c.cfg.BlockSize
 	first := off / bs
 	last := (off + size - 1) / bs
 	fs := c.fileOf(file)
-	var missStart, missLen int64 = -1, 0
-	flush := func() {
-		if missStart >= 0 {
-			misses = append(misses, Range{File: file, Off: missStart, Len: missLen})
-			missStart, missLen = -1, 0
-		}
-	}
 	for b := first; b <= last; b++ {
 		// bytes of the request inside this block
-		lo := max64(off, b*bs)
-		hi := min64(off+size, (b+1)*bs)
-		n := hi - lo
-		if e, ok := c.blocks[blockKey{file, b}]; ok {
-			c.touch(e)
+		n := min(off+size, (b+1)*bs) - max(off, b*bs)
+		if i := c.find(hashKey(file, b), file, b); i != 0 {
+			c.touch(i)
 			hitBytes += n
-			c.stats.HitBytes += n
-			flush()
+			continue
+		}
+		c.stats.MissBytes += n
+		if k := len(misses) - 1; k >= len(dst) && misses[k].Off+misses[k].Len == b*bs {
+			misses[k].Len += bs
 		} else {
-			c.stats.MissBytes += n
-			if missStart < 0 {
-				missStart = b * bs
-				missLen = 0
-			}
-			missLen += bs
+			misses = append(misses, Range{File: file, Off: b * bs, Len: bs})
 		}
 	}
-	flush()
+	c.stats.HitBytes += hitBytes
 	// Sequential detection at block granularity.
 	if first == fs.nextSeq || fs.seqScore == 0 && first == 0 {
 		fs.seqScore++
@@ -192,15 +236,15 @@ func (c *Cache) Lookup(file uint64, off, size int64) (hitBytes int64, misses []R
 // sequential (or readahead is disabled). The caller fetches it and calls
 // Insert.
 func (c *Cache) ReadaheadRange(file uint64, off, size int64) Range {
-	fs := c.files[file]
+	fs := c.fileState(file)
 	if c.cfg.ReadaheadBlocks == 0 || fs == nil || fs.seqScore < 2 {
 		return Range{}
 	}
 	bs := c.cfg.BlockSize
 	start := fs.nextSeq // next unread block
 	var missLen int64
-	for i := 0; i < c.cfg.ReadaheadBlocks; i++ {
-		if _, ok := c.blocks[blockKey{file, start + int64(i)}]; ok {
+	for b := start; b < start+int64(c.cfg.ReadaheadBlocks); b++ {
+		if c.find(hashKey(file, b), file, b) != 0 {
 			break
 		}
 		missLen += bs
@@ -220,33 +264,33 @@ func (c *Cache) Insert(file uint64, off, size int64, dirty bool) (evictedDirty [
 	last := (off + size - 1) / bs
 	fs := c.fileOf(file)
 	for b := first; b <= last; b++ {
-		key := blockKey{file, b}
-		if e, ok := c.blocks[key]; ok {
-			if dirty && !e.dirty {
+		h := hashKey(file, b)
+		if i := c.find(h, file, b); i != 0 {
+			if e := c.at(i); dirty && !e.dirty {
 				e.dirty = true
 				fs.dirty++
 			}
-			c.touch(e)
+			c.touch(i)
 			continue
 		}
 		c.stats.Insertions++
 		// A full cache evicts its LRU block first and reuses its entry.
-		var e *entry
-		if int64(len(c.blocks)) >= c.capBlk {
-			e = c.evictOne()
-			if e.dirty {
-				evictedDirty = append(evictedDirty, Range{File: e.key.file, Off: e.key.index * bs, Len: bs})
+		var i int32
+		if int64(c.n) >= c.capBlk {
+			i = c.evictOne()
+			if e := c.at(i); e.dirty {
+				evictedDirty = append(evictedDirty, Range{File: e.file, Off: e.block * bs, Len: bs})
 			}
 		} else {
-			e = new(entry)
+			i = c.newEntry()
 		}
-		*e = entry{key: key, dirty: dirty, file: fs}
+		*c.at(i) = entry{file: file, block: b, fs: fs, hash: h, dirty: dirty}
 		if dirty {
 			fs.dirty++
 		}
-		c.blocks[key] = e
-		c.pushFront(e)
-		fs.link(e)
+		c.place(h, i)
+		c.pushFront(i)
+		c.linkFile(fs, i)
 	}
 	return evictedDirty
 }
@@ -256,7 +300,7 @@ func (c *Cache) Insert(file uint64, off, size int64, dirty bool) (evictedDirty [
 func (c *Cache) DirtyBytes(file uint64) int64 {
 	var n int64
 	if file != 0 {
-		if fs := c.files[file]; fs != nil {
+		if fs := c.fileState(file); fs != nil {
 			n = fs.dirty
 		}
 	} else {
@@ -282,16 +326,18 @@ func (c *Cache) FlushFile(file uint64) int64 {
 // write them back preserving sequentiality. A clean file costs O(1); a
 // dirty one walks only that file's blocks.
 func (c *Cache) FlushFileRanges(file uint64) []Range {
-	fs := c.files[file]
+	fs := c.fileState(file)
 	if fs == nil || fs.dirty == 0 {
 		return nil
 	}
 	idxs := make([]int64, 0, fs.dirty)
-	for e := fs.head; e != nil; e = e.fnext {
+	for i := fs.head; i != 0; {
+		e := c.at(i)
 		if e.dirty {
 			e.dirty = false
-			idxs = append(idxs, e.key.index)
+			idxs = append(idxs, e.block)
 		}
+		i = e.fnext
 	}
 	fs.dirty = 0
 	slices.Sort(idxs)
@@ -314,97 +360,183 @@ func (c *Cache) FlushFileRanges(file uint64) []Range {
 // or the "read from a different node than wrote" trick in the paper's
 // methodology).
 func (c *Cache) InvalidateFile(file uint64) {
-	fs := c.files[file]
+	fs := c.fileState(file)
 	if fs == nil {
 		return
 	}
-	for e := fs.head; e != nil; e = e.fnext {
-		c.unlink(e)
-		delete(c.blocks, e.key)
+	for i := fs.head; i != 0; {
+		e := c.at(i)
+		next := e.fnext
+		c.unlink(i)
+		c.unplace(e.hash, i)
+		e.next = c.free
+		c.free = i
+		i = next
 	}
 	delete(c.files, file)
+	c.lastFS = nil
 }
 
 // evictOne removes the LRU block of a non-empty cache and returns its
 // entry, dirty flag intact, for reuse.
-func (c *Cache) evictOne() *entry {
-	e := c.lruTail
-	c.unlink(e)
-	e.file.unlink(e)
-	delete(c.blocks, e.key)
+func (c *Cache) evictOne() int32 {
+	i := c.lruTail
+	e := c.at(i)
+	c.unlink(i)
+	c.unlinkFile(e.fs, i)
+	c.unplace(e.hash, i)
 	c.stats.Evictions++
 	if e.dirty {
-		e.file.dirty--
+		e.fs.dirty--
 		c.stats.DirtyEvictedBytes += c.cfg.BlockSize
 	}
-	return e
+	return i
 }
 
-func (c *Cache) touch(e *entry) {
-	if c.lruHead == e {
+// hashKey mixes a block key into its table hash (the SplitMix64 finalizer
+// over both words), so strided and many-file key sets spread over the
+// table instead of piling into long probe runs.
+func hashKey(file uint64, block int64) uint32 {
+	z := file*0x9e3779b97f4a7c15 ^ uint64(block)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return uint32(z ^ z>>31)
+}
+
+// find returns the index of the entry holding (file, block), whose hash is
+// h, or 0 when the block is not resident.
+func (c *Cache) find(h uint32, file uint64, block int64) int32 {
+	for j := h & c.mask; ; j = (j + 1) & c.mask {
+		s := c.table[j]
+		if s.e == 0 {
+			return 0
+		}
+		if s.hash == h {
+			if e := c.at(s.e); e.file == file && e.block == block {
+				return s.e
+			}
+		}
+	}
+}
+
+// place files entry i, whose hash is h, in the first empty cell of its
+// probe run, doubling the table first if the entry would load it past one
+// half.
+func (c *Cache) place(h uint32, i int32) {
+	if 2*(c.n+1) > len(c.table) {
+		old := c.table
+		c.table = make([]slot, 2*len(old))
+		c.mask = uint32(len(c.table) - 1)
+		for _, s := range old {
+			if s.e != 0 {
+				c.put(s)
+			}
+		}
+	}
+	c.put(slot{hash: h, e: i})
+	c.n++
+}
+
+func (c *Cache) put(s slot) {
+	j := s.hash & c.mask
+	for c.table[j].e != 0 {
+		j = (j + 1) & c.mask
+	}
+	c.table[j] = s
+}
+
+// unplace removes entry i, whose hash is h, from the table by backward
+// shift: each later cell of the probe run whose home does not lie between
+// the hole and itself moves up into the hole, so no lookup ever needs a
+// tombstone to keep probing.
+func (c *Cache) unplace(h uint32, i int32) {
+	m := c.mask
+	hole := h & m
+	for c.table[hole].e != i {
+		hole = (hole + 1) & m
+	}
+	for j := (hole + 1) & m; c.table[j].e != 0; j = (j + 1) & m {
+		if (j-c.table[j].hash)&m >= (j-hole)&m {
+			c.table[hole] = c.table[j]
+			hole = j
+		}
+	}
+	c.table[hole] = slot{}
+	c.n--
+}
+
+// at returns entry i's storage.
+func (c *Cache) at(i int32) *entry { return &c.chunks[i>>chunkShift][i&chunkMask] }
+
+// newEntry returns an unused entry index: a released one if any, else the
+// next fresh index, adding a chunk when the storage is full.
+func (c *Cache) newEntry() int32 {
+	if i := c.free; i != 0 {
+		c.free = c.at(i).next
+		return i
+	}
+	i := c.used
+	if int(i>>chunkShift) == len(c.chunks) {
+		c.chunks = append(c.chunks, new([chunkLen]entry))
+	}
+	c.used++
+	return i
+}
+
+func (c *Cache) touch(i int32) {
+	if c.lruHead == i {
 		return
 	}
-	c.unlink(e)
-	c.pushFront(e)
+	c.unlink(i)
+	c.pushFront(i)
 }
 
-func (c *Cache) pushFront(e *entry) {
-	e.prev = nil
+func (c *Cache) pushFront(i int32) {
+	e := c.at(i)
+	e.prev = 0
 	e.next = c.lruHead
-	if c.lruHead != nil {
-		c.lruHead.prev = e
+	if c.lruHead != 0 {
+		c.at(c.lruHead).prev = i
+	} else {
+		c.lruTail = i
 	}
-	c.lruHead = e
-	if c.lruTail == nil {
-		c.lruTail = e
-	}
+	c.lruHead = i
 }
 
-func (c *Cache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.lruHead == e {
+func (c *Cache) unlink(i int32) {
+	e := c.at(i)
+	if e.prev != 0 {
+		c.at(e.prev).next = e.next
+	} else {
 		c.lruHead = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.lruTail == e {
+	if e.next != 0 {
+		c.at(e.next).prev = e.prev
+	} else {
 		c.lruTail = e.prev
 	}
-	e.prev, e.next = nil, nil
+	e.prev, e.next = 0, 0
 }
 
-func (fs *fileState) link(e *entry) {
-	e.fprev = nil
+func (c *Cache) linkFile(fs *fileState, i int32) {
+	e := c.at(i)
+	e.fprev = 0
 	e.fnext = fs.head
-	if fs.head != nil {
-		fs.head.fprev = e
+	if fs.head != 0 {
+		c.at(fs.head).fprev = i
 	}
-	fs.head = e
+	fs.head = i
 }
 
-func (fs *fileState) unlink(e *entry) {
-	if e.fprev != nil {
-		e.fprev.fnext = e.fnext
+func (c *Cache) unlinkFile(fs *fileState, i int32) {
+	e := c.at(i)
+	if e.fprev != 0 {
+		c.at(e.fprev).fnext = e.fnext
 	} else {
 		fs.head = e.fnext
 	}
-	if e.fnext != nil {
-		e.fnext.fprev = e.fprev
+	if e.fnext != 0 {
+		c.at(e.fnext).fprev = e.fprev
 	}
-	e.fprev, e.fnext = nil, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	e.fprev, e.fnext = 0, 0
 }

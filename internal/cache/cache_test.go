@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -28,12 +29,12 @@ func TestConfigValidate(t *testing.T) {
 
 func TestMissThenHit(t *testing.T) {
 	c := newTest(16, 0)
-	hit, misses := c.Lookup(1, 0, 8192)
+	hit, misses := c.Lookup(nil, 1, 0, 8192)
 	if hit != 0 || len(misses) != 1 || misses[0].Len != 8192 {
 		t.Fatalf("cold lookup: hit=%d misses=%v", hit, misses)
 	}
 	c.Insert(1, 0, 8192, false)
-	hit, misses = c.Lookup(1, 0, 8192)
+	hit, misses = c.Lookup(nil, 1, 0, 8192)
 	if hit != 8192 || len(misses) != 0 {
 		t.Fatalf("warm lookup: hit=%d misses=%v", hit, misses)
 	}
@@ -45,7 +46,7 @@ func TestMissThenHit(t *testing.T) {
 func TestPartialHit(t *testing.T) {
 	c := newTest(16, 0)
 	c.Insert(1, 4096, 4096, false) // middle block resident
-	hit, misses := c.Lookup(1, 0, 12288)
+	hit, misses := c.Lookup(nil, 1, 0, 12288)
 	if hit != 4096 {
 		t.Fatalf("hit = %d, want 4096", hit)
 	}
@@ -56,7 +57,7 @@ func TestPartialHit(t *testing.T) {
 
 func TestMissCoalescing(t *testing.T) {
 	c := newTest(64, 0)
-	_, misses := c.Lookup(7, 0, 10*4096)
+	_, misses := c.Lookup(nil, 7, 0, 10*4096)
 	if len(misses) != 1 || misses[0].Len != 10*4096 {
 		t.Fatalf("contiguous misses not coalesced: %v", misses)
 	}
@@ -65,7 +66,7 @@ func TestMissCoalescing(t *testing.T) {
 func TestSubBlockAccounting(t *testing.T) {
 	c := newTest(16, 0)
 	c.Insert(1, 0, 4096, false)
-	hit, misses := c.Lookup(1, 100, 200) // inside resident block
+	hit, misses := c.Lookup(nil, 1, 100, 200) // inside resident block
 	if hit != 200 || len(misses) != 0 {
 		t.Fatalf("sub-block hit = %d misses=%v", hit, misses)
 	}
@@ -77,12 +78,12 @@ func TestLRUEviction(t *testing.T) {
 		c.Insert(1, b*4096, 4096, false)
 	}
 	// touch block 0 so block 1 is LRU
-	c.Lookup(1, 0, 4096)
+	c.Lookup(nil, 1, 0, 4096)
 	c.Insert(1, 100*4096, 4096, false) // forces one eviction
-	if hit, _ := c.Lookup(1, 0, 4096); hit != 4096 {
+	if hit, _ := c.Lookup(nil, 1, 0, 4096); hit != 4096 {
 		t.Fatal("recently touched block was evicted")
 	}
-	if hit, _ := c.Lookup(1, 4096, 4096); hit != 0 {
+	if hit, _ := c.Lookup(nil, 1, 4096, 4096); hit != 0 {
 		t.Fatal("LRU block survived eviction")
 	}
 }
@@ -120,10 +121,10 @@ func TestInvalidateFile(t *testing.T) {
 	c.Insert(1, 0, 4*4096, false)
 	c.Insert(2, 0, 4096, false)
 	c.InvalidateFile(1)
-	if hit, _ := c.Lookup(1, 0, 4*4096); hit != 0 {
+	if hit, _ := c.Lookup(nil, 1, 0, 4*4096); hit != 0 {
 		t.Fatal("invalidated file still resident")
 	}
-	if hit, _ := c.Lookup(2, 0, 4096); hit != 4096 {
+	if hit, _ := c.Lookup(nil, 2, 0, 4096); hit != 4096 {
 		t.Fatal("other file was invalidated too")
 	}
 }
@@ -131,8 +132,8 @@ func TestInvalidateFile(t *testing.T) {
 func TestReadaheadTriggersOnSequential(t *testing.T) {
 	c := newTest(256, 8)
 	// Two sequential accesses arm the detector.
-	c.Lookup(1, 0, 4096)
-	c.Lookup(1, 4096, 4096)
+	c.Lookup(nil, 1, 0, 4096)
+	c.Lookup(nil, 1, 4096, 4096)
 	ra := c.ReadaheadRange(1, 4096, 4096)
 	if ra.Len != 8*4096 {
 		t.Fatalf("readahead = %v, want 8 blocks", ra)
@@ -144,9 +145,9 @@ func TestReadaheadTriggersOnSequential(t *testing.T) {
 
 func TestReadaheadSilentOnRandom(t *testing.T) {
 	c := newTest(256, 8)
-	c.Lookup(1, 0, 4096)
-	c.Lookup(1, 50*4096, 4096)
-	c.Lookup(1, 3*4096, 4096)
+	c.Lookup(nil, 1, 0, 4096)
+	c.Lookup(nil, 1, 50*4096, 4096)
+	c.Lookup(nil, 1, 3*4096, 4096)
 	if ra := c.ReadaheadRange(1, 3*4096, 4096); ra.Len != 0 {
 		t.Fatalf("random pattern triggered readahead: %v", ra)
 	}
@@ -154,8 +155,8 @@ func TestReadaheadSilentOnRandom(t *testing.T) {
 
 func TestReadaheadDisabled(t *testing.T) {
 	c := newTest(256, 0)
-	c.Lookup(1, 0, 4096)
-	c.Lookup(1, 4096, 4096)
+	c.Lookup(nil, 1, 0, 4096)
+	c.Lookup(nil, 1, 4096, 4096)
 	if ra := c.ReadaheadRange(1, 4096, 4096); ra.Len != 0 {
 		t.Fatal("readahead fired while disabled")
 	}
@@ -164,8 +165,8 @@ func TestReadaheadDisabled(t *testing.T) {
 func TestReadaheadStopsAtResidentBlock(t *testing.T) {
 	c := newTest(256, 8)
 	c.Insert(1, 2*4096, 4096, false) // block 2 already resident
-	c.Lookup(1, 0, 4096)
-	c.Lookup(1, 4096, 4096)
+	c.Lookup(nil, 1, 0, 4096)
+	c.Lookup(nil, 1, 4096, 4096)
 	if ra := c.ReadaheadRange(1, 4096, 4096); ra.Len != 0 {
 		t.Fatalf("readahead did not stop at resident block: %v", ra)
 	}
@@ -179,7 +180,7 @@ func TestThrashingRandomWorkingSet(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
 		b := int64(seed>>33) % fileBlocks
-		_, misses := c.Lookup(1, b*4096, 4096)
+		_, misses := c.Lookup(nil, 1, b*4096, 4096)
 		for _, m := range misses {
 			c.Insert(m.File, m.Off, m.Len, false)
 		}
@@ -203,7 +204,7 @@ func TestCapacityAndResidencyProperty(t *testing.T) {
 			if int64(c.Len()) > 32 {
 				return false
 			}
-			hit, _ := c.Lookup(uint64(op.File), off, 4096)
+			hit, _ := c.Lookup(nil, uint64(op.File), off, 4096)
 			if hit != 4096 {
 				return false
 			}
@@ -212,5 +213,52 @@ func TestCapacityAndResidencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFarBlockAllocatesLittle pins that memory follows residency, not file
+// extent: one block at index 2^40 costs the same few allocations as block
+// 0, where an index dense in the block number would need terabytes.
+func TestFarBlockAllocatesLittle(t *testing.T) {
+	c := newTest(16, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.Insert(1, 1<<40*4096, 4096, false)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Fatalf("inserting block 2^40 allocated %d bytes, budget 64 KiB", n)
+	}
+	if hit, _ := c.Lookup(nil, 1, 1<<40*4096, 4096); hit != 4096 {
+		t.Fatal("block 2^40 not resident after insert")
+	}
+}
+
+// TestSteadyStateAllocFree pins the zero-alloc cache path: once the table
+// and entry storage have reached their size, a miss, its insert and the
+// eviction it forces allocate nothing, and neither does a hit.
+func TestSteadyStateAllocFree(t *testing.T) {
+	c := newTest(64, 0)
+	var dst [4]Range
+	var blk int64
+	miss := func() {
+		_, misses := c.Lookup(dst[:0], 1, blk*4096, 4096)
+		for _, m := range misses {
+			c.Insert(m.File, m.Off, m.Len, false)
+		}
+		blk = (blk + 1) % 256 // four times the capacity: every lookup misses
+	}
+	for i := 0; i < 512; i++ {
+		miss()
+	}
+	if a := testing.AllocsPerRun(1000, miss); a != 0 {
+		t.Errorf("Lookup+Insert at capacity: %v allocs/op, want 0", a)
+	}
+	hit := func() {
+		if h, _ := c.Lookup(dst[:0], 1, (blk+255)%256*4096, 4096); h != 4096 {
+			t.Fatal("most recent block missed")
+		}
+	}
+	if a := testing.AllocsPerRun(1000, hit); a != 0 {
+		t.Errorf("Lookup hit: %v allocs/op, want 0", a)
 	}
 }

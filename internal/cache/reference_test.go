@@ -7,6 +7,12 @@ import (
 	"storagesim/internal/stats"
 )
 
+// blockKey names one block in the reference model.
+type blockKey struct {
+	file  uint64
+	index int64
+}
+
 // refCache is a deliberately naive reference implementation of the cache:
 // residency via a slice ordered most-recent-first, dirty flags and the
 // sequential detector in plain maps, and every per-file question answered
@@ -160,36 +166,99 @@ func (r *refCache) dirtyBytes(file uint64) int64 {
 	return n
 }
 
-// Differential geometry: a 16-block cache shared by three files of 40
-// blocks each, so eviction, cross-file interleaving and readahead all
-// happen within a few dozen ops.
+// geometry is one differential row: the cache size and the key space the
+// op stream draws from. An op picks one of files and one of that file's
+// refBlocks blocks; a multi-block request also reaches the block after.
+type geometry struct {
+	name      string
+	capBlocks int
+	files     []uint64
+	blocks    [][]int64 // blocks[i][k] is the k-th block of files[i]
+}
+
 const (
-	refCapBlocks = 16
 	refBlockSize = 4096
 	refReadahead = 4
-	refFiles     = 3
+	refBlocks    = 40
 	opBytes      = 4
 )
 
+// span returns each file's blocks as block(file index, k).
+func span(files int, block func(f int, k int64) int64) [][]int64 {
+	out := make([][]int64, files)
+	for f := range out {
+		for k := int64(0); k < refBlocks; k++ {
+			out[f] = append(out[f], block(f, k))
+		}
+	}
+	return out
+}
+
+// fileIDs returns n file ids counting up from first.
+func fileIDs(first uint64, n int) []uint64 {
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = first + uint64(i)
+	}
+	return ids
+}
+
+// oneHome returns, for each file, the first refBlocks blocks whose keys
+// hash to cell 60 of a 64-cell table, and so to cell 12 and 28 of the
+// 16- and 32-cell tables a 16-block cache uses: every resident key shares
+// one probe run, which wraps past the table's end.
+func oneHome(files []uint64) [][]int64 {
+	out := make([][]int64, len(files))
+	for f, id := range files {
+		for b := int64(0); len(out[f]) < refBlocks; b++ {
+			if hashKey(id, b)&63 == 60 {
+				out[f] = append(out[f], b)
+			}
+		}
+	}
+	return out
+}
+
+// rows are the differential geometries. The first, a 16-block cache shared
+// by three files of 40 blocks each, makes eviction, cross-file
+// interleaving and readahead all happen within a few dozen ops; the others
+// stress the block table.
+var rows = []geometry{
+	{name: "small", capBlocks: 16, files: fileIDs(1, 3),
+		blocks: span(3, func(_ int, k int64) int64 { return k })},
+	{name: "wide-keys", capBlocks: 16, files: []uint64{1 << 32, 1<<32 + 1, 1<<64 - 1},
+		blocks: span(3, func(_ int, k int64) int64 { return 1<<40 - refBlocks/2 + k })},
+	// Under an identity hash every one of these keys would share a cell.
+	{name: "strided", capBlocks: 16, files: fileIDs(1, 3),
+		blocks: span(3, func(_ int, k int64) int64 { return k << 16 })},
+	// InvalidateFile cuts a file out of the middle of the one probe run.
+	{name: "one-home", capBlocks: 16, files: fileIDs(1, 3), blocks: oneHome(fileIDs(1, 3))},
+	// Many files churn a larger cache: the table doubles up to 512 cells
+	// and every eviction is a backward-shift delete.
+	{name: "many-files", capBlocks: 256, files: fileIDs(1, 64),
+		blocks: span(64, func(_ int, k int64) int64 { return k })},
+}
+
 // runDifferential decodes ops (opBytes bytes per op) into cache operations
-// on several files, applies each to the cache and the reference, and fails
-// on the first answer that differs.
-func runDifferential(t *testing.T, ops []byte) {
+// on g's key space, applies each to the cache and the reference, and fails
+// on the first answer that differs or the first broken table invariant.
+func runDifferential(t *testing.T, g geometry, ops []byte) {
 	t.Helper()
 	const bs = refBlockSize
-	c := New(Config{BlockSize: bs, Capacity: refCapBlocks * bs, ReadaheadBlocks: refReadahead})
-	ref := newRef(refCapBlocks, bs, refReadahead)
+	c := New(Config{BlockSize: bs, Capacity: int64(g.capBlocks) * bs, ReadaheadBlocks: refReadahead})
+	ref := newRef(g.capBlocks, bs, refReadahead)
 	for i := 0; i+opBytes <= len(ops); i += opBytes {
 		op := ops[i : i+opBytes]
-		file := uint64(op[1]%refFiles) + 1
+		fi := int(op[1]) % len(g.files)
+		file := g.files[fi]
 		// Offsets fall on quarter blocks and sizes span one to three
 		// blocks, so sub-block, unaligned and multi-block requests mix.
-		off := int64(op[2]%40)*bs + int64(op[3]%4)*(bs/4)
+		off := g.blocks[fi][op[2]%refBlocks]*bs + int64(op[3]%4)*(bs/4)
 		size := int64(op[3]/4%5) * (bs / 2)
 		n := i / opBytes
 		switch op[0] % 8 {
 		case 0, 1:
-			hit, misses := c.Lookup(file, off, size)
+			hit, misses := c.Lookup(nil, file, off, size)
 			wantHit, wantMisses := ref.lookup(file, off, size)
 			if hit != wantHit || !slices.Equal(misses, wantMisses) {
 				t.Fatalf("op %d: Lookup(%d, %d, %d) = %d %v, reference %d %v", n, file, off, size, hit, misses, wantHit, wantMisses)
@@ -207,8 +276,8 @@ func runDifferential(t *testing.T, ops []byte) {
 		case 5:
 			c.InvalidateFile(file)
 			ref.invalidate(file)
-			for b := int64(0); b < 40; b++ {
-				if _, ok := c.blocks[blockKey{file, b}]; ok {
+			for _, b := range g.blocks[fi] {
+				if c.find(hashKey(file, b), file, b) != 0 {
 					t.Fatalf("op %d: block %d of invalidated file %d still resident", n, b, file)
 				}
 			}
@@ -227,20 +296,54 @@ func runDifferential(t *testing.T, ops []byte) {
 		if got, want := c.DirtyBytes(0), ref.dirtyBytes(0); got != want {
 			t.Fatalf("op %d: DirtyBytes(0) = %d, reference %d", n, got, want)
 		}
+		checkTable(t, c, n)
 	}
 	// Final state: identical residency, in LRU order, and identical dirty
 	// ranges per file.
 	i := 0
-	for e := c.lruHead; e != nil; e = e.next {
-		if i >= len(ref.order) || e.key != ref.order[i] {
-			t.Fatalf("LRU position %d holds %v, reference order %v", i, e.key, ref.order)
+	for e := c.lruHead; e != 0; e = c.at(e).next {
+		if k := (blockKey{c.at(e).file, c.at(e).block}); i >= len(ref.order) || k != ref.order[i] {
+			t.Fatalf("LRU position %d holds %v, reference order %v", i, k, ref.order)
 		}
 		i++
 	}
-	for file := uint64(1); file <= refFiles; file++ {
+	for _, file := range g.files {
 		if got, want := c.FlushFileRanges(file), ref.flush(file); !slices.Equal(got, want) {
 			t.Fatalf("final FlushFileRanges(%d) = %v, reference %v", file, got, want)
 		}
+	}
+}
+
+// checkTable fails unless the block table holds exactly the resident
+// entries, each under its own hash and reachable from its home cell
+// without crossing an empty cell, and the load is at most one half.
+func checkTable(t *testing.T, c *Cache, op int) {
+	t.Helper()
+	if 2*c.n > len(c.table) {
+		t.Fatalf("op %d: %d entries load a %d-cell table past one half", op, c.n, len(c.table))
+	}
+	cells := 0
+	for j, s := range c.table {
+		if s.e == 0 {
+			continue
+		}
+		cells++
+		e := c.at(s.e)
+		if s.hash != e.hash || e.hash != hashKey(e.file, e.block) {
+			t.Fatalf("op %d: cell %d holds hash %#x for block %d:%d (hash %#x)", op, j, s.hash, e.file, e.block, hashKey(e.file, e.block))
+		}
+		for k := s.hash & c.mask; k != uint32(j); k = (k + 1) & c.mask {
+			if c.table[k].e == 0 {
+				t.Fatalf("op %d: empty cell %d cuts block %d:%d off its home %d", op, k, e.file, e.block, s.hash&c.mask)
+			}
+		}
+	}
+	lru := 0
+	for i := c.lruHead; i != 0; i = c.at(i).next {
+		lru++
+	}
+	if cells != c.n || lru != c.n {
+		t.Fatalf("op %d: %d table cells and %d LRU entries for %d resident blocks", op, cells, lru, c.n)
 	}
 }
 
@@ -255,15 +358,23 @@ func randomOps(seed uint64, n int) []byte {
 }
 
 func TestCacheAgainstReferenceModel(t *testing.T) {
-	runDifferential(t, randomOps(0xFACE, 20000))
+	for _, g := range rows {
+		t.Run(g.name, func(t *testing.T) {
+			runDifferential(t, g, randomOps(0xFACE, 20000))
+		})
+	}
 }
 
 // FuzzCacheVsReference feeds coverage-guided op streams through the same
-// differential as TestCacheAgainstReferenceModel. Run via `make fuzz-smoke`.
+// differential as TestCacheAgainstReferenceModel, on the geometry row the
+// first argument picks. Run via `make fuzz-smoke`.
 func FuzzCacheVsReference(f *testing.F) {
-	f.Add(randomOps(0xFACE, 64))
-	f.Add(randomOps(7, 256))
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		runDifferential(t, ops)
+	f.Add(uint8(0), randomOps(0xFACE, 64))
+	f.Add(uint8(0), randomOps(7, 256))
+	for r := 1; r < len(rows); r++ {
+		f.Add(uint8(r), randomOps(uint64(r), 256))
+	}
+	f.Fuzz(func(t *testing.T, row uint8, ops []byte) {
+		runDifferential(t, rows[int(row)%len(rows)], ops)
 	})
 }

@@ -378,9 +378,10 @@ func (d *Device) stream(p *sim.Proc, a Access, write bool, ioSize int64, bytes f
 		d.fab.Transfer(p, devPipes, bytes, rateCap)
 		return
 	}
-	// Concatenate into fresh storage: devPipes is a shared cached slice and
-	// must never be extended in place.
-	pipes := make([]*sim.Pipe, 0, len(devPipes)+len(path))
-	pipes = append(append(pipes, devPipes...), path...)
+	// Concatenate into a stack array: devPipes is a shared cached slice and
+	// must never be extended in place, and Transfer keeps the pipes but not
+	// the slice that lists them.
+	var buf [8]*sim.Pipe
+	pipes := append(append(buf[:0], devPipes...), path...)
 	d.fab.Transfer(p, pipes, bytes, rateCap)
 }

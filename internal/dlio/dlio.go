@@ -207,13 +207,18 @@ func Run(env *sim.Env, mounts []fsapi.Client, cfg Config, rec *trace.Recorder) (
 	// Phase 1: dataset generation (files of SamplesPerFile samples each),
 	// spread across the nodes.
 	files := (totalSamples + cfg.SamplesPerFile - 1) / cfg.SamplesPerFile
+	// The file names are formatted once: every sample read opens one.
+	names := make([]string, files)
+	for f := range names {
+		names[f] = fmt.Sprintf("%s/part-%06d", cfg.Dir, f)
+	}
 	gen := sim.NewWaitGroup(env)
 	for n := 0; n < nodes; n++ {
 		n := n
 		gen.Go(fmt.Sprintf("dlio-gen%d", n), func(p *sim.Proc) {
 			for f := n; f < files; f += nodes {
 				bytes := int64(cfg.SamplesPerFile) * cfg.SampleBytes
-				mounts[n].StreamWrite(p, sampleFile(cfg, f), fsapi.Sequential, cfg.TransferBytes, bytes)
+				mounts[n].StreamWrite(p, names[f], fsapi.Sequential, cfg.TransferBytes, bytes)
 			}
 		})
 	}
@@ -234,7 +239,7 @@ func Run(env *sim.Env, mounts []fsapi.Client, cfg Config, rec *trace.Recorder) (
 			r := r
 			cl := mounts[r/cfg.ProcsPerNode]
 			tg.Go(fmt.Sprintf("dlio-rank%d", r), func(p *sim.Proc) {
-				runRank(p, cl, cfg, rec, r, ranks, totalSamples, epochBarrier)
+				runRank(p, cl, cfg, names, rec, r, ranks, totalSamples, epochBarrier)
 				if p.Now() > trainEnd {
 					trainEnd = p.Now()
 				}
@@ -259,14 +264,10 @@ func Run(env *sim.Env, mounts []fsapi.Client, cfg Config, rec *trace.Recorder) (
 	return res, nil
 }
 
-// sampleFile returns the path of dataset file f.
-func sampleFile(cfg Config, f int) string {
-	return fmt.Sprintf("%s/part-%06d", cfg.Dir, f)
-}
-
 // runRank runs one training process: a pool of I/O workers prefetching the
-// rank's shard into a bounded queue, and a trainer consuming batches.
-func runRank(p *sim.Proc, cl fsapi.Client, cfg Config, rec *trace.Recorder, rank, ranks, totalSamples int, epochBarrier *sim.Barrier) {
+// rank's shard (sample s is in file names[s/SamplesPerFile]) into a bounded
+// queue, and a trainer consuming batches.
+func runRank(p *sim.Proc, cl fsapi.Client, cfg Config, names []string, rec *trace.Recorder, rank, ranks, totalSamples int, epochBarrier *sim.Barrier) {
 	env := p.Env()
 	rng := stats.NewRNG(cfg.Seed + uint64(rank)*0x9e3779b9)
 
@@ -308,7 +309,7 @@ func runRank(p *sim.Proc, cl fsapi.Client, cfg Config, rec *trace.Recorder, rank
 				sample := work[next]
 				next++
 				start := p.Now()
-				readSample(p, cl, cfg, sample)
+				readSample(p, cl, cfg, names[sample/cfg.SamplesPerFile], sample)
 				rec.Record(rank, trace.Read, start, p.Now(), cfg.SampleBytes)
 				queue.Put(p, sample)
 			}
@@ -360,8 +361,7 @@ func runRank(p *sim.Proc, cl fsapi.Client, cfg Config, rec *trace.Recorder, rank
 
 // readSample reads one sample (possibly spanning multiple transfers) from
 // its dataset file.
-func readSample(p *sim.Proc, cl fsapi.Client, cfg Config, sample int) {
-	file := sampleFile(cfg, sample/cfg.SamplesPerFile)
+func readSample(p *sim.Proc, cl fsapi.Client, cfg Config, file string, sample int) {
 	offInFile := int64(sample%cfg.SamplesPerFile) * cfg.SampleBytes
 	f := cl.Open(p, file, false)
 	for done := int64(0); done < cfg.SampleBytes; done += cfg.TransferBytes {

@@ -226,9 +226,6 @@ func (in *Injector) Register(name string, t Target) {
 	in.targets[name] = t
 }
 
-// Targets returns the registered names in registration order.
-func (in *Injector) Targets() []string { return append([]string(nil), in.order...) }
-
 // Applied returns the events delivered so far, in delivery order.
 func (in *Injector) Applied() []Applied { return in.applied }
 

@@ -170,7 +170,8 @@ func (f *file) ReadAt(p *sim.Proc, off, n int64) {
 		c.Backend.OpRead(p, f.ino, off, n)
 		return
 	}
-	_, misses := c.Cache.Lookup(f.ino.ID, off, n)
+	var buf [4]cache.Range
+	_, misses := c.Cache.Lookup(buf[:0], f.ino.ID, off, n)
 	for _, m := range misses {
 		if p.Aborted() {
 			return

@@ -285,3 +285,22 @@ func TestRemoveUnlinksAndInvalidates(t *testing.T) {
 	})
 	e.Run()
 }
+
+// TestCachedReadAllocFree pins the zero-alloc read hit: a ReadAt served
+// wholly from the page cache allocates nothing.
+func TestCachedReadAllocFree(t *testing.T) {
+	be := &recBackend{}
+	core := newCore(be, 64, 0)
+	e := sim.NewEnv()
+	e.Go("r", func(p *sim.Proc) {
+		f := core.Open(p, "/a", true)
+		f.WriteAt(p, 0, 4<<20)
+		if a := testing.AllocsPerRun(1000, func() { f.ReadAt(p, 1<<20, 2<<20) }); a != 0 {
+			t.Errorf("cached ReadAt: %v allocs/op, want 0", a)
+		}
+		if len(be.reads) != 0 {
+			t.Errorf("cached reads reached the backend: %v", be.reads)
+		}
+	})
+	e.Run()
+}

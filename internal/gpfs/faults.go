@@ -42,9 +42,7 @@ func (s *System) RecoverNSD(i int) {
 	s.applyHealth()
 }
 
-// HealthyNSDs reports how many NSD servers are in service.
-func (s *System) HealthyNSDs() int { return s.healthyNSDs() }
-
+// healthyNSDs counts the NSD servers in service.
 func (s *System) healthyNSDs() int {
 	n := 0
 	for i := 0; i < s.cfg.NSDServers; i++ {

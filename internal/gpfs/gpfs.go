@@ -171,14 +171,6 @@ func (s *System) Derate(f float64) {
 	s.raid.Derate(f)
 }
 
-// Raid exposes the pooled storage array (inspection and tests).
-func (s *System) Raid() *device.Device { return s.raid }
-
-// NSDPipes exposes the pooled NSD NIC pipes. Foreground client traffic
-// crosses them while rebuild flows stay inside the RAID pool, so sampling
-// bytes moved here isolates foreground bandwidth during a rebuild.
-func (s *System) NSDPipes() (up, down *sim.Pipe) { return s.nsdUp, s.nsdDown }
-
 // Mount attaches a compute node. Each mount gets its own client-stack
 // pipes: the per-node ceilings of the GPFS client (pagepool copy, NSD
 // protocol threads) that all ranks on the node share.
@@ -309,7 +301,8 @@ func (b *backend) OpRead(p *sim.Proc, ino *fsapi.Inode, off, n int64) {
 		p.Sleep(s.cfg.RPCLatency)
 	}
 	if s.serverCch != nil {
-		hit, misses := s.serverCch.Lookup(ino.ID, off, n)
+		var buf [4]cache.Range
+		hit, misses := s.serverCch.Lookup(buf[:0], ino.ID, off, n)
 		if hit > 0 {
 			s.fab.Transfer(p, c.memReadPath, float64(hit), 0)
 		}

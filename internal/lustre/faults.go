@@ -41,9 +41,7 @@ func (s *System) RecoverOSS(i int) {
 	s.applyHealth()
 }
 
-// HealthyOSSes reports how many OSSes are in service.
-func (s *System) HealthyOSSes() int { return s.healthyOSSes() }
-
+// healthyOSSes counts the OSSes in service.
 func (s *System) healthyOSSes() int {
 	n := 0
 	for i := 0; i < s.cfg.OSSCount; i++ {

@@ -131,11 +131,6 @@ func MustNew(env *sim.Env, fab *sim.Fabric, cfg Config) *System {
 // Config returns the parameters.
 func (s *System) Config() Config { return s.cfg }
 
-// OSSPipes exposes the pooled OSS NIC pipes (up = client writes in) for
-// samplers that separate foreground traffic from rebuild flows, which
-// cross the OST pool only.
-func (s *System) OSSPipes() (up, down *sim.Pipe) { return s.ossUp, s.ossDown }
-
 // Namespace exposes the shared file table.
 func (s *System) Namespace() *fsapi.Namespace { return s.ns }
 

@@ -137,22 +137,50 @@ func (rp RetryPolicy) Retry(p *sim.Proc, flowID uint64, healthy func() bool) (re
 // through server-side retransmission rounds, Backoff prices the pause
 // between application-level attempts after a deadline miss, so a tenant's
 // `retry_policy` spec block drives both with one parameter set. A disabled
-// policy (or attempt < 1) backs off zero.
+// policy (or attempt < 1) backs off zero. It costs O(attempt); a request
+// that retries in sequence steps with NextBackoff instead.
 func (rp RetryPolicy) Backoff(flowID uint64, attempt int) sim.Duration {
 	if !rp.Enabled() || attempt < 1 {
 		return 0
 	}
-	mult := rp.Multiplier
-	if mult < 1 {
-		mult = 1
-	}
 	d := rp.Timeout
-	for i := 1; i < attempt; i++ {
-		if rp.MaxTimeout > 0 && d >= rp.MaxTimeout {
-			break
-		}
-		d = sim.Duration(float64(d) * mult)
+	for i := 1; i < attempt && !rp.capped(d); i++ {
+		d = rp.grow(d)
 	}
+	return rp.pause(flowID, attempt, d)
+}
+
+// NextBackoff is Backoff for attempt given the un-jittered timeout that
+// NextBackoff returned for attempt-1 (ignored when attempt is 1). It
+// returns the pause and the timeout to carry to the next attempt, so a
+// request's k-th retry costs one step instead of k; the steps are
+// Backoff's float operations in Backoff's order, so the pauses are
+// bit-identical.
+func (rp RetryPolicy) NextBackoff(flowID uint64, attempt int, prev sim.Duration) (pause, timeout sim.Duration) {
+	if !rp.Enabled() || attempt < 1 {
+		return 0, 0
+	}
+	timeout = rp.Timeout
+	if attempt > 1 {
+		timeout = rp.grow(prev)
+	}
+	return rp.pause(flowID, attempt, timeout), timeout
+}
+
+// capped reports whether the timeout d has reached the ceiling, after
+// which it stops growing.
+func (rp RetryPolicy) capped(d sim.Duration) bool { return rp.MaxTimeout > 0 && d >= rp.MaxTimeout }
+
+// grow returns the timeout of the round after one whose timeout was d.
+func (rp RetryPolicy) grow(d sim.Duration) sim.Duration {
+	if rp.capped(d) {
+		return d
+	}
+	return sim.Duration(float64(d) * max(rp.Multiplier, 1))
+}
+
+// pause is the backoff of attempt whose un-jittered timeout is d.
+func (rp RetryPolicy) pause(flowID uint64, attempt int, d sim.Duration) sim.Duration {
 	if rp.MaxTimeout > 0 && d > rp.MaxTimeout {
 		d = rp.MaxTimeout
 	}

@@ -164,3 +164,36 @@ func TestRetryPolicyValidate(t *testing.T) {
 		})
 	}
 }
+
+// TestNextBackoffMatchesBackoff holds the carried form to the closed form:
+// stepping the timeout from one attempt to the next must give Backoff's
+// pause bit for bit, through the ceiling and through int64 overflow.
+func TestNextBackoffMatchesBackoff(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		rp        RetryPolicy
+		overflows bool
+	}{
+		{name: "uncapped x1", rp: RetryPolicy{Timeout: 10 * time.Millisecond, Multiplier: 1, Jitter: time.Millisecond}},
+		{name: "capped x2", rp: RetryPolicy{Timeout: time.Millisecond, Multiplier: 2, MaxTimeout: time.Second, Jitter: 100 * time.Microsecond}},
+		{name: "uncapped x2 overflow", rp: RetryPolicy{Timeout: time.Millisecond, Multiplier: 2}, overflows: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var pause, timeout, prev sim.Duration
+			overflowed := false
+			for k := 1; k <= 1000; k++ {
+				pause, timeout = tc.rp.NextBackoff(42, k, timeout)
+				if want := tc.rp.Backoff(42, k); pause != want {
+					t.Fatalf("attempt %d: carried backoff %d, Backoff %d", k, pause, want)
+				}
+				if k > 1 && pause != 2*prev {
+					overflowed = true
+				}
+				prev = pause
+			}
+			if tc.overflows && !overflowed {
+				t.Fatal("the doubling never overflowed; the run is too short to test it")
+			}
+		})
+	}
+}

@@ -200,6 +200,8 @@ func ExecuteCall(p *sim.Proc, pl Policy, c *Call, hedgeDelay sim.Duration, br *B
 	start := p.Now()
 	c.begin(p.Env())
 	var out Outcome
+	// timeout carries the un-jittered backoff from one retry to the next.
+	var timeout sim.Duration
 	for attempt := 0; ; attempt++ {
 		ok, hedged, hedgeWon := c.runRound(p, pl, hedgeDelay)
 		if hedged {
@@ -216,7 +218,7 @@ func ExecuteCall(p *sim.Proc, pl Policy, c *Call, hedgeDelay sim.Duration, br *B
 		willRetry := rp.Enabled() && (rp.MaxRetries == 0 || attempt < rp.MaxRetries)
 		var backoff sim.Duration
 		if willRetry {
-			backoff = rp.Backoff(c.FlowID, attempt+1)
+			backoff, timeout = rp.NextBackoff(c.FlowID, attempt+1, timeout)
 			if rp.MaxElapsed > 0 && p.Now().Sub(start)+backoff >= rp.MaxElapsed {
 				// The next attempt could not finish inside the residence
 				// budget; give up now rather than burn a doomed attempt.

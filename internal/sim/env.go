@@ -196,7 +196,7 @@ func (t Timer) Cancel() {
 // is drawn from the environment's pool of parked workers when one is free;
 // spawning is the exception, not the rule, on churny workloads.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, fn: fn, blockedIdx: -1, Done: NewEvent(e)}
+	p := &Proc{env: e, name: name, fn: fn, blockedIdx: -1, Done: Event{env: e}}
 	e.procs++
 	e.scheduleEvent(e.now, evStart, nil, p)
 	return p
@@ -226,7 +226,7 @@ func (e *Env) GoPooled(name string, fn func(p *Proc)) {
 		p.finished = false
 		p.Done.fired = false
 	} else {
-		p = &Proc{env: e, name: name, fn: fn, blockedIdx: -1, pooled: true, Done: NewEvent(e)}
+		p = &Proc{env: e, name: name, fn: fn, blockedIdx: -1, pooled: true, Done: Event{env: e}}
 	}
 	e.procs++
 	e.scheduleEvent(e.now, evStart, nil, p)

@@ -34,7 +34,7 @@ type Proc struct {
 
 	// Done fires when the process function returns. Other processes can
 	// Wait on it to join this process.
-	Done *Event
+	Done Event
 }
 
 // worker is a recyclable process goroutine: a resume channel (the baton

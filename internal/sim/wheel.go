@@ -163,21 +163,31 @@ func (q *calQueue) pop(limit Time) *timedEvent {
 // sort-on-first-drain behavior is untouched.
 func (q *calQueue) nextAt() (Time, bool) {
 	if q.wheelLive > 0 {
-		s := int(q.base >> wheelBucketShift)
-		for i := 0; i < wheelBuckets; i++ {
-			b := (s + i) & wheelMask
-			if q.occupied[b>>6]&(1<<(b&63)) == 0 {
-				continue
+		// Ring order a word at a time, as in firstOccupied: the start
+		// word's bits from the base on, the other words, then the start
+		// word's bits below the base.
+		s := int(q.base>>wheelBucketShift) & wheelMask
+		w, bit := s>>6, uint(s&63)
+		for i := 0; i <= wheelWords; i++ {
+			ww := (w + i) & (wheelWords - 1)
+			m := q.occupied[ww]
+			switch i {
+			case 0:
+				m &^= 1<<bit - 1
+			case wheelWords:
+				m &= 1<<bit - 1
 			}
-			bk := &q.buckets[b]
-			best, found := Time(0), false
-			for _, ev := range bk.items[bk.head:] {
-				if ev.kind != evDead && (!found || ev.at < best) {
-					best, found = ev.at, true
+			for ; m != 0; m &= m - 1 {
+				bk := &q.buckets[ww<<6+bits.TrailingZeros64(m)]
+				best, found := Time(0), false
+				for _, ev := range bk.items[bk.head:] {
+					if ev.kind != evDead && (!found || ev.at < best) {
+						best, found = ev.at, true
+					}
 				}
-			}
-			if found {
-				return best, true
+				if found {
+					return best, true
+				}
 			}
 		}
 		panic("sim: calendar live count out of sync")

@@ -16,6 +16,7 @@ type queueImpl interface {
 	insert(ev *timedEvent)
 	pop(limit Time) *timedEvent
 	cancel(ev *timedEvent)
+	nextAt() (Time, bool)
 }
 
 var (
@@ -141,6 +142,11 @@ func diffQueues(t *testing.T, ops []byte) {
 		if c.live() != len(pending) {
 			t.Fatalf("live count vs harness: cal=%d pending=%d", c.live(), len(pending))
 		}
+		cAt, cOK := c.nextAt()
+		rAt, rOK := r.nextAt()
+		if cAt != rAt || cOK != rOK {
+			t.Fatalf("nextAt divergence after op %d: cal=(%d,%v) ref=(%d,%v)", op%4, cAt, cOK, rAt, rOK)
+		}
 	}
 
 	// Drain completely; every remaining event must come out of both queues
@@ -173,6 +179,24 @@ func TestWheelVsHeapRandom(t *testing.T) {
 		ops := make([]byte, 2048)
 		rng.Read(ops)
 		diffQueues(t, ops)
+	}
+}
+
+// TestNextAtScansRingFromBase pins nextAt's ring order when the window
+// base sits mid-word in the occupancy bitmap: a bucket below the base in
+// the same word holds the window's latest times, so it must be scanned
+// last, after every bucket from the base on.
+func TestNextAtScansRingFromBase(t *testing.T) {
+	q := &calQueue{base: 10 << wheelBucketShift}
+	near := Time(13 << wheelBucketShift)
+	wrapped := Time((10 + 250) << wheelBucketShift) // bucket 4 of the ring
+	for _, at := range []Time{wrapped, near} {
+		ev := q.alloc()
+		ev.at, ev.kind = at, evFn
+		q.insert(ev)
+	}
+	if at, ok := q.nextAt(); !ok || at != near {
+		t.Fatalf("nextAt = %d, %v; want %d", at, ok, near)
 	}
 }
 

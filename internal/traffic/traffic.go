@@ -144,14 +144,6 @@ type TenantReport struct {
 	Latencies []float64
 }
 
-// OfferedRate returns the realized offered request rate over the window.
-func (r *TenantReport) OfferedRate(d sim.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(r.Offered) / d.Seconds()
-}
-
 // GoodputBps returns the tenant's delivered bandwidth over the window.
 func (r *TenantReport) GoodputBps(d sim.Duration) float64 {
 	if d <= 0 {

@@ -70,7 +70,6 @@ type BPS float64
 
 // Common bandwidth magnitudes (decimal, matching vendor link specs).
 const (
-	KBps BPS = 1e3
 	MBps BPS = 1e6
 	GBps BPS = 1e9
 )

@@ -27,16 +27,20 @@ type stager struct {
 
 	// space fires when a migration completes and frees staging room; it is
 	// re-armed after each broadcast.
-	space *sim.Event
+	space sim.Event
+	// name names every migration process.
+	name string
 }
 
 // newStager returns the staging accountant.
 func newStager(s *System) *stager {
-	return &stager{
+	st := &stager{
 		sys:      s,
 		capacity: s.cfg.SCMStagingBytes,
-		space:    sim.NewEvent(s.env),
+		name:     s.cfg.Name + "/migrate",
 	}
+	st.space.Init(s.env)
+	return st
 }
 
 // Staged returns the bytes currently staged on SCM awaiting migration.
@@ -87,11 +91,11 @@ func (st *stager) startMigration(bytes int64) {
 	}
 	pipes := s.qlc.StreamPipes(device.Sequential, true, 1<<20)
 	flow := s.fab.StartFlow(pipes, float64(bytes)/ratio, 0)
-	s.env.Go(s.cfg.Name+"/migrate", func(p *sim.Proc) {
+	s.env.GoPooled(st.name, func(p *sim.Proc) {
 		flow.Done().Wait(p)
 		st.staged -= bytes
 		st.migrated += bytes
 		st.space.Fire()
-		st.space = sim.NewEvent(s.env)
+		st.space.Reset()
 	})
 }

@@ -93,9 +93,7 @@ func (s *System) SetDBoxRebuild(i int, frac float64) {
 	s.applyDBoxHealth()
 }
 
-// HealthyDBoxes reports how many enclosures are in service.
-func (s *System) HealthyDBoxes() int { return s.healthyDBoxes() }
-
+// healthyDBoxes counts the enclosures in service.
 func (s *System) healthyDBoxes() int {
 	n := 0
 	for i := 0; i < s.cfg.DBoxes; i++ {

@@ -533,7 +533,8 @@ func (b *backend) OpRead(p *sim.Proc, ino *fsapi.Inode, off, n int64) {
 		p.Sleep(d)
 	}
 	if s.dnodeCache != nil {
-		hit, misses := s.dnodeCache.Lookup(ino.ID, off, n)
+		var buf [4]cache.Range
+		hit, misses := s.dnodeCache.Lookup(buf[:0], ino.ID, off, n)
 		if hit > 0 {
 			// Served from DNode DRAM: network path only.
 			s.fab.Transfer(p, pa.Pipes, float64(hit), pa.FlowCap)
