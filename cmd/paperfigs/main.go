@@ -9,6 +9,10 @@
 //	paperfigs -fig takeaways -quick
 //
 // Figures: table1, 2a, 2b, 3, 4a, 4b, 5, 6, takeaways, ablations, all.
+//
+// A figure's simulations — its (series, x, repetition) points — are
+// independent, so each figure runs them on GOMAXPROCS worker goroutines at
+// any -reps; the output is byte-identical at any GOMAXPROCS.
 package main
 
 import (
@@ -30,7 +34,7 @@ var (
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate (table1, 1, 2a, 2b, 3, 4a, 4b, 5, 6, takeaways, ablations, consistency, suitability, failover, degraded, rebuild, saturation, retrystorm, whatif, all)")
-	reps := flag.Int("reps", 1, "repetitions per data point (paper uses 10)")
+	reps := flag.Int("reps", 1, "repetitions per data point (paper uses 10); each figure runs its points and repetitions on GOMAXPROCS workers, with output identical at any width")
 	quick := flag.Bool("quick", false, "smaller sweeps")
 	seed := flag.Uint64("seed", 0x5eed, "random seed for contention and shuffles")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")

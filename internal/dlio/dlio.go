@@ -7,8 +7,8 @@
 // Sections VI-B and VI-C.
 //
 // Every read and every training step is recorded through the trace package
-// (the simulator's DFTracer), from which the paper's I/O-time decomposition
-// and application/system throughputs are computed.
+// (the simulator's DFTracer), whose recorder computes the paper's I/O-time
+// decomposition online; the application/system throughputs derive from it.
 package dlio
 
 import (
@@ -186,8 +186,13 @@ func (r Result) String() string {
 // Run generates the dataset, drops client caches (the paper trains "while
 // using a different set of nodes to read the dataset than the one that
 // generated it to avoid Operating System write-back caching"), then trains
-// for the configured epochs recording everything through rec.
+// for the configured epochs recording everything through rec. Pass
+// trace.NewRecorder() to keep the span log for export; a nil rec records
+// into a recorder that keeps only the decomposition.
 func Run(env *sim.Env, mounts []fsapi.Client, cfg Config, rec *trace.Recorder) (Result, error) {
+	if rec == nil {
+		rec = new(trace.Recorder)
+	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -249,7 +254,7 @@ func Run(env *sim.Env, mounts []fsapi.Client, cfg Config, rec *trace.Recorder) (
 	})
 	env.Run()
 
-	a := trace.Analyze(rec.Spans())
+	a := rec.Analysis()
 	res := Result{
 		Analysis: a,
 		Runtime:  trainEnd.Sub(trainStart),
@@ -309,6 +314,7 @@ func runRank(p *sim.Proc, cl fsapi.Client, cfg Config, names []string, rec *trac
 				sample := work[next]
 				next++
 				start := p.Now()
+				rec.Begin(rank, trace.Read, start)
 				readSample(p, cl, cfg, names[sample/cfg.SamplesPerFile], sample)
 				rec.Record(rank, trace.Read, start, p.Now(), cfg.SampleBytes)
 				queue.Put(p, sample)
@@ -338,12 +344,14 @@ func runRank(p *sim.Proc, cl fsapi.Client, cfg Config, names []string, rec *trac
 			break
 		}
 		start := p.Now()
+		rec.Begin(rank, trace.Compute, start)
 		p.Sleep(cfg.ComputePerBatch)
 		rec.Record(rank, trace.Compute, start, p.Now(), 0)
 		consumed += got
 		batches++
 		if cfg.CheckpointEveryBatches > 0 && batches%cfg.CheckpointEveryBatches == 0 {
 			ckStart := p.Now()
+			rec.Begin(rank, trace.Write, ckStart)
 			path := fmt.Sprintf("%s/ckpt/rank%05d.step%06d", cfg.Dir, rank, batches)
 			cl.StreamWrite(p, path, fsapi.Sequential, 1<<20, cfg.CheckpointBytes)
 			rec.Record(rank, trace.Write, ckStart, p.Now(), cfg.CheckpointBytes)

@@ -5,7 +5,6 @@ import (
 
 	"storagesim/internal/dlio"
 	"storagesim/internal/stats"
-	"storagesim/internal/trace"
 )
 
 // dlioPoint runs one DLIO configuration on Lassen and returns the result.
@@ -18,8 +17,7 @@ func dlioPoint(fs FS, nodes int, cfg dlio.Config, derate float64, seed uint64) (
 		tb.derate(derate)
 	}
 	cfg.Seed = seed
-	rec := trace.NewRecorder()
-	return dlio.Run(tb.env, tb.mounts, cfg, rec)
+	return dlio.Run(tb.env, tb.mounts, cfg, nil)
 }
 
 // dlioNodes returns the node sweep for a model.
@@ -36,30 +34,30 @@ func dlioNodes(model string, quick bool) []int {
 	return []int{1, 2, 4, 8, 16, 32}
 }
 
-// dlioSweep runs the model on both file systems over the node sweep and
-// hands each result to collect, which appends values to its own series.
-func dlioSweep(cfg dlio.Config, opts Options, collect func(fs FS, nodes int, reps []dlio.Result) error) error {
+// dlioSweep runs the model on both file systems over the node sweep, all
+// points at once on the point pool, and hands each node count's
+// repetitions to collect in serial order.
+func dlioSweep(cfg dlio.Config, opts Options, collect func(fs FS, nodes int, reps []dlio.Result)) error {
 	opts = opts.withDefaults()
-	for _, fs := range []FS{VAST, GPFS} {
+	fss := []FS{VAST, GPFS}
+	var pts []repPoint
+	for s, fs := range fss {
 		rng := stats.NewRNG(opts.Seed ^ hashString(cfg.Model+string(fs)))
 		spread := dedicatedSpread
 		if fs == GPFS {
 			spread = sharedSpread
 		}
-		for _, n := range dlioNodes(cfg.Model, opts.Quick) {
-			fs, n := fs, n
-			reps, err := runReps(opts.Reps,
-				func(rep int) float64 { return derateFactor(rng, rep, spread) },
-				func(rep int, f float64) (dlio.Result, error) {
-					return dlioPoint(fs, n, cfg, f, opts.Seed+uint64(rep))
-				})
-			if err != nil {
-				return err
-			}
-			if err := collect(fs, n, reps); err != nil {
-				return err
-			}
-		}
+		pts = appendReps(pts, s, dlioNodes(cfg.Model, opts.Quick), opts.Reps, rng, spread, opts.Seed)
+	}
+	res, err := runPoints(len(pts), func(i int) (dlio.Result, error) {
+		pt := pts[i]
+		return dlioPoint(fss[pt.series], pt.x, cfg, pt.derate, pt.seed)
+	})
+	if err != nil {
+		return err
+	}
+	for i := 0; i < len(pts); i += opts.Reps {
+		collect(fss[pts[i].series], pts[i].x, res[i:i+opts.Reps])
 	}
 	return nil
 }
@@ -88,7 +86,7 @@ func Fig4(model string, opts Options) (Panel, error) {
 			order = append(order, name)
 		}
 	}
-	err = dlioSweep(cfg, opts, func(fs FS, n int, reps []dlio.Result) error {
+	err = dlioSweep(cfg, opts, func(fs FS, n int, reps []dlio.Result) {
 		var ovl, novl []float64
 		for _, r := range reps {
 			ovl = append(ovl, r.Analysis.OverlapIO.Seconds())
@@ -98,7 +96,6 @@ func Fig4(model string, opts Options) (Panel, error) {
 		series[string(fs)+" overlap"].Append(float64(n), m, d)
 		m, d = summarizeReps(novl)
 		series[string(fs)+" non-overlap"].Append(float64(n), m, d)
-		return nil
 	})
 	if err != nil {
 		return Panel{}, err
@@ -134,7 +131,7 @@ func Fig56(model string, opts Options) (app, system Panel, err error) {
 	}
 	appSeries := map[FS]*stats.Series{VAST: {Name: "vast"}, GPFS: {Name: "gpfs"}}
 	sysSeries := map[FS]*stats.Series{VAST: {Name: "vast"}, GPFS: {Name: "gpfs"}}
-	err = dlioSweep(cfg, opts, func(fs FS, n int, reps []dlio.Result) error {
+	err = dlioSweep(cfg, opts, func(fs FS, n int, reps []dlio.Result) {
 		var av, sv []float64
 		for _, r := range reps {
 			av = append(av, r.AppSamplesPerSec)
@@ -144,7 +141,6 @@ func Fig56(model string, opts Options) (app, system Panel, err error) {
 		appSeries[fs].Append(float64(n), m, d)
 		m, d = summarizeReps(sv)
 		sysSeries[fs].Append(float64(n), m, d)
-		return nil
 	})
 	if err != nil {
 		return Panel{}, Panel{}, err

@@ -87,23 +87,25 @@ func Consistency(opts Options) (Table, error) {
 		Title:  fmt.Sprintf("Run-to-run consistency over %d repetitions (Lassen, %d nodes, seq read)", reps, nodes),
 		Header: []string{"file system", "mean GB/s", "min", "max", "rel spread"},
 	}
-	for _, fs := range []FS{VAST, GPFS} {
+	fss := []FS{VAST, GPFS}
+	var pts []repPoint
+	for i, fs := range fss {
 		rng := stats.NewRNG(opts.Seed ^ hashString("consistency"+string(fs)))
 		spread := dedicatedSpread
 		if fs == GPFS {
 			spread = sharedSpread
 		}
-		fs := fs
-		vals, err := runReps(reps,
-			func(rep int) float64 { return derateFactor(rng, rep, spread) },
-			func(rep int, f float64) (float64, error) {
-				return iorPoint("Lassen", fs, nodes, 44, ior.Analytics, 3000, false,
-					f, opts.Seed+uint64(rep), nil)
-			})
-		if err != nil {
-			return Table{}, err
-		}
-		s := stats.Summarize(vals)
+		pts = appendReps(pts, i, []int{nodes}, reps, rng, spread, opts.Seed)
+	}
+	vals, err := runPoints(len(pts), func(i int) (float64, error) {
+		pt := pts[i]
+		return iorPoint("Lassen", fss[pt.series], pt.x, 44, ior.Analytics, 3000, false, pt.derate, pt.seed, nil)
+	})
+	if err != nil {
+		return Table{}, err
+	}
+	for i, fs := range fss {
+		s := stats.Summarize(vals[i*reps : (i+1)*reps])
 		t.Rows = append(t.Rows, []string{
 			string(fs),
 			fmt.Sprintf("%.2f", s.Mean),

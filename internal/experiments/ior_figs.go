@@ -103,27 +103,26 @@ func iorPoint(machine string, fs FS, nodes, ppn int, wl ior.Workload, segments i
 	return bw / 1e9, nil
 }
 
-// iorSeries sweeps xs (node or proc counts) with reps repetitions and
-// returns a series of mean aggregate GB/s with stddev error bars.
+// iorSeries sweeps xs (node or proc counts) with reps repetitions, all
+// points at once on the point pool, and returns a series of mean aggregate
+// GB/s with stddev error bars.
 func iorSeries(name, machine string, fs FS, xs []int, point func(x int, derate float64, seed uint64) (float64, error), opts Options) (stats.Series, error) {
+	opts = opts.withDefaults()
 	s := stats.Series{Name: name}
-	rng := stats.NewRNG(opts.Seed ^ hashString(name))
 	tbSpread := dedicatedSpread
 	if fs == GPFS || fs == Lustre {
 		tbSpread = sharedSpread
 	}
-	for _, x := range xs {
-		x := x
-		vals, err := runReps(opts.Reps,
-			func(rep int) float64 { return derateFactor(rng, rep, tbSpread) },
-			func(rep int, f float64) (float64, error) {
-				return point(x, f, opts.Seed+uint64(rep))
-			})
-		if err != nil {
-			return s, err
-		}
-		mean, dev := summarizeReps(vals)
-		s.Append(float64(x), mean, dev)
+	pts := appendReps(nil, 0, xs, opts.Reps, stats.NewRNG(opts.Seed^hashString(name)), tbSpread, opts.Seed)
+	vals, err := runPoints(len(pts), func(i int) (float64, error) {
+		return point(pts[i].x, pts[i].derate, pts[i].seed)
+	})
+	if err != nil {
+		return s, err
+	}
+	for i := 0; i < len(pts); i += opts.Reps {
+		mean, dev := summarizeReps(vals[i : i+opts.Reps])
+		s.Append(float64(pts[i].x), mean, dev)
 	}
 	return s, nil
 }

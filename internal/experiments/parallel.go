@@ -4,56 +4,78 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"storagesim/internal/stats"
 )
 
-// runReps executes the repetitions of one sweep point concurrently on a
-// bounded worker pool — min(reps, GOMAXPROCS) workers pulling repetition
-// indices off an atomic counter. Each repetition builds its own sim.Env
-// and testbed (buildTestbed allocates everything fresh; no backend keeps
-// package-level mutable state), so the simulations are fully independent,
-// and each simulation is itself a goroutine-heavy baton-handoff system —
-// capping the fan-out keeps peak memory at pool-width simulations instead
-// of `reps` simultaneous ones.
+// runPoints runs a figure's n independent simulations — its (series, x,
+// rep) points, listed in the serial loop's order — on min(n, GOMAXPROCS)
+// worker goroutines pulling indices off an atomic counter, and returns the
+// results by index. Every point builds its own sim.Env and testbed
+// (buildTestbed allocates everything fresh; no backend keeps package-level
+// mutable state), so the simulations share nothing, and capping the
+// fan-out keeps peak memory at pool-width simulations.
 //
-// Determinism is preserved by construction:
+// Output is byte-identical at any width (MODEL.md §6):
 //
-//   - the contention RNG is consumed sequentially in repetition order
-//     *before* the fan-out, so the draw sequence is identical to the old
-//     serial loop;
-//   - results land in a slice indexed by repetition, so the merge order
-//     never depends on worker finish order;
-//   - on error, the lowest-numbered failing repetition wins.
-func runReps[T any](reps int, derate func(rep int) float64, point func(rep int, derate float64) (T, error)) ([]T, error) {
-	factors := make([]float64, reps)
-	for rep := range factors {
-		factors[rep] = derate(rep)
-	}
-	out := make([]T, reps)
-	errs := make([]error, reps)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > reps {
-		workers = reps
-	}
+//   - anything random a point needs (its contention factor) is drawn by
+//     the caller, in serial order, before the fan-out;
+//   - results land in a slice by index, so merge order never depends on
+//     which worker finishes first;
+//   - failures surface lowest index first: the first point, in serial
+//     order, that returned an error or panicked decides, and a panic is
+//     re-raised on the calling goroutine with its original value, so a
+//     model bug still reaches the caller's recover.
+func runPoints[T any](n int, point func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	panics := make([]any, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := min(n, runtime.GOMAXPROCS(0)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				rep := int(next.Add(1)) - 1
-				if rep >= reps {
-					return
-				}
-				out[rep], errs[rep] = point(rep, factors[rep])
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				out[i], panics[i], errs[i] = runPoint(i, point)
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for i := range out {
+		if panics[i] != nil {
+			panic(panics[i])
+		}
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
 	}
 	return out, nil
+}
+
+// runPoint runs one point on a worker, returning a panic as a value.
+func runPoint[T any](i int, point func(i int) (T, error)) (v T, panicked any, err error) {
+	defer func() { panicked = recover() }()
+	v, err = point(i)
+	return v, nil, err
+}
+
+// repPoint is one repetition of a contended sweep point.
+type repPoint struct {
+	series int     // index of the point's series in the figure
+	x      int     // node or process count
+	derate float64 // contention factor (derateFactor)
+	seed   uint64  // the repetition's seed: the sweep seed plus rep
+}
+
+// appendReps appends series s's points over xs, reps repetitions each,
+// x-major as the serial loops ran them, drawing each repetition's
+// contention factor from rng in that order.
+func appendReps(pts []repPoint, s int, xs []int, reps int, rng *stats.RNG, spread float64, seed uint64) []repPoint {
+	for _, x := range xs {
+		for rep := 0; rep < reps; rep++ {
+			pts = append(pts, repPoint{series: s, x: x, derate: derateFactor(rng, rep, spread), seed: seed + uint64(rep)})
+		}
+	}
+	return pts
 }

@@ -148,14 +148,19 @@ func RetryStormStudy(opts Options) (RetryStormResult, error) {
 	if opts.Quick {
 		window = 6 * time.Second
 	}
-	naive, naiveRep, err := runRetryStorm(true, window, opts.Seed)
+	type run struct {
+		tl  stormTimeline
+		rep traffic.TenantReport
+	}
+	runs, err := runPoints(2, func(i int) (run, error) {
+		tl, rep, err := runRetryStorm(i == 0, window, opts.Seed)
+		return run{tl, rep}, err
+	})
 	if err != nil {
 		return RetryStormResult{}, err
 	}
-	budgeted, budgetedRep, err := runRetryStorm(false, window, opts.Seed)
-	if err != nil {
-		return RetryStormResult{}, err
-	}
+	naive, naiveRep := runs[0].tl, runs[0].rep
+	budgeted, budgetedRep := runs[1].tl, runs[1].rep
 
 	goodput := Panel{
 		ID:     "retrystorm-goodput",

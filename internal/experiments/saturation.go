@@ -124,19 +124,24 @@ func SaturationSweep(opts Options) ([]Panel, error) {
 		{"lustre/Ruby", "Ruby", Lustre, 4},
 	}
 	window := 2 * time.Second
-	for _, d := range deps {
+	loads := saturationLoads(opts.Quick)
+	points, err := runPoints(len(deps)*len(loads), func(i int) ([]traffic.TenantReport, error) {
+		d := deps[i/len(loads)]
+		return runSaturationPoint(d.machine, d.fs, d.nodes, traffic.Config{
+			Spec:      SaturationTenants(),
+			Duration:  window,
+			Seed:      opts.Seed,
+			LoadScale: loads[i%len(loads)],
+		}, opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for di, d := range deps {
 		gp := stats.Series{Name: d.name}
 		tl := stats.Series{Name: d.name}
-		for _, load := range saturationLoads(opts.Quick) {
-			tenants, err := runSaturationPoint(d.machine, d.fs, d.nodes, traffic.Config{
-				Spec:      SaturationTenants(),
-				Duration:  window,
-				Seed:      opts.Seed,
-				LoadScale: load,
-			}, opts)
-			if err != nil {
-				return nil, err
-			}
+		for li, load := range loads {
+			tenants := points[di*len(loads)+li]
 			var delivered float64
 			merged := stats.NewSketch(0)
 			for _, tr := range tenants {

@@ -5,7 +5,6 @@ import (
 
 	"storagesim/internal/dlio"
 	"storagesim/internal/ior"
-	"storagesim/internal/trace"
 	"storagesim/internal/workloads"
 )
 
@@ -101,7 +100,7 @@ func suitabilityDLIO(w workloads.Workload, nodes int, opts Options) ([]string, e
 		if err != nil {
 			return 0, err
 		}
-		res, err := dlio.Run(tb.env, tb.mounts, cfg, trace.NewRecorder())
+		res, err := dlio.Run(tb.env, tb.mounts, cfg, nil)
 		if err != nil {
 			return 0, err
 		}

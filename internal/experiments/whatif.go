@@ -570,11 +570,11 @@ func burstOf(a traffic.Arrival) float64 {
 
 // --- DES verification ---
 
-// measureBatch DES-evaluates a candidate batch on the parallel rep pool
-// (each candidate builds its own env, so they are independent), results
-// in input order.
+// measureBatch DES-evaluates a candidate batch on the point pool (each
+// candidate builds its own env, so they are independent), results in
+// input order.
 func (e *whatIfExplorer) measureBatch(cs []configsearch.Candidate) ([]configsearch.Metrics, error) {
-	return runReps(len(cs), func(int) float64 { return 1 }, func(i int, _ float64) (configsearch.Metrics, error) {
+	return runPoints(len(cs), func(i int) (configsearch.Metrics, error) {
 		return e.measure(cs[i])
 	})
 }

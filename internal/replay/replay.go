@@ -122,7 +122,7 @@ func Run(env *sim.Env, mounts []fsapi.Client, spans []trace.Span, cfg Config, re
 	env.Run()
 
 	res := Result{
-		Analysis:        trace.Analyze(rec.Spans()),
+		Analysis:        rec.Analysis(),
 		Runtime:         sim.Duration(end),
 		OriginalRuntime: origEnd.Sub(origStart),
 	}
@@ -169,6 +169,7 @@ func replayRank(p *sim.Proc, cl fsapi.Client, cfg Config, rec *trace.Recorder, r
 	lanes.Go(fmt.Sprintf("replay-r%d-io", rank), func(p *sim.Proc) {
 		for _, it := range ios {
 			start := p.Now()
+			rec.Begin(rank, it.span.Kind, start)
 			if it.span.Kind == trace.Write {
 				cl.StreamWrite(p, path, fsapi.Sequential, cfg.TransferBytes, it.span.Bytes)
 			} else {
@@ -188,6 +189,7 @@ func replayRank(p *sim.Proc, cl fsapi.Client, cfg Config, rec *trace.Recorder, r
 				next++
 			}
 			start := p.Now()
+			rec.Begin(rank, trace.Compute, start)
 			p.Sleep(c.Duration())
 			rec.Record(rank, trace.Compute, start, p.Now(), 0)
 		}

@@ -431,14 +431,15 @@ func runWindow(shards []*Shard, boundary Time) (failure any) {
 	return nil
 }
 
-// Shutdown dismisses the executor goroutines and every shard Env's pooled
-// workers. The group cannot Run again afterwards.
+// Shutdown dismisses the executor goroutines and shuts every shard Env
+// down, unwinding the processes still parked in it (Env.Shutdown). The
+// group cannot Run again afterwards.
 func (g *Group) Shutdown() {
 	for _, ch := range g.cmds {
 		close(ch)
 	}
 	g.cmds = nil
 	for _, s := range g.shards {
-		s.env.stopWorkers()
+		s.env.Shutdown()
 	}
 }

@@ -37,7 +37,6 @@ type Env struct {
 	// Run caller no matter which goroutine happened to drain the event.
 	fnPanic any
 
-	procs   int // live (started, not yet finished) processes
 	blocked []blockedProc
 
 	// freeWorkers are parked goroutines whose process has finished,
@@ -197,7 +196,6 @@ func (t Timer) Cancel() {
 // spawning is the exception, not the rule, on churny workloads.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, fn: fn, blockedIdx: -1, Done: Event{env: e}}
-	e.procs++
 	e.scheduleEvent(e.now, evStart, nil, p)
 	return p
 }
@@ -228,7 +226,6 @@ func (e *Env) GoPooled(name string, fn func(p *Proc)) {
 	} else {
 		p = &Proc{env: e, name: name, fn: fn, blockedIdx: -1, pooled: true, Done: Event{env: e}}
 	}
-	e.procs++
 	e.scheduleEvent(e.now, evStart, nil, p)
 }
 
@@ -352,12 +349,16 @@ const maxFreeWorkers = 64
 // pools itself and keeps draining the calendar, so a process finish costs no
 // goroutine switch either.
 func (e *Env) workerMain(w *worker) {
+	defer func() {
+		if w.unwound != nil {
+			w.unwound <- struct{}{} // Shutdown: the process's defers have run
+		}
+	}()
 	for {
 		p := w.proc
 		p.fn(p)
 		p.fn = nil
 		p.finished = true
-		e.procs--
 		p.Done.Fire()
 		if p.pooled {
 			e.recycleProc(p)
@@ -486,10 +487,72 @@ func (e *Env) StepUntil(deadline Time) Time {
 	return e.now
 }
 
-// Shutdown dismisses the environment's idle worker pool. Required after a
-// StepUntil sequence (Run and RunUntil shut the pool down themselves);
-// calling it on an already-quiesced Env is a no-op.
-func (e *Env) Shutdown() { e.stopWorkers() }
+// Shutdown ends the simulation: it dismisses the idle worker pool and
+// unwinds every process still parked — on a timer, an Event, a Resource or
+// a Queue past a RunUntil deadline, or in a Group shard stepped with
+// StepUntil. Each such goroutine runs its process's deferred calls through
+// runtime.Goexit and exits, one at a time in calendar then park order, so
+// a finished run pins neither goroutines nor, through their stacks, the
+// model. The calendar is emptied: unstarted processes never run, and
+// unwound processes do not fire Done. Call it once a windowed run's
+// results are read; the Env must not run again afterwards. On an Env that
+// Run drained it only dismisses the pool.
+func (e *Env) Shutdown() {
+	if e.running {
+		panic("sim: Shutdown from inside the simulation")
+	}
+	e.stopWorkers()
+	parked := e.dropCalendar()
+	for _, b := range e.blocked {
+		if !b.p.finished {
+			b.p.finished = true
+			parked = append(parked, b.p)
+		}
+	}
+	if len(parked) == 0 {
+		return
+	}
+	// A deferred call that parks finds nothing to dispatch below this
+	// deadline and hands the baton straight back.
+	e.deadline = Time(math.MinInt64)
+	acks := make(chan struct{})
+	for _, p := range parked {
+		p.w.unwound = acks
+		close(p.w.resume)
+		for unwinding := true; unwinding; {
+			select {
+			case <-acks:
+				unwinding = false
+			case <-e.mainResume:
+				// A deferred call parked; its park sees the closed
+				// channel and exits on.
+			}
+		}
+	}
+	// Deferred calls may have scheduled, spawned or parked: drop it all.
+	e.dropCalendar()
+	clear(e.blocked)
+	e.blocked = e.blocked[:0]
+	runtime.Gosched() // let the acked goroutines finish exiting
+}
+
+// dropCalendar empties the calendar for Shutdown. It returns each process
+// a pending resume belongs to — one parked on a timer, or woken but not yet
+// resumed — and marks it finished so it is listed once. Unstarted
+// processes are dropped with their start events.
+func (e *Env) dropCalendar() (parked []*Proc) {
+	for {
+		ev := e.q.pop(Time(math.MaxInt64))
+		if ev == nil {
+			return parked
+		}
+		if p := ev.proc; ev.kind == evResume && !p.finished {
+			p.finished = true
+			parked = append(parked, p)
+		}
+		e.q.release(ev)
+	}
+}
 
 // NextEventAt returns the timestamp of the earliest live calendar event,
 // reporting false when the calendar is empty. The domain coordinator uses it

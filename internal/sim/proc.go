@@ -1,5 +1,7 @@
 package sim
 
+import "runtime"
+
 // Proc is a simulated process: a logical thread of execution interleaved
 // with all other processes by the Env scheduler so that exactly one runs at
 // a time. All blocking methods (Sleep, Wait, resource acquisition, ...) must
@@ -42,6 +44,9 @@ type Proc struct {
 type worker struct {
 	resume chan struct{}
 	proc   *Proc
+	// unwound is set by Env.Shutdown before it closes resume: the parked
+	// process exits through runtime.Goexit, and workerMain acks on it.
+	unwound chan<- struct{}
 }
 
 func bindWorker(w *worker, p *Proc) {
@@ -85,7 +90,9 @@ func (p *Proc) park(why string) {
 		e.pushBlocked(p, why)
 	}
 	if e.dispatch(p.w) != dispSelf {
-		<-p.w.resume
+		if _, ok := <-p.w.resume; !ok {
+			runtime.Goexit() // Env.Shutdown: run the process's defers and exit
+		}
 	}
 	if why != "" {
 		e.popBlocked(p)

@@ -1,10 +1,11 @@
 // Package trace is the simulator's DFTracer: it records per-rank "read"
 // and "compute" spans during a DLIO run, computes the paper's I/O-time
 // decomposition — non-overlapping I/O, overlapping I/O, pure compute
-// (Section VI-A) — and derives the two throughput views: the application
-// throughput (the app only perceives I/O that stalls its compute) and the
-// system throughput (the system is busy for all I/O time). Traces export to
-// Chrome trace-event JSON for inspection.
+// (Section VI-A) — online at span boundaries, and derives the two
+// throughput views: the application throughput (the app only perceives I/O
+// that stalls its compute) and the system throughput (the system is busy
+// for all I/O time). A recorder can also keep the span log, which exports
+// to Chrome trace-event JSON for inspection.
 package trace
 
 import (
@@ -53,28 +54,123 @@ type Span struct {
 // Duration returns the span length.
 func (s Span) Duration() sim.Duration { return s.End.Sub(s.Start) }
 
-// Recorder collects spans for one run. It is used from simulated processes
-// only, which the kernel serializes, so no locking is needed.
+// Recorder computes a run's I/O time decomposition online, and keeps the
+// span log when it was made by NewRecorder. A rank opens each span with
+// Begin at its start and closes it with Record at its end; at every such
+// boundary the rank's accumulator credits the time since the previous one
+// to I/O, compute or both, by which kinds had spans open. Boundaries must
+// arrive in time order per rank, which simulated processes guarantee. The
+// zero Recorder keeps no log: the decomposition costs a few words per rank
+// however long the run. A Recorder is used from simulated processes only,
+// which the kernel serializes, so no locking is needed.
 type Recorder struct {
+	ranks map[int]*rankClock
+	log   bool
 	spans []Span
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
+// NewRecorder returns an empty recorder that also keeps the span log, for
+// callers that export or replay the spans.
+func NewRecorder() *Recorder { return &Recorder{log: true} }
 
-// Record appends a span; zero- and negative-length spans are kept out.
+// rankClock is one rank's running decomposition: how many I/O and compute
+// spans are open, and the time so far with I/O in flight, with compute
+// running, and with both.
+type rankClock struct {
+	last                 sim.Time
+	io, compute          int
+	ioT, computeT, bothT sim.Duration
+	bytes                int64
+	seen                 bool // closed at least one non-empty span
+}
+
+// advance credits the time since the rank's last boundary.
+func (c *rankClock) advance(t sim.Time) {
+	if t <= c.last {
+		return
+	}
+	dt := t.Sub(c.last)
+	if c.io > 0 {
+		c.ioT += dt
+		if c.compute > 0 {
+			c.bothT += dt
+		}
+	}
+	if c.compute > 0 {
+		c.computeT += dt
+	}
+	c.last = t
+}
+
+func (r *Recorder) rank(rank int) *rankClock {
+	c := r.ranks[rank]
+	if c == nil {
+		if r.ranks == nil {
+			r.ranks = map[int]*rankClock{}
+		}
+		c = &rankClock{}
+		r.ranks[rank] = c
+	}
+	return c
+}
+
+// Begin opens a span of kind k on rank at start.
+func (r *Recorder) Begin(rank int, k Kind, start sim.Time) {
+	c := r.rank(rank)
+	c.advance(start)
+	if k == Compute {
+		c.compute++
+	} else {
+		c.io++
+	}
+}
+
+// Record closes the span that Begin(rank, k, start) opened, at end.
+// Zero- and negative-length spans count for nothing and are kept out of
+// the log.
 func (r *Recorder) Record(rank int, k Kind, start, end sim.Time, bytes int64) {
+	c := r.rank(rank)
+	c.advance(end)
+	if k == Compute {
+		c.compute--
+	} else {
+		c.io--
+	}
 	if end <= start {
 		return
 	}
-	r.spans = append(r.spans, Span{Rank: rank, Kind: k, Start: start, End: end, Bytes: bytes})
+	c.seen = true
+	if k != Compute {
+		c.bytes += bytes
+	}
+	if r.log {
+		r.spans = append(r.spans, Span{Rank: rank, Kind: k, Start: start, End: end, Bytes: bytes})
+	}
 }
 
-// Spans returns the recorded spans in record order.
+// Spans returns the logged spans in record order (none for a zero
+// Recorder).
 func (r *Recorder) Spans() []Span { return r.spans }
 
-// Len returns the span count.
+// Len returns the logged span count.
 func (r *Recorder) Len() int { return len(r.spans) }
+
+// Analysis returns the decomposition of the spans closed so far.
+func (r *Recorder) Analysis() Analysis {
+	var a Analysis
+	for _, c := range r.ranks {
+		if !c.seen {
+			continue
+		}
+		a.Ranks++
+		a.TotalIO += c.ioT
+		a.OverlapIO += c.bothT
+		a.ComputeTime += c.computeT
+		a.Bytes += c.bytes
+	}
+	a.NonOverlapIO = a.TotalIO - a.OverlapIO
+	return a
+}
 
 // Analysis is the per-run I/O time decomposition.
 type Analysis struct {
@@ -129,101 +225,35 @@ func (a Analysis) String() string {
 		a.TotalIO, a.OverlapIO, a.NonOverlapIO, a.ComputeTime, 100*a.HiddenFraction())
 }
 
-// interval is a half-open [start, end) pair used by the union machinery.
-type interval struct{ start, end sim.Time }
-
-// unionIntervals merges overlapping intervals in place and returns the
-// merged set in ascending order.
-func unionIntervals(iv []interval) []interval {
-	if len(iv) == 0 {
-		return iv
-	}
-	sort.Slice(iv, func(a, b int) bool { return iv[a].start < iv[b].start })
-	out := iv[:1]
-	for _, in := range iv[1:] {
-		last := &out[len(out)-1]
-		if in.start <= last.end {
-			if in.end > last.end {
-				last.end = in.end
-			}
-			continue
-		}
-		out = append(out, in)
-	}
-	return out
-}
-
-// totalLen sums interval lengths.
-func totalLen(iv []interval) sim.Duration {
-	var d sim.Duration
-	for _, in := range iv {
-		d += in.end.Sub(in.start)
-	}
-	return d
-}
-
-// intersectLen returns the total overlap between two merged interval sets.
-func intersectLen(a, b []interval) sim.Duration {
-	var d sim.Duration
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		lo := a[i].start
-		if b[j].start > lo {
-			lo = b[j].start
-		}
-		hi := a[i].end
-		if b[j].end < hi {
-			hi = b[j].end
-		}
-		if hi > lo {
-			d += hi.Sub(lo)
-		}
-		if a[i].end < b[j].end {
-			i++
-		} else {
-			j++
-		}
-	}
-	return d
-}
-
-// Analyze computes the decomposition over the recorded spans.
+// Analyze computes the decomposition of a span log by replaying its span
+// boundaries, in time order, through a Recorder: the same accumulator the
+// online analysis uses, so Analyze(rec.Spans()) equals rec.Analysis().
+// Spans with End <= Start count for nothing, as Record treats them.
 func Analyze(spans []Span) Analysis {
-	perRank := map[int]*struct {
-		reads, computes []interval
-		bytes           int64
-	}{}
-	for _, s := range spans {
-		st, ok := perRank[s.Rank]
-		if !ok {
-			st = &struct {
-				reads, computes []interval
-				bytes           int64
-			}{}
-			perRank[s.Rank] = st
+	type boundary struct {
+		at   sim.Time
+		span int
+		open bool
+	}
+	bs := make([]boundary, 0, 2*len(spans))
+	for i, s := range spans {
+		if s.End > s.Start {
+			bs = append(bs, boundary{s.Start, i, true}, boundary{s.End, i, false})
 		}
-		iv := interval{s.Start, s.End}
-		if s.Kind == Compute {
-			st.computes = append(st.computes, iv)
+	}
+	// The order among boundaries at one instant does not matter: each
+	// span closes after it opens, and no time passes between them.
+	sort.Slice(bs, func(a, b int) bool { return bs[a].at < bs[b].at })
+	var r Recorder
+	for _, b := range bs {
+		s := spans[b.span]
+		if b.open {
+			r.Begin(s.Rank, s.Kind, s.Start)
 		} else {
-			st.reads = append(st.reads, iv)
-			st.bytes += s.Bytes
+			r.Record(s.Rank, s.Kind, s.Start, s.End, s.Bytes)
 		}
 	}
-	var a Analysis
-	a.Ranks = len(perRank)
-	for _, st := range perRank {
-		reads := unionIntervals(st.reads)
-		computes := unionIntervals(st.computes)
-		io := totalLen(reads)
-		overlap := intersectLen(reads, computes)
-		a.TotalIO += io
-		a.OverlapIO += overlap
-		a.ComputeTime += totalLen(computes)
-		a.Bytes += st.bytes
-	}
-	a.NonOverlapIO = a.TotalIO - a.OverlapIO
-	return a
+	return r.Analysis()
 }
 
 // chromeEvent is one Chrome trace-event ("X" complete events).

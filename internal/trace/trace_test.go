@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,11 +15,15 @@ func ms(x int64) sim.Time { return sim.Time(x * int64(time.Millisecond)) }
 
 func TestRecorderSkipsEmptySpans(t *testing.T) {
 	r := NewRecorder()
-	r.Record(0, Read, 10, 10, 100)
-	r.Record(0, Read, 10, 5, 100)
-	r.Record(0, Read, 10, 20, 100)
+	for _, end := range []sim.Time{10, 5, 20} {
+		r.Begin(0, Read, 10)
+		r.Record(0, Read, 10, end, 100)
+	}
 	if r.Len() != 1 {
 		t.Fatalf("len = %d, want 1", r.Len())
+	}
+	if a := r.Analysis(); a.TotalIO != 10 || a.Bytes != 100 || a.Ranks != 1 {
+		t.Fatalf("analysis = %+v, want the one 10 ns span", a)
 	}
 }
 
@@ -116,7 +122,9 @@ func TestThroughputs(t *testing.T) {
 
 func TestChromeTraceRoundTrip(t *testing.T) {
 	r := NewRecorder()
+	r.Begin(0, Read, ms(1))
 	r.Record(0, Read, ms(1), ms(2), 12345)
+	r.Begin(1, Compute, ms(2))
 	r.Record(1, Compute, ms(2), ms(5), 0)
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, r.Spans()); err != nil {
@@ -174,27 +182,137 @@ func TestAnalysisInvariantsProperty(t *testing.T) {
 	}
 }
 
-func TestUnionIntervals(t *testing.T) {
-	iv := []interval{{5, 10}, {0, 3}, {2, 6}, {20, 25}}
-	merged := unionIntervals(iv)
-	if len(merged) != 2 {
-		t.Fatalf("merged = %v", merged)
+// TestAnalyzeUnionsOverlappingSpans: one rank's overlapping I/O spans
+// occupy its pipeline once — reads [5,10) [0,3) [2,6) [20,25) are 15 ns of
+// I/O, not 17.
+func TestAnalyzeUnionsOverlappingSpans(t *testing.T) {
+	var spans []Span
+	for _, iv := range [][2]sim.Time{{5, 10}, {0, 3}, {2, 6}, {20, 25}} {
+		spans = append(spans, Span{Rank: 0, Kind: Read, Start: iv[0], End: iv[1]})
 	}
-	if merged[0].start != 0 || merged[0].end != 10 || merged[1].start != 20 || merged[1].end != 25 {
-		t.Fatalf("merged = %v", merged)
-	}
-	if totalLen(merged) != 15 {
-		t.Fatalf("total = %v", totalLen(merged))
+	if a := Analyze(spans); a.TotalIO != 15 {
+		t.Fatalf("total I/O = %v, want 15ns", a.TotalIO)
 	}
 }
 
-func TestIntersectLen(t *testing.T) {
-	a := []interval{{0, 10}, {20, 30}}
-	b := []interval{{5, 25}}
-	if got := intersectLen(a, b); got != 10 {
-		t.Fatalf("intersect = %v, want 10", got)
+// TestAnalyzeOverlapIsIntersection: overlapping I/O is the intersection of
+// the rank's I/O and compute time — reads [0,10) [20,30) against compute
+// [5,25) overlap for 10 ns, and without compute for none.
+func TestAnalyzeOverlapIsIntersection(t *testing.T) {
+	spans := []Span{
+		{Rank: 0, Kind: Read, Start: 0, End: 10},
+		{Rank: 0, Kind: Write, Start: 20, End: 30},
+		{Rank: 0, Kind: Compute, Start: 5, End: 25},
 	}
-	if got := intersectLen(a, nil); got != 0 {
-		t.Fatalf("intersect with empty = %v", got)
+	if a := Analyze(spans); a.OverlapIO != 10 || a.ComputeTime != 20 {
+		t.Fatalf("overlap = %v, compute = %v, want 10ns and 20ns", a.OverlapIO, a.ComputeTime)
+	}
+	if a := Analyze(spans[:2]); a.OverlapIO != 0 || a.TotalIO != 20 {
+		t.Fatalf("without compute: overlap = %v, total = %v, want 0 and 20ns", a.OverlapIO, a.TotalIO)
+	}
+}
+
+// referenceAnalysis decomposes spans on small integer times the slow way:
+// one nanosecond at a time, per rank, by which kinds cover it.
+func referenceAnalysis(spans []Span) Analysis {
+	var a Analysis
+	ranks := map[int]bool{}
+	var end sim.Time
+	for _, s := range spans {
+		if s.End > s.Start {
+			ranks[s.Rank] = true
+			if s.Kind != Compute {
+				a.Bytes += s.Bytes
+			}
+		}
+		if s.End > end {
+			end = s.End
+		}
+	}
+	a.Ranks = len(ranks)
+	for rank := range ranks {
+		for t := sim.Time(0); t < end; t++ {
+			var io, compute bool
+			for _, s := range spans {
+				if s.Rank == rank && s.Start <= t && t < s.End {
+					if s.Kind == Compute {
+						compute = true
+					} else {
+						io = true
+					}
+				}
+			}
+			if io {
+				a.TotalIO++
+			}
+			if compute {
+				a.ComputeTime++
+			}
+			if io && compute {
+				a.OverlapIO++
+			}
+		}
+	}
+	a.NonOverlapIO = a.TotalIO - a.OverlapIO
+	return a
+}
+
+// TestOnlineMatchesAnalyze records randomized overlapping spans — with
+// zero-length spans and spans that touch end to start — through Begin and
+// Record in time order, the way a simulation does, with boundaries at one
+// instant in random order. The online decomposition must equal Analyze
+// over the logged spans and the nanosecond-by-nanosecond reference,
+// exactly.
+func TestOnlineMatchesAnalyze(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		var spans []Span
+		for i, n := 0, 1+rng.Intn(24); i < n; i++ {
+			start := sim.Time(rng.Intn(40))
+			length := sim.Time(rng.Intn(12))
+			if rng.Intn(4) == 0 {
+				length = 0
+			}
+			if i > 0 && rng.Intn(4) == 0 { // touch the previous span's end
+				start = spans[i-1].End
+			}
+			spans = append(spans, Span{
+				Rank: rng.Intn(3), Kind: Kind(rng.Intn(3)),
+				Start: start, End: start + length, Bytes: int64(1 + rng.Intn(100)),
+			})
+		}
+		type boundary struct {
+			at, tie sim.Time
+			span    int
+			open    bool
+		}
+		var bs []boundary
+		for i, s := range spans {
+			tie := sim.Time(2 * rng.Intn(1000))
+			closeTie := tie + 1 // an empty span still closes after it opens
+			if s.End > s.Start {
+				closeTie = sim.Time(2 * rng.Intn(1000))
+			}
+			bs = append(bs, boundary{s.Start, tie, i, true}, boundary{s.End, closeTie, i, false})
+		}
+		sort.Slice(bs, func(a, b int) bool {
+			if bs[a].at != bs[b].at {
+				return bs[a].at < bs[b].at
+			}
+			return bs[a].tie < bs[b].tie
+		})
+		rec := NewRecorder()
+		for _, b := range bs {
+			s := spans[b.span]
+			if b.open {
+				rec.Begin(s.Rank, s.Kind, s.Start)
+			} else {
+				rec.Record(s.Rank, s.Kind, s.Start, s.End, s.Bytes)
+			}
+		}
+		online, replayed, want := rec.Analysis(), Analyze(rec.Spans()), referenceAnalysis(spans)
+		if online != want || replayed != want || Analyze(spans) != want {
+			t.Fatalf("trial %d: online %+v, Analyze %+v, reference %+v\nspans %v", trial, online, replayed, want, spans)
+		}
 	}
 }

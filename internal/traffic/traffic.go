@@ -175,8 +175,11 @@ type Report struct {
 //
 // Run drives env itself (RunUntil the window's end) and must be called
 // with a quiescent env; fault schedules armed on the same env beforehand
-// compose naturally — their timers fire inside the window. A cfg that
-// Validate rejects is a caller bug: Run panics with Validate's error.
+// compose naturally — their timers fire inside the window. Once the report
+// is built, Run shuts env down (sim.Env.Shutdown), unwinding the requests
+// still in flight, so a finished run pins no goroutines; env cannot run
+// again. A cfg that Validate rejects is a caller bug: Run panics with
+// Validate's error.
 func Run(env *sim.Env, fab *sim.Fabric, nodes int, mount func(tenant string, node int) fsapi.Client, cfg Config) Report {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -189,5 +192,7 @@ func Run(env *sim.Env, fab *sim.Fabric, nodes int, mount func(tenant string, nod
 	if cfg.Drain {
 		env.Run()
 	}
-	return Report{Duration: cfg.Duration, Tenants: rk.report(fab)}
+	rep := Report{Duration: cfg.Duration, Tenants: rk.report(fab)}
+	env.Shutdown()
+	return rep
 }
