@@ -43,7 +43,7 @@ oracle:
 
 bench-smoke:
 	$(GO) test ./internal/sim/ -run XXX -bench BenchmarkFabricSolver -benchtime=1x
-	$(GO) test . -run XXX -bench 'BenchmarkKernel|BenchmarkCacheChurn|BenchmarkCacheFsyncClean' -benchtime=1x
+	$(GO) test . -run XXX -bench 'BenchmarkKernel|BenchmarkFabricTransfer|BenchmarkBackendOp|BenchmarkCacheChurn|BenchmarkCacheFsyncClean' -benchtime=1x
 	$(GO) test ./internal/traffic -run XXX -bench 'BenchmarkTrafficEngine|BenchmarkResilienceOverhead' -benchtime=1x
 	$(GO) test ./internal/surrogate -run XXX -bench BenchmarkSurrogateScore -benchtime=1x
 	$(GO) test ./internal/trace -run XXX -bench BenchmarkParseJSONL -benchtime=1x
@@ -93,12 +93,12 @@ fuzz-smoke:
 # parser micro-benchmarks get stable 1s timings; the heavyweight
 # end-to-end benches run a few fixed iterations.
 bench:
-	( $(GO) test . -run XXX -bench 'BenchmarkKernel|BenchmarkFairShareSolver|BenchmarkCache' -benchtime=1s -benchmem ; \
+	( $(GO) test . -run XXX -bench 'BenchmarkKernel|BenchmarkFabricTransfer|BenchmarkBackendOp|BenchmarkFairShareSolver|BenchmarkCache' -benchtime=1s -benchmem ; \
 	  $(GO) test ./internal/sim/ -run XXX -bench BenchmarkFabricSolver -benchtime=3x -benchmem ; \
 	  $(GO) test ./internal/trace -run XXX -bench BenchmarkParseJSONL -benchtime=1s -benchmem ; \
 	  $(GO) test . -run XXX -bench 'BenchmarkConsistency|BenchmarkFig2a|BenchmarkFig3$$' -benchtime=1x -benchmem ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_kernel.json \
-	    -note "post-overhaul kernel numbers; the pre-overhaul binary-heap scheduler's are in BENCH_baseline.json. CacheLookup is a page-cache hit and CacheChurn a 256 KiB sequential read over a working set four times the capacity (a miss, insert and eviction every fourth read), both through the open-addressed block table. CacheFsyncClean is the clean-file fsync of the per-file page-cache index (flat in the resident block count). ParseJSONL decodes a canonical 10k-event JSONL trace with the one-pass scanner. Consistency, Fig2a and Fig3 run each figure's independent simulations on GOMAXPROCS workers (two here), so they time wall clock across both cores. Recorded with go1.24.0 linux/amd64 on a 2-core Intel Xeon @2.10GHz shared container, default GOMAXPROCS"
+	    -note "post-overhaul kernel numbers; the pre-overhaul binary-heap scheduler's are in BENCH_baseline.json. KernelProcessSwitch is a process resuming itself (no channel operation), KernelHandoff a switch between two processes (one channel operation). FabricTransfer is one transfer over a two-pipe path with propagation latency, two processes alternating: its process parks once, the kernel starting the flow at the end of the latency. BackendOp is one op-level 1 MiB write and read through each backend's fsbase op path, client page cache off. CacheLookup is a page-cache hit and CacheChurn a 256 KiB sequential read over a working set four times the capacity (a miss, insert and eviction every fourth read), both through the open-addressed block table. CacheFsyncClean is the clean-file fsync of the per-file page-cache index (flat in the resident block count). ParseJSONL decodes a canonical 10k-event JSONL trace with the one-pass scanner. Consistency, Fig2a and Fig3 run each figure's independent simulations on GOMAXPROCS workers (two here), so they time wall clock across both cores. Recorded with go1.24.0 linux/amd64 on a 2-core Intel Xeon @2.10GHz shared container, default GOMAXPROCS"
 	( $(GO) test ./internal/traffic -run XXX -bench 'BenchmarkTrafficEngine|BenchmarkResilienceOverhead' -benchtime=2s -benchmem ; \
 	  $(GO) test ./internal/surrogate -run XXX -bench BenchmarkSurrogateScore -benchtime=2s -benchmem ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_traffic.json \

@@ -15,8 +15,14 @@ import (
 
 	storagesim "storagesim"
 	"storagesim/internal/cache"
+	"storagesim/internal/cluster"
+	"storagesim/internal/gpfs"
+	"storagesim/internal/lustre"
+	"storagesim/internal/nvmelocal"
 	"storagesim/internal/sim"
 	"storagesim/internal/stats"
+	"storagesim/internal/unifyfs"
+	"storagesim/internal/vast"
 )
 
 func quickOpts() storagesim.ExperimentOptions {
@@ -302,6 +308,100 @@ func BenchmarkKernelProcessSwitch(b *testing.B) {
 	})
 	b.ResetTimer()
 	env.Run()
+}
+
+// BenchmarkKernelHandoff measures a switch between two processes: they
+// sleep in turn, so every resume hands the baton from one goroutine to the
+// other (one channel operation) — the switch that dominates model runs,
+// which BenchmarkKernelProcessSwitch's self-resume never pays.
+func BenchmarkKernelHandoff(b *testing.B) {
+	b.ReportAllocs()
+	env := sim.NewEnv()
+	for i := 0; i < 2; i++ {
+		env.Go("sleeper", func(p *sim.Proc) {
+			p.Sleep(sim.Duration(5 * i)) // out of phase with the other
+			for j := i; j < b.N; j += 2 {
+				p.Sleep(10)
+			}
+		})
+	}
+	b.ResetTimer()
+	env.Run()
+}
+
+// BenchmarkFabricTransfer measures one transfer over a two-pipe path with
+// propagation latency, two processes alternating: the latency stage, the
+// flow's start and solve, its completion, and the waiter's resume.
+func BenchmarkFabricTransfer(b *testing.B) {
+	b.ReportAllocs()
+	env := sim.NewEnv()
+	fab := sim.NewFabric(env)
+	path := []*sim.Pipe{fab.NewPipe("nic", 1e9, 1000), fab.NewPipe("disk", 2e9, 0)}
+	for i := 0; i < 2; i++ {
+		env.Go("client", func(p *sim.Proc) {
+			p.Sleep(sim.Duration(100 * i)) // out of phase with the other
+			for j := i; j < b.N; j += 2 {
+				fab.Transfer(p, path, 1000, 0)
+			}
+		})
+	}
+	b.ResetTimer()
+	env.Run()
+}
+
+// BenchmarkBackendOp measures one op-level write and one read of 1 MiB
+// through each backend's fsbase op path (OpWrite and OpRead: RPC, network,
+// server and device), on its paper deployment with the client page cache
+// off so that every operation reaches the backend.
+func BenchmarkBackendOp(b *testing.B) {
+	for _, bc := range []struct {
+		name, machine string
+		mount         func(cl *storagesim.Cluster) storagesim.Mounter
+	}{
+		{"vast", "Wombat", func(cl *storagesim.Cluster) storagesim.Mounter {
+			cfg := cluster.WombatVASTConfig(cl)
+			cfg.ClientCacheBytes = 0
+			return vast.MustNew(cl.Env, cl.Fab, cfg)
+		}},
+		{"gpfs", "Lassen", func(cl *storagesim.Cluster) storagesim.Mounter {
+			cfg := cluster.GPFSLassenConfig(cl)
+			cfg.ClientCacheBytes = 0
+			return gpfs.MustNew(cl.Env, cl.Fab, cfg)
+		}},
+		{"lustre", "Ruby", func(cl *storagesim.Cluster) storagesim.Mounter {
+			cfg := cluster.LustreConfig(cl)
+			cfg.ClientCacheBytes = 0
+			return lustre.MustNew(cl.Env, cl.Fab, cfg)
+		}},
+		{"nvme", "Wombat", func(cl *storagesim.Cluster) storagesim.Mounter {
+			cfg := cluster.NVMeWombatConfig(cl)
+			cfg.PageCacheBytes = 0
+			return nvmelocal.MustNew(cl.Env, cl.Fab, cfg)
+		}},
+		{"unifyfs", "Wombat", func(cl *storagesim.Cluster) storagesim.Mounter {
+			return unifyfs.MustNew(cl.Env, cl.Fab, cluster.UnifyFSWombatConfig(cl))
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			cl, err := storagesim.New().Cluster(bc.machine, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			client := storagesim.MountAll(bc.mount(cl), cl)[0]
+			const size = 1 << 20
+			cl.Env.Go("rank", func(p *sim.Proc) {
+				f := client.Open(p, "/bench/op", true)
+				for i := 0; i < b.N; i++ {
+					off := int64(i%64) * size
+					f.WriteAt(p, off, size)
+					f.ReadAt(p, off, size)
+				}
+			})
+			b.ResetTimer()
+			cl.Env.Run()
+		})
+	}
 }
 
 // BenchmarkFairShareSolver measures the max-min solver with 512 concurrent

@@ -44,17 +44,23 @@ func main() {
 	remote := flag.Float64("remote", 0.25, "cross-rack placement fraction when -racks > 1")
 	flag.Parse()
 	_ = plots
+	switch {
+	case *reps < 1:
+		fail("reps %d is not positive", *reps)
+	case *racks < 0:
+		fail("racks %d is negative", *racks)
+	case *domains < 0:
+		fail("domains %d is negative", *domains)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			fail("-cpuprofile: %v", err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			fail("-cpuprofile: %v", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -62,14 +68,12 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "paperfigs: -memprofile: %v\n", err)
-				os.Exit(1)
+				fail("-memprofile: %v", err)
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "paperfigs: -memprofile: %v\n", err)
-				os.Exit(1)
+				fail("-memprofile: %v", err)
 			}
 		}()
 	}
@@ -87,8 +91,7 @@ func main() {
 		ran++
 		fmt.Printf("--- %s ---\n", f.name)
 		if err := f.run(opts); err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: %s: %v\n", f.name, err)
-			os.Exit(1)
+			fail("%s: %v", f.name, err)
 		}
 	}
 	if ran == 0 {
@@ -283,4 +286,9 @@ func exportTableCSV(t storagesim.ResultTable) error {
 	}
 	defer f.Close()
 	return t.WriteCSV(f)
+}
+
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "paperfigs: "+format+"\n", args...)
+	os.Exit(1)
 }

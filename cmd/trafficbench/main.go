@@ -41,6 +41,12 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+	switch {
+	case *racks < 1:
+		fail(fmt.Errorf("racks %d is not positive", *racks))
+	case *domains < 0:
+		fail(fmt.Errorf("domains %d is negative", *domains))
+	}
 	defer profiling.Start(*cpuProfile, *memProfile)()
 
 	spec := experiments.SaturationTenants()

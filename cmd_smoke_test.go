@@ -146,37 +146,51 @@ func TestCommandsSmoke(t *testing.T) {
 	}
 }
 
-// TestTrafficFlagErrors: a traffic window or load the engine cannot run is
-// a user error. Both traffic CLIs must exit 1 with an error line, never
-// panic, and never hang (a NaN or infinite load once spun forever).
+// TestTrafficFlagErrors: a traffic window, load or count the engine cannot
+// run is a user error. The traffic CLIs and paperfigs must exit 1 with an
+// error line, never panic, never hang (a NaN or infinite load once spun
+// forever), and never run with the flag silently replaced (a zero rep count
+// once ran one rep, a negative executor count GOMAXPROCS).
 func TestTrafficFlagErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	dir := buildCmds(t, "trafficbench", "tracereplay")
+	dir := buildCmds(t, "trafficbench", "tracereplay", "paperfigs")
+	traffic := []string{"trafficbench", "tracereplay"}
+	all := []string{"trafficbench", "tracereplay", "paperfigs"}
 	for _, tc := range []struct {
+		cmds  []string
 		flags []string
 		want  string
 	}{
-		{[]string{"-duration", "0s"}, "duration 0s is not positive"},
-		{[]string{"-load", "-2"}, "load scale -2"},
-		{[]string{"-racks", "2", "-remote", "1.5"}, "remote fraction 1.5 out of [0,1]"},
-		{[]string{"-load", "NaN"}, "load scale NaN"},
-		{[]string{"-load", "+Inf"}, "load scale +Inf"},
+		{traffic, []string{"-duration", "0s"}, "duration 0s is not positive"},
+		{traffic, []string{"-load", "-2"}, "load scale -2"},
+		{traffic, []string{"-racks", "2", "-remote", "1.5"}, "remote fraction 1.5 out of [0,1]"},
+		{traffic, []string{"-load", "NaN"}, "load scale NaN"},
+		{traffic, []string{"-load", "+Inf"}, "load scale +Inf"},
+		{traffic, []string{"-racks", "0"}, "racks 0 is not positive"},
+		{traffic, []string{"-racks", "-1"}, "racks -1 is not positive"},
+		{all, []string{"-domains", "-1"}, "domains -1 is negative"},
+		{[]string{"paperfigs"}, []string{"-reps", "0"}, "reps 0 is not positive"},
+		{[]string{"paperfigs"}, []string{"-reps", "-3"}, "reps -3 is not positive"},
+		{[]string{"paperfigs"}, []string{"-racks", "-2"}, "racks -2 is negative"},
 	} {
-		// tracereplay takes the window and load in -record mode, and -racks
-		// only when replaying a trace.
-		replay := []string{"tracereplay", "-record"}
-		if tc.flags[0] == "-racks" {
-			replay = []string{"tracereplay", "-trace", "internal/experiments/testdata/fidelity_trace.jsonl"}
-		}
-		for _, args := range [][]string{
-			append([]string{"trafficbench"}, tc.flags...),
-			append(replay, tc.flags...),
-		} {
+		for _, name := range tc.cmds {
+			args := append([]string{name}, tc.flags...)
+			switch {
+			case name == "paperfigs":
+				// The cheapest figure, should a bad count be let through.
+				args = append(args, "-fig", "table1")
+			case name == "tracereplay" && (tc.flags[0] == "-racks" || tc.flags[0] == "-domains"):
+				// tracereplay takes -racks and -domains when replaying a
+				// trace, the window and load in -record mode.
+				args = append(args, "-trace", "internal/experiments/testdata/fidelity_trace.jsonl")
+			case name == "tracereplay":
+				args = append(args, "-record")
+			}
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			var stderr strings.Builder
-			cmd := exec.CommandContext(ctx, filepath.Join(dir, args[0]), args[1:]...)
+			cmd := exec.CommandContext(ctx, filepath.Join(dir, name), args[1:]...)
 			cmd.Stderr = &stderr
 			err := cmd.Run()
 			hung := ctx.Err() != nil

@@ -238,10 +238,7 @@ func (d *Device) op(p *sim.Proc, file uint64, offset, size int64, pipe *sim.Pipe
 		lat += d.spec.SeekPenalty
 	}
 	d.nextOffset[file] = offset + size
-	if lat > 0 {
-		p.Sleep(lat)
-	}
-	d.fab.Transfer(p, []*sim.Pipe{pipe}, float64(size), 0)
+	d.fab.TransferAfter(p, lat, []*sim.Pipe{pipe}, float64(size), 0)
 }
 
 // Flush makes previously written data durable (the device half of fsync).

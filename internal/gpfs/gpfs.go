@@ -281,10 +281,7 @@ func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, to
 func (b *backend) OpWrite(p *sim.Proc, ino *fsapi.Inode, off, n int64) {
 	c := (*client)(b)
 	s := c.sys
-	if s.cfg.RPCLatency > 0 {
-		p.Sleep(s.cfg.RPCLatency)
-	}
-	s.fab.Transfer(p, c.writePipes(), float64(n), 0)
+	s.fab.TransferAfter(p, s.cfg.RPCLatency, c.writePipes(), float64(n), 0)
 	s.raid.Write(p, ino.ID, off, n)
 	if s.serverCch != nil {
 		// NSD servers keep freshly written data in memory.

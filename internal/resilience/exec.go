@@ -54,15 +54,21 @@ type Call struct {
 
 	env  *sim.Env
 	done sim.Event
-	// ab0/ab1 are the round-0 abort tokens, embedded so the common case
-	// (no retries) runs allocation-free. Later rounds allocate fresh
-	// tokens: a round-0 loser may still be live and holding its token, and
-	// resetting a token under a live attempt would corrupt the race guards.
-	ab0, ab1 sim.Abort
-	aborts   [2]*sim.Abort
-	att      [2]func(ap *sim.Proc)
-	onHedge  func()
-	onDln    func()
+	// aborts are the current round's tokens, drawn from tokens: the free
+	// list of tokens no live attempt holds. An attempt hands its token
+	// back when it returns, and a round hands back its hedge token if no
+	// hedge launched. A loser of an earlier round may still be live and
+	// holding its token, which is therefore not on the list; resetting a
+	// token under a live attempt would corrupt the race guards. The list
+	// starts with the embedded pair own, in tokBuf, so a call allocates a
+	// token only for a retry round that starts while a loser is live.
+	aborts  [2]*sim.Abort
+	tokens  []*sim.Abort
+	own     [2]sim.Abort
+	tokBuf  [2]*sim.Abort
+	att     [2]func(ap *sim.Proc)
+	onHedge func()
+	onDln   func()
 
 	round  uint32 // retry round counter; stale attempts detect a moved-on call
 	winner int8
@@ -86,6 +92,7 @@ func (c *Call) DeferRelease() { c.defRel = true }
 func (c *Call) begin(env *sim.Env) {
 	if c.env != env {
 		c.env = env
+		c.tokens = append(c.tokBuf[:0], &c.own[0], &c.own[1])
 		c.att[0] = func(ap *sim.Proc) { c.attemptBody(ap, 0) }
 		c.att[1] = func(ap *sim.Proc) { c.attemptBody(ap, 1) }
 		c.onHedge = func() {
@@ -128,6 +135,7 @@ func (c *Call) attemptBody(ap *sim.Proc, idx int) {
 		c.winner = int8(idx)
 		c.done.Fire()
 	}
+	c.tokens = append(c.tokens, ab)
 	c.live--
 	if c.live == 0 && c.defRel {
 		c.defRel = false
@@ -153,15 +161,8 @@ func (c *Call) runRound(p *sim.Proc, pl Policy, hedgeDelay sim.Duration) (ok, he
 	c.done.Init(env)
 	c.winner = -1
 	c.hedged = false
-	if c.round == 0 {
-		c.ab0.Reset()
-		c.ab1.Reset()
-		c.aborts[0] = &c.ab0
-		c.aborts[1] = &c.ab1
-	} else {
-		c.aborts[0] = sim.NewAbort()
-		c.aborts[1] = sim.NewAbort()
-	}
+	c.aborts[0] = c.token()
+	c.aborts[1] = c.token()
 	c.launch(0)
 	var hedgeTimer, deadlineTimer sim.Timer
 	if hedgeDelay > 0 {
@@ -175,6 +176,9 @@ func (c *Call) runRound(p *sim.Proc, pl Policy, hedgeDelay sim.Duration) (ok, he
 	deadlineTimer.Cancel()
 	winner, hedgedOut := c.winner, c.hedged
 	c.round++
+	if !hedgedOut {
+		c.tokens = append(c.tokens, c.aborts[1]) // no attempt holds it
+	}
 	switch winner {
 	case -1:
 		return false, hedgedOut, false
@@ -185,6 +189,18 @@ func (c *Call) runRound(p *sim.Proc, pl Policy, hedgeDelay sim.Duration) (ok, he
 		c.aborts[0].Fire() // hedge won; cancel the primary
 		return true, hedgedOut, true
 	}
+}
+
+// token draws a reset abort token from the free list, or a new one.
+func (c *Call) token() *sim.Abort {
+	n := len(c.tokens)
+	if n == 0 {
+		return sim.NewAbort()
+	}
+	ab := c.tokens[n-1]
+	c.tokens = c.tokens[:n-1]
+	ab.Reset()
+	return ab
 }
 
 // ExecuteCall runs the call under the policy on behalf of p, blocking

@@ -235,3 +235,44 @@ func TestHedgeDelay(t *testing.T) {
 		t.Fatalf("floored delay = %v, want 50ms", d)
 	}
 }
+
+// TestCallRecyclesAbortTokens: a reused Call whose requests retry and hedge
+// draws each round's abort tokens from its free list once warm, so the
+// deadline, retry and hedge machinery allocates nothing per request. The
+// attempts cycle through slow (a 10 ms transfer, past the 2 ms deadline)
+// and fast (0.1 ms) ones: a slow primary and a slow hedge miss and retry,
+// a slow primary and a fast hedge resolve on the hedge.
+func TestCallRecyclesAbortTokens(t *testing.T) {
+	r := newRig()
+	pl := Policy{Deadline: 2 * sim.Millisecond, Retry: retry(sim.Millisecond, 2, 3)}
+	inv := 0
+	c := &Call{FlowID: 7, Attempt: func(ap *sim.Proc) {
+		size := 1e5
+		if k := inv % 5; k == 0 || k == 1 || k == 3 {
+			size = 1e7
+		}
+		inv++
+		r.fab.Transfer(ap, []*sim.Pipe{r.link}, size, 1e9)
+	}}
+	var total Outcome
+	r.env.Go("client", func(p *sim.Proc) {
+		for {
+			out := ExecuteCall(p, pl, c, 500*sim.Microsecond, nil)
+			total.Retries += out.Retries
+			total.Hedges += out.Hedges
+			total.HedgeWins += out.HedgeWins
+			for !c.Idle() {
+				p.Sleep(sim.Microsecond) // reuse the record only when idle
+			}
+		}
+	})
+	defer r.env.Shutdown()
+	r.env.StepUntil(sim.Time(10 * sim.Second)) // grows the calendar's buckets and the pools
+	allocs := testing.AllocsPerRun(20, func() { r.env.StepUntil(r.env.Now() + sim.Time(100*sim.Millisecond)) })
+	if total.Retries == 0 || total.Hedges == 0 || total.HedgeWins == 0 {
+		t.Fatalf("outcomes %+v: the rig must retry, hedge and win hedges", total)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per 100 ms of retried and hedged requests, want 0", allocs)
+	}
+}

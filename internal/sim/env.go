@@ -39,6 +39,10 @@ type Env struct {
 
 	blocked []blockedProc
 
+	// resumes counts the wake-ups of parked processes (the tests read it:
+	// a transfer must cost its process one).
+	resumes int
+
 	// freeWorkers are parked goroutines whose process has finished,
 	// available for reuse by the next Go. spawnedWorkers counts actual
 	// goroutine launches (recycling diagnostics).
@@ -50,6 +54,10 @@ type Env struct {
 	// pool, a plain slice — single-threaded by construction, deterministic
 	// reuse order.
 	freeProcs []*Proc
+
+	// freePending lists the idle records of TransferAfter calls (see
+	// pendingPool), linked through their next fields.
+	freePending *pendingTransfer
 
 	// Interned flow tags (see tag.go). tagNames[0] is the untagged "".
 	tagIndex map[string]FlowTag
@@ -264,7 +272,9 @@ const (
 // callbacks (the fabric solver above all) can grow worker stacks to the
 // model's high-water mark, bounded by the worker pool cap; panics from
 // model callbacks are relayed through fnPanic so they still surface at the
-// Run caller, as they did in the seed.
+// Run caller, as they did in the seed. The stages of a pending transfer
+// (Fabric.TransferAfter) run inline the same way, and resume their process
+// only when the transfer returns at a stage.
 func (e *Env) dispatch(w *worker) int {
 	for {
 		ev := e.q.pop(e.deadline)
@@ -293,11 +303,23 @@ func (e *Env) dispatch(w *worker) int {
 		case evResume:
 			p := ev.proc
 			e.q.release(ev)
-			if w != nil && p == w.proc {
-				return dispSelf
+			return e.resume(w, p)
+		case evTransfer:
+			p, x := ev.proc, ev.xfer
+			e.q.release(ev)
+			resume, ok := false, true
+			if w == nil {
+				resume = x.f.stepPending(p, x)
+			} else {
+				resume, ok = e.stepPendingOnWorker(p, x)
 			}
-			p.w.resume <- struct{}{}
-			return dispHandoff
+			if !ok {
+				e.mainResume <- struct{}{} // relayed like a callback panic
+				return dispHandoff
+			}
+			if resume {
+				return e.resume(w, p)
+			}
 		default: // evStart
 			p := ev.proc
 			e.q.release(ev)
@@ -322,17 +344,41 @@ func (e *Env) dispatch(w *worker) int {
 	}
 }
 
+// resume hands the baton to the parked process p: with no channel
+// operation when the dispatching worker is p's own, otherwise with one send
+// to p's goroutine.
+func (e *Env) resume(w *worker, p *Proc) int {
+	e.resumes++
+	if w != nil && p == w.proc {
+		return dispSelf
+	}
+	p.w.resume <- struct{}{}
+	return dispHandoff
+}
+
 // runFnOnWorker executes a model callback on a worker goroutine, converting
 // a panic into a false return with the value parked in fnPanic. Keeping the
-// recover in its own frame keeps dispatch's hot loop free of deferred calls.
+// recover in its own frame keeps dispatch's hot loop free of deferred calls,
+// and a callback that returns skips recover altogether.
 func (e *Env) runFnOnWorker(fn func()) (ok bool) {
 	defer func() {
-		if r := recover(); r != nil {
-			e.fnPanic = r
+		if !ok {
+			e.fnPanic = recover()
 		}
 	}()
 	fn()
 	return true
+}
+
+// stepPendingOnWorker is runFnOnWorker for the in-line stage of a pending
+// transfer (Fabric.stepPending), which starts a flow and so runs model code.
+func (e *Env) stepPendingOnWorker(p *Proc, x *pendingTransfer) (resume, ok bool) {
+	defer func() {
+		if !ok {
+			e.fnPanic = recover()
+		}
+	}()
+	return x.f.stepPending(p, x), true
 }
 
 // maxFreeWorkers bounds the idle-goroutine pool. Recycling wins on churny
@@ -394,7 +440,8 @@ func (e *Env) takeWorker() *worker {
 }
 
 // stopWorkers dismisses the idle pooled goroutines and waits for them to
-// unwind. Called when a run returns: recycling pays off within a run (where
+// unwind, and pools the idle transfer records (poolTransfers). Called when
+// a run returns: recycling pays off within a run (where
 // process churn lives), but an Env that has quiesced would otherwise pin its
 // high-water goroutine count forever — benchmarks and sweeps build thousands
 // of short-lived Envs. The join half matters as much as the dismissal: a
@@ -411,6 +458,7 @@ func (e *Env) stopWorkers() {
 		<-e.mainResume // ack: the worker is past its last reference to e
 	}
 	e.freeWorkers = e.freeWorkers[:0]
+	e.poolTransfers()
 	runtime.Gosched() // let the acked workers run their final return
 }
 
@@ -537,16 +585,17 @@ func (e *Env) Shutdown() {
 }
 
 // dropCalendar empties the calendar for Shutdown. It returns each process
-// a pending resume belongs to — one parked on a timer, or woken but not yet
-// resumed — and marks it finished so it is listed once. Unstarted
-// processes are dropped with their start events.
+// a pending resume belongs to — one parked on a timer or in a transfer's
+// delay or latency stage, or woken but not yet resumed — and marks it
+// finished so it is listed once. Unstarted processes are dropped with
+// their start events.
 func (e *Env) dropCalendar() (parked []*Proc) {
 	for {
 		ev := e.q.pop(Time(math.MaxInt64))
 		if ev == nil {
 			return parked
 		}
-		if p := ev.proc; ev.kind == evResume && !p.finished {
+		if p := ev.proc; (ev.kind == evResume || ev.kind == evTransfer) && !p.finished {
 			p.finished = true
 			parked = append(parked, p)
 		}

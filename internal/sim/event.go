@@ -6,10 +6,11 @@ import "slices"
 // resuming a parked process and starting a new one — into explicit kinds, so
 // a timer fire on the no-cancel fast path never touches a closure.
 const (
-	evFn     = uint8(iota) // run fn()
-	evResume               // resume the parked process proc
-	evStart                // run proc.fn on a (possibly recycled) worker goroutine
-	evDead                 // cancelled in place; swept and recycled at drain time
+	evFn       = uint8(iota) // run fn()
+	evResume                 // resume the parked process proc
+	evStart                  // run proc.fn on a (possibly recycled) worker goroutine
+	evTransfer               // run the due stage of proc's pending transfer xfer
+	evDead                   // cancelled in place; swept and recycled at drain time
 )
 
 // Sentinel values for timedEvent.idx recording where the event currently
@@ -39,6 +40,9 @@ type timedEvent struct {
 	idx  int
 	fn   func()
 	proc *Proc
+	// xfer is the pending transfer an evTransfer event advances (see
+	// Fabric.TransferAfter); it fits the event's 64-byte size class.
+	xfer *pendingTransfer
 }
 
 // before reports whether a precedes b in the calendar's total order.
@@ -85,6 +89,7 @@ func (p *eventPool) get() *timedEvent {
 func (p *eventPool) put(ev *timedEvent) {
 	ev.fn = nil
 	ev.proc = nil
+	ev.xfer = nil
 	ev.idx = evIdxNone
 	p.free = append(p.free, ev)
 }

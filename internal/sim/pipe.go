@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // Fabric is a system of bandwidth Pipes with a global max–min fair-share
@@ -274,23 +275,111 @@ func PathLatency(pipes []*Pipe) Duration {
 // and a token firing mid-transfer cancels the in-flight flow (AbortFlow) so
 // the waiter unwinds at once instead of draining a parked pipe.
 func (f *Fabric) Transfer(p *Proc, pipes []*Pipe, bytes float64, rateCap float64) {
+	f.TransferAfter(p, 0, pipes, bytes, rateCap)
+}
+
+// TransferAfter is Transfer after a delay — an RPC or access latency paid
+// before the bytes move, none when delay <= 0 — with the process parked
+// once, not once per stage. The kernel runs each stage in-line at its
+// instant: at the end of the delay and of the path's propagation latency it
+// checks the abort token (a fired one resumes the process, and the
+// transfer returns), and at the start instant it starts the flow with the
+// process as its waiter. The calendar sees the same events in the same
+// order as a Sleep and a woken process would have filed, so the schedule
+// is the same; only the wake-ups between the stages are gone.
+//
+// The cancellation points are those of the two calls it replaces: the end
+// of the delay, the end of the propagation latency, and the flow (a fired
+// token cancels it). With no delay the first is at the call. With no bytes
+// TransferAfter only waits out the delay.
+func (f *Fabric) TransferAfter(p *Proc, delay Duration, pipes []*Pipe, bytes float64, rateCap float64) {
 	if bytes <= 0 {
+		p.Sleep(max(delay, 0))
 		return
 	}
-	ab := p.abort
-	if ab != nil && ab.fired {
-		return
+	x := f.newPending(pipes, bytes, rateCap)
+	if delay > 0 {
+		f.env.scheduleEvent(f.env.now.Add(delay), evTransfer, nil, p).xfer = x
+	} else if f.stepPending(p, x) {
+		return // the token had fired: no delay to wait out
 	}
-	tag := p.flowTag
-	if lat := PathLatency(pipes); lat > 0 {
-		p.Sleep(lat)
-		if ab != nil && ab.fired {
-			return // aborted during the propagation delay
+	p.park("")
+}
+
+// pendingTransfer is a TransferAfter whose flow has not started: its
+// process is parked and an evTransfer event carries the record to the next
+// stage. The path is copied into buf, so the caller's pipe slice may live
+// on its stack.
+type pendingTransfer struct {
+	f       *Fabric
+	pipes   []*Pipe // the path, in buf unless it is longer
+	bytes   float64
+	rateCap float64
+	latency bool             // the delay is over; the next stage starts the flow
+	next    *pendingTransfer // Env.freePending's link
+	buf     [8]*Pipe
+}
+
+// pendingPool carries idle pendingTransfer records from one Env to the
+// next. A sweep builds hundreds of short-lived fabrics, each of which would
+// otherwise grow its own records to its peak of transfers pending at once
+// (2816 in a 64-node, 44-rank IOR run). An Env draws from the pool when its
+// own free list is empty and hands the list back when a run ends
+// (Env.stopWorkers); a record keeps nothing of a run between uses.
+var pendingPool sync.Pool
+
+func (f *Fabric) newPending(pipes []*Pipe, bytes, rateCap float64) *pendingTransfer {
+	e := f.env
+	x := e.freePending
+	if x != nil {
+		e.freePending = x.next
+	} else if v := pendingPool.Get(); v != nil {
+		x = v.(*pendingTransfer)
+	} else {
+		x = new(pendingTransfer)
+	}
+	x.f = f
+	x.pipes = append(x.buf[:0], pipes...)
+	x.bytes, x.rateCap, x.latency = bytes, rateCap, false
+	return x
+}
+
+// poolTransfers hands the Env's idle transfer records to pendingPool,
+// cleared of their pointers into this simulation.
+func (e *Env) poolTransfers() {
+	for x := e.freePending; x != nil; {
+		next := x.next
+		*x = pendingTransfer{}
+		pendingPool.Put(x)
+		x = next
+	}
+	e.freePending = nil
+}
+
+// stepPending runs the stage of p's pending transfer x that is due now —
+// on the goroutine draining the calendar, or at the call when there is no
+// delay — exactly as the woken process would have: a fired abort token
+// ends the transfer, the end of the delay files the latency stage, and the
+// start instant starts the flow with p as its waiter, registered on p's
+// abort token and listed on the deadlock list as Event.Wait would list it.
+// It reports whether the transfer returned.
+func (f *Fabric) stepPending(p *Proc, x *pendingTransfer) (returned bool) {
+	e := f.env
+	if returned = p.Aborted(); !returned {
+		if !x.latency {
+			x.latency = true
+			if lat := PathLatency(x.pipes); lat > 0 {
+				e.scheduleEvent(e.now.Add(lat), evTransfer, nil, p).xfer = x
+				return false
+			}
 		}
+		fl := f.startFlow(x.pipes, x.bytes, x.rateCap, p.flowTag, true)
+		p.abort.onFireFlow(f, fl)
+		fl.done.addWaiter(p)
+		e.pushBlocked(p, "event")
 	}
-	fl := f.startFlow(pipes, bytes, rateCap, tag, true)
-	ab.onFireFlow(f, fl)
-	fl.done.Wait(p)
+	x.next, e.freePending = e.freePending, x
+	return returned
 }
 
 // StartFlow registers an untagged flow without blocking; the returned

@@ -83,7 +83,9 @@ func (p *Proc) FlowTag() string { return p.env.TagName(p.flowTag) }
 // returns without a single channel operation; otherwise the baton goes
 // directly to the resumed process's goroutine. why is recorded for deadlock
 // diagnostics; processes parked on timers pass "" and are not tracked (a
-// timer always fires).
+// timer always fires). A transfer parks with "" and the kernel lists the
+// process once its flow starts (Fabric.TransferAfter), so park leaves the
+// deadlock list by the index, not by why.
 func (p *Proc) park(why string) {
 	e := p.env
 	if why != "" {
@@ -94,7 +96,7 @@ func (p *Proc) park(why string) {
 			runtime.Goexit() // Env.Shutdown: run the process's defers and exit
 		}
 	}
-	if why != "" {
+	if p.blockedIdx >= 0 {
 		e.popBlocked(p)
 	}
 }
@@ -182,11 +184,15 @@ func (ev *Event) Wait(p *Proc) {
 	if ev.fired {
 		return
 	}
+	ev.addWaiter(p)
+	p.park("event")
+}
+
+func (ev *Event) addWaiter(p *Proc) {
 	if ev.waiters == nil {
 		ev.waiters = ev.w0[:0]
 	}
 	ev.waiters = append(ev.waiters, p)
-	p.park("event")
 }
 
 // WaitGroup counts outstanding activities, like sync.WaitGroup but for

@@ -286,11 +286,10 @@ func (c *client) chunkIO(p *sim.Proc, ino *fsapi.Inode, off, n int64, write, ass
 	ownerIdx := s.owner(ino.ID, off/s.cfg.ChunkBytes, c.idx, assign)
 	owner := s.nodes[ownerIdx]
 	owner.svc.Acquire(p, 1)
-	if s.cfg.ServerLatency > 0 {
-		p.Sleep(s.cfg.ServerLatency)
-	}
 	if ownerIdx != c.idx {
-		s.fab.Transfer(p, c.remotePath(owner, write), float64(n), 0)
+		s.fab.TransferAfter(p, s.cfg.ServerLatency, c.remotePath(owner, write), float64(n), 0)
+	} else if s.cfg.ServerLatency > 0 {
+		p.Sleep(s.cfg.ServerLatency)
 	}
 	if write {
 		owner.dev.Write(p, ino.ID, off, n)

@@ -511,10 +511,7 @@ func (b *backend) OpWrite(p *sim.Proc, ino *fsapi.Inode, off, n int64) {
 		return
 	}
 	pa := c.writePath()
-	if pa.RPCLatency > 0 {
-		p.Sleep(pa.RPCLatency)
-	}
-	c.sys.fab.Transfer(p, pa.Pipes, float64(n), pa.FlowCap)
+	c.sys.fab.TransferAfter(p, pa.RPCLatency, pa.Pipes, float64(n), pa.FlowCap)
 	c.sys.scm.Write(p, ino.ID, off, n)
 	c.sys.staging.migrate(n)
 }
