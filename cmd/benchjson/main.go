@@ -48,13 +48,8 @@ type document struct {
 }
 
 // cpuSuffix strips the -N GOMAXPROCS suffix Go appends to benchmark names,
-// so records from machines with different core counts share keys. The
-// -keep-cpu flag disables the stripping — a `-cpu=1,2,4,8` scaling sweep
-// needs one key per GOMAXPROCS value or the points collapse onto each
-// other.
+// so records from machines with different core counts share keys.
 var cpuSuffix = regexp.MustCompile(`-\d+$`)
-
-var keepCPU = flag.Bool("keep-cpu", false, "keep the -N GOMAXPROCS suffix on benchmark names (for -cpu sweeps)")
 
 func parseLine(line string) (string, result, bool) {
 	fields := strings.Fields(line)
@@ -86,11 +81,7 @@ func parseLine(line string) (string, result, bool) {
 			r.Metrics[unit] = v
 		}
 	}
-	name := fields[0]
-	if !*keepCPU {
-		name = cpuSuffix.ReplaceAllString(name, "")
-	}
-	return name, r, true
+	return cpuSuffix.ReplaceAllString(fields[0], ""), r, true
 }
 
 // loadDoc reads a benchjson document from disk.

@@ -40,7 +40,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	racks := flag.Int("racks", 0, "shard the traffic-driven figures over this many racks (0 = classic single-env path)")
-	domains := flag.Int("domains", 1, "executors advancing the racks in parallel (0 = GOMAXPROCS); results are identical for every value. 2 executors measured slower than 1 on a 2-core Xeon (2-rack rig 1.45 vs 1.35 s per run, 8-rack rig 2.96 vs 2.37 µs per request)")
 	remote := flag.Float64("remote", 0.25, "cross-rack placement fraction when -racks > 1")
 	flag.Parse()
 	_ = plots
@@ -49,8 +48,6 @@ func main() {
 		fail("reps %d is not positive", *reps)
 	case *racks < 0:
 		fail("racks %d is negative", *racks)
-	case *domains < 0:
-		fail("domains %d is negative", *domains)
 	}
 
 	if *cpuProfile != "" {
@@ -80,7 +77,7 @@ func main() {
 
 	opts := storagesim.ExperimentOptions{
 		Reps: *reps, Quick: *quick, Seed: *seed,
-		Racks: *racks, Domains: *domains, RemoteFraction: *remote,
+		Racks: *racks, RemoteFraction: *remote,
 	}
 	want := strings.ToLower(*fig)
 	ran := 0

@@ -48,8 +48,7 @@ func main() {
 	seed := flag.Uint64("seed", 0x5eed, "seed for -record")
 	load := flag.Float64("load", 1, "offered-load multiplier for -record")
 	out := flag.String("o", "", "output file (-record: the JSONL stream; -audit: the report as JSON)")
-	racks := flag.Int("racks", 1, "replay across this many racks via the fitted spec (domain-sharded)")
-	domains := flag.Int("domains", 1, "executors advancing the racks in parallel (0 = GOMAXPROCS); results are identical for every value. 2 executors measured slower than 1 on a 2-core Xeon (2-rack rig 1.45 vs 1.35 s per run, 8-rack rig 2.96 vs 2.37 µs per request)")
+	racks := flag.Int("racks", 1, "replay across this many racks via the fitted spec (sharded; no -audit, -o or -record)")
 	remote := flag.Float64("remote", 0.25, "fraction of requests placed on another rack (racks > 1)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -57,8 +56,12 @@ func main() {
 	switch {
 	case *racks < 1:
 		fail(fmt.Errorf("racks %d is not positive", *racks))
-	case *domains < 0:
-		fail(fmt.Errorf("domains %d is negative", *domains))
+	case *racks > 1 && *record:
+		fail(fmt.Errorf("-record is not supported with -racks > 1 (it records one single-rack run)"))
+	case *racks > 1 && *audit:
+		fail(fmt.Errorf("-audit is not supported with -racks > 1 (a sharded replay runs the fitted spec, not the recorded timestamps)"))
+	case *racks > 1 && *out != "":
+		fail(fmt.Errorf("-o is not supported with -racks > 1 (a sharded replay writes no report)"))
 	}
 	defer profiling.Start(*cpuProfile, *memProfile)()
 
@@ -107,7 +110,7 @@ func main() {
 	}
 
 	if *racks > 1 {
-		doSharded(tr, *machine, *fs, *racks, *nodes, *domains, *remote, *seed)
+		doSharded(tr, *machine, *fs, *racks, *nodes, *remote, *seed)
 		return
 	}
 
@@ -195,16 +198,16 @@ func doRecord(machine, fs string, nodes int, duration string, seed uint64, load 
 }
 
 // doSharded replays the trace across racks through the fitted tenant spec:
-// timestamped replay is single-domain; the spec abstraction is what lets a
-// recorded stream ride the domain-parallel engine.
-func doSharded(tr *trace.Trace, machine, fs string, racks, nodes, domains int, remote float64, seed uint64) {
+// timestamped replay is single-rack; the spec abstraction is what lets a
+// recorded stream ride the sharded engine.
+func doSharded(tr *trace.Trace, machine, fs string, racks, nodes int, remote float64, seed uint64) {
 	spec, err := traffic.SpecFromTrace(tr)
 	if err != nil {
 		fail(err)
 	}
 	cfg := traffic.Config{Spec: spec, Duration: tr.Duration(), Seed: seed}
 	srep, err := experiments.RunShardedTraffic(machine, experiments.FS(strings.ToLower(fs)),
-		racks, nodes, domains, traffic.ShardedConfig{Config: cfg, RemoteFraction: remote})
+		racks, nodes, traffic.ShardedConfig{Config: cfg, RemoteFraction: remote})
 	if err != nil {
 		fail(err)
 	}

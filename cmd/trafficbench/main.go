@@ -36,16 +36,12 @@ func main() {
 	faultsFile := flag.String("faults", "", "JSON fault schedule to arm during the window (see internal/faults)")
 	printSpec := flag.Bool("print-spec", false, "print the built-in tenant spec as JSON and exit")
 	racks := flag.Int("racks", 1, "split the cluster into this many racks (domain shards), -nodes per rack")
-	domains := flag.Int("domains", 1, "executors advancing the racks in parallel (0 = GOMAXPROCS); results are identical for every value. 2 executors measured slower than 1 on a 2-core Xeon (2-rack rig 1.45 vs 1.35 s per run, 8-rack rig 2.96 vs 2.37 µs per request)")
 	remote := flag.Float64("remote", 0.25, "fraction of requests placed on another rack (racks > 1)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
-	switch {
-	case *racks < 1:
+	if *racks < 1 {
 		fail(fmt.Errorf("racks %d is not positive", *racks))
-	case *domains < 0:
-		fail(fmt.Errorf("domains %d is negative", *domains))
 	}
 	defer profiling.Start(*cpuProfile, *memProfile)()
 
@@ -93,12 +89,12 @@ func main() {
 			fail(fmt.Errorf("-faults is not supported with -racks > 1 (use the chaos gate's sharded storms)"))
 		}
 		srep, err := experiments.RunShardedTraffic(*machine, experiments.FS(strings.ToLower(*fs)),
-			*racks, *nodes, *domains, traffic.ShardedConfig{Config: cfg, RemoteFraction: *remote})
+			*racks, *nodes, traffic.ShardedConfig{Config: cfg, RemoteFraction: *remote})
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("machine=%s fs=%s racks=%d nodes/rack=%d domains=%d remote=%g window=%v load=%gx seed=%#x\n",
-			*machine, *fs, *racks, *nodes, *domains, *remote, window, *load, *seed)
+		fmt.Printf("machine=%s fs=%s racks=%d nodes/rack=%d remote=%g window=%v load=%gx seed=%#x\n",
+			*machine, *fs, *racks, *nodes, *remote, window, *load, *seed)
 		for _, rr := range srep.Racks {
 			var offered, completed uint64
 			for _, tr := range rr.Tenants {

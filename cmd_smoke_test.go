@@ -147,17 +147,17 @@ func TestCommandsSmoke(t *testing.T) {
 }
 
 // TestTrafficFlagErrors: a traffic window, load or count the engine cannot
-// run is a user error. The traffic CLIs and paperfigs must exit 1 with an
-// error line, never panic, never hang (a NaN or infinite load once spun
-// forever), and never run with the flag silently replaced (a zero rep count
-// once ran one rep, a negative executor count GOMAXPROCS).
+// run, or a flag combination it cannot honour, is a user error. The traffic
+// CLIs and paperfigs must exit 1 with an error line, never panic, never
+// hang (a NaN or infinite load once spun forever), and never run with a
+// flag silently replaced or dropped (a zero rep count once ran one rep, and
+// a sharded tracereplay once ignored -audit, -o and -record).
 func TestTrafficFlagErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	dir := buildCmds(t, "trafficbench", "tracereplay", "paperfigs")
 	traffic := []string{"trafficbench", "tracereplay"}
-	all := []string{"trafficbench", "tracereplay", "paperfigs"}
 	for _, tc := range []struct {
 		cmds  []string
 		flags []string
@@ -170,10 +170,12 @@ func TestTrafficFlagErrors(t *testing.T) {
 		{traffic, []string{"-load", "+Inf"}, "load scale +Inf"},
 		{traffic, []string{"-racks", "0"}, "racks 0 is not positive"},
 		{traffic, []string{"-racks", "-1"}, "racks -1 is not positive"},
-		{all, []string{"-domains", "-1"}, "domains -1 is negative"},
 		{[]string{"paperfigs"}, []string{"-reps", "0"}, "reps 0 is not positive"},
 		{[]string{"paperfigs"}, []string{"-reps", "-3"}, "reps -3 is not positive"},
 		{[]string{"paperfigs"}, []string{"-racks", "-2"}, "racks -2 is negative"},
+		{[]string{"tracereplay"}, []string{"-racks", "2", "-audit"}, "-audit is not supported with -racks > 1"},
+		{[]string{"tracereplay"}, []string{"-racks", "2", "-o", filepath.Join(dir, "audit.json")}, "-o is not supported with -racks > 1"},
+		{[]string{"tracereplay"}, []string{"-racks", "2", "-record"}, "-record is not supported with -racks > 1"},
 	} {
 		for _, name := range tc.cmds {
 			args := append([]string{name}, tc.flags...)
@@ -181,9 +183,9 @@ func TestTrafficFlagErrors(t *testing.T) {
 			case name == "paperfigs":
 				// The cheapest figure, should a bad count be let through.
 				args = append(args, "-fig", "table1")
-			case name == "tracereplay" && (tc.flags[0] == "-racks" || tc.flags[0] == "-domains"):
-				// tracereplay takes -racks and -domains when replaying a
-				// trace, the window and load in -record mode.
+			case name == "tracereplay" && tc.flags[0] == "-racks":
+				// tracereplay takes -racks when replaying a trace, the
+				// window and load in -record mode.
 				args = append(args, "-trace", "internal/experiments/testdata/fidelity_trace.jsonl")
 			case name == "tracereplay":
 				args = append(args, "-record")

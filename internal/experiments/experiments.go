@@ -28,13 +28,10 @@ type Options struct {
 	// Quick shrinks the sweeps (for unit tests and smoke runs).
 	Quick bool
 	// Racks partitions the traffic-driven experiments into this many
-	// domain shards — one full testbed per rack, advanced in parallel
-	// under conservative synchronization. 0 or 1 keeps the classic
-	// single-env path (and its byte-identical goldens).
+	// group shards — one full testbed per rack, advanced in windows under
+	// conservative synchronization. 0 or 1 keeps the classic single-env
+	// path (and its byte-identical goldens).
 	Racks int
-	// Domains caps the executor count driving the racks; 0 means
-	// GOMAXPROCS. Results are bit-identical for every value.
-	Domains int
 	// RemoteFraction is the cross-rack placement probability of the
 	// sharded traffic engine when Racks > 1.
 	RemoteFraction float64

@@ -15,10 +15,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite every golden file"
 // generator that renders it. The fabric solver, the repetition fan-out and
 // the backend path construction may be rearranged freely for performance,
 // but the simulated virtual-time results — and therefore every printed
-// digit — must not move, under the default kernel build and under both
-// oracle builds (-tags simreference, -tags simsequential; `make oracle`).
-// A generator that asserts more than bytes (determinism across runs or
-// executor counts, a headline property) does so itself. Adding a golden
+// digit — must not move, under the default kernel build and under the
+// oracle build (-tags simreference; `make oracle`). A generator that
+// asserts more than bytes (determinism across runs, a headline property)
+// does so itself. Adding a golden
 // takes one row; regenerate every file deliberately with:
 //
 //	go test ./internal/experiments -run TestGolden -update-golden

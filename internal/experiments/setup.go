@@ -55,8 +55,7 @@ func buildTestbed(machine string, fs FS, n int, mutateVAST func(*vast.Config)) (
 
 // buildTestbedOn is buildTestbed on a caller-owned env and fabric — the
 // domain-sharded experiments build one testbed per rack shard, each on the
-// shard's own Env, so racks advance in parallel under the group
-// coordinator.
+// shard's own Env, so racks advance in the group's windows.
 func buildTestbedOn(env *sim.Env, fab *sim.Fabric, machine string, fs FS, n int, mutateVAST func(*vast.Config)) (*testbed, error) {
 	spec, err := cluster.MachineByName(machine)
 	if err != nil {

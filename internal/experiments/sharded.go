@@ -15,13 +15,11 @@ import (
 	"storagesim/internal/traffic"
 )
 
-// Domain-parallel experiment entry points: the cluster is partitioned into
-// racks — one full machine+fs testbed per rack, each on its own sim shard —
-// and the racks advance concurrently under the group's conservative
-// synchronization. Remote traffic (placement on another rack) crosses the
-// inter-rack links and is the coupling that makes the partition one
-// simulation. Results are bit-identical for every executor count, so the
-// sequential run (domains=1) is the standing oracle for the parallel ones.
+// Sharded experiment entry points: the cluster is partitioned into racks —
+// one full machine+fs testbed per rack, each on its own sim shard — and the
+// racks advance in the group's conservatively synchronized windows. Remote
+// traffic (placement on another rack) crosses the inter-rack links and is
+// the coupling that makes the partition one simulation.
 
 // interRackLatency is the fabric latency of the inter-rack forwarding
 // links; it is also the group's conservative lookahead — every rack can
@@ -36,16 +34,16 @@ type shardedRack struct {
 }
 
 // buildShardedTestbeds assembles `racks` identical machine+fs testbeds,
-// one per shard of a fresh group running on up to `domains` executors
-// (0 = GOMAXPROCS), linked in a full mesh at interRackLatency.
-func buildShardedTestbeds(machine string, fs FS, racks, nodesPerRack, domains int) (*sim.Group, []traffic.Rack, []shardedRack, error) {
+// one per shard of a fresh group, linked in a full mesh at
+// interRackLatency.
+func buildShardedTestbeds(machine string, fs FS, racks, nodesPerRack int) (*sim.Group, []traffic.Rack, []shardedRack, error) {
 	if racks < 1 {
 		return nil, nil, nil, fmt.Errorf("experiments: need at least one rack, got %d", racks)
 	}
 	if nodesPerRack < 1 {
 		return nil, nil, nil, fmt.Errorf("experiments: need at least one node per rack, got %d", nodesPerRack)
 	}
-	g := sim.NewGroup(domains)
+	g := sim.NewGroup(1)
 	srs := make([]shardedRack, racks)
 	trs := make([]traffic.Rack, racks)
 	for r := 0; r < racks; r++ {
@@ -74,14 +72,14 @@ func buildShardedTestbeds(machine string, fs FS, racks, nodesPerRack, domains in
 }
 
 // RunShardedTraffic builds `racks` identical machine+fs testbeds — one per
-// domain shard — and drives the sharded traffic engine across them on up
-// to `domains` executors (0 = GOMAXPROCS). cfg.RemoteFraction of requests
-// are placed on another rack and forwarded over the inter-rack links.
-func RunShardedTraffic(machine string, fs FS, racks, nodesPerRack, domains int, cfg traffic.ShardedConfig) (traffic.ShardedReport, error) {
+// group shard — and drives the sharded traffic engine across them.
+// cfg.RemoteFraction of requests are placed on another rack and forwarded
+// over the inter-rack links.
+func RunShardedTraffic(machine string, fs FS, racks, nodesPerRack int, cfg traffic.ShardedConfig) (traffic.ShardedReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return traffic.ShardedReport{}, err
 	}
-	g, trs, _, err := buildShardedTestbeds(machine, fs, racks, nodesPerRack, domains)
+	g, trs, _, err := buildShardedTestbeds(machine, fs, racks, nodesPerRack)
 	if err != nil {
 		return traffic.ShardedReport{}, err
 	}
@@ -101,7 +99,7 @@ func runSaturationPoint(machine string, fs FS, nodes int, cfg traffic.Config, op
 	if per < 1 {
 		per = 1
 	}
-	rep, err := RunShardedTraffic(machine, fs, opts.Racks, per, opts.Domains,
+	rep, err := RunShardedTraffic(machine, fs, opts.Racks, per,
 		traffic.ShardedConfig{Config: cfg, RemoteFraction: opts.RemoteFraction})
 	return rep.Tenants, err
 }
@@ -119,7 +117,7 @@ type RackChaosOutcome struct {
 	Violations   []string
 }
 
-// ShardedChaosReport is the outcome of a domain-parallel chaos run:
+// ShardedChaosReport is the outcome of a sharded chaos run:
 // per-rack storm accounting plus the foreground traffic report.
 type ShardedChaosReport struct {
 	Backend string
@@ -140,8 +138,8 @@ func (r ShardedChaosReport) Violations() []string {
 
 // Digest renders the full observable outcome — per-rack storm accounting
 // with float bit patterns plus the traffic engine's own digest. The chaos
-// tests demand this string is byte-identical across domain counts and
-// kernel builds (TestGolden/chaos_digests).
+// tests demand this string is byte-identical across runs and kernel builds
+// (TestGolden/chaos_digests).
 func (r ShardedChaosReport) Digest() string {
 	out := fmt.Sprintf("%s/%s seed=%#x", r.Backend, r.Machine, r.Seed)
 	for _, rc := range r.Racks {
@@ -178,19 +176,19 @@ func rackStormSeed(seed uint64, r int) uint64 {
 	return stats.Mix64(seed ^ (uint64(r+1) * 0x9e3779b97f4a7c15))
 }
 
-// RunShardedChaosStorm is the chaos gate's domain-parallel variant: every
+// RunShardedChaosStorm is the chaos gate's sharded variant: every
 // rack of a sharded deployment gets its own seeded storm, repair manager
 // and invariant checker, while the sharded traffic engine (remote fraction
 // 0.25) runs as the foreground across all racks — so rebuild traffic,
 // fault windows and cross-rack forwarding interleave inside one
 // conservatively synchronized simulation.
-func RunShardedChaosStorm(fs FS, racks, domains int, seed uint64, opts Options) (ShardedChaosReport, error) {
+func RunShardedChaosStorm(fs FS, racks int, seed uint64, opts Options) (ShardedChaosReport, error) {
 	opts = opts.withDefaults()
 	machine, err := chaosMachine(fs)
 	if err != nil {
 		return ShardedChaosReport{}, err
 	}
-	g, trs, srs, err := buildShardedTestbeds(machine, fs, racks, 2, domains)
+	g, trs, srs, err := buildShardedTestbeds(machine, fs, racks, 2)
 	if err != nil {
 		return ShardedChaosReport{}, err
 	}

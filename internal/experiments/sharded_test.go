@@ -9,9 +9,9 @@ import (
 	"storagesim/internal/traffic"
 )
 
-func shardedTrafficDigest(t *testing.T, fs FS, machine string, domains int, seed uint64) string {
+func shardedTrafficDigest(t *testing.T, fs FS, machine string, seed uint64) string {
 	t.Helper()
-	rep, err := RunShardedTraffic(machine, fs, 2, 2, domains, traffic.ShardedConfig{
+	rep, err := RunShardedTraffic(machine, fs, 2, 2, traffic.ShardedConfig{
 		Config: traffic.Config{
 			Spec:     shardedChaosTenants(),
 			Duration: 20 * time.Millisecond,
@@ -25,10 +25,9 @@ func shardedTrafficDigest(t *testing.T, fs FS, machine string, domains int, seed
 	return rep.Digest()
 }
 
-// goldenShardedLockstep is the determinism gate of the domain-parallel
+// goldenShardedLockstep is the determinism gate of the sharded
 // experiments: pinned seeds, full VAST and Lustre stacks split over two
-// racks, executed at 1/2/4 domains — every digest must be byte-identical
-// to the one-executor oracle, whose digests are the golden.
+// racks, one digest each.
 func goldenShardedLockstep(t *testing.T) string {
 	type deployment struct {
 		fs      FS
@@ -39,14 +38,7 @@ func goldenShardedLockstep(t *testing.T) string {
 	var b strings.Builder
 	for _, d := range deps {
 		for _, seed := range seeds {
-			want := shardedTrafficDigest(t, d.fs, d.machine, 1, seed)
-			for _, domains := range []int{2, 4} {
-				if got := shardedTrafficDigest(t, d.fs, d.machine, domains, seed); got != want {
-					t.Errorf("%s seed=%#x domains=%d diverged from sequential oracle:\n got %s\nwant %s",
-						d.fs, seed, domains, got, want)
-				}
-			}
-			fmt.Fprintf(&b, "%s/%s seed=%#x %s\n", d.fs, d.machine, seed, want)
+			fmt.Fprintf(&b, "%s/%s seed=%#x %s\n", d.fs, d.machine, seed, shardedTrafficDigest(t, d.fs, d.machine, seed))
 		}
 	}
 	return b.String()
@@ -57,11 +49,11 @@ func goldenShardedLockstep(t *testing.T) string {
 // coupled one, or the forwarding path silently never engaged.
 func TestShardedTrafficCoupling(t *testing.T) {
 	cfg := traffic.Config{Spec: shardedChaosTenants(), Duration: 20 * time.Millisecond, Seed: 0x5eed1}
-	coupled, err := RunShardedTraffic("Wombat", VAST, 2, 2, 2, traffic.ShardedConfig{Config: cfg, RemoteFraction: 0.3})
+	coupled, err := RunShardedTraffic("Wombat", VAST, 2, 2, traffic.ShardedConfig{Config: cfg, RemoteFraction: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	isolated, err := RunShardedTraffic("Wombat", VAST, 2, 2, 2, traffic.ShardedConfig{Config: cfg})
+	isolated, err := RunShardedTraffic("Wombat", VAST, 2, 2, traffic.ShardedConfig{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,22 +62,13 @@ func TestShardedTrafficCoupling(t *testing.T) {
 	}
 }
 
-// TestShardedChaosSmoke: a two-rack chaos storm on two executors (run
-// under -race by `make race`) whose digest must match the strictly
-// sequential one-executor run, with zero invariant violations on either
-// rack and live foreground traffic on both.
+// TestShardedChaosSmoke: a two-rack chaos storm (run under -race by `make
+// race`; TestGolden/chaos_digests pins its digest) with zero invariant
+// violations on either rack and live foreground traffic on both.
 func TestShardedChaosSmoke(t *testing.T) {
-	const seed = 0x5eed1
-	want, err := RunShardedChaosStorm(VAST, 2, 1, seed, Options{Quick: true})
+	got, err := RunShardedChaosStorm(VAST, 2, 0x5eed1, Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
-	}
-	got, err := RunShardedChaosStorm(VAST, 2, 2, seed, Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Digest() != want.Digest() {
-		t.Errorf("2-domain storm diverged from sequential oracle:\n got %s\nwant %s", got.Digest(), want.Digest())
 	}
 	if v := got.Violations(); len(v) != 0 {
 		t.Errorf("%d invariant violation(s): %s", len(v), v[0])
@@ -111,7 +94,7 @@ func TestSaturationShardedKnob(t *testing.T) {
 		Spec:     shardedChaosTenants(),
 		Duration: 20 * time.Millisecond,
 		Seed:     0x5eed,
-	}, Options{Racks: 2, Domains: 2, RemoteFraction: 0.2})
+	}, Options{Racks: 2, RemoteFraction: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,11 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 )
 
-// Domain-parallel execution: one simulation partitioned into shards that
-// advance concurrently under conservative synchronization.
+// Sharded execution: one simulation partitioned into shards that advance
+// in barrier-synchronized windows under conservative synchronization.
 //
 // A Shard owns a whole Env — its own virtual clock, timer wheel, event pool
 // and process set — so shard-local execution is exactly the single-threaded
@@ -16,24 +15,19 @@ import (
 // messages carried over declared Links, and every link has a positive
 // latency. The minimum link latency is the group's lookahead L: a shard at
 // virtual time t cannot affect any other shard before t+L, which is the
-// classical conservative-synchronization guarantee the coordinator exploits.
+// classical conservative-synchronization guarantee the group exploits.
 //
 // The Group advances the shards in bounded windows. All shards stand at a
-// common barrier time T; the coordinator delivers every message produced so
-// far (each provably timestamped >= T), picks the next boundary
+// common barrier time T; the group delivers every message produced so far
+// (each provably timestamped >= T), picks the next boundary
 //
 //	T' = min(until, max(T+L, earliest pending event across all shards))
 //
-// and has every shard execute its events with timestamps <= T'. Messages a
-// shard sends during the window land in a shard-local outbox; the
-// coordinator gathers them at the barrier and delivers them in the global
-// (deliverAt, source shard, send seq) order before any shard moves again.
-//
-// Executors deal the shards round-robin, and executor 0 is the coordinator
-// itself — the Run caller's goroutine. A window runs in-line on the
-// coordinator unless at least two executors own a shard with an event due
-// by T'; only then are the other executors with work commanded, while the
-// coordinator steps its own shards and the idle executors' (see advance).
+// and steps every shard, in shard order on the Run caller's goroutine,
+// through its events with timestamps <= T'. Messages a shard sends during
+// the window wait in the group's pending set until the barrier, where they
+// are delivered in the global (deliverAt, source shard, send seq) order
+// before any shard moves again.
 //
 // Correctness of the window: a message sent at local time s carries
 // deliverAt >= s+L. In a busy window every executed event has s in [T, T'],
@@ -41,47 +35,25 @@ import (
 // earliest pending event > T+L) the only executable events sit exactly at
 // T', so deliverAt >= T'+L > T'. Either way no message is ever due before
 // the barrier at which it is delivered — the simulation cannot miss or
-// reorder a cross-shard interaction, and the outcome is bit-for-bit
-// identical whether the windows run on one goroutine or sixteen.
+// reorder a cross-shard interaction.
 //
-// Determinism does not merely hold per executor count — the entire
-// observable execution is independent of the executor layout. Window
-// boundaries are computed from global minima, shard-local execution is
-// single-threaded, and message delivery order is a sorted total order, so
-// none of them can see how shards were assigned to goroutines. The lockstep
-// tests and FuzzDomainsVsSequential pin exactly this property.
+// The group starts no goroutine. Stepping shards on concurrent executors
+// measured slower than stepping them in turn on every rig the commands
+// build (docs/MODEL.md §13).
 type Group struct {
-	shards []*Shard
-	links  map[[2]int32]Duration
-	// executors is the requested cap until the first Run, then the
-	// effective count E: clamped to the shard count, 1 under simsequential.
-	executors int
+	shards    []*Shard
+	links     map[[2]int32]Duration
 	lookahead Duration
 
 	clock     Time
 	finalized bool
 
-	// pending is the barrier-time message scratch, reused across rounds.
+	// pending holds the messages sent since the last barrier, reused
+	// across windows.
 	pending []xmsg
-
-	// next[i] is shard i's earliest pending event as boundary peeked it
-	// (MaxInt64 when its calendar is empty); busy[x] reports whether
-	// executor x owns a shard with an event due by the window's boundary.
-	next []Time
-	busy []bool
-
-	// Parallel plumbing: cmds[x-1] commands executor x's goroutine, and all
-	// of them ack on one channel. The goroutines start on the first window
-	// that needs them and are dismissed by Shutdown.
-	cmds []chan Time
-	acks chan any
-
-	// commanded counts the windows that commanded an executor goroutine;
-	// every other window ran in-line on the coordinator.
-	commanded int
 }
 
-// Shard is one partition of a domain-parallel simulation: an Env plus the
+// Shard is one partition of a sharded simulation: an Env plus the
 // group bookkeeping that lets it exchange timestamped messages with its
 // neighbors.
 type Shard struct {
@@ -93,12 +65,7 @@ type Shard struct {
 	// out[i] is the latency of this shard's link to shard i (0 = no link),
 	// resolved from the group's link set when the first Run finalizes the
 	// topology.
-	out []Duration
-
-	// outbox collects the messages sent during the current window. Only the
-	// goroutine stepping this shard touches it until the barrier, where the
-	// coordinator (ordered by the ack channel) drains it.
-	outbox  []xmsg
+	out     []Duration
 	sendSeq uint64
 }
 
@@ -111,16 +78,10 @@ type xmsg struct {
 	fn       func()
 }
 
-// NewGroup returns an empty domain group. parallel caps the number of
-// executors that advance shards concurrently, the Run caller's goroutine
-// included: 0 means GOMAXPROCS, 1 means strictly sequential in-line
-// execution (the differential oracle), and any value is further clamped to
-// the shard count. Building with `-tags simsequential` forces 1 group-wide.
-func NewGroup(parallel int) *Group {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	return &Group{executors: parallel, links: map[[2]int32]Duration{}}
+// NewGroup returns an empty group. Its argument is ignored; it stays so
+// that callers passing an executor count still compile. Pass 1.
+func NewGroup(int) *Group {
+	return &Group{links: map[[2]int32]Duration{}}
 }
 
 // AddShard registers env as one shard of the group. The Env must be
@@ -201,7 +162,8 @@ func (s *Shard) Send(to *Shard, extra Duration, fn func()) {
 	if lat <= 0 {
 		panic(fmt.Sprintf("sim: no link %s -> %s", s.name, to.name))
 	}
-	s.outbox = append(s.outbox, xmsg{
+	g := s.group
+	g.pending = append(g.pending, xmsg{
 		at:  s.env.now.Add(lat + extra),
 		src: s.id, dst: to.id,
 		seq: s.sendSeq,
@@ -210,8 +172,7 @@ func (s *Shard) Send(to *Shard, extra Duration, fn func()) {
 	s.sendSeq++
 }
 
-// finalize freezes the topology: per-shard link slices, the lookahead and
-// the effective executor count.
+// finalize freezes the topology: per-shard link slices and the lookahead.
 func (g *Group) finalize() {
 	if g.finalized {
 		return
@@ -221,12 +182,6 @@ func (g *Group) finalize() {
 	for _, s := range g.shards {
 		s.out = make([]Duration, n)
 	}
-	g.executors = max(1, min(g.executors, n))
-	if forceSequentialGroups {
-		g.executors = 1
-	}
-	g.next = make([]Time, n)
-	g.busy = make([]bool, g.executors)
 	for key, lat := range g.links {
 		g.shards[key[0]].out[key[1]] = lat
 		if g.lookahead == 0 || lat < g.lookahead {
@@ -246,9 +201,10 @@ func (g *Group) Run(until Time) Time {
 	}
 	for g.clock < until {
 		g.deliver()
-		boundary, busy := g.boundary(until)
-		g.advance(boundary, busy)
-		g.collect()
+		boundary := g.boundary(until)
+		for _, s := range g.shards {
+			s.env.StepUntil(boundary)
+		}
 		g.clock = boundary
 	}
 	return g.clock
@@ -258,56 +214,28 @@ func (g *Group) Run(until Time) Time {
 // the earliest pending event when every shard is idle longer than that
 // (idle skip), and capped at the deadline. With no pending events anywhere
 // — and deliver() has already drained the message queue — nothing can
-// happen before `until`, so the window jumps straight there. It peeks each
-// shard's calendar once, marks in g.busy the executors owning a shard with
-// an event due by the boundary, and returns how many executors that is.
-func (g *Group) boundary(until Time) (Time, int) {
+// happen before `until`, so the window jumps straight there.
+func (g *Group) boundary(until Time) Time {
 	earliest := Time(math.MaxInt64)
-	for i, s := range g.shards {
-		at, ok := s.env.q.nextAt()
-		if !ok {
-			at = math.MaxInt64
-		}
-		g.next[i] = at
-		earliest = min(earliest, at)
-	}
-	if earliest == math.MaxInt64 {
-		return until, 0
-	}
-	boundary := until
-	if g.lookahead > 0 {
-		boundary = g.clock.Add(g.lookahead)
-		if boundary < g.clock { // overflow
-			boundary = Time(math.MaxInt64)
-		}
-		boundary = min(max(boundary, earliest), until)
-	}
-	clear(g.busy)
-	busy := 0
-	for i, at := range g.next {
-		if x := i % g.executors; at <= boundary && !g.busy[x] {
-			g.busy[x] = true
-			busy++
-		}
-	}
-	return boundary, busy
-}
-
-// collect drains every shard's outbox into the pending set. Runs at the
-// barrier, after the ack channel ordered the executors' writes.
-func (g *Group) collect() {
 	for _, s := range g.shards {
-		g.pending = append(g.pending, s.outbox...)
-		clear(s.outbox)
-		s.outbox = s.outbox[:0]
+		if at, ok := s.env.q.nextAt(); ok {
+			earliest = min(earliest, at)
+		}
 	}
+	if earliest == math.MaxInt64 || g.lookahead == 0 {
+		return until
+	}
+	boundary := g.clock.Add(g.lookahead)
+	if boundary < g.clock { // overflow
+		boundary = Time(math.MaxInt64)
+	}
+	return min(max(boundary, earliest), until)
 }
 
 // deliver schedules every pending message on its destination shard in the
 // global (deliverAt, src, seq) order — a total order, since (src, seq) is
-// unique — so the destination Env's tie-breaking sequence numbers are
-// assigned identically no matter how the producing windows were laid out
-// across executors.
+// unique — so the destination Env's tie-breaking sequence numbers follow
+// from the messages alone.
 func (g *Group) deliver() {
 	if len(g.pending) == 0 {
 		return
@@ -340,105 +268,9 @@ func (g *Group) deliver() {
 	g.pending = g.pending[:0]
 }
 
-// advance runs every shard's window [clock, boundary], given how many
-// executors have work in it. Before the next barrier only a shard's own
-// events can schedule events on it, so a shard with nothing due by the
-// boundary stays idle for the whole window and stepping it only moves its
-// clock. A window in which at most one executor has work — every window of
-// a sequential group — therefore runs in-line on the coordinator: waking
-// executors would buy no concurrency. Otherwise the coordinator acts as
-// executor 0: it commands the other executors that have work, steps its own
-// shards and the idle executors' shards itself, and then takes exactly one
-// ack per command before re-raising any share's panic.
-func (g *Group) advance(boundary Time, busy int) {
-	if busy <= 1 {
-		for _, s := range g.shards {
-			s.env.StepUntil(boundary)
-		}
-		return
-	}
-	if g.cmds == nil {
-		g.startExecutors()
-	}
-	g.commanded++
-	sent := 0
-	for x, ch := range g.cmds {
-		if g.busy[x+1] {
-			ch <- boundary
-			sent++
-		}
-	}
-	failure := g.stepUncommanded(boundary)
-	for ; sent > 0; sent-- {
-		if v := <-g.acks; failure == nil {
-			failure = v
-		}
-	}
-	if failure != nil {
-		panic(failure)
-	}
-}
-
-// stepUncommanded advances, on the coordinator, every shard no executor
-// goroutine was commanded to step this window: executor 0's and each idle
-// executor's. Like runWindow it returns a panic as a value, so the
-// coordinator still collects every ack before re-raising it.
-func (g *Group) stepUncommanded(boundary Time) (failure any) {
-	defer func() { failure = recover() }()
-	for i, s := range g.shards {
-		if x := i % g.executors; x == 0 || !g.busy[x] {
-			s.env.StepUntil(boundary)
-		}
-	}
-	return nil
-}
-
-// startExecutors launches the goroutines of executors 1..E-1; executor 0 is
-// the coordinator. Executor x owns shards x, x+E, x+2E, ... — a static
-// round-robin deal. In each window every shard is stepped by exactly one
-// goroutine (its executor's when commanded, the coordinator's otherwise),
-// and the command and ack channels order each hand-over, so the deal needs
-// no locking. Which goroutine advances a shard is invisible to the
-// simulation; the deal only spreads wall-clock load.
-func (g *Group) startExecutors() {
-	e := g.executors
-	g.acks = make(chan any)
-	g.cmds = make([]chan Time, e-1)
-	for x := 1; x < e; x++ {
-		ch := make(chan Time)
-		g.cmds[x-1] = ch
-		mine := make([]*Shard, 0, (len(g.shards)+e-1)/e)
-		for j := x; j < len(g.shards); j += e {
-			mine = append(mine, g.shards[j])
-		}
-		go func() {
-			for boundary := range ch {
-				g.acks <- runWindow(mine, boundary)
-			}
-		}()
-	}
-}
-
-// runWindow advances an executor's shards to the boundary, converting a
-// model panic into a value the coordinator re-panics with on its own
-// goroutine — a model bug inside a parallel window must surface at the Run
-// caller, exactly as it does in sequential mode.
-func runWindow(shards []*Shard, boundary Time) (failure any) {
-	defer func() { failure = recover() }()
-	for _, s := range shards {
-		s.env.StepUntil(boundary)
-	}
-	return nil
-}
-
-// Shutdown dismisses the executor goroutines and shuts every shard Env
-// down, unwinding the processes still parked in it (Env.Shutdown). The
-// group cannot Run again afterwards.
+// Shutdown shuts every shard Env down, unwinding the processes still
+// parked in it (Env.Shutdown). The group cannot Run again afterwards.
 func (g *Group) Shutdown() {
-	for _, ch := range g.cmds {
-		close(ch)
-	}
-	g.cmds = nil
 	for _, s := range g.shards {
 		s.env.Shutdown()
 	}

@@ -8,15 +8,13 @@ import (
 // BenchmarkGroupWindow is the window-cost rung of the bench ladder: two
 // shards linked at lookahead L, and on each busy shard one process that
 // sleeps L per iteration, so every window holds one wake-up per busy shard
-// and ns/op is the cost of one window. The group takes GOMAXPROCS
-// executors, so under -cpu=2 a busy=1 window runs in-line on the
-// coordinator and a busy=2 window commands the second executor.
+// and ns/op is the cost of one window, both shards stepped in turn.
 func BenchmarkGroupWindow(b *testing.B) {
 	const lat = 100
 	for _, busy := range []int{1, 2} {
 		b.Run(fmt.Sprintf("busy=%d", busy), func(b *testing.B) {
 			b.ReportAllocs()
-			g := NewGroup(0)
+			g := NewGroup(1)
 			shards := []*Shard{g.AddShard("a", NewEnv()), g.AddShard("b", NewEnv())}
 			g.LinkAll(lat)
 			for _, s := range shards[:busy] {

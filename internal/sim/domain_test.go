@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -53,79 +54,21 @@ func ringDigest(rs []*ringShard) string {
 	return b.String()
 }
 
-// runRing executes the canonical model at the given executor cap and
-// returns its digest and the number of windows that commanded an executor.
-func runRing(t *testing.T, parallel, shards int, until Time) (string, int) {
-	t.Helper()
-	g := NewGroup(parallel)
-	rs := buildRing(g, shards, 200, 70, 40)
-	g.Run(until)
-	g.Shutdown()
-	return ringDigest(rs), g.commanded
-}
-
-// TestGroupLockstep pins the tentpole property: the same model produces the
-// byte-identical digest whether its shards are advanced by one executor
-// (the sequential oracle), two, four, or more executors than shards. Every
-// shard of the ring has work in every busy window, so the parallel runs
-// must really command executors rather than fall back to in-line windows.
+// TestGroupLockstep pins the outcome of the ring model, in which every
+// shard has work in every busy window: the digest's SHA-256 fails the test
+// if any receive time, local count or final clock moves.
 func TestGroupLockstep(t *testing.T) {
-	want, _ := runRing(t, 1, 4, 20_000)
-	if !strings.Contains(want, "digest=") || strings.Contains(want, "digest=0000000000000000") {
-		t.Fatalf("model did not exercise cross-shard messages: %s", want)
-	}
-	for _, parallel := range []int{2, 4, 16} {
-		got, commanded := runRing(t, parallel, 4, 20_000)
-		if got != want {
-			t.Errorf("parallel=%d diverged from sequential oracle:\n got %s\nwant %s", parallel, got, want)
-		}
-		if commanded == 0 && !forceSequentialGroups {
-			t.Errorf("parallel=%d commanded no executor: every window ran in-line", parallel)
-		}
-	}
-}
-
-// runPingPong bounces one message between two shards: every window has
-// exactly one busy shard. It returns the group and an order-sensitive
-// digest of the receive times.
-func runPingPong(parallel int) (*Group, string) {
-	g := NewGroup(parallel)
-	a := g.AddShard("a", NewEnv())
-	b := g.AddShard("b", NewEnv())
-	g.LinkAll(50)
-	var digest uint64
-	hops := 0
-	var volley func(from, to *Shard) func()
-	volley = func(from, to *Shard) func() {
-		return func() {
-			digest = (digest ^ uint64(to.Env().Now())) * 0x100000001b3
-			if hops++; hops < 100 {
-				to.Send(from, Duration(hops%7), volley(to, from))
-			}
-		}
-	}
-	a.Env().Schedule(10, func() { a.Send(b, 0, volley(a, b)) })
-	g.Run(100_000)
+	g := NewGroup(1)
+	rs := buildRing(g, 4, 200, 70, 40)
+	g.Run(20_000)
 	g.Shutdown()
-	return g, fmt.Sprintf("hops=%d digest=%016x a=%d b=%d", hops, digest, a.Env().Now(), b.Env().Now())
-}
-
-// TestGroupInlineWindows: when only one executor has work in a window, the
-// coordinator steps every shard itself — a two-executor ping-pong commands
-// no executor, never starts an executor goroutine, and matches the
-// sequential run.
-func TestGroupInlineWindows(t *testing.T) {
-	_, want := runPingPong(1)
-	if !strings.HasPrefix(want, "hops=100 ") {
-		t.Fatalf("ping-pong stopped early: %s", want)
+	got := ringDigest(rs)
+	if strings.Contains(got, "digest=0000000000000000") {
+		t.Fatalf("model did not exercise cross-shard messages: %s", got)
 	}
-	g, got := runPingPong(2)
-	if got != want {
-		t.Errorf("2 executors diverged from sequential:\n got %s\nwant %s", got, want)
-	}
-	if g.commanded != 0 || g.cmds != nil {
-		t.Errorf("one busy shard per window commanded %d windows (executors started: %v), want none",
-			g.commanded, g.cmds != nil)
+	const want = "f6e2c0f5bddd968135ed7a4ccd79948d1452731520b601309e8c9c1f2d39e97a"
+	if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(got))); sum != want {
+		t.Errorf("ring digest moved: sha256 %s, want %s\n%s", sum, want, got)
 	}
 }
 
@@ -133,7 +76,7 @@ func TestGroupInlineWindows(t *testing.T) {
 // exactly send-time + link latency + extra, and that the destination clock
 // has reached (not passed) that instant.
 func TestGroupMessageTiming(t *testing.T) {
-	g := NewGroup(2)
+	g := NewGroup(1)
 	a := g.AddShard("a", NewEnv())
 	b := g.AddShard("b", NewEnv())
 	g.Link(a, b, 150)
@@ -149,11 +92,37 @@ func TestGroupMessageTiming(t *testing.T) {
 	}
 }
 
+// TestGroupDeliveryOrder: messages due at the same instant on one shard
+// run in (source shard, send order) order, not in the order the senders
+// reached their send times.
+func TestGroupDeliveryOrder(t *testing.T) {
+	g := NewGroup(1)
+	a := g.AddShard("a", NewEnv())
+	b := g.AddShard("b", NewEnv())
+	c := g.AddShard("c", NewEnv())
+	g.LinkAll(100)
+	var got []string
+	sendAt := func(from *Shard, at Time, extra Duration, names ...string) {
+		from.Env().Schedule(at, func() {
+			for _, n := range names {
+				from.Send(c, extra, func() { got = append(got, n) })
+			}
+		})
+	}
+	sendAt(b, 10, 5, "b0", "b1") // due at 115
+	sendAt(a, 15, 0, "a0", "a1") // due at 115, sent later
+	g.Run(1000)
+	g.Shutdown()
+	if got, want := strings.Join(got, " "), "a0 a1 b0 b1"; got != want {
+		t.Fatalf("delivery order %q, want %q", got, want)
+	}
+}
+
 // TestGroupIdleSkip runs a sparse model whose events are separated by
 // thousands of lookaheads: the run must still complete promptly (the
-// coordinator jumps empty windows) and deliver messages at exact times.
+// group jumps empty windows) and deliver messages at exact times.
 func TestGroupIdleSkip(t *testing.T) {
-	g := NewGroup(2)
+	g := NewGroup(1)
 	a := g.AddShard("a", NewEnv())
 	b := g.AddShard("b", NewEnv())
 	g.Link(a, b, 10)
@@ -180,7 +149,7 @@ func TestGroupIdleSkip(t *testing.T) {
 // TestGroupSingleShard: a one-shard group behaves exactly like RunUntil on
 // a plain Env.
 func TestGroupSingleShard(t *testing.T) {
-	g := NewGroup(4)
+	g := NewGroup(1)
 	s := g.AddShard("solo", NewEnv())
 	var n int
 	s.Env().Go("p", func(p *Proc) {
@@ -201,7 +170,7 @@ func TestGroupSingleShard(t *testing.T) {
 // TestGroupResume: Run may be called repeatedly with increasing deadlines
 // and the barrier clock picks up where it stopped.
 func TestGroupResume(t *testing.T) {
-	g := NewGroup(2)
+	g := NewGroup(1)
 	a := g.AddShard("a", NewEnv())
 	b := g.AddShard("b", NewEnv())
 	g.Link(a, b, 50)
@@ -228,76 +197,28 @@ func TestGroupResume(t *testing.T) {
 	}
 }
 
-// TestGroupIdleExecutor: two of three executors own an event due exactly at
-// the first boundary (T+L), so the window is parallel; the coordinator must
-// also step the idle executor's shard, whose clock reaches the barrier.
-func TestGroupIdleExecutor(t *testing.T) {
-	g := NewGroup(3)
-	shards := make([]*Shard, 3)
-	for i := range shards {
-		shards[i] = g.AddShard(fmt.Sprintf("s%d", i), NewEnv())
-	}
-	g.LinkAll(100)
-	ran := make([]int, len(shards)) // one counter per shard: shards run concurrently
-	for i, s := range shards[:2] {
-		s.Env().Schedule(100, func() { ran[i]++ })
-	}
-	g.Run(100)
-	g.Shutdown()
-	if g.commanded != 1 && !forceSequentialGroups {
-		t.Errorf("commanded %d windows, want 1", g.commanded)
-	}
-	for _, s := range shards {
-		if s.Env().Now() != 100 {
-			t.Errorf("%s clock %d after the barrier at 100", s.Name(), s.Env().Now())
-		}
-	}
-	if ran[0] != 1 || ran[1] != 1 {
-		t.Errorf("events ran %v times per shard, want [1 1 0]", ran)
-	}
-}
-
 // TestGroupPanicPropagation: a model-callback panic surfaces at the Run
 // caller with its original value (process-function panics crash on their
-// worker goroutine, exactly as in single-Env runs), whether the window runs
-// in-line or in parallel and, in parallel, whether the panicking shard is
-// the coordinator's or an executor's. Shutdown must return afterwards.
+// worker goroutine, exactly as in single-Env runs), and Shutdown must
+// return afterwards.
 func TestGroupPanicPropagation(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		executors int
-		panicOn   int  // shard whose callback panics at t=30
-		busy      int  // another shard with an event at t=30, or -1
-		parallel  bool // the panicking window commands an executor
-	}{
-		{"lone busy shard in-line", 4, 2, -1, false},
-		{"coordinator shard in parallel window", 2, 0, 1, true},
-		{"executor shard in parallel window", 2, 1, 0, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g := NewGroup(tc.executors)
-			shards := make([]*Shard, 4)
-			for i := range shards {
-				shards[i] = g.AddShard(fmt.Sprintf("s%d", i), NewEnv())
+	t.Run("lone busy shard in-line", func(t *testing.T) {
+		g := NewGroup(1)
+		shards := make([]*Shard, 4)
+		for i := range shards {
+			shards[i] = g.AddShard(fmt.Sprintf("s%d", i), NewEnv())
+		}
+		g.LinkAll(100)
+		shards[2].Env().Schedule(30, func() { panic("model bug") })
+		defer func() {
+			if r := recover(); r != "model bug" {
+				t.Fatalf("recovered %v, want model bug", r)
 			}
-			g.LinkAll(100)
-			shards[tc.panicOn].Env().Schedule(30, func() { panic("model bug") })
-			if tc.busy >= 0 {
-				shards[tc.busy].Env().Schedule(30, func() {})
-			}
-			defer func() {
-				if r := recover(); r != "model bug" {
-					t.Fatalf("recovered %v, want model bug", r)
-				}
-				if want := tc.parallel && !forceSequentialGroups; (g.commanded > 0) != want {
-					t.Errorf("commanded %d windows, want parallel=%v", g.commanded, want)
-				}
-				g.Shutdown()
-			}()
-			g.Run(1000)
-			t.Fatal("run returned despite panicking model")
-		})
-	}
+			g.Shutdown()
+		}()
+		g.Run(1000)
+		t.Fatal("run returned despite panicking model")
+	})
 }
 
 // TestGroupValidation covers the constructor/topology guard rails.
@@ -338,7 +259,7 @@ func TestGroupValidation(t *testing.T) {
 // TestGroupUnlinkedShards: with no links there is no coupling and the
 // group advances every shard to the deadline in one window.
 func TestGroupUnlinkedShards(t *testing.T) {
-	g := NewGroup(3)
+	g := NewGroup(1)
 	counts := make([]int, 3)
 	for i := 0; i < 3; i++ {
 		i := i
@@ -359,28 +280,29 @@ func TestGroupUnlinkedShards(t *testing.T) {
 	}
 }
 
-// TestNextEventAt exercises the calendar peek on both wheel regions: the
-// near-future buckets, tombstoned entries and the far-future overflow heap.
+// TestNextEventAt exercises the calendar peek the group's boundary uses,
+// on both wheel regions: the near-future buckets, tombstoned entries and
+// the far-future overflow heap.
 func TestNextEventAt(t *testing.T) {
 	e := NewEnv()
-	if _, ok := e.NextEventAt(); ok {
+	if _, ok := e.q.nextAt(); ok {
 		t.Fatal("empty calendar reported an event")
 	}
 	h1 := e.Schedule(100, func() {})
 	e.Schedule(50_000_000, func() {}) // far future: overflow heap
-	if at, ok := e.NextEventAt(); !ok || at != 100 {
+	if at, ok := e.q.nextAt(); !ok || at != 100 {
 		t.Fatalf("peek = %v,%v want 100,true", at, ok)
 	}
 	h1.Cancel()
-	if at, ok := e.NextEventAt(); !ok || at != 50_000_000 {
+	if at, ok := e.q.nextAt(); !ok || at != 50_000_000 {
 		t.Fatalf("peek after cancel = %v,%v want 50000000,true", at, ok)
 	}
 	e.Schedule(70, func() {})
-	if at, ok := e.NextEventAt(); !ok || at != 70 {
+	if at, ok := e.q.nextAt(); !ok || at != 70 {
 		t.Fatalf("peek after reschedule = %v,%v want 70,true", at, ok)
 	}
 	e.Run()
-	if _, ok := e.NextEventAt(); ok {
+	if _, ok := e.q.nextAt(); ok {
 		t.Fatal("drained calendar reported an event")
 	}
 }

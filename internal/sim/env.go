@@ -523,8 +523,8 @@ func (e *Env) RunUntil(deadline Time) Time {
 
 // StepUntil is RunUntil for callers that will advance the clock again: the
 // pooled worker goroutines stay parked for the next step instead of being
-// dismissed and respawned. A domain executor stepping its shard through
-// thousands of conservative-synchronization windows calls this once per
+// dismissed and respawned. A Group stepping its shards through thousands
+// of conservative-synchronization windows calls this once per shard and
 // window; pay stopWorkers only once, via Shutdown, when the whole run ends.
 func (e *Env) StepUntil(deadline Time) Time {
 	e.deadline = deadline
@@ -602,13 +602,6 @@ func (e *Env) dropCalendar() (parked []*Proc) {
 		e.q.release(ev)
 	}
 }
-
-// NextEventAt returns the timestamp of the earliest live calendar event,
-// reporting false when the calendar is empty. The domain coordinator uses it
-// to skip conservative-synchronization windows in which no shard has any
-// work — without it, a sparse simulation would pay one barrier per lookahead
-// of virtual time no matter how empty the calendar is.
-func (e *Env) NextEventAt() (Time, bool) { return e.q.nextAt() }
 
 func (e *Env) pushBlocked(p *Proc, why string) {
 	p.blockedIdx = len(e.blocked)

@@ -80,7 +80,7 @@ func TestShutdownUnwindsParkedProcesses(t *testing.T) {
 // parked in every shard; Group.Shutdown unwinds them all.
 func TestGroupShutdownUnwindsShards(t *testing.T) {
 	base := runtime.NumGoroutine()
-	g := NewGroup(2)
+	g := NewGroup(1)
 	unwound := 0
 	for i := 0; i < 3; i++ {
 		env := NewEnv()

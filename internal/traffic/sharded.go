@@ -11,8 +11,8 @@ import (
 
 // Sharded execution: the same open-loop multi-tenant engine, but spread
 // over a domain-partitioned cluster. Each Rack is one sim.Group shard — its
-// own Env, fabric and backend instance — and racks advance concurrently
-// under the group's conservative synchronization. Tenants span the whole
+// own Env, fabric and backend instance — and racks advance in the group's
+// conservatively synchronized windows. Tenants span the whole
 // cluster: every rack carries its slice of each tenant's arrival stream,
 // and a configurable fraction of requests are *remote* — their data lives
 // on another rack (placement by request hash), so they are forwarded over
@@ -47,7 +47,10 @@ type ShardedConfig struct {
 
 // Validate reports the first problem with cfg: everything Config.Validate
 // rejects, a remote fraction outside [0,1], and the per-request Observer,
-// OutcomeObserver and Drain, which a sharded run cannot honour.
+// OutcomeObserver and Drain, which a sharded run cannot honour. Within a
+// window the racks step one after another, so a per-request callback
+// would see completions rack by rack, not in time order; and Group.Run
+// stops at its deadline, so it cannot drain.
 func (cfg *ShardedConfig) Validate() error {
 	if err := cfg.Config.Validate(); err != nil {
 		return err
@@ -79,8 +82,7 @@ type ShardedReport struct {
 }
 
 // Digest renders the full observable outcome with float bit patterns — the
-// event-order-sensitive witness the lockstep tests compare across executor
-// layouts and against the sequential oracle.
+// event-order-sensitive witness the lockstep tests pin.
 func (r ShardedReport) Digest() string {
 	out := fmt.Sprintf("window=%v", r.Duration)
 	for _, rr := range r.Racks {
@@ -106,9 +108,9 @@ func (r ShardedReport) Digest() string {
 // inter-rack links declared (required when RemoteFraction > 0). RunSharded
 // drives the group itself; the caller shuts it down afterwards.
 //
-// Racks complete requests on concurrent executors, so the per-request
-// Observer and OutcomeObserver cannot be honoured, and the window always
-// ends at Duration: RunSharded panics when any of them or Drain is set.
+// The window always ends at Duration, and racks complete requests rack by
+// rack within each window: RunSharded panics when Observer,
+// OutcomeObserver or Drain is set (see ShardedConfig.Validate).
 func RunSharded(g *sim.Group, racks []Rack, cfg ShardedConfig) ShardedReport {
 	if err := cfg.Validate(); err != nil {
 		panic(err)

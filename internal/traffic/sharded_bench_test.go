@@ -1,20 +1,15 @@
 package traffic
 
 import (
-	"runtime"
 	"testing"
 	"time"
 )
 
-// BenchmarkParallelTraffic measures the domain-parallel engine end to end:
-// 8 racks in a full mesh, each its own shard, driven by as many executors
-// as GOMAXPROCS allows (`make bench` records it at `-cpu=1,2` in
-// BENCH_parallel.json — results are bit-identical across the sweep, only
-// wall clock moves). ns/op reads as per generated request,
-// like BenchmarkTrafficEngine, so the two are directly comparable: the gap
-// is the conservative-synchronization overhead, the ratio across -cpu
-// values is the speedup.
-func BenchmarkParallelTraffic(b *testing.B) {
+// BenchmarkShardedTraffic measures the sharded engine end to end: 8 racks
+// in a full mesh, each its own shard. ns/op reads as per generated
+// request, like BenchmarkTrafficEngine, so the two are directly
+// comparable: the gap is the cost of the windows and cross-rack messages.
+func BenchmarkShardedTraffic(b *testing.B) {
 	b.ReportAllocs()
 	spec := Spec{Tenants: []Tenant{{
 		Name: "bench", Clients: 1_000_000, Workload: SeqWrite,
@@ -28,7 +23,7 @@ func BenchmarkParallelTraffic(b *testing.B) {
 	var generated uint64
 	b.ResetTimer()
 	for generated < uint64(b.N) {
-		g, rks := buildShardedRig(0, racks, 2, 1e12, 500*time.Microsecond)
+		g, rks := buildShardedRig(racks, 2, 1e12, 500*time.Microsecond)
 		rep := RunSharded(g, rks, ShardedConfig{
 			Config:         Config{Spec: spec, Duration: window, Seed: uint64(runs + 1)},
 			RemoteFraction: 0.25,
@@ -39,5 +34,4 @@ func BenchmarkParallelTraffic(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(generated)/float64(runs), "req/run")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "procs")
 }

@@ -32,12 +32,12 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
-// TestRunShardedLeavesNoGoroutines: the same for a resilient sharded run
-// on two executors, whose parked requests, attempts and hedges Group.
-// Shutdown unwinds in every rack.
+// TestRunShardedLeavesNoGoroutines: the same for a resilient sharded run,
+// whose parked requests, attempts and hedges Group.Shutdown unwinds in
+// every rack.
 func TestRunShardedLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
-	g, racks := buildShardedRig(2, 3, 2, 2e7, 500*time.Microsecond)
+	g, racks := buildShardedRig(3, 2, 2e7, 500*time.Microsecond)
 	rep := RunSharded(g, racks, ShardedConfig{
 		Config:         Config{Spec: resilientShardedSpec(), Duration: time.Second, Seed: 7},
 		RemoteFraction: 0.4,
