@@ -147,17 +147,23 @@ func TestCommandsSmoke(t *testing.T) {
 }
 
 // TestTrafficFlagErrors: a traffic window, load or count the engine cannot
-// run, or a flag combination it cannot honour, is a user error. The traffic
-// CLIs and paperfigs must exit 1 with an error line, never panic, never
-// hang (a NaN or infinite load once spun forever), and never run with a
-// flag silently replaced or dropped (a zero rep count once ran one rep, and
-// a sharded tracereplay once ignored -audit, -o and -record).
+// run, a flag combination it cannot honour, or a (machine, file system)
+// pair no deployment exists for, is a user error. The traffic CLIs,
+// paperfigs, mdbench and tracestat must exit 1 with an error line, never
+// panic, never hang (a NaN or infinite load once spun forever), and never
+// run with a flag silently replaced or dropped (a zero rep count once ran
+// one rep, and a sharded tracereplay once ignored -audit, -o and -record).
 func TestTrafficFlagErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	dir := buildCmds(t, "trafficbench", "tracereplay", "paperfigs")
+	dir := buildCmds(t, "trafficbench", "tracereplay", "paperfigs", "mdbench", "tracestat")
 	traffic := []string{"trafficbench", "tracereplay"}
+	chromeTrace := filepath.Join(dir, "run.json")
+	span := `{"traceEvents":[{"name":"read","ph":"X","ts":0,"dur":1000,"pid":0,"args":{"bytes":4096}}]}`
+	if err := os.WriteFile(chromeTrace, []byte(span), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		cmds  []string
 		flags []string
@@ -176,6 +182,8 @@ func TestTrafficFlagErrors(t *testing.T) {
 		{[]string{"tracereplay"}, []string{"-racks", "2", "-audit"}, "-audit is not supported with -racks > 1"},
 		{[]string{"tracereplay"}, []string{"-racks", "2", "-o", filepath.Join(dir, "audit.json")}, "-o is not supported with -racks > 1"},
 		{[]string{"tracereplay"}, []string{"-racks", "2", "-record"}, "-record is not supported with -racks > 1"},
+		{[]string{"mdbench"}, []string{"-machine", "Wombat", "-fs", "gpfs"}, "gpfs on Wombat"},
+		{[]string{"tracestat"}, []string{"-project", "lustre", "-machine", "Lassen"}, "lustre on Lassen"},
 	} {
 		for _, name := range tc.cmds {
 			args := append([]string{name}, tc.flags...)
@@ -189,6 +197,8 @@ func TestTrafficFlagErrors(t *testing.T) {
 				args = append(args, "-trace", "internal/experiments/testdata/fidelity_trace.jsonl")
 			case name == "tracereplay":
 				args = append(args, "-record")
+			case name == "tracestat":
+				args = append(args, chromeTrace)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			var stderr strings.Builder

@@ -13,6 +13,7 @@ import (
 	"storagesim/internal/lustre"
 	"storagesim/internal/netsim"
 	"storagesim/internal/nvmelocal"
+	"storagesim/internal/repair"
 	"storagesim/internal/sim"
 	"storagesim/internal/unifyfs"
 	"storagesim/internal/vast"
@@ -219,5 +220,95 @@ func TestVASTConservation(t *testing.T) {
 	}
 	if err := chk.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnitFaultSurface pins the failable-unit semantics every backend
+// shares: a unit fail → half rebuilt → recover round trip through the
+// injector restores every pipe exactly; failing a failed server or unit,
+// and recovering, rebuilding or addressing a healthy or absent one, changes
+// nothing; failing every server or every unit panics at the last healthy
+// one and not before; an out-of-range fail panics.
+func TestUnitFaultSurface(t *testing.T) {
+	for _, bc := range cases() {
+		bc := bc
+		t.Run(bc.name, func(t *testing.T) {
+			build := func() (*sim.Env, *sim.Fabric, repair.Protected) {
+				env := sim.NewEnv()
+				fab := sim.NewFabric(env)
+				tgt, _ := bc.build(env, fab)
+				return env, fab, tgt.(repair.Protected)
+			}
+
+			env, fab, prot := build()
+			before := invariants.Snapshot(fab)
+			var failed, rebuilding []invariants.PipeState
+			inj := faults.NewInjector(env)
+			inj.Register(bc.name, prot)
+			if err := inj.Apply(faults.Schedule{Events: []faults.Event{
+				{At: time.Millisecond, Kind: faults.UnitFail, Index: 0},
+				{At: 3 * time.Millisecond, Kind: faults.UnitRecover, Index: 0},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			env.Schedule(sim.Time(2*time.Millisecond), func() {
+				failed = invariants.Snapshot(fab)
+				prot.SetUnitRebuild(0, 0.5)
+				rebuilding = invariants.Snapshot(fab)
+			})
+			env.Run()
+			if invariants.DiffStates(before, failed) == nil {
+				t.Fatal("failing unit 0 changed no pipe")
+			}
+			if prot.RepairScheme().Kind != repair.None && invariants.DiffStates(failed, rebuilding) == nil {
+				t.Fatal("rebuilding unit 0 halfway changed no pipe")
+			}
+			if err := invariants.DiffStates(before, invariants.Snapshot(fab)); err != nil {
+				t.Fatalf("unit fail, rebuild 0.5, recover changed fabric state: %v", err)
+			}
+
+			unchanged := func(what string, act func()) {
+				t.Helper()
+				snap := invariants.Snapshot(fab)
+				act()
+				if err := invariants.DiffStates(snap, invariants.Snapshot(fab)); err != nil {
+					t.Errorf("%s: %v", what, err)
+				}
+			}
+			n, units := prot.FaultServers(), prot.FaultUnits()
+			unchanged("recover healthy server", func() { prot.RecoverServer(1) })
+			unchanged("recover healthy unit", func() { prot.RecoverUnit(1) })
+			unchanged("rebuild healthy unit", func() { prot.SetUnitRebuild(1, 0.5) })
+			unchanged("recover absent server", func() { prot.RecoverServer(n) })
+			unchanged("recover absent unit", func() { prot.RecoverUnit(units) })
+			unchanged("rebuild absent unit", func() { prot.SetUnitRebuild(units, 0.5) })
+			prot.FailServer(0)
+			unchanged("fail failed server", func() { prot.FailServer(0) })
+			prot.FailUnit(0)
+			unchanged("fail failed unit", func() { prot.FailUnit(0) })
+
+			panics := func(fn func()) (p bool) {
+				defer func() { p = recover() != nil }()
+				fn()
+				return false
+			}
+			for _, unit := range []bool{false, true} {
+				_, _, prot := build()
+				what, count, fail := "server", prot.FaultServers(), prot.FailServer
+				if unit {
+					what, count, fail = "unit", prot.FaultUnits(), prot.FailUnit
+				}
+				for _, i := range []int{-1, count} {
+					if !panics(func() { fail(i) }) {
+						t.Errorf("failing %s %d of %d did not panic", what, i, count)
+					}
+				}
+				for i := 0; i < count; i++ {
+					if got, want := panics(func() { fail(i) }), i == count-1; got != want {
+						t.Fatalf("failing %s %d of %d: panicked %v, want %v", what, i, count, got, want)
+					}
+				}
+			}
+		})
 	}
 }
