@@ -9,7 +9,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race oracle fuzz-smoke bench-smoke bench-module bench-diff bench
+.PHONY: check vet build test race oracle fuzz-smoke bench-smoke bench-module bench-diff bench loc
 
 check: vet build test race oracle fuzz-smoke bench-smoke bench-module bench-diff
 
@@ -107,3 +107,18 @@ bench:
 	  $(GO) test ./internal/surrogate -run XXX -bench BenchmarkSurrogateScore -benchtime=2s -benchmem ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_traffic.json \
 	    -note "open-loop traffic engine: cost per generated request (arrival draw, admission, spawn, transfer, sketch); ResilienceOverhead arms the full policy stack (deadline, retries, hedge, breaker, brownout) on an uncongested rig — the delta vs TrafficEngine is the layer's pure bookkeeping cost (floor: two goroutine baton hand-offs per request, coordinator and attempt being separate processes). SurrogateScore is the what-if explorer's analytical predictor: cost of scoring one candidate configuration (the search layer assumes >=10k configs/sec). Recorded with go1.24.0 linux/amd64 on a 1-core Intel Xeon @2.10GHz container, default GOMAXPROCS"
+
+# Lines of Go a change adds and removes, per package directory and in
+# total, program files and _test.go files apart: the counts a CHANGES.md
+# entry reports. BASE is the commit to diff the working tree against
+# (default HEAD, the uncommitted change; pass the parent commit for a
+# branch). New files count once git knows them (git add -N or -A).
+BASE ?= HEAD
+loc:
+	@git diff --no-renames --numstat $(BASE) -- '*.go' | awk -F '\t' ' \
+	function row(d) { return sprintf("%-34s %6s %6s %+7d %6s %6s %+7d", d, "+" a[d, "p"] + 0, "-" r[d, "p"] + 0, \
+		a[d, "p"] - r[d, "p"], "+" a[d, "t"] + 0, "-" r[d, "t"] + 0, a[d, "t"] - r[d, "t"]) } \
+	$$1 != "-" { d = $$3; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; k = $$3 ~ /_test\.go$$/ ? "t" : "p"; \
+		a[d, k] += $$1; r[d, k] += $$2; a["total", k] += $$1; r["total", k] += $$2; dirs[d] = 1 } \
+	END { printf "%-34s %6s %6s %7s %6s %6s %7s\n", "package", "prog+", "prog-", "net", "test+", "test-", "net"; \
+		for (d in dirs) print row(d) | "sort"; close("sort"); print row("total") }'

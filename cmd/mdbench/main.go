@@ -22,7 +22,7 @@ import (
 
 func main() {
 	machine := flag.String("machine", "Lassen", "Lassen, Ruby, Quartz or Wombat")
-	fs := flag.String("fs", "vast", "vast, gpfs, lustre, nvme or unifyfs (Wombat)")
+	fs := flag.String("fs", "vast", "vast (any machine), gpfs (Lassen), lustre (Ruby, Quartz), nvme or unifyfs (Wombat)")
 	nodes := flag.Int("nodes", 1, "compute nodes")
 	ppn := flag.Int("ppn", 8, "processes per node")
 	files := flag.Int("files", 128, "files per rank")
@@ -56,40 +56,16 @@ func main() {
 	fmt.Printf("  removes: %10.0f /s (%v)\n", res.RemovesPerSec, res.RemoveTime)
 }
 
-// mountAll wires the requested deployment onto the cluster.
+// mountAll deploys the requested file system on the cluster and mounts
+// every node.
 func mountAll(cl *cluster.Cluster, fs string) ([]fsapi.Client, error) {
-	var mount func(name string, i int) fsapi.Client
-	switch fs + "/" + cl.Spec.Name {
-	case "vast/Lassen":
-		sys := cluster.VASTOnLassen(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "vast/Ruby":
-		sys := cluster.VASTOnRuby(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "vast/Quartz":
-		sys := cluster.VASTOnQuartz(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "vast/Wombat":
-		sys := cluster.VASTOnWombat(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "gpfs/Lassen":
-		sys := cluster.GPFSOnLassen(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "lustre/Ruby", "lustre/Quartz":
-		sys := cluster.LustreOn(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "nvme/Wombat":
-		sys := cluster.NVMeOnWombat(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	case "unifyfs/Wombat":
-		sys := cluster.UnifyFSOnWombat(cl)
-		mount = func(n string, i int) fsapi.Client { return sys.Mount(n, cl.Node(i).NIC) }
-	default:
-		return nil, fmt.Errorf("no deployment of %s on %s", fs, cl.Spec.Name)
+	sys, err := cluster.Deploy(cl, fs, nil)
+	if err != nil {
+		return nil, err
 	}
 	var mounts []fsapi.Client
-	for i, n := range cl.Nodes() {
-		mounts = append(mounts, mount(n.Name, i))
+	for _, n := range cl.Nodes() {
+		mounts = append(mounts, sys.Mount(n.Name, n.NIC))
 	}
 	return mounts, nil
 }

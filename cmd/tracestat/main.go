@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	project := flag.String("project", "", "replay the trace on this deployment (vast, gpfs)")
+	project := flag.String("project", "", "replay the trace on this deployment: vast (any machine), gpfs (Lassen), lustre (Ruby, Quartz), nvme or unifyfs (Wombat)")
 	machine := flag.String("machine", "Lassen", "machine for -project")
 	nodes := flag.Int("nodes", 1, "nodes for -project")
 	flag.Parse()
@@ -80,25 +80,13 @@ func projectTrace(spans []trace.Span, fs, machine string, nodes int) (replay.Res
 	if err != nil {
 		return replay.Result{}, err
 	}
+	sys, err := cluster.Deploy(cl, fs, nil)
+	if err != nil {
+		return replay.Result{}, err
+	}
 	var mounts []fsapi.Client
-	switch fs + "/" + machine {
-	case "vast/Lassen":
-		sys := cluster.VASTOnLassen(cl)
-		for _, n := range cl.Nodes() {
-			mounts = append(mounts, sys.Mount(n.Name, n.NIC))
-		}
-	case "gpfs/Lassen":
-		sys := cluster.GPFSOnLassen(cl)
-		for _, n := range cl.Nodes() {
-			mounts = append(mounts, sys.Mount(n.Name, n.NIC))
-		}
-	case "vast/Wombat":
-		sys := cluster.VASTOnWombat(cl)
-		for _, n := range cl.Nodes() {
-			mounts = append(mounts, sys.Mount(n.Name, n.NIC))
-		}
-	default:
-		return replay.Result{}, fmt.Errorf("no projection target %s on %s", fs, machine)
+	for _, n := range cl.Nodes() {
+		mounts = append(mounts, sys.Mount(n.Name, n.NIC))
 	}
 	return replay.Run(env, mounts, spans, replay.Config{}, trace.NewRecorder())
 }

@@ -1,19 +1,80 @@
 package cluster
 
 import (
-	"time"
-
 	"fmt"
 	"strings"
+	"time"
 
+	"storagesim/internal/faults"
+	"storagesim/internal/fsapi"
+	"storagesim/internal/gpfs"
+	"storagesim/internal/lustre"
 	"storagesim/internal/netsim"
 	"storagesim/internal/nvmelocal"
 	"storagesim/internal/unifyfs"
 	"storagesim/internal/vast"
-
-	"storagesim/internal/gpfs"
-	"storagesim/internal/lustre"
 )
+
+// Deployment is a storage system wired onto a cluster, as the harnesses
+// and commands drive it: per-node client mounts and the fault-injection
+// surface every backend implements.
+type Deployment interface {
+	faults.Target
+	Mount(node string, nic *netsim.Iface) fsapi.Client
+}
+
+// deployments is the (machine, backend) table: every storage deployment
+// the experiments and commands run, under the backend names they use.
+// Each VAST entry starts from its machine's config, so a caller's mutation
+// applies on every machine.
+var deployments = []struct {
+	machine, backend string
+	build            func(c *Cluster, mutateVAST func(*vast.Config)) (Deployment, error)
+}{
+	{"Lassen", "vast", vastFrom(LassenVASTConfig)},
+	{"Ruby", "vast", vastFrom(RubyVASTConfig)},
+	{"Quartz", "vast", vastFrom(QuartzVASTConfig)},
+	{"Wombat", "vast", vastFrom(WombatVASTConfig)},
+	{"Lassen", "gpfs", fixed(GPFSOnLassen)},
+	{"Ruby", "lustre", fixed(LustreOn)},
+	{"Quartz", "lustre", fixed(LustreOn)},
+	{"Wombat", "nvme", fixed(NVMeOnWombat)},
+	{"Wombat", "unifyfs", fixed(UnifyFSOnWombat)},
+}
+
+// Deploy builds backend ("vast", "gpfs", "lustre", "nvme" or "unifyfs") on
+// the cluster's machine. mutateVAST, when non-nil, adjusts a VAST config
+// before instantiation (ablations, what-if candidates); other backends
+// ignore it.
+func Deploy(c *Cluster, backend string, mutateVAST func(*vast.Config)) (Deployment, error) {
+	for _, d := range deployments {
+		if d.machine == c.Spec.Name && d.backend == backend {
+			return d.build(c, mutateVAST)
+		}
+	}
+	return nil, fmt.Errorf("cluster: no deployment of %s on %s", backend, c.Spec.Name)
+}
+
+// vastFrom is a VAST table entry: the machine's config, mutated, then
+// instantiated.
+func vastFrom(config func(*Cluster) vast.Config) func(*Cluster, func(*vast.Config)) (Deployment, error) {
+	return func(c *Cluster, mutate func(*vast.Config)) (Deployment, error) {
+		cfg := config(c)
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		sys, err := vast.New(c.Env, c.Fab, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return sys, nil
+	}
+}
+
+// fixed is a table entry for a backend without tunables.
+func fixed[S Deployment](build func(*Cluster) S) func(*Cluster, func(*vast.Config)) (Deployment, error) {
+	return func(c *Cluster, _ func(*vast.Config)) (Deployment, error) { return build(c), nil }
+}
 
 // Deployment constructors: each wires one of the paper's storage systems
 // onto an instantiated cluster exactly as Section IV-B describes.
@@ -21,13 +82,18 @@ import (
 // VASTOnLassen builds the LC VAST instance reached through Lassen's single
 // gateway node (2×100 Gb Ethernet, one NFS/TCP connection per client).
 func VASTOnLassen(c *Cluster) *vast.System {
+	return vast.MustNew(c.Env, c.Fab, LassenVASTConfig(c))
+}
+
+// LassenVASTConfig returns the LC VAST deployment as mounted from Lassen.
+func LassenVASTConfig(c *Cluster) vast.Config {
 	gw := netsim.NewLinkBank(c.Fab, "lassen-gw", lassenGateways, lassenGatewayLinkBW, gatewayLatency)
-	return vast.MustNew(c.Env, c.Fab, vastLCConfig("vast-lassen", &netsim.TCPTransport{
+	return vastLCConfig("vast-lassen", &netsim.TCPTransport{
 		Gateways:    gw,
 		PerConnBW:   nfsTCPPerConnBWLassen,
 		Connections: 1,
 		RPC:         nfsTCPRPC,
-	}))
+	})
 }
 
 // VASTOnRuby builds the same LC instance reached through Ruby's eight
@@ -52,13 +118,18 @@ func RubyVASTConfig(c *Cluster) vast.Config {
 // VASTOnQuartz builds the LC instance reached through Quartz's 32 gateway
 // nodes with tiny 2×1 Gb links — the paper's weakest deployment.
 func VASTOnQuartz(c *Cluster) *vast.System {
+	return vast.MustNew(c.Env, c.Fab, QuartzVASTConfig(c))
+}
+
+// QuartzVASTConfig returns the LC VAST deployment as mounted from Quartz.
+func QuartzVASTConfig(c *Cluster) vast.Config {
 	gw := netsim.NewLinkBank(c.Fab, "quartz-gw", quartzGateways, quartzGatewayLinkBW, gatewayLatency)
-	return vast.MustNew(c.Env, c.Fab, vastLCConfig("vast-quartz", &netsim.TCPTransport{
+	return vastLCConfig("vast-quartz", &netsim.TCPTransport{
 		Gateways:    gw,
 		PerConnBW:   nfsTCPPerConnBWQuartz,
 		Connections: 1,
 		RPC:         nfsTCPRPC,
-	}))
+	})
 }
 
 // vastLCConfig is the shared LC VAST hardware (ten DNodes, 16 CNodes, five

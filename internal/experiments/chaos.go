@@ -70,7 +70,7 @@ func RunChaosStorm(fs FS, seed uint64, opts Options) (ChaosReport, error) {
 	if err != nil {
 		return ChaosReport{}, err
 	}
-	prot, ok := tb.target.(repair.Protected)
+	prot, ok := tb.sys.(repair.Protected)
 	if !ok {
 		return ChaosReport{}, fmt.Errorf("experiments: %s target declares no redundancy scheme", fs)
 	}
@@ -101,9 +101,8 @@ func RunChaosStorm(fs FS, seed uint64, opts Options) (ChaosReport, error) {
 		Seed:         opts.Seed + seed,
 		Dir:          "/chaos",
 	}
-	if tb.vast != nil {
+	if sys, ok := tb.sys.(*vast.System); ok {
 		written := int64(2*cfg.ProcsPerNode) * cfg.BlockSize * int64(cfg.Segments)
-		sys := tb.vast
 		checker.Final("byte-conservation", invariants.ConserveBytes(
 			func() int64 { return written },
 			func() int64 { return sys.StagedBytes() + sys.MigratedBytes() }))

@@ -25,7 +25,7 @@ func RunIORWithFaults(machine string, fs FS, nodes int, cfg ior.Config, sched fa
 		return ior.Result{}, nil, err
 	}
 	inj := faults.NewInjector(tb.env)
-	inj.Register(string(fs), tb.target)
+	inj.Register(string(fs), tb.sys)
 	if err := inj.Apply(sched); err != nil {
 		return ior.Result{}, nil, err
 	}

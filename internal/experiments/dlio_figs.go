@@ -43,11 +43,7 @@ func dlioSweep(cfg dlio.Config, opts Options, collect func(fs FS, nodes int, rep
 	var pts []repPoint
 	for s, fs := range fss {
 		rng := stats.NewRNG(opts.Seed ^ hashString(cfg.Model+string(fs)))
-		spread := dedicatedSpread
-		if fs == GPFS {
-			spread = sharedSpread
-		}
-		pts = appendReps(pts, s, dlioNodes(cfg.Model, opts.Quick), opts.Reps, rng, spread, opts.Seed)
+		pts = appendReps(pts, s, dlioNodes(cfg.Model, opts.Quick), opts.Reps, rng, contentionSpread(fs), opts.Seed)
 	}
 	res, err := runPoints(len(pts), func(i int) (dlio.Result, error) {
 		pt := pts[i]

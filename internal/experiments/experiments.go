@@ -48,9 +48,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Contention spreads: how much of a system's server-side capacity
-// background users can take in a bad repetition. GPFS and Lustre are the
-// production file systems everyone uses; VAST is newly deployed and NVMe is
-// node-private.
+// background users can take in a bad repetition (see contentionSpread).
 const (
 	sharedSpread    = 0.15
 	dedicatedSpread = 0.03

@@ -91,11 +91,7 @@ func Consistency(opts Options) (Table, error) {
 	var pts []repPoint
 	for i, fs := range fss {
 		rng := stats.NewRNG(opts.Seed ^ hashString("consistency"+string(fs)))
-		spread := dedicatedSpread
-		if fs == GPFS {
-			spread = sharedSpread
-		}
-		pts = appendReps(pts, i, []int{nodes}, reps, rng, spread, opts.Seed)
+		pts = appendReps(pts, i, []int{nodes}, reps, rng, contentionSpread(fs), opts.Seed)
 	}
 	vals, err := runPoints(len(pts), func(i int) (float64, error) {
 		pt := pts[i]

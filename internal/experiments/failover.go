@@ -47,8 +47,8 @@ func failoverPoint(failures int, opts Options) (bw float64, healthy int, err err
 	if err != nil {
 		return 0, 0, err
 	}
-	sys := vastSystemOf(tb)
-	if sys == nil {
+	sys, ok := tb.sys.(*vast.System)
+	if !ok {
 		return 0, 0, fmt.Errorf("experiments: failover study needs a VAST testbed")
 	}
 	if failures > 0 {
@@ -77,9 +77,4 @@ func failoverPoint(failures int, opts Options) (bw float64, healthy int, err err
 		return 0, 0, err
 	}
 	return res.WriteBW / 1e9, sys.HealthyCNodes(), nil
-}
-
-// vastSystemOf digs the VAST system out of a testbed built for it.
-func vastSystemOf(tb *testbed) *vast.System {
-	return tb.vast
 }

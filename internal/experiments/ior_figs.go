@@ -109,11 +109,7 @@ func iorPoint(machine string, fs FS, nodes, ppn int, wl ior.Workload, segments i
 func iorSeries(name, machine string, fs FS, xs []int, point func(x int, derate float64, seed uint64) (float64, error), opts Options) (stats.Series, error) {
 	opts = opts.withDefaults()
 	s := stats.Series{Name: name}
-	tbSpread := dedicatedSpread
-	if fs == GPFS || fs == Lustre {
-		tbSpread = sharedSpread
-	}
-	pts := appendReps(nil, 0, xs, opts.Reps, stats.NewRNG(opts.Seed^hashString(name)), tbSpread, opts.Seed)
+	pts := appendReps(nil, 0, xs, opts.Reps, stats.NewRNG(opts.Seed^hashString(name)), contentionSpread(fs), opts.Seed)
 	vals, err := runPoints(len(pts), func(i int) (float64, error) {
 		return point(pts[i].x, pts[i].derate, pts[i].seed)
 	})

@@ -40,7 +40,7 @@ func buildRepairTestbed(machine string, fs FS, nodes int, sched faults.Schedule,
 	if err != nil {
 		return nil, nil, err
 	}
-	prot, ok := tb.target.(repair.Protected)
+	prot, ok := tb.sys.(repair.Protected)
 	if !ok {
 		return nil, nil, fmt.Errorf("experiments: %s target declares no redundancy scheme", fs)
 	}

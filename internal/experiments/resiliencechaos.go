@@ -110,7 +110,7 @@ func RunResilienceChaosStorm(fs FS, seed uint64, opts Options) (ResilienceChaosR
 	if err != nil {
 		return ResilienceChaosReport{}, err
 	}
-	prot, ok := tb.target.(repair.Protected)
+	prot, ok := tb.sys.(repair.Protected)
 	if !ok {
 		return ResilienceChaosReport{}, fmt.Errorf("experiments: %s target declares no redundancy scheme", fs)
 	}

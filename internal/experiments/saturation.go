@@ -33,7 +33,7 @@ func RunTrafficWithFaults(machine string, fs FS, nodes int, cfg traffic.Config, 
 		return traffic.Report{}, nil, err
 	}
 	inj := faults.NewInjector(tb.env)
-	inj.Register(string(fs), tb.target)
+	inj.Register(string(fs), tb.sys)
 	if err := inj.Apply(sched); err != nil {
 		return traffic.Report{}, nil, err
 	}

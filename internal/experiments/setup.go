@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	"storagesim/internal/cluster"
-	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
 	"storagesim/internal/sim"
 	"storagesim/internal/vast"
@@ -28,26 +25,13 @@ type testbed struct {
 	fab    *sim.Fabric
 	cl     *cluster.Cluster
 	mounts []fsapi.Client
-	// mount mints one more client mount named name on node index i. The
-	// benchmark engines use the prebuilt mounts (one per node); the traffic
-	// engine mints extra per-tenant mounts through this so each tenant gets
-	// its own tagged view of the same node.
-	mount func(name string, i int) fsapi.Client
-	// derate scales the deployment's server side (contention model).
-	derate func(f float64)
-	// shared reports whether the deployment is a production shared system
-	// (GPFS, Lustre) or dedicated (VAST, node-local NVMe).
-	shared bool
-	// vast holds the VAST system when the testbed is a VAST deployment
-	// (failover and staging studies need the concrete type).
-	vast *vast.System
-	// target is the deployment as a fault-injection target (every backend
-	// implements faults.Target).
-	target faults.Target
+	// sys is the deployment: client mounts and the fault-injection target.
+	sys cluster.Deployment
 }
 
 // buildTestbed instantiates machine+fs with n nodes. mutateVAST, when
-// non-nil, adjusts the VAST config before instantiation (ablations).
+// non-nil, adjusts the VAST config before instantiation (ablations,
+// what-if candidates).
 func buildTestbed(machine string, fs FS, n int, mutateVAST func(*vast.Config)) (*testbed, error) {
 	env := sim.NewEnv()
 	return buildTestbedOn(env, sim.NewFabric(env), machine, fs, n, mutateVAST)
@@ -65,76 +49,40 @@ func buildTestbedOn(env *sim.Env, fab *sim.Fabric, machine string, fs FS, n int,
 	if err != nil {
 		return nil, err
 	}
-	tb := &testbed{env: env, fab: fab, cl: cl}
-	mountAll := func(mount func(string, int) fsapi.Client) {
-		tb.mount = mount
-		for i := 0; i < n; i++ {
-			tb.mounts = append(tb.mounts, mount(cl.Node(i).Name, i))
-		}
+	sys, err := cluster.Deploy(cl, string(fs), mutateVAST)
+	if err != nil {
+		return nil, err
 	}
-	switch {
-	case fs == VAST && machine == "Wombat":
-		cfg := cluster.WombatVASTConfig(cl)
-		if mutateVAST != nil {
-			mutateVAST(&cfg)
-		}
-		sys, err := vast.New(env, fab, cfg)
-		if err != nil {
-			return nil, err
-		}
-		mountAll(func(name string, i int) fsapi.Client { return sys.Mount(name, cl.Node(i).NIC) })
-		tb.derate = sys.Derate
-		tb.vast = sys
-		tb.target = sys
-	case fs == VAST && machine == "Lassen":
-		sys := cluster.VASTOnLassen(cl)
-		mountAll(func(name string, i int) fsapi.Client { return sys.Mount(name, cl.Node(i).NIC) })
-		tb.derate = sys.Derate
-		tb.vast = sys
-		tb.target = sys
-	case fs == VAST && machine == "Ruby":
-		sys := cluster.VASTOnRuby(cl)
-		mountAll(func(name string, i int) fsapi.Client { return sys.Mount(name, cl.Node(i).NIC) })
-		tb.derate = sys.Derate
-		tb.vast = sys
-		tb.target = sys
-	case fs == VAST && machine == "Quartz":
-		sys := cluster.VASTOnQuartz(cl)
-		mountAll(func(name string, i int) fsapi.Client { return sys.Mount(name, cl.Node(i).NIC) })
-		tb.derate = sys.Derate
-		tb.vast = sys
-		tb.target = sys
-	case fs == GPFS && machine == "Lassen":
-		sys := cluster.GPFSOnLassen(cl)
-		mountAll(func(name string, i int) fsapi.Client { return sys.Mount(name, cl.Node(i).NIC) })
-		tb.derate = sys.Derate
-		tb.shared = true
-		tb.target = sys
-	case fs == Lustre && (machine == "Ruby" || machine == "Quartz"):
-		sys := cluster.LustreOn(cl)
-		mountAll(func(name string, i int) fsapi.Client { return sys.Mount(name, cl.Node(i).NIC) })
-		tb.derate = sys.Derate
-		tb.shared = true
-		tb.target = sys
-	case fs == NVMe && machine == "Wombat":
-		sys := cluster.NVMeOnWombat(cl)
-		mountAll(func(name string, i int) fsapi.Client { return sys.Mount(name, cl.Node(i).NIC) })
-		tb.derate = func(float64) {} // node-local: nobody else contends
-		tb.target = sys
-	case fs == UnifyFS && machine == "Wombat":
-		sys := cluster.UnifyFSOnWombat(cl)
-		mountAll(func(name string, i int) fsapi.Client { return sys.Mount(name, cl.Node(i).NIC) })
-		tb.derate = func(float64) {} // job-private burst buffer
-		tb.target = sys
-	default:
-		return nil, fmt.Errorf("experiments: no deployment of %s on %s", fs, machine)
+	tb := &testbed{env: env, fab: fab, cl: cl, sys: sys}
+	for i := 0; i < n; i++ {
+		tb.mounts = append(tb.mounts, tb.mount(cl.Node(i).Name, i))
 	}
 	return tb, nil
 }
 
-// spread returns the contention spread for the testbed's deployment class.
-func (tb *testbed) spread() float64 {
-	if tb.shared {
+// mount mints one more client mount named name on node index i. The
+// benchmark engines use the prebuilt mounts (one per node); the traffic
+// engine mints extra per-tenant mounts through this so each tenant gets
+// its own tagged view of the same node.
+func (tb *testbed) mount(name string, i int) fsapi.Client {
+	return tb.sys.Mount(name, tb.cl.Node(i).NIC)
+}
+
+// derate scales the deployment's server side by f (the contention model).
+// Node-local NVMe and the job-private UnifyFS burst buffer have none:
+// nobody else contends.
+func (tb *testbed) derate(f float64) {
+	if d, ok := tb.sys.(interface{ Derate(float64) }); ok {
+		d.Derate(f)
+	}
+}
+
+// contentionSpread is how much of fs's server-side capacity background
+// users can take in a bad repetition: GPFS and Lustre are the production
+// file systems everyone uses; VAST is newly deployed and node-local NVMe
+// and UnifyFS are private to the job.
+func contentionSpread(fs FS) float64 {
+	if fs == GPFS || fs == Lustre {
 		return sharedSpread
 	}
 	return dedicatedSpread

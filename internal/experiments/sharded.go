@@ -203,7 +203,7 @@ func RunShardedChaosStorm(fs FS, racks int, seed uint64, opts Options) (ShardedC
 	rcs := make([]rackChaos, racks)
 	for r := range srs {
 		tb := srs[r].tb
-		prot, ok := tb.target.(repair.Protected)
+		prot, ok := tb.sys.(repair.Protected)
 		if !ok {
 			return ShardedChaosReport{}, fmt.Errorf("experiments: %s target declares no redundancy scheme", fs)
 		}

@@ -630,7 +630,7 @@ func (e *whatIfExplorer) specFor(c configsearch.Candidate) traffic.Spec {
 // the candidate names a rebuild QoS).
 func (e *whatIfExplorer) buildCandidate(c configsearch.Candidate) (*testbed, error) {
 	var mutate func(*vast.Config)
-	if c.Backend == "vast" && e.cfg.Space.Machine == "Wombat" {
+	if c.Backend == "vast" {
 		mutate = func(v *vast.Config) { mutateVASTCandidate(v, c) }
 	}
 	tb, err := buildTestbed(e.cfg.Space.Machine, FS(c.Backend), c.Nodes, mutate)
@@ -645,14 +645,14 @@ func (e *whatIfExplorer) buildCandidate(c configsearch.Candidate) (*testbed, err
 		At: f.At, Kind: faults.Kind(f.Kind), Index: f.Index, Factor: f.Factor,
 	}}}
 	inj := faults.NewInjector(tb.env)
-	if prot, ok := tb.target.(repair.Protected); ok && c.RepairQoS != "" {
+	if prot, ok := tb.sys.(repair.Protected); ok && c.RepairQoS != "" {
 		qos := repair.QoS{MinBytes: rebuildFloorBytes}
 		if c.RepairQoS == configsearch.QoSThrottled {
 			qos.RateBps = rebuildThrottleBps
 		}
 		inj.Register(c.Backend, repair.NewManager(tb.env, tb.fab, prot, qos))
 	} else {
-		inj.Register(c.Backend, tb.target)
+		inj.Register(c.Backend, tb.sys)
 	}
 	if err := inj.Apply(sched); err != nil {
 		return nil, err
@@ -660,8 +660,9 @@ func (e *whatIfExplorer) buildCandidate(c configsearch.Candidate) (*testbed, err
 	return tb, nil
 }
 
-// mutateVASTCandidate applies the candidate's vast knobs to the Wombat
-// config before instantiation.
+// mutateVASTCandidate applies the candidate's vast knobs to the machine's
+// VAST config before instantiation (Space.Validate admits only
+// client_cache_mib off Wombat).
 func mutateVASTCandidate(v *vast.Config, c configsearch.Candidate) {
 	if c.CNodes > 0 {
 		v.CNodes = c.CNodes

@@ -9,6 +9,7 @@ import (
 
 	"storagesim/internal/configsearch"
 	"storagesim/internal/surrogate"
+	"storagesim/internal/vast"
 )
 
 // loadWhatIfSpace reads the pinned differential fixture.
@@ -330,5 +331,37 @@ func TestWhatIfFaultSearch(t *testing.T) {
 		if res.Search.Candidates[i].Measured == nil {
 			t.Fatalf("frontier candidate %s has no DES measurement", res.Search.Candidates[i].Candidate)
 		}
+	}
+}
+
+// TestWhatIfCandidateMutatesVASTOffWombat: the knobs Space.Validate admits
+// off Wombat (client_cache_mib) must reach the simulated deployment. A
+// Ruby candidate with a 4 GiB client cache once ran on the stock 8 GiB
+// cache, because only Wombat testbeds applied the candidate's mutation.
+func TestWhatIfCandidateMutatesVASTOffWombat(t *testing.T) {
+	space := configsearch.Space{
+		Machine:        "Ruby",
+		Backends:       []string{"vast"},
+		Nodes:          []int{1},
+		ClientCacheMiB: []int{4096},
+	}
+	wc := WhatIfConfig{Space: space}.withDefaults()
+	e, err := newWhatIfExplorer(wc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := space.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) != 1 || cands[0].ClientCacheMiB != 4096 {
+		t.Fatalf("space enumerates %v, want one cc4096 candidate", cands)
+	}
+	tb, err := e.buildCandidate(cands[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tb.sys.(*vast.System).Config().ClientCacheBytes, int64(4096)<<20; got != want {
+		t.Fatalf("Ruby candidate %s runs with ClientCacheBytes %d, want %d", cands[0], got, want)
 	}
 }

@@ -1,9 +1,12 @@
-// Package fsbase factors the client-side mechanics shared by every
-// simulated file system: a write-back page cache in front of a
-// system-specific backend, fsync semantics, readahead-driven reads, and
-// close-to-open invalidation. The concrete systems (vast, gpfs, lustre,
-// nvmelocal) supply only their network/server/device paths via the Backend
-// interface.
+// Package fsbase factors the client-side mechanics shared by the simulated
+// file systems: a write-back page cache in front of a system-specific
+// backend, fsync semantics, readahead-driven reads, and close-to-open
+// invalidation. The vast, gpfs, lustre and nvmelocal clients embed
+// ClientCore, which supplies their FSName, NodeName, Open, Remove,
+// DropCaches and SetFlowTag, and provide only their network/server/device
+// paths via the Backend interface plus the flow-level stream methods.
+// unifyfs routes every operation through its chunk placement instead and
+// does not use the core.
 package fsbase
 
 import (
@@ -17,7 +20,7 @@ import (
 // network, server and device costs of the operation.
 type Backend interface {
 	// OpWrite pushes [off,+n) durably to the storage system (called from
-	// Fsync, or directly for write-through systems).
+	// Fsync and cache eviction, or directly by cache-less clients).
 	OpWrite(p *sim.Proc, ino *fsapi.Inode, off, n int64)
 	// OpRead fetches [off,+n) from the storage system into the client
 	// (called on client-cache miss, including readahead ranges).
@@ -40,9 +43,6 @@ type ClientCore struct {
 	// Cache is the client page cache; nil models a cache-less client
 	// (direct I/O).
 	Cache *cache.Cache
-	// WriteThrough skips the page cache on writes (data still lands in the
-	// cache clean, so re-reads hit).
-	WriteThrough bool
 	// FlowTag attributes this mount's fabric traffic to a tenant (see
 	// fsapi.FlowTagger); "" is the untagged default.
 	FlowTag string
@@ -125,11 +125,10 @@ func (f *file) Path() string { return f.ino.Path }
 // Size implements fsapi.File.
 func (f *file) Size() int64 { return f.ino.Size }
 
-// WriteAt implements fsapi.File. With a cache and write-back semantics the
-// write lands dirty in the page cache (evictions force synchronous
-// write-back of the victims, which is how a cache smaller than the working
-// set degrades to device speed). Write-through or cache-less clients push
-// straight to the backend.
+// WriteAt implements fsapi.File. With a cache the write lands dirty in the
+// page cache (evictions force synchronous write-back of the victims, which
+// is how a cache smaller than the working set degrades to device speed).
+// Cache-less clients push straight to the backend.
 func (f *file) WriteAt(p *sim.Proc, off, n int64) {
 	if n <= 0 {
 		return
@@ -137,11 +136,8 @@ func (f *file) WriteAt(p *sim.Proc, off, n int64) {
 	c := f.client
 	c.Stamp(p)
 	c.NS.Extend(f.ino, off, n)
-	if c.Cache == nil || c.WriteThrough {
+	if c.Cache == nil {
 		c.Backend.OpWrite(p, f.ino, off, n)
-		if c.Cache != nil {
-			c.Cache.Insert(f.ino.ID, off, n, false)
-		}
 		return
 	}
 	evicted := c.Cache.Insert(f.ino.ID, off, n, true)
@@ -200,7 +196,7 @@ func (f *file) ReadAt(p *sim.Proc, off, n int64) {
 func (f *file) Fsync(p *sim.Proc) {
 	c := f.client
 	c.Stamp(p)
-	if c.Cache == nil || c.WriteThrough {
+	if c.Cache == nil {
 		return // nothing buffered client-side
 	}
 	ranges := c.Cache.FlushFileRanges(f.ino.ID)

@@ -114,25 +114,6 @@ func TestEvictionForcesWriteback(t *testing.T) {
 	}
 }
 
-func TestWriteThrough(t *testing.T) {
-	be := &recBackend{}
-	core := newCore(be, 64, 0)
-	core.WriteThrough = true
-	e := sim.NewEnv()
-	e.Go("w", func(p *sim.Proc) {
-		f := core.Open(p, "/a", true)
-		f.WriteAt(p, 0, 1<<20)
-		if len(be.writes) != 1 {
-			t.Error("write-through did not push immediately")
-		}
-		f.Fsync(p) // nothing extra
-	})
-	e.Run()
-	if len(be.writes) != 1 {
-		t.Fatalf("fsync on write-through pushed again: %v", be.writes)
-	}
-}
-
 func TestReadMissFetchesAndCaches(t *testing.T) {
 	be := &recBackend{readLat: time.Millisecond}
 	core := newCore(be, 64, 0)

@@ -24,6 +24,7 @@ import (
 
 	"storagesim/internal/cache"
 	"storagesim/internal/device"
+	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
 	"storagesim/internal/fsbase"
 	"storagesim/internal/netsim"
@@ -113,13 +114,12 @@ type System struct {
 	raid      *device.Device
 	serverCch *cache.Cache
 
-	// Fault state (see faults.go): failed marks out-of-service NSD servers;
-	// linkHealth and mediaHealth are the prevailing cluster-wide derates.
-	// rebuilt is each failed server's reconstructed fraction (see
-	// repair.go): a server 60% rebuilt contributes 0.6 of its share to the
-	// pools, so health recovers incrementally as a rebuild progresses.
-	failed      []bool
-	rebuilt     []float64
+	// Fault state (see faults.go): nsds tracks out-of-service NSD servers
+	// and each failed server's rebuilt fraction (see repair.go: a server
+	// 60% rebuilt contributes 0.6 of its share to the pools, so health
+	// recovers incrementally as a rebuild progresses); linkHealth and
+	// mediaHealth are the prevailing cluster-wide derates.
+	nsds        faults.Units
 	linkHealth  float64
 	mediaHealth float64
 }
@@ -130,7 +130,7 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, env: env, fab: fab, ns: fsapi.NewNamespace(),
-		failed: make([]bool, cfg.NSDServers), rebuilt: make([]float64, cfg.NSDServers),
+		nsds:       faults.NewUnits(cfg.NSDServers, "gpfs "+cfg.Name, "NSD server"),
 		linkHealth: 1, mediaHealth: 1}
 	poolBW := cfg.ServerNICBW * float64(cfg.NSDServers)
 	s.nsdUp = fab.NewPipe(cfg.Name+"/nsd/up", poolBW, 2*time.Microsecond)
@@ -191,7 +191,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 	if s.cfg.ClientCacheBytes > 0 {
 		pc = cache.New(s.cfg.clientCache())
 	}
-	cl.core = fsbase.ClientCore{
+	cl.ClientCore = fsbase.ClientCore{
 		FS:      s.cfg.Name,
 		Node:    node,
 		NS:      s.ns,
@@ -206,7 +206,7 @@ type client struct {
 	nic       *netsim.Iface
 	stackUp   *sim.Pipe // per-node write ceiling
 	stackDown *sim.Pipe // per-node read ceiling
-	core      fsbase.ClientCore
+	fsbase.ClientCore
 
 	// cached network paths (see Mount); treated as immutable.
 	writePath   []*sim.Pipe
@@ -216,26 +216,6 @@ type client struct {
 
 type backend client
 
-// FSName implements fsapi.Client.
-func (c *client) FSName() string { return c.core.FSName() }
-
-// NodeName implements fsapi.Client.
-func (c *client) NodeName() string { return c.core.NodeName() }
-
-// Open implements fsapi.Client.
-func (c *client) Open(p *sim.Proc, path string, truncate bool) fsapi.File {
-	return c.core.Open(p, path, truncate)
-}
-
-// Remove implements fsapi.Client.
-func (c *client) Remove(p *sim.Proc, path string) { c.core.Remove(p, path) }
-
-// DropCaches implements fsapi.Client.
-func (c *client) DropCaches() { c.core.DropCaches() }
-
-// SetFlowTag implements fsapi.FlowTagger.
-func (c *client) SetFlowTag(tag string) { c.core.SetFlowTag(tag) }
-
 // writePipes is the network path of a client→NSD write.
 func (c *client) writePipes() []*sim.Pipe { return c.writePath }
 
@@ -244,7 +224,7 @@ func (c *client) readPipes() []*sim.Pipe { return c.readPath }
 
 // StreamWrite implements fsapi.Client: one flow into the RAID pool.
 func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}
@@ -258,7 +238,7 @@ func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, t
 // client streaming cap; random streams fall through to the spinning media
 // and additionally pay the blocking-request ceiling.
 func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}

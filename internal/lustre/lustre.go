@@ -21,6 +21,7 @@ import (
 
 	"storagesim/internal/cache"
 	"storagesim/internal/device"
+	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
 	"storagesim/internal/fsbase"
 	"storagesim/internal/netsim"
@@ -84,11 +85,10 @@ type System struct {
 	ossUp, ossDown *sim.Pipe
 	pool           *device.Device
 
-	// Fault state (see faults.go): failed marks out-of-service OSSes;
-	// linkHealth and mediaHealth are the prevailing cluster-wide derates.
-	// rebuilt is each failed OSS's resilvered fraction (see repair.go).
-	failed      []bool
-	rebuilt     []float64
+	// Fault state (see faults.go): osses tracks out-of-service OSSes and
+	// each failed OSS's resilvered fraction (see repair.go); linkHealth and
+	// mediaHealth are the prevailing cluster-wide derates.
+	osses       faults.Units
 	linkHealth  float64
 	mediaHealth float64
 
@@ -104,7 +104,7 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, env: env, fab: fab, ns: fsapi.NewNamespace(),
-		failed: make([]bool, cfg.OSSCount), rebuilt: make([]float64, cfg.OSSCount),
+		osses:      faults.NewUnits(cfg.OSSCount, "lustre "+cfg.Name, "OSS"),
 		linkHealth: 1, mediaHealth: 1}
 	poolNIC := cfg.ServerNICBW * float64(cfg.OSSCount)
 	s.ossUp = fab.NewPipe(cfg.Name+"/oss/up", poolNIC, 2*time.Microsecond)
@@ -153,7 +153,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 	if s.cfg.ClientCacheBytes > 0 {
 		pc = cache.New(s.cfg.clientCache())
 	}
-	cl.core = fsbase.ClientCore{
+	cl.ClientCore = fsbase.ClientCore{
 		FS:      s.cfg.Name,
 		Node:    node,
 		NS:      s.ns,
@@ -164,9 +164,9 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 }
 
 type client struct {
-	sys  *System
-	nic  *netsim.Iface
-	core fsbase.ClientCore
+	sys *System
+	nic *netsim.Iface
+	fsbase.ClientCore
 
 	// cached network paths (see Mount); treated as immutable.
 	writePath []*sim.Pipe
@@ -175,26 +175,6 @@ type client struct {
 
 type backend client
 
-// FSName implements fsapi.Client.
-func (c *client) FSName() string { return c.core.FSName() }
-
-// NodeName implements fsapi.Client.
-func (c *client) NodeName() string { return c.core.NodeName() }
-
-// Open implements fsapi.Client.
-func (c *client) Open(p *sim.Proc, path string, truncate bool) fsapi.File {
-	return c.core.Open(p, path, truncate)
-}
-
-// Remove implements fsapi.Client.
-func (c *client) Remove(p *sim.Proc, path string) { c.core.Remove(p, path) }
-
-// DropCaches implements fsapi.Client.
-func (c *client) DropCaches() { c.core.DropCaches() }
-
-// SetFlowTag implements fsapi.FlowTagger.
-func (c *client) SetFlowTag(tag string) { c.core.SetFlowTag(tag) }
-
 func (c *client) writePipes() []*sim.Pipe { return c.writePath }
 
 func (c *client) readPipes() []*sim.Pipe { return c.readPath }
@@ -202,7 +182,7 @@ func (c *client) readPipes() []*sim.Pipe { return c.readPath }
 // StreamWrite implements fsapi.Client: one stripe-1 flow, capped by its
 // single OST.
 func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}
@@ -213,7 +193,7 @@ func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, t
 
 // StreamRead implements fsapi.Client.
 func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}

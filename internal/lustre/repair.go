@@ -22,22 +22,20 @@ func (s *System) RepairScheme() repair.Scheme {
 }
 
 // FaultUnits implements faults.UnitTarget: one redundancy unit per OSS.
-func (s *System) FaultUnits() int { return s.cfg.OSSCount }
+func (s *System) FaultUnits() int { return s.osses.Len() }
 
 // FailUnit implements faults.UnitTarget.
-func (s *System) FailUnit(i int) { s.FailOSS(i) }
+func (s *System) FailUnit(i int) { s.FailServer(i) }
 
 // RecoverUnit implements faults.UnitTarget.
-func (s *System) RecoverUnit(i int) { s.RecoverOSS(i) }
+func (s *System) RecoverUnit(i int) { s.RecoverServer(i) }
 
 // SetUnitRebuild implements repair.Protected: count failed OSS i as
 // fraction frac resilvered when deriving pooled capacity.
 func (s *System) SetUnitRebuild(i int, frac float64) {
-	if i < 0 || i >= s.cfg.OSSCount || !s.failed[i] {
-		return
+	if s.osses.SetRebuilt(i, frac) {
+		s.applyHealth()
 	}
-	s.rebuilt[i] = frac
-	s.applyHealth()
 }
 
 // UnitBytes implements repair.Protected: files stripe evenly over the

@@ -1,7 +1,5 @@
 package nvmelocal
 
-import "fmt"
-
 // Node failure and SSD wear. The failable "servers" are the mounted nodes
 // in mount order: failing one parks its NVMe array and page-cache ingest
 // pipe (the node is down; a peer reading its data over the interconnect
@@ -13,69 +11,38 @@ import "fmt"
 // invite: a worn or thermally-throttled drive serves fraction f of its
 // nominal bandwidth.
 
-// FailNode takes the i-th mounted node (mount order) out of service.
-// Failing an already-failed node is a no-op; failing the last healthy node
-// panics.
-func (s *System) FailNode(i int) {
-	if i < 0 || i >= len(s.order) {
-		panic(fmt.Sprintf("nvmelocal %s: no node %d", s.cfg.Name, i))
-	}
-	st := s.nodes[s.order[i]]
-	if st.failed {
-		return
-	}
-	if s.healthyNodes() == 1 {
-		panic(fmt.Sprintf("nvmelocal %s: cannot fail the last healthy node", s.cfg.Name))
-	}
-	st.failed = true
-	st.dev.SetHealthFactor(0)
-	st.memIn.SetHealthFactor(0)
-}
-
-// RecoverNode returns a failed node to service; recovering a healthy node
-// is a no-op.
-func (s *System) RecoverNode(i int) {
-	if i < 0 || i >= len(s.order) {
-		return
-	}
-	st := s.nodes[s.order[i]]
-	if !st.failed {
-		return
-	}
-	st.failed = false
-	st.dev.SetHealthFactor(s.mediaHealth)
-	st.memIn.SetHealthFactor(1)
-}
-
-// HealthyNodes reports how many mounted nodes are in service.
-func (s *System) HealthyNodes() int { return s.healthyNodes() }
-
-func (s *System) healthyNodes() int {
-	n := 0
-	for _, name := range s.order {
-		if !s.nodes[name].failed {
-			n++
-		}
-	}
-	return n
-}
-
 // --- faults.Target ---
 
 // FaultServers implements faults.Target: the failable servers are the
 // mounted nodes (register with the injector after mounting).
-func (s *System) FaultServers() int { return len(s.order) }
+func (s *System) FaultServers() int { return s.units.Len() }
 
-// FailServer implements faults.Target.
-func (s *System) FailServer(i int) { s.FailNode(i) }
+// FailServer implements faults.Target: takes the i-th mounted node (mount
+// order) out of service. Failing a failed node is a no-op; failing the
+// last healthy node panics (faults.Units.Fail).
+func (s *System) FailServer(i int) {
+	if !s.units.Fail(i) {
+		return
+	}
+	st := s.nodes[s.order[i]]
+	st.dev.SetHealthFactor(0)
+	st.memIn.SetHealthFactor(0)
+}
 
-// RecoverServer implements faults.Target.
-func (s *System) RecoverServer(i int) { s.RecoverNode(i) }
+// RecoverServer implements faults.Target: returns a failed node to
+// service; recovering a healthy node is a no-op.
+func (s *System) RecoverServer(i int) {
+	if !s.units.Recover(i) {
+		return
+	}
+	st := s.nodes[s.order[i]]
+	st.dev.SetHealthFactor(s.mediaHealth)
+	st.memIn.SetHealthFactor(1)
+}
 
 // SetLinkHealth implements faults.Target: derates the node interconnect
 // used for cross-node copies (no-op without one).
 func (s *System) SetLinkHealth(f float64) {
-	s.linkHealth = f
 	if s.cfg.Interconnect != nil {
 		s.cfg.Interconnect.SetHealthFactor(f)
 	}
@@ -86,9 +53,9 @@ func (s *System) SetLinkHealth(f float64) {
 // prevailing factor when they recover.
 func (s *System) SetMediaHealth(f float64) {
 	s.mediaHealth = f
-	for _, name := range s.order {
-		if st := s.nodes[name]; !st.failed {
-			st.dev.SetHealthFactor(f)
+	for i, name := range s.order {
+		if !s.units.Failed(i) {
+			s.nodes[name].dev.SetHealthFactor(f)
 		}
 	}
 }

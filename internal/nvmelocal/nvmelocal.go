@@ -22,6 +22,7 @@ import (
 
 	"storagesim/internal/cache"
 	"storagesim/internal/device"
+	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
 	"storagesim/internal/fsbase"
 	"storagesim/internal/netsim"
@@ -84,8 +85,10 @@ type System struct {
 	nodes map[string]*nodeState
 	order []string // deterministic iteration
 
-	// Fault state (see faults.go): prevailing cluster-wide derates.
-	linkHealth  float64
+	// Fault state (see faults.go): units tracks out-of-service nodes in
+	// mount order (one unit per entry of order); mediaHealth is the
+	// prevailing cluster-wide media derate, which recovering nodes pick up.
+	units       faults.Units
 	mediaHealth float64
 }
 
@@ -99,7 +102,6 @@ type nodeState struct {
 	dirty     int64
 	lastDrain sim.Time
 	client    *client
-	failed    bool
 }
 
 // New builds the system; nodes attach lazily on Mount.
@@ -108,7 +110,7 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 		return nil, err
 	}
 	return &System{cfg: cfg, env: env, fab: fab, nodes: map[string]*nodeState{},
-		linkHealth: 1, mediaHealth: 1}, nil
+		units: faults.NewUnits(0, "nvmelocal "+cfg.Name, "node"), mediaHealth: 1}, nil
 }
 
 // MustNew is New that panics on config errors.
@@ -141,6 +143,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 		st.memInPath = []*sim.Pipe{st.memIn}
 		s.nodes[node] = st
 		s.order = append(s.order, node)
+		s.units.Add()
 	}
 	if st.client == nil {
 		cl := &client{sys: s, node: st}
@@ -148,7 +151,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 		if s.cfg.PageCacheBytes > 0 {
 			pc = cache.New(s.cfg.pageCache())
 		}
-		cl.core = fsbase.ClientCore{
+		cl.ClientCore = fsbase.ClientCore{
 			FS:      s.cfg.Name,
 			Node:    node,
 			NS:      st.ns,
@@ -178,7 +181,7 @@ func (s *System) Peer(node string) string {
 type client struct {
 	sys  *System
 	node *nodeState
-	core fsbase.ClientCore
+	fsbase.ClientCore
 
 	// One-entry cache of the cross-node read path: the round-robin peer
 	// only changes while nodes are still mounting, so tag by source node
@@ -189,31 +192,11 @@ type client struct {
 
 type backend client
 
-// FSName implements fsapi.Client.
-func (c *client) FSName() string { return c.core.FSName() }
-
-// NodeName implements fsapi.Client.
-func (c *client) NodeName() string { return c.core.NodeName() }
-
-// Open implements fsapi.Client.
-func (c *client) Open(p *sim.Proc, path string, truncate bool) fsapi.File {
-	return c.core.Open(p, path, truncate)
-}
-
-// Remove implements fsapi.Client.
-func (c *client) Remove(p *sim.Proc, path string) { c.core.Remove(p, path) }
-
-// DropCaches implements fsapi.Client.
-func (c *client) DropCaches() { c.core.DropCaches() }
-
-// SetFlowTag implements fsapi.FlowTagger.
-func (c *client) SetFlowTag(tag string) { c.core.SetFlowTag(tag) }
-
 // StreamWrite implements fsapi.Client: the page cache absorbs up to the
 // remaining dirty budget at memory speed; the rest runs at device speed
 // (write-back throttling).
 func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}
@@ -258,7 +241,7 @@ func (st *nodeState) drainDirty(now sim.Time) {
 // device and crosses the interconnect (local read when this node is its
 // own peer).
 func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}

@@ -18,13 +18,13 @@ func (s *System) RepairScheme() repair.Scheme {
 
 // FaultUnits implements faults.UnitTarget: one unit per mounted node (its
 // NVMe array).
-func (s *System) FaultUnits() int { return len(s.order) }
+func (s *System) FaultUnits() int { return s.units.Len() }
 
 // FailUnit implements faults.UnitTarget.
-func (s *System) FailUnit(i int) { s.FailNode(i) }
+func (s *System) FailUnit(i int) { s.FailServer(i) }
 
 // RecoverUnit implements faults.UnitTarget.
-func (s *System) RecoverUnit(i int) { s.RecoverNode(i) }
+func (s *System) RecoverUnit(i int) { s.RecoverServer(i) }
 
 // SetUnitRebuild implements repair.Protected. With no redundancy there is
 // nothing to rebuild from; the manager never calls it.

@@ -1,7 +1,5 @@
 package unifyfs
 
-import "fmt"
-
 // Node failure and recovery. UnifyFS aggregates the compute nodes' local
 // devices, so the failable "servers" are the mounted nodes themselves: a
 // failed node's device is parked (chunks it owns are still addressed —
@@ -13,62 +11,32 @@ import "fmt"
 // Capacity changes route through the device's health factor, so a
 // fail/recover pair restores the exact nominal device bandwidth.
 
-// FailNode takes mounted node i out of service. Failing an already-failed
-// node is a no-op; failing the last healthy node panics.
-func (s *System) FailNode(i int) {
-	if i < 0 || i >= len(s.nodes) {
-		panic(fmt.Sprintf("unifyfs %s: no node %d", s.cfg.Name, i))
-	}
-	st := s.nodes[i]
-	if st.failed {
-		return
-	}
-	if s.healthyNodes() == 1 {
-		panic(fmt.Sprintf("unifyfs %s: cannot fail the last healthy node", s.cfg.Name))
-	}
-	st.failed = true
-	st.dev.SetHealthFactor(0)
-}
-
-// RecoverNode returns a failed node to service; recovering a healthy node
-// is a no-op.
-func (s *System) RecoverNode(i int) {
-	if i < 0 || i >= len(s.nodes) || !s.nodes[i].failed {
-		return
-	}
-	s.nodes[i].failed = false
-	s.nodes[i].dev.SetHealthFactor(s.mediaHealth)
-}
-
-// HealthyNodes reports how many mounted nodes are in service.
-func (s *System) HealthyNodes() int { return s.healthyNodes() }
-
-func (s *System) healthyNodes() int {
-	n := 0
-	for _, st := range s.nodes {
-		if !st.failed {
-			n++
-		}
-	}
-	return n
-}
-
 // --- faults.Target ---
 
 // FaultServers implements faults.Target: the failable servers are the
 // mounted nodes (register with the injector after mounting).
-func (s *System) FaultServers() int { return len(s.nodes) }
+func (s *System) FaultServers() int { return s.units.Len() }
 
-// FailServer implements faults.Target.
-func (s *System) FailServer(i int) { s.FailNode(i) }
+// FailServer implements faults.Target: takes mounted node i out of
+// service. Failing a failed node is a no-op; failing the last healthy node
+// panics (faults.Units.Fail).
+func (s *System) FailServer(i int) {
+	if s.units.Fail(i) {
+		s.nodes[i].dev.SetHealthFactor(0)
+	}
+}
 
-// RecoverServer implements faults.Target.
-func (s *System) RecoverServer(i int) { s.RecoverNode(i) }
+// RecoverServer implements faults.Target: returns a failed node to
+// service; recovering a healthy node is a no-op.
+func (s *System) RecoverServer(i int) {
+	if s.units.Recover(i) {
+		s.nodes[i].dev.SetHealthFactor(s.mediaHealth)
+	}
+}
 
 // SetLinkHealth implements faults.Target: derates the node interconnect
 // that carries remote chunk traffic (no-op without one).
 func (s *System) SetLinkHealth(f float64) {
-	s.linkHealth = f
 	if s.cfg.Interconnect != nil {
 		s.cfg.Interconnect.SetHealthFactor(f)
 	}
@@ -79,8 +47,8 @@ func (s *System) SetLinkHealth(f float64) {
 // parked and pick up the prevailing factor when they recover.
 func (s *System) SetMediaHealth(f float64) {
 	s.mediaHealth = f
-	for _, st := range s.nodes {
-		if !st.failed {
+	for i, st := range s.nodes {
+		if !s.units.Failed(i) {
 			st.dev.SetHealthFactor(f)
 		}
 	}

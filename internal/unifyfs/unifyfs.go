@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"storagesim/internal/device"
+	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
 	"storagesim/internal/netsim"
 	"storagesim/internal/sim"
@@ -93,8 +94,10 @@ type System struct {
 	// chunkOwner maps (inode, chunk index) to the owning node's index.
 	chunkOwner map[chunkKey]int
 
-	// Fault state (see faults.go): prevailing cluster-wide derates.
-	linkHealth  float64
+	// Fault state (see faults.go): units tracks out-of-service nodes (one
+	// unit per entry of nodes); mediaHealth is the prevailing cluster-wide
+	// media derate, which recovering nodes pick up.
+	units       faults.Units
 	mediaHealth float64
 }
 
@@ -104,11 +107,10 @@ type chunkKey struct {
 }
 
 type nodeState struct {
-	name   string
-	nic    *netsim.Iface
-	dev    *device.Device
-	svc    *sim.Resource
-	failed bool
+	name string
+	nic  *netsim.Iface
+	dev  *device.Device
+	svc  *sim.Resource
 }
 
 // New builds the system; nodes attach via Mount.
@@ -122,7 +124,7 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 		fab:         fab,
 		ns:          fsapi.NewNamespace(),
 		chunkOwner:  map[chunkKey]int{},
-		linkHealth:  1,
+		units:       faults.NewUnits(0, "unifyfs "+cfg.Name, "node"),
 		mediaHealth: 1,
 	}, nil
 }
@@ -157,6 +159,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 		svc:  sim.NewResource(s.env, fmt.Sprintf("%s/%s/iosrv", s.cfg.Name, node), s.cfg.IOServersPerNode),
 	}
 	s.nodes = append(s.nodes, st)
+	s.units.Add()
 	return &client{sys: s, node: st, idx: len(s.nodes) - 1}
 }
 

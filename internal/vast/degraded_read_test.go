@@ -27,7 +27,7 @@ const mib = int64(1) << 20
 
 func TestReadDegradedStripeMapping(t *testing.T) {
 	_, sys := newDegradedSystem(t)
-	sys.FailDBox(1)
+	sys.FailUnit(1)
 
 	cases := []struct {
 		name     string
@@ -76,7 +76,7 @@ func timeQLCRead(t *testing.T, sys *System, env *sim.Env, off, n int64) sim.Dura
 
 func TestDecodePenaltyOnlyOnFailedHome(t *testing.T) {
 	env, sys := newDegradedSystem(t)
-	sys.FailDBox(1)
+	sys.FailUnit(1)
 
 	clean := timeQLCRead(t, sys, env, 0, mib)      // stripe 0, healthy home
 	degraded := timeQLCRead(t, sys, env, mib, mib) // stripe 1, failed home
@@ -97,10 +97,10 @@ func TestDecodePenaltyOnlyOnFailedHome(t *testing.T) {
 
 func TestDecodePenaltyPersistsThroughPartialRebuild(t *testing.T) {
 	env, sys := newDegradedSystem(t)
-	sys.FailDBox(1)
+	sys.FailUnit(1)
 	// 99% rebuilt: capacity is nearly restored, but the stripe still misses
 	// its home strip, so reads keep paying the decode until completion.
-	sys.SetDBoxRebuild(1, 0.99)
+	sys.SetUnitRebuild(1, 0.99)
 
 	if !sys.readDegraded(mib, mib) {
 		t.Fatal("stripe on a 99%-rebuilt DBox must still read degraded")
@@ -116,11 +116,11 @@ func TestDecodePenaltyDisappearsAfterRebuildCompletes(t *testing.T) {
 	env, sys := newDegradedSystem(t)
 	baseline := timeQLCRead(t, sys, env, mib, mib)
 
-	sys.FailDBox(1)
-	sys.SetDBoxRebuild(1, 0.5)
-	// Rebuild completion is RecoverDBox — exactly what repair.Manager calls
-	// via RecoverUnit when the job's last chunk lands.
-	sys.RecoverDBox(1)
+	sys.FailUnit(1)
+	sys.SetUnitRebuild(1, 0.5)
+	// Rebuild completion is RecoverUnit — exactly what repair.Manager calls
+	// when the job's last chunk lands.
+	sys.RecoverUnit(1)
 
 	if sys.readDegraded(mib, mib) {
 		t.Fatal("stripe still degraded after its DBox rebuild completed")

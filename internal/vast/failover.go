@@ -1,7 +1,5 @@
 package vast
 
-import "fmt"
-
 // CNode failure, recovery and failover. Section III-A.2 of the paper
 // describes the CNodes as stateless containers: "the VAST system state is
 // firstly written into multiple SSDs, then acknowledged and finally
@@ -31,16 +29,9 @@ import "fmt"
 // retrying until its server returns. Inject failures around flow
 // boundaries or use op-level runs for failure studies.
 func (s *System) FailCNode(i int) {
-	if i < 0 || i >= s.cfg.CNodes {
-		panic(fmt.Sprintf("vast %s: no CNode %d", s.cfg.Name, i))
-	}
-	if s.failed[i] {
+	if !s.cnodes.Fail(i) {
 		return
 	}
-	if s.healthyCNodes() == 1 {
-		panic(fmt.Sprintf("vast %s: cannot fail the last healthy CNode", s.cfg.Name))
-	}
-	s.failed[i] = true
 	// The failed server's NIC and reduction engine serve nobody: park their
 	// pipes so in-flight flows drain away from it rather than dividing by
 	// zero.
@@ -81,10 +72,9 @@ func (s *System) RestoreCNode(i int) { s.restoreCapacity(i) }
 
 // restoreCapacity un-parks CNode i's pipes, reporting whether i was failed.
 func (s *System) restoreCapacity(i int) bool {
-	if i < 0 || i >= s.cfg.CNodes || !s.failed[i] {
+	if !s.cnodes.Recover(i) {
 		return false
 	}
-	s.failed[i] = false
 	s.cnodeNIC[i].SetHealthFactor(s.linkHealth)
 	s.reduce[i].SetHealthFactor(s.linkHealth)
 	s.applyPoolHealth()
@@ -97,29 +87,19 @@ func (s *System) applyPoolHealth() {
 	if s.cnodePool == nil {
 		return
 	}
-	frac := float64(s.healthyCNodes()) / float64(s.cfg.CNodes) * s.linkHealth
+	frac := s.cnodes.Fraction() * s.linkHealth
 	s.cnodePool.SetHealthFactor(frac)
 	s.reducePool.SetHealthFactor(frac)
 }
 
 // HealthyCNodes reports how many CNodes are in service.
-func (s *System) HealthyCNodes() int { return s.healthyCNodes() }
-
-func (s *System) healthyCNodes() int {
-	n := 0
-	for i := 0; i < s.cfg.CNodes; i++ {
-		if !s.failed[i] {
-			n++
-		}
-	}
-	return n
-}
+func (s *System) HealthyCNodes() int { return s.cnodes.Healthy() }
 
 // nextHealthy returns the first in-service CNode after i (wrapping).
 func (s *System) nextHealthy(i int) int {
 	for step := 1; step <= s.cfg.CNodes; step++ {
 		j := (i + step) % s.cfg.CNodes
-		if !s.failed[j] {
+		if !s.cnodes.Failed(j) {
 			return j
 		}
 	}
@@ -146,7 +126,7 @@ func (s *System) RecoverServer(i int) { s.RecoverCNode(i) }
 func (s *System) SetLinkHealth(f float64) {
 	s.linkHealth = f
 	for i := 0; i < s.cfg.CNodes; i++ {
-		if s.failed[i] {
+		if s.cnodes.Failed(i) {
 			continue
 		}
 		s.cnodeNIC[i].SetHealthFactor(f)

@@ -62,7 +62,7 @@ func TestFailoverSequences(t *testing.T) {
 						sys.RestoreCNode(st.idx)
 					}
 					for i, cl := range clients {
-						if sys.failed[cl.cnode] {
+						if sys.cnodes.Failed(cl.cnode) {
 							t.Errorf("after %s %d: client %d pinned to failed CNode %d", st.op, st.idx, i, cl.cnode)
 						}
 					}
@@ -202,7 +202,7 @@ func TestMidFlightFailRecoverFail(t *testing.T) {
 	if !done {
 		t.Fatal("op stream did not survive fail/recover/fail")
 	}
-	if sys.failed[cl.cnode] {
+	if sys.cnodes.Failed(cl.cnode) {
 		t.Fatalf("client ended pinned to failed CNode %d", cl.cnode)
 	}
 	if got := sys.HealthyCNodes(); got != 3 {

@@ -1,7 +1,6 @@
 package vast
 
 import (
-	"fmt"
 	"time"
 
 	"storagesim/internal/repair"
@@ -52,76 +51,10 @@ func (c *Config) decodeAmp() float64 {
 	return 1.5
 }
 
-// FailDBox takes enclosure i out of service: the fabric and the SCM/QLC
-// pools lose its share, and reads homed on it turn degraded. Failing an
-// already-failed enclosure is a no-op; failing the last healthy one
-// panics (the cluster would be down, which no experiment models).
-func (s *System) FailDBox(i int) {
-	if i < 0 || i >= s.cfg.DBoxes {
-		panic(fmt.Sprintf("vast %s: no DBox %d", s.cfg.Name, i))
-	}
-	if s.dboxFailed[i] {
-		return
-	}
-	if s.healthyDBoxes() == 1 {
-		panic(fmt.Sprintf("vast %s: cannot fail the last healthy DBox", s.cfg.Name))
-	}
-	s.dboxFailed[i] = true
-	s.dboxRebuilt[i] = 0
-	s.applyDBoxHealth()
-}
-
-// RecoverDBox returns enclosure i to service at exact nominal capacity;
-// recovering a healthy enclosure is a no-op.
-func (s *System) RecoverDBox(i int) {
-	if i < 0 || i >= s.cfg.DBoxes || !s.dboxFailed[i] {
-		return
-	}
-	s.dboxFailed[i] = false
-	s.dboxRebuilt[i] = 0
-	s.applyDBoxHealth()
-}
-
-// SetDBoxRebuild counts failed enclosure i as fraction frac reconstructed
-// when deriving fabric and media capacity, so health recovers
-// incrementally as a rebuild progresses.
-func (s *System) SetDBoxRebuild(i int, frac float64) {
-	if i < 0 || i >= s.cfg.DBoxes || !s.dboxFailed[i] {
-		return
-	}
-	s.dboxRebuilt[i] = frac
-	s.applyDBoxHealth()
-}
-
-// healthyDBoxes counts the enclosures in service.
-func (s *System) healthyDBoxes() int {
-	n := 0
-	for i := 0; i < s.cfg.DBoxes; i++ {
-		if !s.dboxFailed[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// dboxFraction is the enclosures' effective share: whole healthy DBoxes
-// plus the rebuilt fractions of failed ones. With nothing failed the sum
-// of zeros keeps the division exact, so fail/recover pairs still restore
-// bit-identical nominal capacity.
-func (s *System) dboxFraction() float64 {
-	sum := float64(s.healthyDBoxes())
-	for i := 0; i < s.cfg.DBoxes; i++ {
-		if s.dboxFailed[i] {
-			sum += s.dboxRebuilt[i]
-		}
-	}
-	return sum / float64(s.cfg.DBoxes)
-}
-
 // applyDBoxHealth scales the CBox↔DBox fabric and the SCM/QLC pools to
 // the DBox fraction composed with the prevailing cluster-wide derates.
 func (s *System) applyDBoxHealth() {
-	frac := s.dboxFraction()
+	frac := s.dboxes.Fraction()
 	s.fabricUp.SetHealthFactor(s.linkHealth * frac)
 	s.fabricDown.SetHealthFactor(s.linkHealth * frac)
 	s.scm.SetHealthFactor(s.mediaHealth * frac)
@@ -136,12 +69,12 @@ func (s *System) stripeHome(stripe int64) int {
 // readDegraded reports whether any stripe of [off, off+n) is homed on a
 // failed enclosure — those reads must reconstruct from parity.
 func (s *System) readDegraded(off, n int64) bool {
-	if s.healthyDBoxes() == s.cfg.DBoxes {
+	if s.dboxes.Healthy() == s.cfg.DBoxes {
 		return false
 	}
 	sb := s.cfg.stripeBytes()
 	for st := off / sb; st*sb < off+n; st++ {
-		if s.dboxFailed[s.stripeHome(st)] {
+		if s.dboxes.Failed(s.stripeHome(st)) {
 			return true
 		}
 	}
@@ -152,7 +85,7 @@ func (s *System) readDegraded(off, n int64) bool {
 // decode penalty — reconstruction latency plus read amplification on the
 // surviving flash — when the extent is homed on a degraded enclosure. The
 // penalty disappears the moment the enclosure's rebuild completes
-// (RecoverDBox clears dboxFailed).
+// (RecoverUnit returns the enclosure to service).
 func (s *System) qlcOpRead(p *sim.Proc, id uint64, off, n int64) {
 	if s.readDegraded(off, n) {
 		p.Sleep(s.cfg.decodeLatency())
@@ -173,14 +106,32 @@ func (s *System) RepairScheme() repair.Scheme {
 // FaultUnits implements faults.UnitTarget: one redundancy unit per DBox.
 func (s *System) FaultUnits() int { return s.cfg.DBoxes }
 
-// FailUnit implements faults.UnitTarget.
-func (s *System) FailUnit(i int) { s.FailDBox(i) }
+// FailUnit implements faults.UnitTarget: takes enclosure i out of
+// service. The fabric and the SCM/QLC pools lose its share, and reads
+// homed on it turn degraded. Failing a failed enclosure is a no-op;
+// failing the last healthy one panics (faults.Units.Fail).
+func (s *System) FailUnit(i int) {
+	if s.dboxes.Fail(i) {
+		s.applyDBoxHealth()
+	}
+}
 
-// RecoverUnit implements faults.UnitTarget.
-func (s *System) RecoverUnit(i int) { s.RecoverDBox(i) }
+// RecoverUnit implements faults.UnitTarget: returns enclosure i to service
+// at exact nominal capacity; recovering a healthy enclosure is a no-op.
+func (s *System) RecoverUnit(i int) {
+	if s.dboxes.Recover(i) {
+		s.applyDBoxHealth()
+	}
+}
 
-// SetUnitRebuild implements repair.Protected.
-func (s *System) SetUnitRebuild(i int, frac float64) { s.SetDBoxRebuild(i, frac) }
+// SetUnitRebuild implements repair.Protected: counts failed enclosure i as
+// fraction frac reconstructed when deriving fabric and media capacity, so
+// health recovers incrementally as a rebuild progresses.
+func (s *System) SetUnitRebuild(i int, frac float64) {
+	if s.dboxes.SetRebuilt(i, frac) {
+		s.applyDBoxHealth()
+	}
+}
 
 // UnitBytes implements repair.Protected: the physical bytes homed on one
 // enclosure — the reduced QLC footprint plus the SCM-staged tail, spread

@@ -26,6 +26,7 @@ import (
 
 	"storagesim/internal/cache"
 	"storagesim/internal/device"
+	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
 	"storagesim/internal/fsbase"
 	"storagesim/internal/netsim"
@@ -192,19 +193,18 @@ type System struct {
 	// migration (see migrate.go).
 	staging *stager
 
-	// failed marks out-of-service CNodes (see failover.go); clients holds
+	// cnodes tracks out-of-service CNodes (see failover.go); clients holds
 	// every mount for failover re-pinning. linkHealth is the prevailing
 	// cluster-wide link derate applied by the fault injector, remembered so
 	// recovering CNodes come back at the right capacity.
-	failed     []bool
+	cnodes     faults.Units
 	clients    []*client
 	linkHealth float64
 
-	// DBox redundancy state (see repair.go): dboxFailed marks degraded
-	// enclosures, dboxRebuilt their reconstructed fractions, mediaHealth
-	// the cluster-wide media derate (composed with the DBox fraction).
-	dboxFailed  []bool
-	dboxRebuilt []float64
+	// DBox redundancy state (see repair.go): dboxes tracks degraded
+	// enclosures and their reconstructed fractions, mediaHealth the
+	// cluster-wide media derate (composed with the DBox fraction).
+	dboxes      faults.Units
 	mediaHealth float64
 
 	nextCNode int
@@ -216,9 +216,8 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, env: env, fab: fab, ns: fsapi.NewNamespace(),
-		failed: make([]bool, cfg.CNodes), linkHealth: 1,
-		dboxFailed: make([]bool, cfg.DBoxes), dboxRebuilt: make([]float64, cfg.DBoxes),
-		mediaHealth: 1}
+		cnodes: faults.NewUnits(cfg.CNodes, "vast "+cfg.Name, "CNode"), linkHealth: 1,
+		dboxes: faults.NewUnits(cfg.DBoxes, "vast "+cfg.Name, "DBox"), mediaHealth: 1}
 	for i := 0; i < cfg.CNodes; i++ {
 		s.cnodeNIC = append(s.cnodeNIC,
 			netsim.NewDuplex(fab, fmt.Sprintf("%s/cnode%d/nic", cfg.Name, i), cfg.CNodeNICBW, 2*time.Microsecond))
@@ -314,7 +313,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 	home := s.nextCNode % s.cfg.CNodes
 	s.nextCNode++
 	cn := home
-	if s.failed[cn] {
+	if s.cnodes.Failed(cn) {
 		cn = s.nextHealthy(cn)
 	}
 	cl := &client{sys: s, nic: nic, cnode: cn, home: home, id: uint64(len(s.clients))}
@@ -323,7 +322,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 	if s.cfg.ClientCacheBytes > 0 {
 		pc = cache.New(s.cfg.clientCache())
 	}
-	cl.core = fsbase.ClientCore{
+	cl.ClientCore = fsbase.ClientCore{
 		FS:      s.cfg.Name,
 		Node:    node,
 		NS:      s.ns,
@@ -349,7 +348,7 @@ type client struct {
 	// (failover or recovery re-balance): the next operation pays the NFS
 	// retransmit penalty before using the new path.
 	stale bool
-	core  fsbase.ClientCore
+	fsbase.ClientCore
 
 	// Resolved paths are cached per mount: op-level workloads resolve the
 	// path on every operation, and a stable pipe slice keeps the fabric's
@@ -362,26 +361,6 @@ type client struct {
 }
 
 type backend client
-
-// FSName implements fsapi.Client.
-func (c *client) FSName() string { return c.core.FSName() }
-
-// NodeName implements fsapi.Client.
-func (c *client) NodeName() string { return c.core.NodeName() }
-
-// Open implements fsapi.Client.
-func (c *client) Open(p *sim.Proc, path string, truncate bool) fsapi.File {
-	return c.core.Open(p, path, truncate)
-}
-
-// Remove implements fsapi.Client.
-func (c *client) Remove(p *sim.Proc, path string) { c.core.Remove(p, path) }
-
-// DropCaches implements fsapi.Client.
-func (c *client) DropCaches() { c.core.DropCaches() }
-
-// SetFlowTag implements fsapi.FlowTagger.
-func (c *client) SetFlowTag(tag string) { c.core.SetFlowTag(tag) }
 
 // maybeRetry charges the NFS retransmission penalty on the first operation
 // after the client's CNode assignment changed under it (failover or
@@ -398,7 +377,7 @@ func (c *client) maybeRetry(p *sim.Proc) {
 		return
 	}
 	c.sys.cfg.Retry.Retry(p, c.id, func() bool {
-		if c.sys.failed[c.cnode] {
+		if c.sys.cnodes.Failed(c.cnode) {
 			// The replacement died during the backoff; chase the VIP again.
 			c.cnode = c.sys.nextHealthy(c.cnode)
 			return false
@@ -460,7 +439,7 @@ func (c *client) rebuildPaths() {
 // flow from the client through gateway/rails, the CNode's reduction engine
 // and the fabric into the SCM staging pool.
 func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	c.maybeRetry(p)
 	if fsapi.Aborted(p) {
 		return // deadline fired during the retransmit penalty
@@ -481,7 +460,7 @@ func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, t
 // blocking-request ceiling (no readahead pipelining over NFS for random
 // offsets).
 func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.core.Stamp(p)
+	c.Stamp(p)
 	c.maybeRetry(p)
 	if fsapi.Aborted(p) {
 		return

@@ -222,7 +222,8 @@ var (
 	UnifyFSWombatConfig = cluster.UnifyFSWombatConfig
 )
 
-// Mounter is anything that can attach a compute node (all four systems).
+// Mounter is anything that can attach a compute node (all five systems:
+// VAST, GPFS, Lustre, node-local NVMe and UnifyFS).
 type Mounter interface {
 	Mount(node string, nic *netsim.Iface) fsapi.Client
 }
