@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"storagesim/internal/sim"
+	"storagesim/internal/vast"
 )
 
 func TestMachinesMatchTableI(t *testing.T) {
@@ -107,6 +109,39 @@ func TestDeploymentsConstruct(t *testing.T) {
 	wombat := MustNew(env, fab, WombatSpec(), 2)
 	if VASTOnWombat(wombat) == nil || NVMeOnWombat(wombat) == nil {
 		t.Fatal("Wombat deployments nil")
+	}
+}
+
+// TestDeployTable: Deploy builds exactly the table's (machine, backend)
+// pairs, and a VAST config mutation reaches the deployment on every
+// machine, not only on Wombat.
+func TestDeployTable(t *testing.T) {
+	offered := map[string][]string{
+		"Lassen": {"vast", "gpfs"},
+		"Ruby":   {"vast", "lustre"},
+		"Quartz": {"vast", "lustre"},
+		"Wombat": {"vast", "nvme", "unifyfs"},
+	}
+	const cacheBytes = 1 << 30
+	for _, m := range Machines() {
+		for _, backend := range []string{"vast", "gpfs", "lustre", "nvme", "unifyfs"} {
+			env := sim.NewEnv()
+			c := MustNew(env, sim.NewFabric(env), m, 1)
+			d, err := Deploy(c, backend, func(cfg *vast.Config) { cfg.ClientCacheBytes = cacheBytes })
+			if !slices.Contains(offered[m.Name], backend) {
+				if err == nil {
+					t.Errorf("Deploy(%s, %s) built a deployment the table lacks", m.Name, backend)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("Deploy(%s, %s): %v", m.Name, backend, err)
+				continue
+			}
+			if v, ok := d.(*vast.System); ok != (backend == "vast") || ok && v.Config().ClientCacheBytes != cacheBytes {
+				t.Errorf("Deploy(%s, %s) = %T without the VAST mutation applied", m.Name, backend, d)
+			}
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func (u *Units) Healthy() int { return u.healthy }
 // Failed reports whether unit i is out of service.
 func (u *Units) Failed(i int) bool { return u.failed[i] }
 
-// Fail takes unit i out of service, nothing of it rebuilt, and reports
+// Fail takes unit i out of service with nothing of it rebuilt and reports
 // whether its state changed: failing a failed unit is a no-op. An index
 // out of range panics, and so does failing the last healthy unit (the
 // deployment would be down, which no experiment models).
@@ -80,7 +80,7 @@ func (u *Units) SetRebuilt(i int, frac float64) bool {
 
 // Fraction is the units' effective share of the pooled capacity: whole
 // healthy units plus the rebuilt fractions of failed ones, over all units.
-// With nothing failed or rebuilt the sum adds only zeros, so fail/recover
+// With nothing failed the sum is exactly the unit count, so fail/recover
 // pairs restore the bit-identical nominal fraction 1.
 func (u *Units) Fraction() float64 {
 	sum := float64(u.healthy)
