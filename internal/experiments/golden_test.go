@@ -55,6 +55,23 @@ var goldens = map[string]func(*testing.T) string{
 		return renderPanels(t, err, p)
 	},
 	"rebuild_quick.golden": goldenRebuild,
+	// Op-level writes while 0, 1, 2 and 4 VAST CNodes fail 10 ms in:
+	// client failover and the NFS retransmit penalty are in the schedule.
+	"failover_quick.golden": func(t *testing.T) string {
+		tab, err := FailoverStudy(Options{Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab.Render()
+	},
+	// UnifyFS chunk placement and I/O-server pools, op-level.
+	"ablation_unifyfs_quick.golden": func(t *testing.T) string {
+		tab, err := AblationUnifyFS(Options{Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab.Render()
+	},
 	// The canonical four-tenant, one-million-client mix driven open-loop
 	// over VAST and Lustre at four load multipliers.
 	"saturation_quick.golden": func(t *testing.T) string {
