@@ -20,18 +20,26 @@ import (
 // the run and the report digest byte-for-byte; TestGolden/chaos_digests
 // pins three seeds per backend under every kernel build.
 
-// ChaosReport is the outcome of one seeded storm.
-type ChaosReport struct {
-	Backend      string
-	Machine      string
-	Seed         uint64
-	Delivered    int // fault events actually delivered
-	WriteBW      float64
+// StormOutcome is one seeded storm's accounting on one testbed: what the
+// injector delivered, what the repair manager rebuilt or lost, and what
+// the invariant checker saw. The plain, resilient and sharded chaos
+// reports embed it.
+type StormOutcome struct {
+	Seed         uint64 // the storm's seed
+	Delivered    int    // fault events actually delivered
 	LostBytes    float64
 	RebuiltBytes float64
 	Losses       int
 	Rebuilds     int
 	Violations   []string
+}
+
+// ChaosReport is the outcome of one seeded storm.
+type ChaosReport struct {
+	Backend string
+	Machine string
+	WriteBW float64
+	StormOutcome
 }
 
 // Digest renders the run's observable outcome with full float bit
@@ -56,10 +64,66 @@ func chaosMachine(fs FS) (string, error) {
 	return "", fmt.Errorf("experiments: no chaos machine for %q", fs)
 }
 
-// RunChaosStorm generates the seeded storm for fs's canonical deployment,
-// wraps the backend in a repair.Manager, attaches the invariant checker
-// and runs an op-level IOR foreground through it. Storm generation is
-// profile-driven: server and unit counts come from the backend itself.
+// stormRig is a testbed armed with a seeded storm: the storm is injected
+// into a repair.Manager around the backend, and an invariant checker
+// samples the fabric.
+type stormRig struct {
+	seed    uint64
+	mgr     *repair.Manager
+	inj     *faults.Injector
+	checker *invariants.Checker
+}
+
+// armStorm draws the seeded storm for fs from the backend's own server and
+// unit counts, wraps the backend in a repair.Manager, arms the storm on it
+// and attaches the invariant checker with the rebuild-completes-or-
+// reports-loss final check. The order is part of the schedule: the storm's
+// events take their calendar sequence numbers before the checker's
+// sampler does.
+func armStorm(tb *testbed, fs FS, seed uint64) (*stormRig, error) {
+	prot, ok := tb.sys.(repair.Protected)
+	if !ok {
+		return nil, fmt.Errorf("experiments: %s target declares no redundancy scheme", fs)
+	}
+	storm := chaos.Storm(seed, chaos.Profile{
+		Target:          string(fs),
+		Servers:         prot.FaultServers(),
+		Units:           prot.FaultUnits(),
+		UnitsAreServers: prot.RepairScheme().ServersHoldData,
+		Horizon:         30 * time.Millisecond,
+		Events:          12,
+	})
+	mgr := repair.NewManager(tb.env, tb.fab, prot, repair.QoS{MinBytes: 32 << 20})
+	inj, err := tb.inject(string(fs), mgr, storm)
+	if err != nil {
+		return nil, err
+	}
+	checker := invariants.Attach(tb.env, tb.fab, 250*time.Microsecond)
+	checker.Final("rebuild-completes-or-reports-loss", mgr.CheckComplete)
+	return &stormRig{seed: seed, mgr: mgr, inj: inj, checker: checker}, nil
+}
+
+// outcome folds the checker's final checks into its violations and reports
+// the storm's accounting. A checker that never sampled watched nothing,
+// which is an error.
+func (s *stormRig) outcome() (StormOutcome, error) {
+	if s.checker.Samples() == 0 {
+		return StormOutcome{}, fmt.Errorf("experiments: chaos checker never sampled")
+	}
+	s.checker.Err() // fold final checks into Violations
+	return StormOutcome{
+		Seed:         s.seed,
+		Delivered:    len(s.inj.Applied()),
+		LostBytes:    s.mgr.LostBytes(),
+		RebuiltBytes: s.mgr.RebuiltBytes(),
+		Losses:       len(s.mgr.Losses()),
+		Rebuilds:     len(s.mgr.Jobs()),
+		Violations:   s.checker.Violations(),
+	}, nil
+}
+
+// RunChaosStorm arms the seeded storm on fs's canonical deployment
+// (armStorm) and runs an op-level IOR foreground through it.
 func RunChaosStorm(fs FS, seed uint64, opts Options) (ChaosReport, error) {
 	opts = opts.withDefaults()
 	machine, err := chaosMachine(fs)
@@ -70,27 +134,10 @@ func RunChaosStorm(fs FS, seed uint64, opts Options) (ChaosReport, error) {
 	if err != nil {
 		return ChaosReport{}, err
 	}
-	prot, ok := tb.sys.(repair.Protected)
-	if !ok {
-		return ChaosReport{}, fmt.Errorf("experiments: %s target declares no redundancy scheme", fs)
-	}
-	scheme := prot.RepairScheme()
-	storm := chaos.Storm(seed, chaos.Profile{
-		Target:          string(fs),
-		Servers:         prot.FaultServers(),
-		Units:           prot.FaultUnits(),
-		UnitsAreServers: scheme.ServersHoldData,
-		Horizon:         30 * time.Millisecond,
-		Events:          12,
-	})
-	mgr := repair.NewManager(tb.env, tb.fab, prot, repair.QoS{MinBytes: 32 << 20})
-	inj := faults.NewInjector(tb.env)
-	inj.Register(string(fs), mgr)
-	if err := inj.Apply(storm); err != nil {
+	rig, err := armStorm(tb, fs, seed)
+	if err != nil {
 		return ChaosReport{}, err
 	}
-	checker := invariants.Attach(tb.env, tb.fab, 250*time.Microsecond)
-	checker.Final("rebuild-completes-or-reports-loss", mgr.CheckComplete)
 	cfg := ior.Config{
 		Workload:     ior.Scientific,
 		BlockSize:    1 << 20,
@@ -103,7 +150,7 @@ func RunChaosStorm(fs FS, seed uint64, opts Options) (ChaosReport, error) {
 	}
 	if sys, ok := tb.sys.(*vast.System); ok {
 		written := int64(2*cfg.ProcsPerNode) * cfg.BlockSize * int64(cfg.Segments)
-		checker.Final("byte-conservation", invariants.ConserveBytes(
+		rig.checker.Final("byte-conservation", invariants.ConserveBytes(
 			func() int64 { return written },
 			func() int64 { return sys.StagedBytes() + sys.MigratedBytes() }))
 	}
@@ -111,26 +158,12 @@ func RunChaosStorm(fs FS, seed uint64, opts Options) (ChaosReport, error) {
 	if err != nil {
 		return ChaosReport{}, err
 	}
-	if checker.Samples() == 0 {
-		return ChaosReport{}, fmt.Errorf("experiments: chaos checker never sampled")
+	out, err := rig.outcome()
+	if err != nil {
+		return ChaosReport{}, err
 	}
-	checker.Err() // fold final checks into Violations
-	return ChaosReport{
-		Backend:      string(fs),
-		Machine:      machine,
-		Seed:         seed,
-		Delivered:    len(inj.Applied()),
-		WriteBW:      res.WriteBW,
-		LostBytes:    mgr.LostBytes(),
-		RebuiltBytes: mgr.RebuiltBytes(),
-		Losses:       len(mgr.Losses()),
-		Rebuilds:     len(mgr.Jobs()),
-		Violations:   checker.Violations(),
-	}, nil
+	return ChaosReport{Backend: string(fs), Machine: machine, WriteBW: res.WriteBW, StormOutcome: out}, nil
 }
 
 // ChaosBackends lists every deployment the gate covers.
 func ChaosBackends() []FS { return []FS{VAST, GPFS, Lustre, NVMe, UnifyFS} }
-
-// Interface check: the conservation hook needs the concrete VAST system.
-var _ = (*vast.System)(nil)

@@ -24,9 +24,8 @@ func RunIORWithFaults(machine string, fs FS, nodes int, cfg ior.Config, sched fa
 	if err != nil {
 		return ior.Result{}, nil, err
 	}
-	inj := faults.NewInjector(tb.env)
-	inj.Register(string(fs), tb.sys)
-	if err := inj.Apply(sched); err != nil {
+	inj, err := tb.inject(string(fs), tb.sys, sched)
+	if err != nil {
 		return ior.Result{}, nil, err
 	}
 	res, err := ior.Run(tb.env, tb.mounts, cfg)

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"storagesim/internal/faults"
 	"storagesim/internal/ior"
-	"storagesim/internal/sim"
-	"storagesim/internal/vast"
 )
 
 // FailoverStudy exercises the paper's "stateless containers" claim
@@ -41,23 +40,22 @@ func FailoverStudy(opts Options) (Table, error) {
 }
 
 // failoverPoint runs the op-level write workload and fails `failures`
-// CNodes shortly after the run starts.
+// CNodes 10 ms into the run, as the degraded sweep does. healthy is the
+// deployment's server count less the failures delivered.
 func failoverPoint(failures int, opts Options) (bw float64, healthy int, err error) {
 	tb, err := buildTestbed("Wombat", VAST, 2, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	sys, ok := tb.sys.(*vast.System)
-	if !ok {
-		return 0, 0, fmt.Errorf("experiments: failover study needs a VAST testbed")
-	}
-	if failures > 0 {
-		tb.env.Go("chaos", func(p *sim.Proc) {
-			p.Sleep(10 * time.Millisecond)
-			for i := 0; i < failures; i++ {
-				sys.FailCNode(i)
-			}
+	var sched faults.Schedule
+	for i := 0; i < failures; i++ {
+		sched.Events = append(sched.Events, faults.Event{
+			At: 10 * time.Millisecond, Kind: faults.ServerFail, Index: i,
 		})
+	}
+	inj, err := tb.inject(string(VAST), tb.sys, sched)
+	if err != nil {
+		return 0, 0, err
 	}
 	segments := 128
 	if opts.Quick {
@@ -76,5 +74,5 @@ func failoverPoint(failures int, opts Options) (bw float64, healthy int, err err
 	if err != nil {
 		return 0, 0, err
 	}
-	return res.WriteBW / 1e9, sys.HealthyCNodes(), nil
+	return res.WriteBW / 1e9, tb.sys.FaultServers() - len(inj.Applied()), nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"storagesim/internal/faults"
 	"storagesim/internal/fidelity"
-	"storagesim/internal/fsapi"
 	"storagesim/internal/trace"
 	"storagesim/internal/traffic"
 )
@@ -41,11 +40,8 @@ func ReplayTraceOn(machine string, fs FS, nodes int, tr *trace.Trace, cfg traffi
 	if err != nil {
 		return traffic.Report{}, err
 	}
-	mount := func(tenant string, node int) fsapi.Client {
-		return tb.mount(tb.cl.Node(node).Name+"/"+tenant, node)
-	}
 	cfg.Trace = tr
-	return traffic.ReplayTrace(tb.env, tb.fab, nodes, mount, cfg), nil
+	return traffic.ReplayTrace(tb.env, tb.fab, nodes, tb.tenantMount, cfg), nil
 }
 
 // AuditOptions parameterizes a fidelity audit.

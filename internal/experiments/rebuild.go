@@ -45,9 +45,7 @@ func buildRepairTestbed(machine string, fs FS, nodes int, sched faults.Schedule,
 		return nil, nil, fmt.Errorf("experiments: %s target declares no redundancy scheme", fs)
 	}
 	mgr := repair.NewManager(tb.env, tb.fab, prot, qos)
-	inj := faults.NewInjector(tb.env)
-	inj.Register(string(fs), mgr)
-	if err := inj.Apply(sched); err != nil {
+	if _, err := tb.inject(string(fs), mgr, sched); err != nil {
 		return nil, nil, err
 	}
 	return tb, mgr, nil

@@ -5,12 +5,7 @@ import (
 	"math"
 	"time"
 
-	"storagesim/internal/faults"
-	"storagesim/internal/faults/invariants"
-	"storagesim/internal/fsapi"
 	"storagesim/internal/netsim"
-	"storagesim/internal/repair"
-	"storagesim/internal/repair/chaos"
 	"storagesim/internal/resilience"
 	"storagesim/internal/traffic"
 )
@@ -26,16 +21,10 @@ import (
 
 // ResilienceChaosReport is the outcome of one seeded resilient storm.
 type ResilienceChaosReport struct {
-	Backend      string
-	Machine      string
-	Seed         uint64
-	Delivered    int // fault events actually delivered
-	LostBytes    float64
-	RebuiltBytes float64
-	Losses       int
-	Rebuilds     int
-	Violations   []string
-	Traffic      traffic.Report
+	Backend string
+	Machine string
+	StormOutcome
+	Traffic traffic.Report
 }
 
 // Digest renders the run's observable outcome — repair accounting plus
@@ -97,9 +86,9 @@ func resilienceChaosTenants() traffic.Spec {
 	}
 }
 
-// RunResilienceChaosStorm generates the seeded storm for fs's canonical
-// deployment, wraps the backend in a repair.Manager, attaches the
-// invariant checker, and runs the resilient traffic foreground through it.
+// RunResilienceChaosStorm arms the seeded storm on fs's canonical
+// deployment (armStorm) and runs the resilient traffic foreground through
+// it.
 func RunResilienceChaosStorm(fs FS, seed uint64, opts Options) (ResilienceChaosReport, error) {
 	opts = opts.withDefaults()
 	machine, err := chaosMachine(fs)
@@ -110,49 +99,18 @@ func RunResilienceChaosStorm(fs FS, seed uint64, opts Options) (ResilienceChaosR
 	if err != nil {
 		return ResilienceChaosReport{}, err
 	}
-	prot, ok := tb.sys.(repair.Protected)
-	if !ok {
-		return ResilienceChaosReport{}, fmt.Errorf("experiments: %s target declares no redundancy scheme", fs)
-	}
-	scheme := prot.RepairScheme()
-	storm := chaos.Storm(seed, chaos.Profile{
-		Target:          string(fs),
-		Servers:         prot.FaultServers(),
-		Units:           prot.FaultUnits(),
-		UnitsAreServers: scheme.ServersHoldData,
-		Horizon:         30 * time.Millisecond,
-		Events:          12,
-	})
-	mgr := repair.NewManager(tb.env, tb.fab, prot, repair.QoS{MinBytes: 32 << 20})
-	inj := faults.NewInjector(tb.env)
-	inj.Register(string(fs), mgr)
-	if err := inj.Apply(storm); err != nil {
+	rig, err := armStorm(tb, fs, seed)
+	if err != nil {
 		return ResilienceChaosReport{}, err
 	}
-	checker := invariants.Attach(tb.env, tb.fab, 250*time.Microsecond)
-	checker.Final("rebuild-completes-or-reports-loss", mgr.CheckComplete)
-	mount := func(tenant string, node int) fsapi.Client {
-		return tb.mount(tb.cl.Node(node).Name+"/"+tenant, node)
-	}
-	trep := traffic.Run(tb.env, tb.fab, 2, mount, traffic.Config{
+	trep := traffic.Run(tb.env, tb.fab, 2, tb.tenantMount, traffic.Config{
 		Spec:     resilienceChaosTenants(),
 		Duration: 50 * time.Millisecond,
 		Seed:     opts.Seed + seed,
 	})
-	if checker.Samples() == 0 {
-		return ResilienceChaosReport{}, fmt.Errorf("experiments: resilience chaos checker never sampled")
+	out, err := rig.outcome()
+	if err != nil {
+		return ResilienceChaosReport{}, err
 	}
-	checker.Err() // fold final checks into Violations
-	return ResilienceChaosReport{
-		Backend:      string(fs),
-		Machine:      machine,
-		Seed:         seed,
-		Delivered:    len(inj.Applied()),
-		LostBytes:    mgr.LostBytes(),
-		RebuiltBytes: mgr.RebuiltBytes(),
-		Losses:       len(mgr.Losses()),
-		Rebuilds:     len(mgr.Jobs()),
-		Violations:   checker.Violations(),
-		Traffic:      trep,
-	}, nil
+	return ResilienceChaosReport{Backend: string(fs), Machine: machine, StormOutcome: out, Traffic: trep}, nil
 }

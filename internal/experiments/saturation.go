@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"storagesim/internal/faults"
-	"storagesim/internal/fsapi"
 	"storagesim/internal/stats"
 	"storagesim/internal/traffic"
 )
@@ -32,15 +31,11 @@ func RunTrafficWithFaults(machine string, fs FS, nodes int, cfg traffic.Config, 
 	if err != nil {
 		return traffic.Report{}, nil, err
 	}
-	inj := faults.NewInjector(tb.env)
-	inj.Register(string(fs), tb.sys)
-	if err := inj.Apply(sched); err != nil {
+	inj, err := tb.inject(string(fs), tb.sys, sched)
+	if err != nil {
 		return traffic.Report{}, nil, err
 	}
-	mount := func(tenant string, node int) fsapi.Client {
-		return tb.mount(tb.cl.Node(node).Name+"/"+tenant, node)
-	}
-	rep := traffic.Run(tb.env, tb.fab, nodes, mount, cfg)
+	rep := traffic.Run(tb.env, tb.fab, nodes, tb.tenantMount, cfg)
 	return rep, inj.Applied(), nil
 }
 

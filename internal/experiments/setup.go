@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"storagesim/internal/cluster"
+	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
 	"storagesim/internal/sim"
 	"storagesim/internal/vast"
@@ -54,18 +55,32 @@ func buildTestbedOn(env *sim.Env, fab *sim.Fabric, machine string, fs FS, n int,
 		return nil, err
 	}
 	tb := &testbed{env: env, fab: fab, cl: cl, sys: sys}
-	for i := 0; i < n; i++ {
-		tb.mounts = append(tb.mounts, tb.mount(cl.Node(i).Name, i))
+	for _, node := range cl.Nodes() {
+		tb.mounts = append(tb.mounts, sys.Mount(node.Name, node.NIC))
 	}
 	return tb, nil
 }
 
-// mount mints one more client mount named name on node index i. The
-// benchmark engines use the prebuilt mounts (one per node); the traffic
-// engine mints extra per-tenant mounts through this so each tenant gets
-// its own tagged view of the same node.
-func (tb *testbed) mount(name string, i int) fsapi.Client {
-	return tb.sys.Mount(name, tb.cl.Node(i).NIC)
+// tenantMount mints tenant's own client mount on node index node, named
+// "<node>/<tenant>". The benchmark engines use the prebuilt mounts (one
+// per node); the traffic engine mints one mount per tenant and node
+// through this, so each tenant gets its own tagged view of the same node.
+func (tb *testbed) tenantMount(tenant string, node int) fsapi.Client {
+	n := tb.cl.Node(node)
+	return tb.sys.Mount(n.Name+"/"+tenant, n.NIC)
+}
+
+// inject registers target under name on a fresh injector and arms sched
+// on it. It is the experiments' one way to fail, derate or recover
+// anything: target is the deployment itself or a repair.Manager around
+// it. The injector reports what was delivered (Applied).
+func (tb *testbed) inject(name string, target faults.Target, sched faults.Schedule) (*faults.Injector, error) {
+	inj := faults.NewInjector(tb.env)
+	inj.Register(name, target)
+	if err := inj.Apply(sched); err != nil {
+		return nil, err
+	}
+	return inj, nil
 }
 
 // derate scales the deployment's server side by f (the contention model).

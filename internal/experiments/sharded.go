@@ -5,11 +5,6 @@ import (
 	"math"
 	"time"
 
-	"storagesim/internal/faults"
-	"storagesim/internal/faults/invariants"
-	"storagesim/internal/fsapi"
-	"storagesim/internal/repair"
-	"storagesim/internal/repair/chaos"
 	"storagesim/internal/sim"
 	"storagesim/internal/stats"
 	"storagesim/internal/traffic"
@@ -60,9 +55,7 @@ func buildShardedTestbeds(machine string, fs FS, racks, nodesPerRack int) (*sim.
 			Shard: shard,
 			Fab:   fab,
 			Nodes: nodesPerRack,
-			Mount: func(tenant string, node int) fsapi.Client {
-				return tb.mount(tb.cl.Node(node).Name+"/"+tenant, node)
-			},
+			Mount: tb.tenantMount,
 		}
 	}
 	if racks > 1 {
@@ -105,16 +98,10 @@ func runSaturationPoint(machine string, fs FS, nodes int, cfg traffic.Config, op
 }
 
 // RackChaosOutcome is one rack's storm accounting inside a sharded chaos
-// run.
+// run; its Seed is the rack's derived storm seed.
 type RackChaosOutcome struct {
-	Rack         int
-	Seed         uint64 // the rack's derived storm seed
-	Delivered    int    // fault events actually delivered on the rack
-	LostBytes    float64
-	RebuiltBytes float64
-	Losses       int
-	Rebuilds     int
-	Violations   []string
+	Rack int
+	StormOutcome
 }
 
 // ShardedChaosReport is the outcome of a sharded chaos run:
@@ -194,38 +181,11 @@ func RunShardedChaosStorm(fs FS, racks int, seed uint64, opts Options) (ShardedC
 	}
 	defer g.Shutdown()
 
-	type rackChaos struct {
-		mgr     *repair.Manager
-		inj     *faults.Injector
-		checker *invariants.Checker
-		seed    uint64
-	}
-	rcs := make([]rackChaos, racks)
+	rigs := make([]*stormRig, racks)
 	for r := range srs {
-		tb := srs[r].tb
-		prot, ok := tb.sys.(repair.Protected)
-		if !ok {
-			return ShardedChaosReport{}, fmt.Errorf("experiments: %s target declares no redundancy scheme", fs)
-		}
-		scheme := prot.RepairScheme()
-		rseed := rackStormSeed(seed, r)
-		storm := chaos.Storm(rseed, chaos.Profile{
-			Target:          string(fs),
-			Servers:         prot.FaultServers(),
-			Units:           prot.FaultUnits(),
-			UnitsAreServers: scheme.ServersHoldData,
-			Horizon:         30 * time.Millisecond,
-			Events:          12,
-		})
-		mgr := repair.NewManager(tb.env, tb.fab, prot, repair.QoS{MinBytes: 32 << 20})
-		inj := faults.NewInjector(tb.env)
-		inj.Register(string(fs), mgr)
-		if err := inj.Apply(storm); err != nil {
+		if rigs[r], err = armStorm(srs[r].tb, fs, rackStormSeed(seed, r)); err != nil {
 			return ShardedChaosReport{}, err
 		}
-		checker := invariants.Attach(tb.env, tb.fab, 250*time.Microsecond)
-		checker.Final("rebuild-completes-or-reports-loss", mgr.CheckComplete)
-		rcs[r] = rackChaos{mgr: mgr, inj: inj, checker: checker, seed: rseed}
 	}
 
 	trep := traffic.RunSharded(g, trs, traffic.ShardedConfig{
@@ -238,22 +198,12 @@ func RunShardedChaosStorm(fs FS, racks int, seed uint64, opts Options) (ShardedC
 	})
 
 	rep := ShardedChaosReport{Backend: string(fs), Machine: machine, Seed: seed, Traffic: trep}
-	for r := range rcs {
-		rc := rcs[r]
-		if rc.checker.Samples() == 0 {
-			return ShardedChaosReport{}, fmt.Errorf("experiments: rack %d chaos checker never sampled", r)
+	for r, rig := range rigs {
+		out, err := rig.outcome()
+		if err != nil {
+			return ShardedChaosReport{}, fmt.Errorf("rack %d: %w", r, err)
 		}
-		rc.checker.Err() // fold final checks into Violations
-		rep.Racks = append(rep.Racks, RackChaosOutcome{
-			Rack:         r,
-			Seed:         rc.seed,
-			Delivered:    len(rc.inj.Applied()),
-			LostBytes:    rc.mgr.LostBytes(),
-			RebuiltBytes: rc.mgr.RebuiltBytes(),
-			Losses:       len(rc.mgr.Losses()),
-			Rebuilds:     len(rc.mgr.Jobs()),
-			Violations:   rc.checker.Violations(),
-		})
+		rep.Racks = append(rep.Racks, RackChaosOutcome{Rack: r, StormOutcome: out})
 	}
 	return rep, nil
 }

@@ -9,7 +9,6 @@ import (
 	"storagesim/internal/configsearch"
 	"storagesim/internal/device"
 	"storagesim/internal/faults"
-	"storagesim/internal/fsapi"
 	"storagesim/internal/gpfs"
 	"storagesim/internal/lustre"
 	"storagesim/internal/netsim"
@@ -585,10 +584,7 @@ func (e *whatIfExplorer) measure(c configsearch.Candidate) (configsearch.Metrics
 	if err != nil {
 		return configsearch.Metrics{}, fmt.Errorf("whatif: build %s: %w", c, err)
 	}
-	mount := func(tenant string, node int) fsapi.Client {
-		return tb.mount(tb.cl.Node(node).Name+"/"+tenant, node)
-	}
-	rep := traffic.Run(tb.env, tb.fab, c.Nodes, mount, traffic.Config{
+	rep := traffic.Run(tb.env, tb.fab, c.Nodes, tb.tenantMount, traffic.Config{
 		Spec:     e.specFor(c),
 		Duration: e.window,
 		Seed:     e.cfg.Seed,
@@ -644,17 +640,15 @@ func (e *whatIfExplorer) buildCandidate(c configsearch.Candidate) (*testbed, err
 	sched := faults.Schedule{Events: []faults.Event{{
 		At: f.At, Kind: faults.Kind(f.Kind), Index: f.Index, Factor: f.Factor,
 	}}}
-	inj := faults.NewInjector(tb.env)
+	var target faults.Target = tb.sys
 	if prot, ok := tb.sys.(repair.Protected); ok && c.RepairQoS != "" {
 		qos := repair.QoS{MinBytes: rebuildFloorBytes}
 		if c.RepairQoS == configsearch.QoSThrottled {
 			qos.RateBps = rebuildThrottleBps
 		}
-		inj.Register(c.Backend, repair.NewManager(tb.env, tb.fab, prot, qos))
-	} else {
-		inj.Register(c.Backend, tb.sys)
+		target = repair.NewManager(tb.env, tb.fab, prot, qos)
 	}
-	if err := inj.Apply(sched); err != nil {
+	if _, err := tb.inject(c.Backend, target, sched); err != nil {
 		return nil, err
 	}
 	return tb, nil

@@ -15,12 +15,13 @@ package vast
 // the fabric: parked components sit at sim.ParkedBps and come back to
 // their nominal capacity, not to whatever a cumulative derate left behind.
 
-// FailCNode takes CNode i out of service. Clients pinned to it fail over
-// to the next healthy CNode and are marked stale: with a retry policy
-// configured, their next operation pays the NFS retransmit delay before
-// using the new path. The multipath pools lose the node's share. Failing
-// an already-failed CNode is a no-op; failing the last healthy CNode
-// panics (the cluster would be down, which no experiment models).
+// FailServer implements faults.Target: it takes CNode i out of service.
+// Clients pinned to it fail over to the next healthy CNode and are marked
+// stale: with a retry policy configured, their next operation pays the NFS
+// retransmit delay before using the new path. The multipath pools lose the
+// node's share. Failing an already-failed CNode is a no-op; failing the
+// last healthy CNode panics (the cluster would be down, which no
+// experiment models).
 //
 // Op-level workloads resolve their path per operation and fail over after
 // the retransmit penalty. A flow-level stream that is mid-flight across
@@ -28,7 +29,7 @@ package vast
 // flow) and crawls at the parked capacity — mirroring an NFS hard-mount
 // retrying until its server returns. Inject failures around flow
 // boundaries or use op-level runs for failure studies.
-func (s *System) FailCNode(i int) {
+func (s *System) FailServer(i int) {
 	if !s.cnodes.Fail(i) {
 		return
 	}
@@ -47,38 +48,26 @@ func (s *System) FailCNode(i int) {
 	}
 }
 
-// RecoverCNode returns a failed CNode to service and re-balances the
-// client pinning: every mount whose home CNode (its round-robin assignment
-// at mount time) is the recovered server moves back to it, as the
+// RecoverServer implements faults.Target: it returns a failed CNode to
+// service at the prevailing link health and re-balances the client
+// pinning: every mount whose home CNode (its round-robin assignment at
+// mount time) is the recovered server moves back to it, as the
 // automounter's VIP redistribution does. Moved clients are marked stale
 // and pay the retransmit penalty on their next operation. Recovering a
 // healthy CNode is a no-op.
-func (s *System) RecoverCNode(i int) {
-	if !s.restoreCapacity(i) {
+func (s *System) RecoverServer(i int) {
+	if !s.cnodes.Recover(i) {
 		return
 	}
+	s.cnodeNIC[i].SetHealthFactor(s.linkHealth)
+	s.reduce[i].SetHealthFactor(s.linkHealth)
+	s.applyPoolHealth()
 	for _, cl := range s.clients {
 		if cl.home == i && cl.cnode != i {
 			cl.cnode = i
 			cl.stale = true
 		}
 	}
-}
-
-// RestoreCNode returns a failed CNode to service, capacity only: clients
-// stay where the failover left them until they remount. RecoverCNode is
-// the full recovery including client re-balancing.
-func (s *System) RestoreCNode(i int) { s.restoreCapacity(i) }
-
-// restoreCapacity un-parks CNode i's pipes, reporting whether i was failed.
-func (s *System) restoreCapacity(i int) bool {
-	if !s.cnodes.Recover(i) {
-		return false
-	}
-	s.cnodeNIC[i].SetHealthFactor(s.linkHealth)
-	s.reduce[i].SetHealthFactor(s.linkHealth)
-	s.applyPoolHealth()
-	return true
 }
 
 // applyPoolHealth scales the multipath pools to the healthy-CNode fraction
@@ -92,9 +81,6 @@ func (s *System) applyPoolHealth() {
 	s.reducePool.SetHealthFactor(frac)
 }
 
-// HealthyCNodes reports how many CNodes are in service.
-func (s *System) HealthyCNodes() int { return s.cnodes.Healthy() }
-
 // nextHealthy returns the first in-service CNode after i (wrapping).
 func (s *System) nextHealthy(i int) int {
 	for step := 1; step <= s.cfg.CNodes; step++ {
@@ -103,7 +89,7 @@ func (s *System) nextHealthy(i int) int {
 			return j
 		}
 	}
-	panic("vast: no healthy CNodes") // guarded by FailCNode
+	panic("vast: no healthy CNodes") // guarded by FailServer
 }
 
 // --- faults.Target ---
@@ -111,13 +97,6 @@ func (s *System) nextHealthy(i int) int {
 // FaultServers implements faults.Target: the failable servers are the
 // CNodes.
 func (s *System) FaultServers() int { return s.cfg.CNodes }
-
-// FailServer implements faults.Target.
-func (s *System) FailServer(i int) { s.FailCNode(i) }
-
-// RecoverServer implements faults.Target: full recovery with client
-// re-balancing.
-func (s *System) RecoverServer(i int) { s.RecoverCNode(i) }
 
 // SetLinkHealth implements faults.Target: derates every healthy CNode's
 // NIC and reduction engine, the multipath pools and the CBox↔DBox fabric

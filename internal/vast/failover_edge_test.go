@@ -20,7 +20,7 @@ func mountN(fab *sim.Fabric, sys *System, n int) []*client {
 	return out
 }
 
-// TestFailoverSequences drives the fail/recover/restore state machine
+// TestFailoverSequences drives the fail/recover state machine
 // through edge-case sequences. After every non-panicking step, no client
 // may be pinned to a failed CNode — failover is supposed to hold as an
 // invariant, not just after a single clean failure.
@@ -38,7 +38,6 @@ func TestFailoverSequences(t *testing.T) {
 		{"fail recover fail same CNode", []step{{"fail", 1}, {"recover", 1}, {"fail", 1}}, 3, false},
 		{"double fail is a no-op", []step{{"fail", 2}, {"fail", 2}}, 3, false},
 		{"recover healthy is a no-op", []step{{"recover", 0}}, 4, false},
-		{"restore then re-fail", []step{{"fail", 0}, {"restore", 0}, {"fail", 0}}, 3, false},
 		{"interleaved fail and recover", []step{{"fail", 0}, {"fail", 1}, {"recover", 0}, {"fail", 2}}, 2, false},
 		{"cascade to two survivors", []step{{"fail", 3}, {"fail", 0}}, 2, false},
 		{"fail last healthy panics", []step{{"fail", 0}, {"fail", 1}, {"fail", 2}, {"fail", 3}}, 0, true},
@@ -55,11 +54,9 @@ func TestFailoverSequences(t *testing.T) {
 				for _, st := range tc.steps {
 					switch st.op {
 					case "fail":
-						sys.FailCNode(st.idx)
+						sys.FailServer(st.idx)
 					case "recover":
-						sys.RecoverCNode(st.idx)
-					case "restore":
-						sys.RestoreCNode(st.idx)
+						sys.RecoverServer(st.idx)
 					}
 					for i, cl := range clients {
 						if sys.cnodes.Failed(cl.cnode) {
@@ -75,7 +72,7 @@ func TestFailoverSequences(t *testing.T) {
 			if tc.wantPanic {
 				return
 			}
-			if got := sys.HealthyCNodes(); got != tc.wantHealthy {
+			if got := sys.cnodes.Healthy(); got != tc.wantHealthy {
 				t.Fatalf("healthy = %d, want %d", got, tc.wantHealthy)
 			}
 		})
@@ -97,11 +94,11 @@ func TestRePinDistributionAfterRecovery(t *testing.T) {
 		}
 		return d
 	}
-	sys.FailCNode(0)
+	sys.FailServer(0)
 	if d := distribution(); d[0] != 0 {
 		t.Fatalf("failed CNode still serves %d clients", d[0])
 	}
-	sys.RecoverCNode(0)
+	sys.RecoverServer(0)
 	d := distribution()
 	for cn := 0; cn < 4; cn++ {
 		if d[cn] != 2 {
@@ -145,7 +142,7 @@ func TestRetryPenaltyAfterFailover(t *testing.T) {
 		f.Fsync(p)
 		clean = sim.Duration(p.Now() - t0)
 
-		sys.FailCNode(victim)
+		sys.FailServer(victim)
 		t0 = p.Now()
 		f.WriteAt(p, 1<<20, 1<<20)
 		f.Fsync(p)
@@ -191,11 +188,11 @@ func TestMidFlightFailRecoverFail(t *testing.T) {
 	})
 	env.Go("chaos", func(p *sim.Proc) {
 		p.Sleep(3 * time.Millisecond)
-		sys.FailCNode(victim)
+		sys.FailServer(victim)
 		p.Sleep(5 * time.Millisecond)
-		sys.RecoverCNode(victim)
+		sys.RecoverServer(victim)
 		p.Sleep(5 * time.Millisecond)
-		sys.FailCNode(victim)
+		sys.FailServer(victim)
 	})
 	env.Run()
 
@@ -205,7 +202,7 @@ func TestMidFlightFailRecoverFail(t *testing.T) {
 	if sys.cnodes.Failed(cl.cnode) {
 		t.Fatalf("client ended pinned to failed CNode %d", cl.cnode)
 	}
-	if got := sys.HealthyCNodes(); got != 3 {
+	if got := sys.cnodes.Healthy(); got != 3 {
 		t.Fatalf("healthy = %d, want 3", got)
 	}
 }

@@ -19,9 +19,9 @@ func TestFailCNodeRePinsClients(t *testing.T) {
 		clients = append(clients, sys.Mount(fmt.Sprintf("n%d", i), nic).(*client))
 	}
 	victim := clients[0].cnode
-	sys.FailCNode(victim)
-	if sys.HealthyCNodes() != 3 {
-		t.Fatalf("healthy = %d, want 3", sys.HealthyCNodes())
+	sys.FailServer(victim)
+	if sys.cnodes.Healthy() != 3 {
+		t.Fatalf("healthy = %d, want 3", sys.cnodes.Healthy())
 	}
 	for i, cl := range clients {
 		if cl.cnode == victim {
@@ -47,7 +47,7 @@ func TestFailoverKeepsIORunning(t *testing.T) {
 	})
 	env.Go("chaos", func(p *sim.Proc) {
 		p.Sleep(5 * time.Millisecond)
-		sys.FailCNode(victim)
+		sys.FailServer(victim)
 	})
 	env.Run()
 	if !done {
@@ -71,7 +71,7 @@ func TestFailureCostsCapacityOnly(t *testing.T) {
 		sys := MustNew(env, fab, cfg)
 		cl := sys.Mount("n0", netsim.NewIface(fab, "n0/nic", 100e9, 0))
 		for i := 0; i < fail; i++ {
-			sys.FailCNode(i)
+			sys.FailServer(i)
 		}
 		const total = 8 << 30
 		var end sim.Time
@@ -89,37 +89,22 @@ func TestFailureCostsCapacityOnly(t *testing.T) {
 	}
 }
 
-func TestRestoreCNode(t *testing.T) {
-	_, fab, sys := newTestSystem(t)
-	_ = fab
-	sys.FailCNode(1)
-	sys.RestoreCNode(1)
-	if sys.HealthyCNodes() != 4 {
-		t.Fatalf("healthy after restore = %d", sys.HealthyCNodes())
-	}
-	// Restoring a healthy node is a no-op.
-	sys.RestoreCNode(2)
-	if sys.HealthyCNodes() != 4 {
-		t.Fatal("restore of healthy node changed state")
-	}
-}
-
 func TestCannotFailLastCNode(t *testing.T) {
 	_, _, sys := newTestSystem(t)
-	sys.FailCNode(0)
-	sys.FailCNode(1)
-	sys.FailCNode(2)
+	sys.FailServer(0)
+	sys.FailServer(1)
+	sys.FailServer(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("failing the last CNode did not panic")
 		}
 	}()
-	sys.FailCNode(3)
+	sys.FailServer(3)
 }
 
 func TestMountSkipsFailedCNode(t *testing.T) {
 	_, fab, sys := newTestSystem(t)
-	sys.FailCNode(0)
+	sys.FailServer(0)
 	// Mount rotation would assign CNode 0 to the first mount; it must skip.
 	cl := sys.Mount("n0", netsim.NewIface(fab, "n0/nic", 10e9, 0)).(*client)
 	if cl.cnode == 0 {

@@ -353,7 +353,7 @@ type client struct {
 	// Resolved paths are cached per mount: op-level workloads resolve the
 	// path on every operation, and a stable pipe slice keeps the fabric's
 	// flow-class lookup allocation-free. pathCNode tags which CNode the
-	// cache was built for — FailCNode re-pins clients by mutating cnode, so
+	// cache was built for — FailServer re-pins clients by mutating cnode, so
 	// a stale tag forces a rebuild (op-level failover stays seamless).
 	pathCNode   int
 	cachedWrite netsim.Path
