@@ -131,3 +131,25 @@ func TestTrafficFaultComposition(t *testing.T) {
 		t.Fatalf("degraded run delivered %.0f bytes >= healthy %.0f", hurtBytes, okBytes)
 	}
 }
+
+// TestUnifyFSTrafficGoodput: a UnifyFS stream runs its local and remote
+// shares in child processes, and every byte they move must still count
+// as the tenant's goodput.
+func TestUnifyFSTrafficGoodput(t *testing.T) {
+	spec := SaturationTenants()
+	rep, err := RunTraffic("Wombat", UnifyFS, 2, traffic.Config{
+		Spec: spec, Duration: 500 * time.Millisecond, Seed: 0x5eed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tn := range spec.Tenants {
+		tr := rep.Tenants[i]
+		if tn.Workload == traffic.Metadata {
+			continue
+		}
+		if tr.Completed == 0 || tr.DeliveredBytes <= 0 {
+			t.Errorf("%s completed %d requests but delivered %.0f bytes", tr.Name, tr.Completed, tr.DeliveredBytes)
+		}
+	}
+}

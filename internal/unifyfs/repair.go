@@ -34,9 +34,11 @@ func (s *System) SetUnitRebuild(i int, frac float64) {}
 // owns. Map iteration order is irrelevant — integer addition commutes.
 func (s *System) UnitBytes(i int) float64 {
 	chunks := int64(0)
-	for _, owner := range s.chunkOwner {
-		if owner == i {
-			chunks++
+	for _, owners := range s.chunkOwner {
+		for _, owner := range owners {
+			if owner == i {
+				chunks++
+			}
 		}
 	}
 	return float64(chunks * s.cfg.ChunkBytes)

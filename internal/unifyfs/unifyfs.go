@@ -91,19 +91,15 @@ type System struct {
 	ns  *fsapi.Namespace
 
 	nodes []*nodeState
-	// chunkOwner maps (inode, chunk index) to the owning node's index.
-	chunkOwner map[chunkKey]int
+	// chunkOwner maps an inode to its chunks' owning node indices, keyed
+	// by chunk index, so a remove drops one entry.
+	chunkOwner map[uint64]map[int64]int
 
 	// Fault state (see faults.go): units tracks out-of-service nodes (one
 	// unit per entry of nodes); mediaHealth is the prevailing cluster-wide
 	// media derate, which recovering nodes pick up.
 	units       faults.Units
 	mediaHealth float64
-}
-
-type chunkKey struct {
-	ino   uint64
-	chunk int64
 }
 
 type nodeState struct {
@@ -123,7 +119,7 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 		env:         env,
 		fab:         fab,
 		ns:          fsapi.NewNamespace(),
-		chunkOwner:  map[chunkKey]int{},
+		chunkOwner:  map[uint64]map[int64]int{},
 		units:       faults.NewUnits(0, "unifyfs "+cfg.Name, "node"),
 		mediaHealth: 1,
 	}, nil
@@ -165,8 +161,8 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 
 // owner resolves (and on writes, assigns) the node owning a chunk.
 func (s *System) owner(ino uint64, chunk int64, writerIdx int, assign bool) int {
-	key := chunkKey{ino, chunk}
-	if idx, ok := s.chunkOwner[key]; ok {
+	owners := s.chunkOwner[ino]
+	if idx, ok := owners[chunk]; ok {
 		return idx
 	}
 	if !assign {
@@ -176,7 +172,11 @@ func (s *System) owner(ino uint64, chunk int64, writerIdx int, assign bool) int 
 	if s.cfg.Placement == RoundRobin {
 		idx = int(chunk) % len(s.nodes)
 	}
-	s.chunkOwner[key] = idx
+	if owners == nil {
+		owners = map[int64]int{}
+		s.chunkOwner[ino] = owners
+	}
+	owners[chunk] = idx
 	return idx
 }
 
@@ -232,11 +232,7 @@ func (c *client) Remove(p *sim.Proc, path string) {
 		p.Sleep(c.sys.cfg.ServerLatency)
 	}
 	c.sys.ns.Remove(path)
-	for k := range c.sys.chunkOwner {
-		if k.ino == ino.ID {
-			delete(c.sys.chunkOwner, k)
-		}
-	}
+	delete(c.sys.chunkOwner, ino.ID)
 }
 
 // Open implements fsapi.Client.
@@ -357,16 +353,18 @@ func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, to
 }
 
 // streamSplit issues the local and remote shares as parallel flows and
-// waits for both. Spawned children do not inherit the caller's abort token
-// (sim.Proc tokens are per-process), so the request's token is propagated
-// explicitly: each half re-checks it on entry and its fabric transfers
-// register on it, letting a deadline unwind both halves in flight.
+// waits for both. Spawned children inherit neither the caller's abort
+// token nor its flow tag (both are per-process), so each half is stamped
+// with the mount's tag, and the request's token is propagated explicitly:
+// each half re-checks it on entry and its fabric transfers register on
+// it, letting a deadline unwind both halves in flight.
 func (c *client) streamSplit(p *sim.Proc, a fsapi.Access, ioSize, local, remote int64, write bool) {
 	s := c.sys
 	ab := p.AbortSignal()
 	wg := sim.NewWaitGroup(p.Env())
 	if local > 0 {
 		wg.Go(c.node.name+"/local", func(p *sim.Proc) {
+			c.stamp(p)
 			p.SetAbort(ab)
 			if p.Aborted() {
 				return
@@ -384,6 +382,7 @@ func (c *client) streamSplit(p *sim.Proc, a fsapi.Access, ioSize, local, remote 
 		peer := s.nodes[(c.idx+1)%len(s.nodes)]
 		path := c.remotePath(peer, write)
 		wg.Go(c.node.name+"/remote", func(p *sim.Proc) {
+			c.stamp(p)
 			p.SetAbort(ab)
 			if p.Aborted() {
 				return

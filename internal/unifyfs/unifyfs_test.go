@@ -88,9 +88,11 @@ func TestLocalFirstKeepsWritesLocal(t *testing.T) {
 		}
 	})
 	env.Run()
-	for k, owner := range sys.chunkOwner {
-		if owner != 2 {
-			t.Fatalf("chunk %v placed on node %d, want writer's node 2", k, owner)
+	for ino, owners := range sys.chunkOwner {
+		for chunk, owner := range owners {
+			if owner != 2 {
+				t.Fatalf("inode %d chunk %d placed on node %d, want writer's node 2", ino, chunk, owner)
+			}
 		}
 	}
 }
@@ -105,8 +107,10 @@ func TestRoundRobinStripesChunks(t *testing.T) {
 	})
 	env.Run()
 	seen := map[int]int{}
-	for _, owner := range sys.chunkOwner {
-		seen[owner]++
+	for _, owners := range sys.chunkOwner {
+		for _, owner := range owners {
+			seen[owner]++
+		}
 	}
 	if len(seen) != 4 {
 		t.Fatalf("stripes used %d of 4 nodes: %v", len(seen), seen)
@@ -213,20 +217,28 @@ func TestStreamRoundRobinUsesInterconnect(t *testing.T) {
 	}
 }
 
+// TestRemoveDropsChunks removes one of two round-robin files: the
+// survivor's chunks, and only those, still count toward each node's
+// UnitBytes (the bytes a node failure loses).
 func TestRemoveDropsChunks(t *testing.T) {
 	env, sys, mounts := build(t, RoundRobin, 4, 2)
 	env.Go("x", func(p *sim.Proc) {
-		f := mounts[0].Open(p, "/f", true)
-		f.WriteAt(p, 0, 4<<20)
-		f.Close(p)
+		for _, name := range []string{"/f", "/g"} {
+			f := mounts[0].Open(p, name, true)
+			f.WriteAt(p, 0, 4<<20)
+			f.Close(p)
+		}
 		mounts[0].Remove(p, "/f")
 	})
 	env.Run()
-	if len(sys.chunkOwner) != 0 {
-		t.Fatalf("%d chunks survived removal", len(sys.chunkOwner))
-	}
 	if sys.Namespace().Lookup("/f") != nil {
 		t.Fatal("file survived removal")
+	}
+	// Round-robin over two nodes: /g's four 1 MiB chunks alternate owners.
+	for i := 0; i < 2; i++ {
+		if got, want := sys.UnitBytes(i), float64(2<<20); got != want {
+			t.Errorf("node %d UnitBytes = %.0f after removing /f, want %.0f", i, got, want)
+		}
 	}
 }
 
