@@ -152,7 +152,7 @@ func (c *Call) attemptBody(ap *sim.Proc, idx int) {
 //
 // Coordination is the record's one-shot done Event: sim processes must
 // never wait on two Events at once, so the hedge trigger and the deadline
-// ride timer callbacks (env.AfterFunc) that are cancelled as soon as the
+// ride timer callbacks (env.After) that are cancelled as soon as the
 // race resolves. Same-instant timer callbacks always run before the woken
 // coordinator (their calendar entries predate the wake-up), so the
 // done.Fired guards fully cover the cancel races.
@@ -166,10 +166,10 @@ func (c *Call) runRound(p *sim.Proc, pl Policy, hedgeDelay sim.Duration) (ok, he
 	c.launch(0)
 	var hedgeTimer, deadlineTimer sim.Timer
 	if hedgeDelay > 0 {
-		hedgeTimer = env.AfterFunc(hedgeDelay, c.onHedge)
+		hedgeTimer = env.After(hedgeDelay, c.onHedge)
 	}
 	if pl.Deadline > 0 {
-		deadlineTimer = env.AfterFunc(pl.Deadline, c.onDln)
+		deadlineTimer = env.After(pl.Deadline, c.onDln)
 	}
 	c.done.Wait(p)
 	hedgeTimer.Cancel()

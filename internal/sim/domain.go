@@ -262,7 +262,7 @@ func (g *Group) deliver() {
 			panic(fmt.Sprintf("sim: conservative synchronization violated: message from %s due %v behind %s clock %v",
 				g.shards[m.src].name, m.at, dst.name, dst.env.now))
 		}
-		dst.env.scheduleFn(m.at, m.fn)
+		dst.env.Schedule(m.at, m.fn)
 	}
 	clear(g.pending)
 	g.pending = g.pending[:0]

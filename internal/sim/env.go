@@ -107,90 +107,39 @@ func (e *Env) scheduleEvent(at Time, kind uint8, fn func(), p *Proc) *timedEvent
 	return ev
 }
 
-// Schedule runs fn at time `at`. It returns a handle that can cancel the
-// event before it fires. Scheduling in the past panics: that is always a
-// model bug.
-func (e *Env) Schedule(at Time, fn func()) *EventHandle {
+// Schedule runs fn at time `at`. It returns a Timer that can cancel the
+// event before it fires; neither the schedule nor a cancel allocates, so
+// callers that re-arm a timer on a hot path should bind fn once and reuse
+// it. Scheduling in the past panics: that is always a model bug.
+func (e *Env) Schedule(at Time, fn func()) Timer {
 	ev := e.scheduleEvent(at, evFn, fn, nil)
-	return &EventHandle{env: e, ev: ev, gen: ev.gen}
+	return Timer{env: e, ev: ev, gen: ev.gen}
 }
 
 // After runs fn after duration d.
-func (e *Env) After(d Duration, fn func()) *EventHandle {
+func (e *Env) After(d Duration, fn func()) Timer {
 	return e.Schedule(e.now.Add(d), fn)
 }
 
-// EventHandle allows cancelling a scheduled event.
-type EventHandle struct {
+// Timer is the by-value cancel handle of a scheduled event: the fabric's
+// completion timer, cross-shard deliveries, and the traffic and resilience
+// layers' arrival, hedge and deadline timers all hold one. The zero value
+// refers to nothing.
+type Timer struct {
 	env *Env
 	ev  *timedEvent
 	// gen snapshots the event's generation at schedule time. Events are
 	// pooled and recycled after they fire or cancel; a mismatch means this
-	// handle's event is gone and the pooled object now belongs to a later
+	// timer's event is gone and the pooled object now belongs to a later
 	// Schedule, so Cancel must not touch it.
 	gen uint64
 }
 
 // Cancel removes the event from the calendar so it neither fires nor counts
-// toward Pending. Cancelling twice, cancelling after the event has fired,
-// and cancelling through a handle whose (pooled, recycled) event now belongs
-// to a later Schedule are all explicit no-ops, and calling Cancel on a nil
-// handle is allowed — callers that keep an optional timer (e.g. the fabric's
-// completion timer before the first flow starts) may cancel unconditionally.
-func (h *EventHandle) Cancel() {
-	if h == nil || h.ev == nil || h.ev.gen != h.gen {
-		return
-	}
-	h.env.q.cancel(h.ev)
-	h.ev = nil
-}
-
-// timerRef is the allocation-free internal analog of EventHandle, used by
-// kernel re-armed timers (the fabric completion timer re-arms on every
-// solve). The zero value refers to nothing; cancelling it is a no-op.
-type timerRef struct {
-	ev  *timedEvent
-	gen uint64
-}
-
-// scheduleFn files fn like Schedule but returns a by-value ref instead of a
-// heap-allocated handle.
-func (e *Env) scheduleFn(at Time, fn func()) timerRef {
-	ev := e.scheduleEvent(at, evFn, fn, nil)
-	return timerRef{ev: ev, gen: ev.gen}
-}
-
-func (e *Env) cancelTimer(t timerRef) {
-	if t.ev != nil && t.ev.gen == t.gen {
-		e.q.cancel(t.ev)
-	}
-}
-
-// Timer is a by-value, allocation-free cancellable timer: the exported
-// analog of the kernel's internal timerRef, for model code that arms and
-// cancels a timer per operation (the resilience layer's hedge and deadline
-// timers). The zero value refers to nothing; Cancel on it is a no-op.
-type Timer struct {
-	env *Env
-	ev  *timedEvent
-	// gen snapshots the pooled event's generation at schedule time, exactly
-	// like EventHandle: once the event fires or cancels, the pooled object
-	// may belong to a later schedule and a stale Cancel must not touch it.
-	gen uint64
-}
-
-// AfterFunc schedules fn to run after duration d and returns a by-value
-// Timer that can cancel it. Unlike After, neither the schedule nor the
-// cancel allocates; callers that re-arm timers on a hot path should bind fn
-// once and reuse it.
-func (e *Env) AfterFunc(d Duration, fn func()) Timer {
-	ev := e.scheduleEvent(e.now.Add(d), evFn, fn, nil)
-	return Timer{env: e, ev: ev, gen: ev.gen}
-}
-
-// Cancel removes the timer's event from the calendar. Cancelling the zero
-// Timer, cancelling twice, or cancelling after the event fired (or after
-// the pooled event was recycled by a later schedule) are all no-ops.
+// toward Pending. Cancelling the zero Timer, cancelling twice, cancelling
+// after the event has fired, and cancelling through a Timer whose (pooled,
+// recycled) event now belongs to a later Schedule are all no-ops, so
+// callers that keep an optional timer may cancel unconditionally.
 func (t Timer) Cancel() {
 	if t.ev != nil && t.ev.gen == t.gen {
 		t.env.q.cancel(t.ev)

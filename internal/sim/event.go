@@ -26,7 +26,7 @@ const (
 //
 // Events are pooled: once fired or cancelled they return to a free list and
 // are reused by the next Schedule. gen is bumped on every fire and cancel,
-// so a stale EventHandle held across the event's recycling can never cancel
+// so a stale Timer held across the event's recycling can never cancel
 // the pooled object's next incarnation.
 type timedEvent struct {
 	at   Time

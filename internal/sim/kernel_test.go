@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestCancelLifecycle walks EventHandle.Cancel through every state of the
+// TestCancelLifecycle walks Timer.Cancel through every state of the
 // pooled event lifecycle. Events are recycled after firing or cancellation,
 // so each case checks both that Cancel is a no-op where it must be and that
 // the pooled object's next incarnation is unharmed.
@@ -15,9 +15,9 @@ func TestCancelLifecycle(t *testing.T) {
 		name string
 		run  func(t *testing.T)
 	}{
-		{"nil handle", func(t *testing.T) {
-			var h *EventHandle
-			h.Cancel() // must not panic
+		{"zero timer", func(t *testing.T) {
+			var tm Timer
+			tm.Cancel() // must not panic
 		}},
 		{"double cancel", func(t *testing.T) {
 			e := NewEnv()
@@ -50,7 +50,7 @@ func TestCancelLifecycle(t *testing.T) {
 		{"stale handle cannot cancel recycled event", func(t *testing.T) {
 			e := NewEnv()
 			h := e.Schedule(Time(10*wheelSpan), func() {}) // overflow: cancel recycles immediately
-			stale := *h
+			stale := h
 			h.Cancel()
 			fired := false
 			// The pool hands the just-released object to the next schedule.

@@ -48,7 +48,7 @@ type Fabric struct {
 
 	lastAdvance  Time
 	solvePending bool
-	timer        timerRef
+	timer        Timer
 
 	// stepFn and solveFn are the fabric's two scheduler callbacks, created
 	// once so that re-arming the completion timer and coalescing a solve —
@@ -488,7 +488,7 @@ func (f *Fabric) markDirty() {
 		return
 	}
 	f.solvePending = true
-	f.env.scheduleFn(f.env.now, f.solveFn)
+	f.env.Schedule(f.env.now, f.solveFn)
 }
 
 // Settled reports whether the fabric has no same-instant re-solve pending.
@@ -573,11 +573,11 @@ func (f *Fabric) reapFinished() {
 // its earliest-finishing member in a heap, so the cost is O(classes)
 // instead of O(flows).
 func (f *Fabric) scheduleNextCompletion() {
-	// cancelTimer on the zero ref is a no-op, which covers the very first
-	// arm (before any timer exists) and re-arming from within the timer's
-	// own firing (the fired event's generation has already moved on).
-	f.env.cancelTimer(f.timer)
-	f.timer = timerRef{}
+	// Cancel on the zero Timer is a no-op, which covers the very first arm
+	// (before any timer exists) and re-arming from within the timer's own
+	// firing (the fired event's generation has already moved on).
+	f.timer.Cancel()
+	f.timer = Timer{}
 	if f.liveFlows == 0 {
 		return
 	}
@@ -596,7 +596,7 @@ func (f *Fabric) scheduleNextCompletion() {
 	if ns < 0 {
 		ns = 0
 	}
-	f.timer = f.env.scheduleFn(f.env.now+ns, f.stepFn)
+	f.timer = f.env.Schedule(f.env.now+ns, f.stepFn)
 }
 
 func pipeNames(pipes []*Pipe) []string {

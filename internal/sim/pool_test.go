@@ -30,7 +30,7 @@ func TestEventResetWithWaitersPanics(t *testing.T) {
 func TestTimerCancelAfterFireIsNoop(t *testing.T) {
 	e := NewEnv()
 	fired := 0
-	tm := e.AfterFunc(10, func() { fired++ })
+	tm := e.After(10, func() { fired++ })
 	// Recycle the timer's pooled event into an unrelated schedule, then
 	// cancel through the stale handle: the generation check must protect
 	// the new owner.
@@ -49,7 +49,7 @@ func TestTimerCancelBeforeFire(t *testing.T) {
 	e := NewEnv()
 	fired := false
 	var tm Timer
-	tm = e.AfterFunc(100, func() { fired = true })
+	tm = e.After(100, func() { fired = true })
 	e.Schedule(50, func() { tm.Cancel() })
 	e.Run()
 	if fired {

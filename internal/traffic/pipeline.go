@@ -378,7 +378,7 @@ func (sh *shard) arm() {
 	if at < now {
 		at = now
 	}
-	sh.env.AfterFunc(at.Sub(now), sh.fn)
+	sh.env.After(at.Sub(now), sh.fn)
 }
 
 // tick turns the source into a self-re-arming calendar callback: one
@@ -394,7 +394,7 @@ func (sh *shard) tick() {
 			return
 		}
 		if at > now {
-			sh.env.AfterFunc(at.Sub(now), sh.fn)
+			sh.env.After(at.Sub(now), sh.fn)
 			return
 		}
 		sh.arrive(now)
