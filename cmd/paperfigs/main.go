@@ -20,11 +20,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	storagesim "storagesim"
+	"storagesim/internal/profiling"
 )
 
 var (
@@ -42,7 +41,6 @@ func main() {
 	racks := flag.Int("racks", 0, "shard the traffic-driven figures over this many racks (0 = classic single-env path)")
 	remote := flag.Float64("remote", 0.25, "cross-rack placement fraction when -racks > 1")
 	flag.Parse()
-	_ = plots
 	switch {
 	case *reps < 1:
 		fail("reps %d is not positive", *reps)
@@ -50,30 +48,11 @@ func main() {
 		fail("racks %d is negative", *racks)
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fail("-cpuprofile: %v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail("-cpuprofile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fail("%v", err)
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fail("-memprofile: %v", err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail("-memprofile: %v", err)
-			}
-		}()
-	}
+	defer stop()
 
 	opts := storagesim.ExperimentOptions{
 		Reps: *reps, Quick: *quick, Seed: *seed,
@@ -168,10 +147,9 @@ var figures = []figure{
 			storagesim.AblationTCPGateway,
 		} {
 			p, err := ab(o)
-			if err != nil {
+			if err = renderPanels([]storagesim.Panel{p}, err); err != nil {
 				return err
 			}
-			fmt.Println(p.Render())
 		}
 		sf, err := storagesim.AblationSharedFile(o)
 		if err != nil {

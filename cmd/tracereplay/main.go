@@ -63,7 +63,11 @@ func main() {
 	case *racks > 1 && *out != "":
 		fail(fmt.Errorf("-o is not supported with -racks > 1 (a sharded replay writes no report)"))
 	}
-	defer profiling.Start(*cpuProfile, *memProfile)()
+	stop, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fail(err)
+	}
+	defer stop()
 
 	if *record {
 		doRecord(*machine, *fs, *nodes, *duration, *seed, *load, *out)

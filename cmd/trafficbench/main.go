@@ -43,7 +43,11 @@ func main() {
 	if *racks < 1 {
 		fail(fmt.Errorf("racks %d is not positive", *racks))
 	}
-	defer profiling.Start(*cpuProfile, *memProfile)()
+	stop, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fail(err)
+	}
+	defer stop()
 
 	spec := experiments.SaturationTenants()
 	if *printSpec {

@@ -141,24 +141,30 @@ func TestCommandsSmoke(t *testing.T) {
 
 	csvDir := filepath.Join(dir, "csv")
 	run(t, filepath.Join(dir, "paperfigs"), "-fig", "takeaways", "-quick", "-csv", csvDir)
-	if _, err := os.Stat(filepath.Join(csvDir, "takeaway-rdma-vs-tcp.csv")); err != nil {
-		t.Fatalf("csv export missing: %v", err)
+	run(t, filepath.Join(dir, "paperfigs"), "-fig", "ablations", "-quick", "-csv", csvDir)
+	for _, name := range []string{"takeaway-rdma-vs-tcp.csv", "ablation-fabric.csv"} {
+		if _, err := os.Stat(filepath.Join(csvDir, name)); err != nil {
+			t.Fatalf("csv export missing: %v", err)
+		}
 	}
 }
 
 // TestTrafficFlagErrors: a traffic window, load or count the engine cannot
-// run, a flag combination it cannot honour, or a (machine, file system)
-// pair no deployment exists for, is a user error. The traffic CLIs,
-// paperfigs, mdbench and tracestat must exit 1 with an error line, never
-// panic, never hang (a NaN or infinite load once spun forever), and never
-// run with a flag silently replaced or dropped (a zero rep count once ran
-// one rep, and a sharded tracereplay once ignored -audit, -o and -record).
+// run, a flag combination it cannot honour, a profile path that cannot be
+// created, or a (machine, file system) pair no deployment exists for, is a
+// user error. The traffic CLIs, paperfigs, mdbench and tracestat must exit
+// 1 with an error line, never panic, never hang (a NaN or infinite load
+// once spun forever), and never run with a flag silently replaced or
+// dropped (a zero rep count once ran one rep, a sharded tracereplay once
+// ignored -audit, -o and -record, and the traffic CLIs once ran unprofiled
+// past an unwritable profile path).
 func TestTrafficFlagErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	dir := buildCmds(t, "trafficbench", "tracereplay", "paperfigs", "mdbench", "tracestat")
 	traffic := []string{"trafficbench", "tracereplay"}
+	profiled := []string{"trafficbench", "tracereplay", "paperfigs"}
 	chromeTrace := filepath.Join(dir, "run.json")
 	span := `{"traceEvents":[{"name":"read","ph":"X","ts":0,"dur":1000,"pid":0,"args":{"bytes":4096}}]}`
 	if err := os.WriteFile(chromeTrace, []byte(span), 0o644); err != nil {
@@ -184,6 +190,8 @@ func TestTrafficFlagErrors(t *testing.T) {
 		{[]string{"tracereplay"}, []string{"-racks", "2", "-record"}, "-record is not supported with -racks > 1"},
 		{[]string{"mdbench"}, []string{"-machine", "Wombat", "-fs", "gpfs"}, "gpfs on Wombat"},
 		{[]string{"tracestat"}, []string{"-project", "lustre", "-machine", "Lassen"}, "lustre on Lassen"},
+		{profiled, []string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}, "-cpuprofile"},
+		{profiled, []string{"-memprofile", filepath.Join(dir, "missing", "mem.prof")}, "-memprofile"},
 	} {
 		for _, name := range tc.cmds {
 			args := append([]string{name}, tc.flags...)
@@ -201,9 +209,9 @@ func TestTrafficFlagErrors(t *testing.T) {
 				args = append(args, chromeTrace)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			var stderr strings.Builder
+			var stdout, stderr strings.Builder
 			cmd := exec.CommandContext(ctx, filepath.Join(dir, name), args[1:]...)
-			cmd.Stderr = &stderr
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			err := cmd.Run()
 			hung := ctx.Err() != nil
 			cancel()
@@ -215,6 +223,9 @@ func TestTrafficFlagErrors(t *testing.T) {
 				t.Errorf("%v: %v, want exit status 1\n%s", args, err, stderr.String())
 			case strings.Contains(stderr.String(), "panic") || !strings.Contains(stderr.String(), tc.want):
 				t.Errorf("%v: stderr lacks %q or panicked:\n%s", args, tc.want, stderr.String())
+			case strings.HasSuffix(tc.want, "profile") && stdout.Len() > 0:
+				// A profile path is checked before anything runs.
+				t.Errorf("%v: ran before failing:\n%s", args, stdout.String())
 			}
 		}
 	}

@@ -14,41 +14,50 @@ import (
 	"runtime/pprof"
 )
 
-// Start begins CPU profiling into cpuPath (when non-empty) and returns a
-// stop function that ends the CPU profile and writes a heap profile to
-// memPath (when non-empty). Callers should defer the stop function
-// immediately; with both paths empty it is a no-op. Errors are reported,
-// not fatal: a failed profile must never take down the run it was
-// observing.
-func Start(cpuPath, memPath string) (stop func()) {
-	started := false
+// Start begins CPU profiling into cpuPath (when non-empty) and creates
+// memPath (when non-empty) for the heap profile, so a path that cannot be
+// created is an error before the run, not after it. The returned stop
+// function ends the CPU profile and writes the heap profile; callers defer
+// it right after a successful Start. With both paths empty, Start does
+// nothing. Errors while stopping are reported on stderr, not returned: a
+// failed profile write must never take down the run it was observing.
+func Start(cpuPath, memPath string) (stop func(), err error) {
+	var cpu, mem *os.File
+	if memPath != "" {
+		if mem, err = os.Create(memPath); err != nil {
+			return nil, fmt.Errorf("-memprofile: %w", err)
+		}
+	}
 	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
+		cpu, err = os.Create(cpuPath)
+		if err == nil {
+			if err = pprof.StartCPUProfile(cpu); err != nil {
+				cpu.Close()
+			}
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "profiling: -cpuprofile: %v\n", err)
-		} else if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "profiling: -cpuprofile: %v\n", err)
-			f.Close()
-		} else {
-			started = true
+			if mem != nil {
+				mem.Close()
+			}
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
 		}
 	}
 	return func() {
-		if started {
+		if cpu != nil {
 			pprof.StopCPUProfile()
+			report("-cpuprofile", cpu.Close())
 		}
-		if memPath == "" {
-			return
+		if mem != nil {
+			runtime.GC()
+			report("-memprofile", pprof.WriteHeapProfile(mem))
+			report("-memprofile", mem.Close())
 		}
-		f, err := os.Create(memPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "profiling: -memprofile: %v\n", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "profiling: -memprofile: %v\n", err)
-		}
+	}, nil
+}
+
+// report prints a non-nil error from stopping a profile.
+func report(flag string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "profiling: %s: %v\n", flag, err)
 	}
 }
