@@ -22,16 +22,10 @@ import (
 // hear from a peer.
 const interRackLatency = 5 * time.Microsecond
 
-// shardedRack couples a rack's testbed with its shard.
-type shardedRack struct {
-	tb    *testbed
-	shard *sim.Shard
-}
-
 // buildShardedTestbeds assembles `racks` identical machine+fs testbeds,
 // one per shard of a fresh group, linked in a full mesh at
 // interRackLatency.
-func buildShardedTestbeds(machine string, fs FS, racks, nodesPerRack int) (*sim.Group, []traffic.Rack, []shardedRack, error) {
+func buildShardedTestbeds(machine string, fs FS, racks, nodesPerRack int) (*sim.Group, []traffic.Rack, []*testbed, error) {
 	if racks < 1 {
 		return nil, nil, nil, fmt.Errorf("experiments: need at least one rack, got %d", racks)
 	}
@@ -39,7 +33,7 @@ func buildShardedTestbeds(machine string, fs FS, racks, nodesPerRack int) (*sim.
 		return nil, nil, nil, fmt.Errorf("experiments: need at least one node per rack, got %d", nodesPerRack)
 	}
 	g := sim.NewGroup(1)
-	srs := make([]shardedRack, racks)
+	tbs := make([]*testbed, racks)
 	trs := make([]traffic.Rack, racks)
 	for r := 0; r < racks; r++ {
 		env := sim.NewEnv()
@@ -50,7 +44,7 @@ func buildShardedTestbeds(machine string, fs FS, racks, nodesPerRack int) (*sim.
 			g.Shutdown()
 			return nil, nil, nil, err
 		}
-		srs[r] = shardedRack{tb: tb, shard: shard}
+		tbs[r] = tb
 		trs[r] = traffic.Rack{
 			Shard: shard,
 			Fab:   fab,
@@ -61,7 +55,7 @@ func buildShardedTestbeds(machine string, fs FS, racks, nodesPerRack int) (*sim.
 	if racks > 1 {
 		g.LinkAll(interRackLatency)
 	}
-	return g, trs, srs, nil
+	return g, trs, tbs, nil
 }
 
 // RunShardedTraffic builds `racks` identical machine+fs testbeds — one per
@@ -175,15 +169,15 @@ func RunShardedChaosStorm(fs FS, racks int, seed uint64, opts Options) (ShardedC
 	if err != nil {
 		return ShardedChaosReport{}, err
 	}
-	g, trs, srs, err := buildShardedTestbeds(machine, fs, racks, 2)
+	g, trs, tbs, err := buildShardedTestbeds(machine, fs, racks, 2)
 	if err != nil {
 		return ShardedChaosReport{}, err
 	}
 	defer g.Shutdown()
 
 	rigs := make([]*stormRig, racks)
-	for r := range srs {
-		if rigs[r], err = armStorm(srs[r].tb, fs, rackStormSeed(seed, r)); err != nil {
+	for r, tb := range tbs {
+		if rigs[r], err = armStorm(tb, fs, rackStormSeed(seed, r)); err != nil {
 			return ShardedChaosReport{}, err
 		}
 	}

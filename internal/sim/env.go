@@ -108,9 +108,10 @@ func (e *Env) scheduleEvent(at Time, kind uint8, fn func(), p *Proc) *timedEvent
 }
 
 // Schedule runs fn at time `at`. It returns a Timer that can cancel the
-// event before it fires; neither the schedule nor a cancel allocates, so
-// callers that re-arm a timer on a hot path should bind fn once and reuse
-// it. Scheduling in the past panics: that is always a model bug.
+// event before it fires. Neither the schedule nor a cancel allocates; a
+// caller that re-arms a timer on a hot path should bind fn once and reuse
+// it, so that no closure allocates either. Scheduling in the past panics:
+// that is always a model bug.
 func (e *Env) Schedule(at Time, fn func()) Timer {
 	ev := e.scheduleEvent(at, evFn, fn, nil)
 	return Timer{env: e, ev: ev, gen: ev.gen}
@@ -121,9 +122,7 @@ func (e *Env) After(d Duration, fn func()) Timer {
 	return e.Schedule(e.now.Add(d), fn)
 }
 
-// Timer is the by-value cancel handle of a scheduled event: the fabric's
-// completion timer, cross-shard deliveries, and the traffic and resilience
-// layers' arrival, hedge and deadline timers all hold one. The zero value
+// Timer is the by-value cancel handle of a scheduled event. The zero value
 // refers to nothing.
 type Timer struct {
 	env *Env
