@@ -77,9 +77,9 @@ type stormRig struct {
 // armStorm draws the seeded storm for fs from the backend's own server and
 // unit counts, wraps the backend in a repair.Manager, arms the storm on it
 // and attaches the invariant checker with the rebuild-completes-or-
-// reports-loss final check. The order is part of the schedule: the storm's
-// events take their calendar sequence numbers before the checker's
-// sampler does.
+// reports-loss final check. The storm and the checker's sampler both file
+// calendar events, and same-instant events run in filing order, so the
+// storm is armed first, as it always has been.
 func armStorm(tb *testbed, fs FS, seed uint64) (*stormRig, error) {
 	prot, ok := tb.sys.(repair.Protected)
 	if !ok {

@@ -6,6 +6,7 @@ import (
 
 	"storagesim/internal/faults"
 	"storagesim/internal/ior"
+	"storagesim/internal/sim"
 	"storagesim/internal/stats"
 )
 
@@ -33,6 +34,15 @@ func RunIORWithFaults(machine string, fs FS, nodes int, cfg ior.Config, sched fa
 		return ior.Result{}, nil, err
 	}
 	return res, inj.Applied(), nil
+}
+
+// serverFailures fails servers 0..n-1 at offset at, in index order.
+func serverFailures(n int, at sim.Duration) faults.Schedule {
+	var sched faults.Schedule
+	for i := 0; i < n; i++ {
+		sched.Events = append(sched.Events, faults.Event{At: at, Kind: faults.ServerFail, Index: i})
+	}
+	return sched
 }
 
 // DegradedSweep sweeps the fraction of failed servers and reports the
@@ -74,12 +84,6 @@ func DegradedSweep(opts Options) (Panel, error) {
 		series := stats.Series{Name: d.name}
 		for _, frac := range fracs {
 			failures := int(frac * float64(d.servers))
-			sched := faults.Schedule{}
-			for i := 0; i < failures; i++ {
-				sched.Events = append(sched.Events, faults.Event{
-					At: 10 * time.Millisecond, Kind: faults.ServerFail, Index: i,
-				})
-			}
 			res, _, err := RunIORWithFaults(d.machine, d.fs, d.nodes, ior.Config{
 				Workload:     ior.Scientific,
 				BlockSize:    1 << 20,
@@ -89,7 +93,7 @@ func DegradedSweep(opts Options) (Panel, error) {
 				OpLevel:      true, // ops re-resolve paths, so failover is live
 				Seed:         opts.Seed,
 				Dir:          "/degraded",
-			}, sched)
+			}, serverFailures(failures, 10*time.Millisecond))
 			if err != nil {
 				return Panel{}, err
 			}

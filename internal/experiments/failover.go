@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"storagesim/internal/faults"
 	"storagesim/internal/ior"
 )
 
@@ -47,13 +46,7 @@ func failoverPoint(failures int, opts Options) (bw float64, healthy int, err err
 	if err != nil {
 		return 0, 0, err
 	}
-	var sched faults.Schedule
-	for i := 0; i < failures; i++ {
-		sched.Events = append(sched.Events, faults.Event{
-			At: 10 * time.Millisecond, Kind: faults.ServerFail, Index: i,
-		})
-	}
-	inj, err := tb.inject(string(VAST), tb.sys, sched)
+	inj, err := tb.inject(string(VAST), tb.sys, serverFailures(failures, 10*time.Millisecond))
 	if err != nil {
 		return 0, 0, err
 	}

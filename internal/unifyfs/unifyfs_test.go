@@ -2,6 +2,7 @@ package unifyfs
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -214,6 +215,24 @@ func TestStreamRoundRobinUsesInterconnect(t *testing.T) {
 	local, rr := measure(LocalFirst), measure(RoundRobin)
 	if rr >= local {
 		t.Fatalf("round-robin over a slow interconnect (%.2e) not slower than local-first (%.2e)", rr, local)
+	}
+}
+
+// TestStreamHalvesCarryFlowTag: a round-robin stream moves its local and
+// remote shares in two child processes, and both must carry the mount's
+// flow tag, so every byte counts for the tenant that moved it.
+func TestStreamHalvesCarryFlowTag(t *testing.T) {
+	env, sys, mounts := build(t, RoundRobin, 4, 2)
+	mounts[0].(fsapi.FlowTagger).SetFlowTag("tenant")
+	const total = 8 << 20
+	env.Go("x", func(p *sim.Proc) {
+		mounts[0].StreamWrite(p, "/f", fsapi.Sequential, 1<<20, total)
+		mounts[0].StreamRead(p, "/f", fsapi.Sequential, 1<<20, total)
+	})
+	env.Run()
+	// The fabric integrates progress in whole nanoseconds: allow a few bytes.
+	if got := sys.fab.TagBytes("tenant"); math.Abs(got-2*total) > 16 {
+		t.Fatalf("tenant tag carried %.0f bytes, want %d (write and read, both halves)", got, 2*total)
 	}
 }
 
