@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	storagesim "storagesim"
@@ -31,7 +32,11 @@ var (
 	csvDir = flag.String("csv", "", "also write each panel/table as CSV into this directory")
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command; it returns the exit status. Every exit path after
+// the profiles start returns through it, so the deferred stop writes them.
+func run() int {
 	fig := flag.String("fig", "all", "figure to regenerate (table1, 1, 2a, 2b, 3, 4a, 4b, 5, 6, takeaways, ablations, consistency, suitability, failover, degraded, rebuild, saturation, retrystorm, whatif, all)")
 	reps := flag.Int("reps", 1, "repetitions per data point (paper uses 10); each figure runs its points and repetitions on GOMAXPROCS workers, with output identical at any width")
 	quick := flag.Bool("quick", false, "smaller sweeps")
@@ -41,40 +46,43 @@ func main() {
 	racks := flag.Int("racks", 0, "shard the traffic-driven figures over this many racks (0 = classic single-env path)")
 	remote := flag.Float64("remote", 0.25, "cross-rack placement fraction when -racks > 1")
 	flag.Parse()
+	want := strings.ToLower(*fig)
 	switch {
 	case *reps < 1:
-		fail("reps %d is not positive", *reps)
+		return fail("reps %d is not positive", *reps)
 	case *racks < 0:
-		fail("racks %d is negative", *racks)
+		return fail("racks %d is negative", *racks)
+	case want != "all" && !slices.ContainsFunc(figures, func(f figure) bool { return f.name == want }):
+		fmt.Fprintf(os.Stderr, "paperfigs: unknown figure %q\n", *fig)
+		flag.Usage()
+		return 2
 	}
 
 	stop, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	defer stop()
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			return fail("-csv: %v", err)
+		}
+	}
 
 	opts := storagesim.ExperimentOptions{
 		Reps: *reps, Quick: *quick, Seed: *seed,
 		Racks: *racks, RemoteFraction: *remote,
 	}
-	want := strings.ToLower(*fig)
-	ran := 0
 	for _, f := range figures {
 		if want != "all" && want != f.name {
 			continue
 		}
-		ran++
 		fmt.Printf("--- %s ---\n", f.name)
 		if err := f.run(opts); err != nil {
-			fail("%s: %v", f.name, err)
+			return fail("%s: %v", f.name, err)
 		}
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "paperfigs: unknown figure %q\n", *fig)
-		flag.Usage()
-		os.Exit(2)
-	}
+	return 0
 }
 
 type figure struct {
@@ -236,9 +244,6 @@ func exportPanelCSV(p storagesim.Panel) error {
 	if *csvDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		return err
-	}
 	f, err := os.Create(filepath.Join(*csvDir, p.ID+".csv"))
 	if err != nil {
 		return err
@@ -252,9 +257,6 @@ func exportTableCSV(t storagesim.ResultTable) error {
 	if *csvDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-		return err
-	}
 	f, err := os.Create(filepath.Join(*csvDir, t.ID+".csv"))
 	if err != nil {
 		return err
@@ -263,7 +265,8 @@ func exportTableCSV(t storagesim.ResultTable) error {
 	return t.WriteCSV(f)
 }
 
-func fail(format string, args ...any) {
+// fail prints an error line and returns the exit status 1.
+func fail(format string, args ...any) int {
 	fmt.Fprintf(os.Stderr, "paperfigs: "+format+"\n", args...)
-	os.Exit(1)
+	return 1
 }

@@ -31,6 +31,17 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "tracereplay:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command. Every error returns through it, so the deferred
+// profile stop writes the profiles on every exit path after they start,
+// a failed audit's included. Flag errors come before the first line of
+// output.
+func run() error {
 	traceFile := flag.String("trace", "", "recorded trace to ingest (.csv, .jsonl/.ndjson, .dxt, .json)")
 	format := flag.String("format", "auto", "trace encoding: auto, csv, jsonl, dxt or chrome")
 	tenant := flag.String("tenant", "", "tenant assigned to formats that record none (dxt, chrome)")
@@ -55,30 +66,29 @@ func main() {
 	flag.Parse()
 	switch {
 	case *racks < 1:
-		fail(fmt.Errorf("racks %d is not positive", *racks))
+		return fmt.Errorf("racks %d is not positive", *racks)
 	case *racks > 1 && *record:
-		fail(fmt.Errorf("-record is not supported with -racks > 1 (it records one single-rack run)"))
+		return fmt.Errorf("-record is not supported with -racks > 1 (it records one single-rack run)")
 	case *racks > 1 && *audit:
-		fail(fmt.Errorf("-audit is not supported with -racks > 1 (a sharded replay runs the fitted spec, not the recorded timestamps)"))
+		return fmt.Errorf("-audit is not supported with -racks > 1 (a sharded replay runs the fitted spec, not the recorded timestamps)")
 	case *racks > 1 && *out != "":
-		fail(fmt.Errorf("-o is not supported with -racks > 1 (a sharded replay writes no report)"))
+		return fmt.Errorf("-o is not supported with -racks > 1 (a sharded replay writes no report)")
 	}
 	stop, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer stop()
 
 	if *record {
-		doRecord(*machine, *fs, *nodes, *duration, *seed, *load, *out)
-		return
+		return doRecord(*machine, *fs, *nodes, *duration, *seed, *load, *out)
 	}
 	if *traceFile == "" {
-		fail(fmt.Errorf("need -trace (or -record); see -h"))
+		return fmt.Errorf("need -trace (or -record); see -h")
 	}
 	data, err := os.ReadFile(*traceFile)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	f := trace.Format(*format)
 	if *format == "auto" {
@@ -86,91 +96,106 @@ func main() {
 	}
 	events, err := trace.ParseEvents(data, f, *tenant)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	tr, err := trace.Normalize(events)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("trace: %s (%s): %d events, %d tenants, span %v\n",
-		*traceFile, f, len(tr.Events), len(tr.TenantNames()), tr.Duration())
-
-	if *printSpec {
-		spec, err := traffic.SpecFromTrace(tr)
-		if err != nil {
-			fail(err)
-		}
-		js, err := spec.MarshalJSON()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(string(js))
-		return
-	}
-
 	io64, err := units.ParseBytes(*ioSize)
 	if err != nil {
-		fail(err)
+		return err
 	}
-
-	if *racks > 1 {
-		doSharded(tr, *machine, *fs, *racks, *nodes, *remote, *seed)
-		return
-	}
-
-	if !*audit {
-		rep, err := experiments.ReplayTraceOn(*machine, experiments.FS(strings.ToLower(*fs)), *nodes, tr,
-			traffic.TraceConfig{IOBytes: int64(io64)})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("replayed on %s/%s, %d nodes: makespan %v\n", *fs, *machine, *nodes, rep.Duration)
-		printReport(rep)
-		return
-	}
-
 	opts := experiments.AuditOptions{IOBytes: int64(io64)}
 	opts.Tolerance.LatencyRel = *tolLatency
 	opts.Tolerance.GoodputRel = *tolGoodput
 	if *absLatency != "" {
 		d, err := units.ParseDuration(*absLatency)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		opts.Tolerance.LatencyAbs = sim.Duration(d)
 	}
+	// A sharded replay runs the tenant spec fitted to the trace.
+	var spec traffic.Spec
+	if *printSpec || *racks > 1 {
+		if spec, err = traffic.SpecFromTrace(tr); err != nil {
+			return err
+		}
+	}
+	sharded := traffic.ShardedConfig{
+		Config:         traffic.Config{Spec: spec, Duration: tr.Duration(), Seed: *seed},
+		RemoteFraction: *remote,
+	}
+	if *racks > 1 {
+		if err := sharded.Validate(); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("trace: %s (%s): %d events, %d tenants, span %v\n",
+		*traceFile, f, len(tr.Events), len(tr.TenantNames()), tr.Duration())
+
+	switch {
+	case *printSpec:
+		js, err := spec.MarshalJSON()
+		if err != nil {
+			return err
+		}
+		fmt.Println(string(js))
+		return nil
+	case *racks > 1:
+		srep, err := experiments.RunShardedTraffic(*machine, experiments.FS(strings.ToLower(*fs)), *racks, *nodes, sharded)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("fitted spec replayed over %d racks × %d nodes on %s/%s, window %v\n",
+			*racks, *nodes, *fs, *machine, tr.Duration())
+		printReport(traffic.Report{Duration: srep.Duration, Tenants: srep.Tenants})
+		return nil
+	case !*audit:
+		rep, err := experiments.ReplayTraceOn(*machine, experiments.FS(strings.ToLower(*fs)), *nodes, tr,
+			traffic.TraceConfig{IOBytes: int64(io64)})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("replayed on %s/%s, %d nodes: makespan %v\n", *fs, *machine, *nodes, rep.Duration)
+		printReport(rep)
+		return nil
+	}
+
 	report, rep, err := experiments.FidelityAudit(*machine, experiments.FS(strings.ToLower(*fs)), *nodes, tr, opts)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	fmt.Printf("replayed on %s/%s, %d nodes: makespan %v (recorded %v)\n",
 		*fs, *machine, *nodes, rep.Duration, tr.Duration())
 	printReport(rep)
 	fmt.Println()
 	if err := report.WriteText(os.Stdout); err != nil {
-		fail(err)
+		return err
 	}
 	if *out != "" {
 		js, err := report.MarshalJSON()
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if err := os.WriteFile(*out, js, 0o644); err != nil {
-			fail(err)
+			return err
 		}
 	}
 	if !report.Passed() {
-		os.Exit(1)
+		return fmt.Errorf("audit failed: %d of %d metrics outside their bands", report.Failed, len(report.Metrics))
 	}
+	return nil
 }
 
 // doRecord runs the built-in tenant mix and writes its recorded request
 // stream as JSONL — a synthetic "production" recording for round-trip
 // audits and pinned fixtures.
-func doRecord(machine, fs string, nodes int, duration string, seed uint64, load float64, out string) {
+func doRecord(machine, fs string, nodes int, duration string, seed uint64, load float64, out string) error {
 	window, err := units.ParseDuration(duration)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	rep, events, err := experiments.RecordTraffic(machine, experiments.FS(strings.ToLower(fs)), nodes, traffic.Config{
 		Spec:      experiments.SaturationTenants(),
@@ -179,19 +204,24 @@ func doRecord(machine, fs string, nodes int, duration string, seed uint64, load 
 		LoadScale: load,
 	})
 	if err != nil {
-		fail(err)
+		return err
 	}
 	var w io.Writer = os.Stdout
+	var f *os.File
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fail(err)
+		if f, err = os.Create(out); err != nil {
+			return err
 		}
-		defer f.Close()
 		w = f
 	}
-	if err := trace.WriteJSONL(w, events); err != nil {
-		fail(err)
+	err = trace.WriteJSONL(w, events)
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return err
 	}
 	var completed uint64
 	for _, tr := range rep.Tenants {
@@ -199,25 +229,7 @@ func doRecord(machine, fs string, nodes int, duration string, seed uint64, load 
 	}
 	fmt.Fprintf(os.Stderr, "recorded %d completed requests over %v on %s/%s (%d nodes)\n",
 		completed, rep.Duration, fs, machine, nodes)
-}
-
-// doSharded replays the trace across racks through the fitted tenant spec:
-// timestamped replay is single-rack; the spec abstraction is what lets a
-// recorded stream ride the sharded engine.
-func doSharded(tr *trace.Trace, machine, fs string, racks, nodes int, remote float64, seed uint64) {
-	spec, err := traffic.SpecFromTrace(tr)
-	if err != nil {
-		fail(err)
-	}
-	cfg := traffic.Config{Spec: spec, Duration: tr.Duration(), Seed: seed}
-	srep, err := experiments.RunShardedTraffic(machine, experiments.FS(strings.ToLower(fs)),
-		racks, nodes, traffic.ShardedConfig{Config: cfg, RemoteFraction: remote})
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("fitted spec replayed over %d racks × %d nodes on %s/%s, window %v\n",
-		racks, nodes, fs, machine, tr.Duration())
-	printReport(traffic.Report{Duration: srep.Duration, Tenants: srep.Tenants})
+	return nil
 }
 
 // printReport renders a replay report in trafficbench's table layout.
@@ -233,9 +245,4 @@ func printReport(rep traffic.Report) {
 			tr.Name, tr.Offered, tr.Shed, tr.Completed,
 			units.BPS(goodput), tr.P50, tr.P95, tr.P99)
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "tracereplay:", err)
-	os.Exit(1)
 }

@@ -44,6 +44,14 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	// The projection runs first, so a deployment that does not exist is
+	// reported before any output.
+	var res replay.Result
+	if *project != "" {
+		if res, err = projectTrace(spans, *project, *machine, *nodes); err != nil {
+			fail(err)
+		}
+	}
 	a := trace.Analyze(spans)
 	fmt.Printf("spans: %d across %d ranks\n", len(spans), a.Ranks)
 	fmt.Printf("  total I/O:       %12.3fs\n", a.TotalIO.Seconds())
@@ -56,10 +64,6 @@ func main() {
 	fmt.Printf("  system view:     %12s (bytes / total I/O)\n", units.BPS(a.SysThroughput()))
 
 	if *project != "" {
-		res, err := projectTrace(spans, *project, *machine, *nodes)
-		if err != nil {
-			fail(err)
-		}
 		fmt.Printf("\nprojected onto %s on %s (%d nodes):\n", *project, *machine, *nodes)
 		fmt.Printf("  runtime:         %12.3fs (original %.3fs, speedup %.2fx)\n",
 			res.Runtime.Seconds(), res.OriginalRuntime.Seconds(), res.Speedup)

@@ -26,6 +26,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "trafficbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command. Every error returns through it, so the deferred
+// profile stop writes the profiles on every exit path after they start.
+func run() error {
 	machine := flag.String("machine", "Wombat", "Lassen, Ruby, Quartz or Wombat")
 	fs := flag.String("fs", "vast", "vast, gpfs, lustre, nvme or unifyfs (Wombat)")
 	nodes := flag.Int("nodes", 4, "compute nodes")
@@ -41,11 +50,11 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 	if *racks < 1 {
-		fail(fmt.Errorf("racks %d is not positive", *racks))
+		return fmt.Errorf("racks %d is not positive", *racks)
 	}
 	stop, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer stop()
 
@@ -53,35 +62,35 @@ func main() {
 	if *printSpec {
 		out, err := spec.MarshalJSON()
 		if err != nil {
-			fail(err)
+			return err
 		}
 		fmt.Println(string(out))
-		return
+		return nil
 	}
 	if *specFile != "" {
 		data, err := os.ReadFile(*specFile)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		spec, err = traffic.ParseSpec(data)
 		if err != nil {
-			fail(err)
+			return err
 		}
 	}
 
 	window, err := units.ParseDuration(*duration)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	var sched faults.Schedule
 	if *faultsFile != "" {
 		data, err := os.ReadFile(*faultsFile)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		sched, err = faults.ParseSchedule(data)
 		if err != nil {
-			fail(err)
+			return err
 		}
 	}
 
@@ -90,12 +99,12 @@ func main() {
 	var applied []faults.Applied
 	if *racks > 1 {
 		if *faultsFile != "" {
-			fail(fmt.Errorf("-faults is not supported with -racks > 1 (use the chaos gate's sharded storms)"))
+			return fmt.Errorf("-faults is not supported with -racks > 1 (use the chaos gate's sharded storms)")
 		}
 		srep, err := experiments.RunShardedTraffic(*machine, experiments.FS(strings.ToLower(*fs)),
 			*racks, *nodes, traffic.ShardedConfig{Config: cfg, RemoteFraction: *remote})
 		if err != nil {
-			fail(err)
+			return err
 		}
 		fmt.Printf("machine=%s fs=%s racks=%d nodes/rack=%d remote=%g window=%v load=%gx seed=%#x\n",
 			*machine, *fs, *racks, *nodes, *remote, window, *load, *seed)
@@ -109,11 +118,10 @@ func main() {
 		}
 		rep = traffic.Report{Duration: srep.Duration, Tenants: srep.Tenants}
 	} else {
-		var err error
 		rep, applied, err = experiments.RunTrafficWithFaults(*machine, experiments.FS(strings.ToLower(*fs)),
 			*nodes, cfg, sched)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		fmt.Printf("machine=%s fs=%s nodes=%d window=%v load=%gx seed=%#x\n",
 			*machine, *fs, *nodes, window, *load, *seed)
@@ -135,9 +143,5 @@ func main() {
 			tr.Name, tr.Offered, tr.Shed, tr.Completed, tr.InFlightEnd,
 			units.BPS(tr.GoodputBps(rep.Duration)), tr.P50, tr.P99, slo, attain)
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "trafficbench:", err)
-	os.Exit(1)
+	return nil
 }

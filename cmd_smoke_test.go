@@ -125,6 +125,19 @@ func TestCommandsSmoke(t *testing.T) {
 	if !strings.Contains(out, "metrics in band: PASS") {
 		t.Fatalf("tracereplay fixture audit output:\n%s", out)
 	}
+	// On Lustre the Wombat/VAST fixture audits out of band: exit 1, with
+	// the report printed and the run's CPU profile written.
+	prof := filepath.Join(dir, "audit.prof")
+	b, err := exec.Command(filepath.Join(dir, "tracereplay"),
+		"-trace", "internal/experiments/testdata/fidelity_trace.jsonl",
+		"-machine", "Ruby", "-fs", "lustre", "-nodes", "2", "-audit", "-cpuprofile", prof).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(b), "audit failed") {
+		t.Fatalf("tracereplay failing audit: %v\n%s", err, b)
+	}
+	if p, err := os.ReadFile(prof); err != nil || len(p) == 0 {
+		t.Fatalf("failing audit left a %d-byte CPU profile (%v)", len(p), err)
+	}
 
 	// whatif: search the pinned fixture space (built-in default) and a
 	// space file, with frontier table and JSON export.
@@ -151,13 +164,15 @@ func TestCommandsSmoke(t *testing.T) {
 
 // TestTrafficFlagErrors: a traffic window, load or count the engine cannot
 // run, a flag combination it cannot honour, a profile path that cannot be
-// created, or a (machine, file system) pair no deployment exists for, is a
-// user error. The traffic CLIs, paperfigs, mdbench and tracestat must exit
-// 1 with an error line, never panic, never hang (a NaN or infinite load
-// once spun forever), and never run with a flag silently replaced or
-// dropped (a zero rep count once ran one rep, a sharded tracereplay once
-// ignored -audit, -o and -record, and the traffic CLIs once ran unprofiled
-// past an unwritable profile path).
+// created, a missing input, or a (machine, file system) pair no deployment
+// exists for, is a user error. The traffic CLIs, paperfigs, mdbench and
+// tracestat must exit 1 with an error line before any output, never panic,
+// never hang (a NaN or infinite load once spun forever), and never run
+// with a flag silently replaced or dropped (a zero rep count once ran one
+// rep, a sharded tracereplay once ignored -audit, -o and -record, and the
+// traffic CLIs once ran unprofiled past an unwritable profile path). An
+// error after the profiles started still writes the CPU profile (the
+// commands once left it empty).
 func TestTrafficFlagErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -165,33 +180,41 @@ func TestTrafficFlagErrors(t *testing.T) {
 	dir := buildCmds(t, "trafficbench", "tracereplay", "paperfigs", "mdbench", "tracestat")
 	traffic := []string{"trafficbench", "tracereplay"}
 	profiled := []string{"trafficbench", "tracereplay", "paperfigs"}
+	fixture := "internal/experiments/testdata/fidelity_trace.jsonl"
 	chromeTrace := filepath.Join(dir, "run.json")
 	span := `{"traceEvents":[{"name":"read","ph":"X","ts":0,"dur":1000,"pid":0,"args":{"bytes":4096}}]}`
 	if err := os.WriteFile(chromeTrace, []byte(span), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	missing := filepath.Join(dir, "missing.json")
 	for _, tc := range []struct {
-		cmds  []string
-		flags []string
-		want  string
+		cmds    []string
+		flags   []string
+		want    string
+		profile bool // profile the run and require a CPU profile after the error
 	}{
-		{traffic, []string{"-duration", "0s"}, "duration 0s is not positive"},
-		{traffic, []string{"-load", "-2"}, "load scale -2"},
-		{traffic, []string{"-racks", "2", "-remote", "1.5"}, "remote fraction 1.5 out of [0,1]"},
-		{traffic, []string{"-load", "NaN"}, "load scale NaN"},
-		{traffic, []string{"-load", "+Inf"}, "load scale +Inf"},
-		{traffic, []string{"-racks", "0"}, "racks 0 is not positive"},
-		{traffic, []string{"-racks", "-1"}, "racks -1 is not positive"},
-		{[]string{"paperfigs"}, []string{"-reps", "0"}, "reps 0 is not positive"},
-		{[]string{"paperfigs"}, []string{"-reps", "-3"}, "reps -3 is not positive"},
-		{[]string{"paperfigs"}, []string{"-racks", "-2"}, "racks -2 is negative"},
-		{[]string{"tracereplay"}, []string{"-racks", "2", "-audit"}, "-audit is not supported with -racks > 1"},
-		{[]string{"tracereplay"}, []string{"-racks", "2", "-o", filepath.Join(dir, "audit.json")}, "-o is not supported with -racks > 1"},
-		{[]string{"tracereplay"}, []string{"-racks", "2", "-record"}, "-record is not supported with -racks > 1"},
-		{[]string{"mdbench"}, []string{"-machine", "Wombat", "-fs", "gpfs"}, "gpfs on Wombat"},
-		{[]string{"tracestat"}, []string{"-project", "lustre", "-machine", "Lassen"}, "lustre on Lassen"},
-		{profiled, []string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}, "-cpuprofile"},
-		{profiled, []string{"-memprofile", filepath.Join(dir, "missing", "mem.prof")}, "-memprofile"},
+		{traffic, []string{"-duration", "0s"}, "duration 0s is not positive", false},
+		{traffic, []string{"-load", "-2"}, "load scale -2", false},
+		{traffic, []string{"-racks", "2", "-remote", "1.5"}, "remote fraction 1.5 out of [0,1]", false},
+		{traffic, []string{"-load", "NaN"}, "load scale NaN", false},
+		{traffic, []string{"-load", "+Inf"}, "load scale +Inf", false},
+		{traffic, []string{"-racks", "0"}, "racks 0 is not positive", false},
+		{traffic, []string{"-racks", "-1"}, "racks -1 is not positive", false},
+		{[]string{"paperfigs"}, []string{"-reps", "0"}, "reps 0 is not positive", false},
+		{[]string{"paperfigs"}, []string{"-reps", "-3"}, "reps -3 is not positive", false},
+		{[]string{"paperfigs"}, []string{"-racks", "-2"}, "racks -2 is negative", false},
+		{[]string{"tracereplay"}, []string{"-racks", "2", "-audit"}, "-audit is not supported with -racks > 1", false},
+		{[]string{"tracereplay"}, []string{"-racks", "2", "-o", filepath.Join(dir, "audit.json")}, "-o is not supported with -racks > 1", false},
+		{[]string{"tracereplay"}, []string{"-racks", "2", "-record"}, "-record is not supported with -racks > 1", false},
+		{[]string{"tracereplay"}, []string{"-trace", fixture, "-io", "lots"}, "lots", false},
+		{[]string{"tracereplay"}, []string{"-trace", fixture, "-abs-latency", "soon"}, "soon", false},
+		{[]string{"mdbench"}, []string{"-machine", "Wombat", "-fs", "gpfs"}, "gpfs on Wombat", false},
+		{[]string{"tracestat"}, []string{"-project", "lustre", "-machine", "Lassen"}, "lustre on Lassen", false},
+		{profiled, []string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}, "-cpuprofile", false},
+		{profiled, []string{"-memprofile", filepath.Join(dir, "missing", "mem.prof")}, "-memprofile", false},
+		{[]string{"trafficbench"}, []string{"-faults", missing}, "missing.json", true},
+		{[]string{"tracereplay"}, []string{"-trace", missing}, "missing.json", true},
+		{[]string{"paperfigs"}, []string{"-csv", filepath.Join(chromeTrace, "csv")}, "-csv", true},
 	} {
 		for _, name := range tc.cmds {
 			args := append([]string{name}, tc.flags...)
@@ -202,11 +225,15 @@ func TestTrafficFlagErrors(t *testing.T) {
 			case name == "tracereplay" && tc.flags[0] == "-racks":
 				// tracereplay takes -racks when replaying a trace, the
 				// window and load in -record mode.
-				args = append(args, "-trace", "internal/experiments/testdata/fidelity_trace.jsonl")
-			case name == "tracereplay":
+				args = append(args, "-trace", fixture)
+			case name == "tracereplay" && tc.flags[0] != "-trace":
 				args = append(args, "-record")
 			case name == "tracestat":
 				args = append(args, chromeTrace)
+			}
+			prof := filepath.Join(dir, name+"-error.prof")
+			if tc.profile {
+				args = append(args, "-cpuprofile", prof)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			var stdout, stderr strings.Builder
@@ -223,9 +250,14 @@ func TestTrafficFlagErrors(t *testing.T) {
 				t.Errorf("%v: %v, want exit status 1\n%s", args, err, stderr.String())
 			case strings.Contains(stderr.String(), "panic") || !strings.Contains(stderr.String(), tc.want):
 				t.Errorf("%v: stderr lacks %q or panicked:\n%s", args, tc.want, stderr.String())
-			case strings.HasSuffix(tc.want, "profile") && stdout.Len() > 0:
-				// A profile path is checked before anything runs.
-				t.Errorf("%v: ran before failing:\n%s", args, stdout.String())
+			case stdout.Len() > 0:
+				t.Errorf("%v: printed before failing:\n%s", args, stdout.String())
+			}
+			if tc.profile {
+				// A CPU profile is gzip-compressed even with no samples.
+				if b, err := os.ReadFile(prof); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+					t.Errorf("%v: CPU profile after the error is not gzip data (%d bytes, %v)", args, len(b), err)
+				}
 			}
 		}
 	}

@@ -4,20 +4,7 @@ import (
 	"storagesim/internal/sim"
 )
 
-// Request is one unit of work the policy layer supervises. Attempt must
-// be re-runnable: retries and hedges invoke it again on a fresh process.
-// Each invocation's process carries a per-attempt sim.Abort token, so
-// everything the attempt does — fabric transfers, retry backoffs, stager
-// waits — unwinds when the attempt loses a hedge race or misses its
-// deadline.
-type Request struct {
-	// FlowID identifies the request for deterministic backoff jitter.
-	FlowID uint64
-	// Attempt performs the operation once on the given process.
-	Attempt func(p *sim.Proc)
-}
-
-// Outcome is what Execute observed for one request.
+// Outcome is what a Call observed for one request.
 type Outcome struct {
 	// OK reports whether some attempt completed within its deadline.
 	OK bool
@@ -31,17 +18,26 @@ type Outcome struct {
 	Elapsed sim.Duration
 }
 
-// Call is the pooled form of a supervised request: one record carries the
-// coordination state (completion event, abort tokens, attempt closures) for
-// every lifecycle of a recycled request slot, so steady traffic executes
-// the full deadline/retry/hedge machinery without allocating per request.
+// Call is one supervised request and its coordinator. The coordinator is
+// a continuation, not a process: it arms the hedge and deadline timers,
+// waits on the round's done event through Event.Notify, and sleeps
+// between retries on a calendar timer, so it costs no goroutine switch.
+// It takes exactly the sequence numbers a coordinator process would take
+// (one at the start, one per wake-up, one per backoff), so the schedule is
+// the process form's (MODEL.md §15, "Determinism").
 //
-// A Call is reusable but not reentrant: ExecuteCall may be invoked again
-// only after the previous invocation returned. Attempts can outlive the
-// invocation that launched them (a loser unwinds at its next cancellation
-// point, which may be after the coordinator gave up); the record must not
-// be recycled while any attempt is live — poll Idle, or set OnIdle and
-// call DeferRelease to be called back when the last straggler finishes.
+// One record carries the coordination state (completion event, abort
+// tokens, attempt closures, continuations) for every lifecycle of a
+// recycled request slot, so steady traffic executes the full
+// deadline/retry/hedge machinery without allocating per request.
+//
+// A Call is reusable but not reentrant: Run may be invoked again only once
+// the previous invocation's done callback was called. Attempts can outlive
+// the invocation that launched them (a loser unwinds at its next
+// cancellation point, which may be after the coordinator gave up); the
+// record must not be recycled while any attempt is live — poll Idle, or
+// set OnIdle and call DeferRelease to be called back when the last
+// straggler finishes.
 type Call struct {
 	// FlowID identifies the request for deterministic backoff jitter.
 	FlowID uint64
@@ -69,22 +65,60 @@ type Call struct {
 	att     [2]func(ap *sim.Proc)
 	onHedge func()
 	onDln   func()
+	// startFn and endFn are the coordinator's continuations, bound once:
+	// a round's start (after a backoff) and its end (done fired).
+	startFn func()
+	endFn   func()
 
 	round  uint32 // retry round counter; stale attempts detect a moved-on call
 	winner int8
 	hedged bool
 	live   int // attempts launched and not yet returned
 	defRel bool
+
+	// The invocation's state between continuations.
+	pl         Policy
+	hedgeDelay sim.Duration
+	br         *Breaker
+	onDone     func(Outcome)
+	start      sim.Time
+	attempt    int
+	// timeout carries the un-jittered backoff from one retry to the next.
+	timeout sim.Duration
+	out     Outcome
+	timers  [2]sim.Timer // the round's hedge and deadline timers
 }
 
 // Idle reports whether no attempt launched by this call is still running.
 func (c *Call) Idle() bool { return c.live == 0 }
 
 // DeferRelease arranges for OnIdle to run when the last live attempt
-// returns. Call it (instead of recycling immediately) when ExecuteCall
-// returned but Idle is false — a cancelled straggler still references the
-// record.
+// returns. Call it (instead of recycling immediately) when the done
+// callback ran but Idle is false — a cancelled straggler still references
+// the record.
 func (c *Call) DeferRelease() { c.defRel = true }
+
+// Run supervises the call under the policy, from the calendar: it starts
+// the first round at once and returns, and done receives the outcome at
+// the instant the request completes or its budgets are exhausted. The
+// breaker (nil for tenants without one) is consulted as a retry gate and
+// fed intermediate misses; terminal accounting — Success/Failure with the
+// admission-time probe flag — is done's, and so is admission (Allow
+// happened before Run, so a shed request never gets here).
+//
+// hedgeDelay is the quantile-derived hedge trigger for this request's
+// attempts; 0 disables hedging (cold sketch, or hedging not configured).
+// Run and done must not block: they run on the scheduler's stack. A
+// caller that starts requests from the calendar files Run with
+// env.Schedule at the arrival instant, where a coordinator process would
+// have been started.
+func (c *Call) Run(env *sim.Env, pl Policy, hedgeDelay sim.Duration, br *Breaker, done func(Outcome)) {
+	c.begin(env)
+	c.pl, c.hedgeDelay, c.br, c.onDone = pl, hedgeDelay, br, done
+	c.start = env.Now()
+	c.attempt, c.timeout, c.out = 0, 0, Outcome{}
+	c.startRound()
+}
 
 // begin readies the record for a fresh request. The coordination closures
 // are bound once per record lifetime — they capture only the receiver — so
@@ -112,6 +146,8 @@ func (c *Call) begin(env *sim.Env) {
 			c.aborts[1].Fire()
 			c.done.Fire()
 		}
+		c.startFn = c.startRound
+		c.endFn = c.endRound
 	}
 	c.round = 0
 	c.defRel = false
@@ -145,18 +181,16 @@ func (c *Call) attemptBody(ap *sim.Proc, idx int) {
 	}
 }
 
-// runRound races one attempt (and, after hedgeDelay, an optional
-// speculative twin) against the per-attempt deadline. It returns whether
-// the attempt completed in time, whether a hedge launched, and whether the
-// hedge won the race.
+// startRound races one attempt (and, after hedgeDelay, an optional
+// speculative twin) against the per-attempt deadline; endRound runs when
+// the race resolves.
 //
-// Coordination is the record's one-shot done Event: sim processes must
-// never wait on two Events at once, so the hedge trigger and the deadline
-// ride timer callbacks (env.After) that are cancelled as soon as the
-// race resolves. Same-instant timer callbacks always run before the woken
-// coordinator (their calendar entries predate the wake-up), so the
+// Coordination is the record's one-shot done Event: the hedge trigger and
+// the deadline ride timer callbacks (env.After) that are cancelled as soon
+// as the race resolves. Same-instant timer callbacks always run before the
+// round's end (their calendar entries predate its wake-up), so the
 // done.Fired guards fully cover the cancel races.
-func (c *Call) runRound(p *sim.Proc, pl Policy, hedgeDelay sim.Duration) (ok, hedged, hedgeWon bool) {
+func (c *Call) startRound() {
 	env := c.env
 	c.done.Init(env)
 	c.winner = -1
@@ -164,31 +198,77 @@ func (c *Call) runRound(p *sim.Proc, pl Policy, hedgeDelay sim.Duration) (ok, he
 	c.aborts[0] = c.token()
 	c.aborts[1] = c.token()
 	c.launch(0)
-	var hedgeTimer, deadlineTimer sim.Timer
-	if hedgeDelay > 0 {
-		hedgeTimer = env.After(hedgeDelay, c.onHedge)
+	c.timers = [2]sim.Timer{}
+	if c.hedgeDelay > 0 {
+		c.timers[0] = env.After(c.hedgeDelay, c.onHedge)
 	}
-	if pl.Deadline > 0 {
-		deadlineTimer = env.After(pl.Deadline, c.onDln)
+	if c.pl.Deadline > 0 {
+		c.timers[1] = env.After(c.pl.Deadline, c.onDln)
 	}
-	c.done.Wait(p)
-	hedgeTimer.Cancel()
-	deadlineTimer.Cancel()
-	winner, hedgedOut := c.winner, c.hedged
+	c.done.Notify(c.endFn)
+}
+
+// endRound settles a resolved race — cancelling the loser, if any — and
+// either finishes the call or retries it after a backoff.
+func (c *Call) endRound() {
+	c.timers[0].Cancel()
+	c.timers[1].Cancel()
+	winner, hedged := c.winner, c.hedged
 	c.round++
-	if !hedgedOut {
+	if !hedged {
 		c.tokens = append(c.tokens, c.aborts[1]) // no attempt holds it
 	}
-	switch winner {
-	case -1:
-		return false, hedgedOut, false
-	case 0:
-		c.aborts[1].Fire() // cancel the hedge, if any is still running
-		return true, hedgedOut, false
-	default:
-		c.aborts[0].Fire() // hedge won; cancel the primary
-		return true, hedgedOut, true
+	if hedged {
+		c.out.Hedges++
 	}
+	if winner >= 0 {
+		// Cancel the loser: the hedge, if one is still running, or the
+		// primary when the hedge won.
+		c.aborts[1-winner].Fire()
+		if winner == 1 {
+			c.out.HedgeWins++
+		}
+		c.out.OK = true
+		c.finish()
+		return
+	}
+	now := c.env.Now()
+	rp := c.pl.Retry
+	willRetry := rp.Enabled() && (rp.MaxRetries == 0 || c.attempt < rp.MaxRetries)
+	var backoff sim.Duration
+	if willRetry {
+		backoff, c.timeout = rp.NextBackoff(c.FlowID, c.attempt+1, c.timeout)
+		if rp.MaxElapsed > 0 && now.Sub(c.start)+backoff >= rp.MaxElapsed {
+			// The next attempt could not finish inside the residence
+			// budget; give up now rather than burn a doomed attempt.
+			willRetry = false
+		}
+	}
+	if willRetry && c.br.Tripped() {
+		// Fast-fail: the backend is known-bad, stop feeding it.
+		willRetry = false
+	}
+	if !willRetry {
+		c.finish()
+		return
+	}
+	c.br.AttemptMiss(now)
+	c.out.Retries++
+	c.attempt++
+	if backoff == 0 {
+		c.startRound() // a zero sleep files nothing
+		return
+	}
+	c.env.After(backoff, c.startFn)
+}
+
+// finish hands the outcome to the invocation's done callback, the
+// coordinator's last action: done may recycle the record.
+func (c *Call) finish() {
+	c.out.Elapsed = c.env.Now().Sub(c.start)
+	done := c.onDone
+	c.onDone = nil
+	done(c.out)
 }
 
 // token draws a reset abort token from the free list, or a new one.
@@ -201,64 +281,4 @@ func (c *Call) token() *sim.Abort {
 	c.tokens = c.tokens[:n-1]
 	ab.Reset()
 	return ab
-}
-
-// ExecuteCall runs the call under the policy on behalf of p, blocking
-// until the request completes or its budgets are exhausted. The breaker
-// (nil for tenants without one) is consulted as a retry gate and fed
-// intermediate misses; terminal accounting — Success/Failure with the
-// admission-time probe flag — is the caller's, which also owns admission
-// (Allow happened before ExecuteCall, so a shed request never gets here).
-//
-// hedgeDelay is the quantile-derived hedge trigger for this request's
-// attempts; 0 disables hedging (cold sketch, or hedging not configured).
-func ExecuteCall(p *sim.Proc, pl Policy, c *Call, hedgeDelay sim.Duration, br *Breaker) Outcome {
-	start := p.Now()
-	c.begin(p.Env())
-	var out Outcome
-	// timeout carries the un-jittered backoff from one retry to the next.
-	var timeout sim.Duration
-	for attempt := 0; ; attempt++ {
-		ok, hedged, hedgeWon := c.runRound(p, pl, hedgeDelay)
-		if hedged {
-			out.Hedges++
-		}
-		if hedgeWon {
-			out.HedgeWins++
-		}
-		if ok {
-			out.OK = true
-			break
-		}
-		rp := pl.Retry
-		willRetry := rp.Enabled() && (rp.MaxRetries == 0 || attempt < rp.MaxRetries)
-		var backoff sim.Duration
-		if willRetry {
-			backoff, timeout = rp.NextBackoff(c.FlowID, attempt+1, timeout)
-			if rp.MaxElapsed > 0 && p.Now().Sub(start)+backoff >= rp.MaxElapsed {
-				// The next attempt could not finish inside the residence
-				// budget; give up now rather than burn a doomed attempt.
-				willRetry = false
-			}
-		}
-		if willRetry && br.Tripped() {
-			// Fast-fail: the backend is known-bad, stop feeding it.
-			willRetry = false
-		}
-		if !willRetry {
-			break
-		}
-		br.AttemptMiss(p.Now())
-		out.Retries++
-		p.Sleep(backoff)
-	}
-	out.Elapsed = p.Now().Sub(start)
-	return out
-}
-
-// Execute runs a one-shot request: the non-pooled convenience form of
-// ExecuteCall (see Call for the reusable record the traffic engine pools).
-func Execute(p *sim.Proc, pl Policy, r Request, hedgeDelay sim.Duration, br *Breaker) Outcome {
-	c := &Call{FlowID: r.FlowID, Attempt: r.Attempt}
-	return ExecuteCall(p, pl, c, hedgeDelay, br)
 }

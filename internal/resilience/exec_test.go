@@ -10,7 +10,7 @@ import (
 
 func approx(got, want, tol float64) bool { return got > want-tol && got < want+tol }
 
-// rig is the minimal simulated world for exercising Execute: one pipe
+// rig is the minimal simulated world for exercising a Call: one pipe
 // wide enough (2 GB/s, per-flow cap 1 GB/s) that a primary and a hedge
 // never contend, so attempt durations are pure size/1e9 arithmetic.
 type rig struct {
@@ -25,11 +25,11 @@ func newRig() *rig {
 	return &rig{env: e, fab: fab, link: fab.NewPipe("link", 2e9, 0)}
 }
 
-// request builds a Request whose i-th invocation transfers sizes[i]
-// bytes (the last size repeats). finished counts attempts that ran to
-// the end un-aborted — the no-double-completion witness.
-func (r *rig) request(sizes []float64, invocations, finished *int) Request {
-	return Request{FlowID: 7, Attempt: func(ap *sim.Proc) {
+// request builds a Call whose i-th attempt transfers sizes[i] bytes (the
+// last size repeats). finished counts attempts that ran to the end
+// un-aborted — the no-double-completion witness.
+func (r *rig) request(sizes []float64, invocations, finished *int) *Call {
+	return &Call{FlowID: 7, Attempt: func(ap *sim.Proc) {
 		idx := *invocations
 		*invocations++
 		if idx >= len(sizes) {
@@ -42,17 +42,23 @@ func (r *rig) request(sizes []float64, invocations, finished *int) Request {
 	}}
 }
 
+// run starts the call at time 0, as the traffic engine does, drains the
+// calendar and returns the outcome its done callback received.
+func (r *rig) run(c *Call, pl Policy, hedgeDelay sim.Duration, br *Breaker) (out Outcome) {
+	r.env.Schedule(0, func() {
+		c.Run(r.env, pl, hedgeDelay, br, func(o Outcome) { out = o })
+	})
+	r.env.Run()
+	return out
+}
+
 // A fast request completes on the first attempt with nothing charged to
 // the resilience machinery.
 func TestExecuteFirstAttemptSuccess(t *testing.T) {
 	r := newRig()
-	var out Outcome
 	var inv, fin int
 	req := r.request([]float64{1e8}, &inv, &fin)
-	r.env.Go("exec", func(p *sim.Proc) {
-		out = Execute(p, Policy{Deadline: 300 * sim.Millisecond}, req, 0, nil)
-	})
-	r.env.Run()
+	out := r.run(req, Policy{Deadline: 300 * sim.Millisecond}, 0, nil)
 	if !out.OK || out.Retries != 0 || out.Hedges != 0 {
 		t.Fatalf("outcome = %+v, want clean first-attempt success", out)
 	}
@@ -74,13 +80,9 @@ func TestExecuteRetryBudget(t *testing.T) {
 		Deadline: 300 * sim.Millisecond,
 		Retry:    retry(100*sim.Millisecond, 2, 2),
 	}
-	var out Outcome
 	var inv, fin int
 	req := r.request([]float64{1e9}, &inv, &fin) // 1 s per attempt: always misses
-	r.env.Go("exec", func(p *sim.Proc) {
-		out = Execute(p, pl, req, 0, nil)
-	})
-	r.env.Run()
+	out := r.run(req, pl, 0, nil)
 	if out.OK {
 		t.Fatal("budget-exhausted request reported OK")
 	}
@@ -106,13 +108,9 @@ func TestExecuteBreakerGatesRetries(t *testing.T) {
 	br := NewBreaker(BreakerSpec{Failures: 1, Cooldown: time10s()})
 	br.Failure(0, false) // pre-tripped
 	pl := Policy{Deadline: 300 * sim.Millisecond, Retry: retry(100*sim.Millisecond, 2, 5)}
-	var out Outcome
 	var inv, fin int
 	req := r.request([]float64{1e9}, &inv, &fin)
-	r.env.Go("exec", func(p *sim.Proc) {
-		out = Execute(p, pl, req, 0, br)
-	})
-	r.env.Run()
+	out := r.run(req, pl, 0, br)
 	if out.OK || out.Retries != 0 || inv != 1 {
 		t.Fatalf("outcome %+v with %d invocations, want immediate terminal failure", out, inv)
 	}
@@ -176,13 +174,9 @@ func TestExecuteHedgeRace(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig()
-			var out Outcome
 			var inv, fin int
 			req := r.request(tc.sizes, &inv, &fin)
-			r.env.Go("exec", func(p *sim.Proc) {
-				out = Execute(p, Policy{Deadline: tc.deadline}, req, tc.hedgeDelay, nil)
-			})
-			r.env.Run()
+			out := r.run(req, Policy{Deadline: tc.deadline}, tc.hedgeDelay, nil)
 			if out.OK != tc.wantOK || out.Hedges != tc.wantHedges || out.HedgeWins != tc.wantWins {
 				t.Fatalf("outcome = %+v, want ok=%v hedges=%d wins=%d",
 					out, tc.wantOK, tc.wantHedges, tc.wantWins)
@@ -254,18 +248,25 @@ func TestCallRecyclesAbortTokens(t *testing.T) {
 		inv++
 		r.fab.Transfer(ap, []*sim.Pipe{r.link}, size, 1e9)
 	}}
+	// A client that issues the next request once the record is idle.
 	var total Outcome
-	r.env.Go("client", func(p *sim.Proc) {
-		for {
-			out := ExecuteCall(p, pl, c, 500*sim.Microsecond, nil)
-			total.Retries += out.Retries
-			total.Hedges += out.Hedges
-			total.HedgeWins += out.HedgeWins
-			for !c.Idle() {
-				p.Sleep(sim.Microsecond) // reuse the record only when idle
-			}
+	var next, done func()
+	var settle func(Outcome)
+	next = func() { c.Run(r.env, pl, 500*sim.Microsecond, nil, settle) }
+	settle = func(out Outcome) {
+		total.Retries += out.Retries
+		total.Hedges += out.Hedges
+		total.HedgeWins += out.HedgeWins
+		done()
+	}
+	done = func() {
+		if c.Idle() {
+			next()
+		} else {
+			r.env.After(sim.Microsecond, done) // reuse the record only when idle
 		}
-	})
+	}
+	r.env.Schedule(0, next)
 	defer r.env.Shutdown()
 	r.env.StepUntil(sim.Time(10 * sim.Second)) // grows the calendar's buckets and the pools
 	allocs := testing.AllocsPerRun(20, func() { r.env.StepUntil(r.env.Now() + sim.Time(100*sim.Millisecond)) })

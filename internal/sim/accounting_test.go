@@ -89,8 +89,10 @@ func TestTopUtilizedDeterministicOrder(t *testing.T) {
 	a := fab.NewPipe("a", 1e9, 0)
 	b := fab.NewPipe("b", 1e9, 0)
 	e.Go("x", func(p *Proc) {
-		fl1 := fab.StartFlow([]*Pipe{a}, 1e9, 0)
-		fl2 := fab.StartFlow([]*Pipe{b}, 1e9, 0)
+		fl1 := new(Flow)
+		fab.StartFlow(fl1, []*Pipe{a}, 1e9, 0)
+		fl2 := new(Flow)
+		fab.StartFlow(fl2, []*Pipe{b}, 1e9, 0)
 		fl1.Done().Wait(p)
 		fl2.Done().Wait(p)
 	})

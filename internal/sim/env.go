@@ -39,9 +39,9 @@ type Env struct {
 
 	blocked []blockedProc
 
-	// resumes counts the wake-ups of parked processes (the tests read it:
-	// a transfer must cost its process one).
-	resumes int
+	// starts and resumes count the process functions begun and the
+	// wake-ups of parked processes (see Starts and Resumes).
+	starts, resumes int
 
 	// freeWorkers are parked goroutines whose process has finished,
 	// available for reuse by the next Go. spawnedWorkers counts actual
@@ -80,6 +80,14 @@ func NewEnv() *Env {
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
+
+// Starts returns how many process functions have begun. With Resumes it
+// counts the kernel's process switches; tests read both to pin the work a
+// design keeps out of processes.
+func (e *Env) Starts() int { return e.starts }
+
+// Resumes returns how many times a parked process has been woken.
+func (e *Env) Resumes() int { return e.resumes }
 
 // Pending returns the number of live events on the calendar — cancelled
 // events are dropped from the count immediately and never resurface.
@@ -161,7 +169,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // returns. It deliberately returns nothing: the caller must not retain the
 // Proc or wait on its Done — both belong to the pool the moment fn returns
 // and will be rebound to a later spawn. Request-scoped fan-out (the traffic
-// engine's request coordinators, the resilience layer's attempts) is the
+// engine's plain requests, the resilience layer's attempts) is the
 // intended user: fire-and-forget processes spawned millions of times per
 // run, where the per-spawn Proc+Event allocation of Go dominates the heap
 // profile.
@@ -271,6 +279,7 @@ func (e *Env) dispatch(w *worker) int {
 		default: // evStart
 			p := ev.proc
 			e.q.release(ev)
+			e.starts++
 			nw := e.takeWorker()
 			if nw == nil {
 				nw = &worker{resume: make(chan struct{})}
@@ -489,8 +498,8 @@ func (e *Env) StepUntil(deadline Time) Time {
 // StepUntil. Each such goroutine runs its process's deferred calls through
 // runtime.Goexit and exits, one at a time in calendar then park order, so
 // a finished run pins neither goroutines nor, through their stacks, the
-// model. The calendar is emptied: unstarted processes never run, and
-// unwound processes do not fire Done. Call it once a windowed run's
+// model. The calendar is emptied: unstarted processes and pending
+// continuations never run, and unwound processes do not fire Done. Call it once a windowed run's
 // results are read; the Env must not run again afterwards. On an Env that
 // Run drained it only dismisses the pool.
 func (e *Env) Shutdown() {

@@ -45,9 +45,12 @@ func TestHeterogeneousFlowsMaxMin(t *testing.T) {
 	shared := fab.NewPipe("shared", 10e9, 0)
 	slowNic := fab.NewPipe("slow-nic", 1e9, 0)
 
-	capped := fab.StartFlow([]*Pipe{shared}, 1e15, 2e9)
-	nicBound := fab.StartFlow([]*Pipe{slowNic, shared}, 1e15, 0)
-	free := fab.StartFlow([]*Pipe{shared}, 1e15, 0)
+	capped := new(Flow)
+	fab.StartFlow(capped, []*Pipe{shared}, 1e15, 2e9)
+	nicBound := new(Flow)
+	fab.StartFlow(nicBound, []*Pipe{slowNic, shared}, 1e15, 0)
+	free := new(Flow)
+	fab.StartFlow(free, []*Pipe{shared}, 1e15, 0)
 
 	e.Go("check", func(p *Proc) {
 		p.Sleep(time.Millisecond)

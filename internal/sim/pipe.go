@@ -69,9 +69,9 @@ type Fabric struct {
 	tagAcc []float64
 
 	// freeFlows recycles the Flow records of completed transfers. Only
-	// Transfer-internal flows are pooled — StartFlow hands its Flow to the
-	// caller, who may hold it (and its Done event) indefinitely. gen on the
-	// Flow guards stale abort hooks across recycling.
+	// Transfer-internal flows are pooled — a StartFlow flow lives in its
+	// caller's storage. gen on the Flow guards stale abort hooks across
+	// recycling.
 	freeFlows []*Flow
 
 	// deadClasses is the FIFO resurrection cache of retired flow classes
@@ -373,7 +373,7 @@ func (f *Fabric) stepPending(p *Proc, x *pendingTransfer) (returned bool) {
 				return false
 			}
 		}
-		fl := f.startFlow(x.pipes, x.bytes, x.rateCap, p.flowTag, true)
+		fl := f.startFlow(nil, x.pipes, x.bytes, x.rateCap, p.flowTag)
 		p.abort.onFireFlow(f, fl)
 		fl.done.addWaiter(p)
 		e.pushBlocked(p, "event")
@@ -382,31 +382,34 @@ func (f *Fabric) stepPending(p *Proc, x *pendingTransfer) (returned bool) {
 	return returned
 }
 
-// StartFlow registers an untagged flow without blocking; the returned
-// flow's Done event fires on completion. Most callers want Transfer.
-func (f *Fabric) StartFlow(pipes []*Pipe, bytes float64, rateCap float64) *Flow {
-	return f.startFlow(pipes, bytes, rateCap, 0, false)
+// StartFlow registers an untagged flow in fl without blocking; fl.Done()
+// fires on completion. fl is the caller's storage, so a caller that keeps
+// its own records starts flows without allocating; once Done has fired
+// and no one waits on it, fl may carry the next flow. Most callers want
+// Transfer.
+func (f *Fabric) StartFlow(fl *Flow, pipes []*Pipe, bytes float64, rateCap float64) {
+	f.startFlow(fl, pipes, bytes, rateCap, 0)
 }
 
-// startFlow registers a flow. pooled flows (Transfer's) are drawn from and
-// returned to the fabric's free list — the caller must not retain them past
-// their done event; StartFlow flows are heap-allocated and owned by the
-// caller.
-func (f *Fabric) startFlow(pipes []*Pipe, bytes float64, rateCap float64, tag FlowTag, pooled bool) *Flow {
+// startFlow registers a flow in fl, or, when fl is nil, in a pooled record
+// (Transfer's) drawn from and returned to the fabric's free list — whose
+// caller must not retain it past its done event.
+func (f *Fabric) startFlow(fl *Flow, pipes []*Pipe, bytes float64, rateCap float64, tag FlowTag) *Flow {
 	if len(pipes) == 0 {
 		panic("sim: flow must cross at least one pipe")
 	}
 	f.advance()
 	c := f.classFor(pipes, rateCap, tag)
-	var fl *Flow
-	if n := len(f.freeFlows); pooled && n > 0 {
-		fl = f.freeFlows[n-1]
-		f.freeFlows[n-1] = nil
-		f.freeFlows = f.freeFlows[:n-1]
-		fl.done.fired = false
-	} else {
-		fl = &Flow{pooled: pooled, done: Event{env: f.env}}
+	if fl == nil {
+		if n := len(f.freeFlows); n > 0 {
+			fl = f.freeFlows[n-1]
+			f.freeFlows[n-1] = nil
+			f.freeFlows = f.freeFlows[:n-1]
+		} else {
+			fl = &Flow{pooled: true}
+		}
 	}
+	fl.done.Init(f.env)
 	fl.class = c
 	fl.seq = f.flowSeq
 	fl.target = c.work + bytes

@@ -271,7 +271,8 @@ func TestWaterFillingProperty(t *testing.T) {
 		capVals := make([]float64, len(caps))
 		for i, c := range caps {
 			capVals[i] = float64(c%100+1) * 1e7 // 10..1000 MB/s
-			flows[i] = fab.StartFlow([]*Pipe{link}, 1e15, capVals[i])
+			flows[i] = new(Flow)
+			fab.StartFlow(flows[i], []*Pipe{link}, 1e15, capVals[i])
 		}
 		var ok bool
 		e.Go("check", func(p *Proc) {

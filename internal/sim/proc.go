@@ -128,17 +128,26 @@ func (p *Proc) SleepUntil(t Time) {
 	p.park("")
 }
 
-// Event is a one-shot broadcast signal. Processes Wait on it; Fire releases
-// all current and future waiters. The zero value is not usable; create with
-// NewEvent.
+// Event is a one-shot broadcast signal. Processes Wait on it and
+// continuations Notify on it; Fire releases all current and future
+// waiters. The zero value is not usable; create with NewEvent.
 type Event struct {
 	env     *Env
 	fired   bool
-	waiters []*Proc
-	// w0 backs the single-waiter fast path: the first Wait parks without a
-	// heap allocation (a Transfer's completion event has exactly one
-	// waiter, and flows dominate event volume on large sweeps).
-	w0 [1]*Proc
+	waiters []waiter
+	// w0 backs the single-waiter fast path: the first Wait or Notify
+	// registers without a heap allocation (a Transfer's completion event
+	// has exactly one waiter, and flows dominate event volume on large
+	// sweeps).
+	w0 [1]waiter
+}
+
+// waiter is one party Fire releases: a parked process, or a continuation
+// registered with Notify. One list keeps both kinds in registration order,
+// which is the order their wake-ups take sequence numbers.
+type waiter struct {
+	p  *Proc
+	fn func()
 }
 
 // NewEvent returns an unfired event bound to env.
@@ -153,9 +162,9 @@ func (ev *Event) Init(env *Env) {
 }
 
 // Reset returns a fired event to the unfired state for reuse. Resetting an
-// event that still has waiters would silently strand them, so that panics —
-// it is always a lifecycle bug (the pool recycled a record something still
-// waits on).
+// event that still has waiters — parked processes or pending continuations
+// — would silently strand them, so that panics: it is always a lifecycle
+// bug (the pool recycled a record something still waits on).
 func (ev *Event) Reset() {
 	if len(ev.waiters) != 0 {
 		panic("sim: Event.Reset with waiters still parked")
@@ -172,8 +181,12 @@ func (ev *Event) Fire() {
 		return
 	}
 	ev.fired = true
-	for _, p := range ev.waiters {
-		p.wake()
+	for _, w := range ev.waiters {
+		if w.p != nil {
+			w.p.wake()
+		} else {
+			ev.env.scheduleEvent(ev.env.now, evFn, w.fn, nil)
+		}
 	}
 	ev.waiters = nil
 }
@@ -188,11 +201,28 @@ func (ev *Event) Wait(p *Proc) {
 	p.park("event")
 }
 
-func (ev *Event) addWaiter(p *Proc) {
+// Notify registers fn as a continuation of the event: Fire files fn on the
+// calendar at its instant, in the place and with the sequence number a
+// process woken by the same Fire would take, so turning a process that only
+// waits into a continuation leaves the schedule unchanged. If the event has
+// already fired, fn runs at once, as Wait returns at once. fn runs on
+// whichever goroutine drains the calendar and must not block (MODEL.md
+// §11, "Continuations").
+func (ev *Event) Notify(fn func()) {
+	if ev.fired {
+		fn()
+		return
+	}
+	ev.add(waiter{fn: fn})
+}
+
+func (ev *Event) addWaiter(p *Proc) { ev.add(waiter{p: p}) }
+
+func (ev *Event) add(w waiter) {
 	if ev.waiters == nil {
 		ev.waiters = ev.w0[:0]
 	}
-	ev.waiters = append(ev.waiters, p)
+	ev.waiters = append(ev.waiters, w)
 }
 
 // WaitGroup counts outstanding activities, like sync.WaitGroup but for

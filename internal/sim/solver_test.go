@@ -15,7 +15,7 @@ func TestIdenticalFlowsAggregateIntoOneClass(t *testing.T) {
 	link := fab.NewPipe("link", 1e9, 0)
 	nic := fab.NewPipe("nic", 1e9, 0)
 	for i := 0; i < 100; i++ {
-		fab.StartFlow([]*Pipe{nic, link}, 1e9, 0)
+		fab.StartFlow(new(Flow), []*Pipe{nic, link}, 1e9, 0)
 	}
 	if got := len(fab.classes); got != 1 {
 		t.Fatalf("100 identical flows produced %d classes, want 1", got)
@@ -24,8 +24,8 @@ func TestIdenticalFlowsAggregateIntoOneClass(t *testing.T) {
 		t.Fatalf("class count = %d, want 100", got)
 	}
 	// A different cap or a different path must open a new class.
-	fab.StartFlow([]*Pipe{nic, link}, 1e9, 5e8)
-	fab.StartFlow([]*Pipe{link}, 1e9, 0)
+	fab.StartFlow(new(Flow), []*Pipe{nic, link}, 1e9, 5e8)
+	fab.StartFlow(new(Flow), []*Pipe{link}, 1e9, 0)
 	if got := len(fab.classes); got != 3 {
 		t.Fatalf("distinct signatures produced %d classes, want 3", got)
 	}
@@ -86,12 +86,15 @@ func TestScopedResolveMergesComponents(t *testing.T) {
 	fab := NewFabric(e)
 	a := fab.NewPipe("a", 1e9, 0)
 	b := fab.NewPipe("b", 3e9, 0)
-	flA := fab.StartFlow([]*Pipe{a}, 1e15, 0)
-	flB := fab.StartFlow([]*Pipe{b}, 1e15, 0)
+	flA := new(Flow)
+	fab.StartFlow(flA, []*Pipe{a}, 1e15, 0)
+	flB := new(Flow)
+	fab.StartFlow(flB, []*Pipe{b}, 1e15, 0)
 	var bridge *Flow
 	e.Go("bridge", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		bridge = fab.StartFlow([]*Pipe{a, b}, 1e15, 0)
+		bridge = new(Flow)
+		fab.StartFlow(bridge, []*Pipe{a, b}, 1e15, 0)
 		p.Sleep(time.Millisecond)
 		// Max-min: a (1 GB/s) splits 0.5/0.5; b grants the bridge 0.5 and
 		// flB the remaining 2.5.
@@ -113,9 +116,12 @@ func TestRateCapExactlyAtPipeShare(t *testing.T) {
 	e := NewEnv()
 	fab := NewFabric(e)
 	link := fab.NewPipe("link", 9e8, 0)
-	capped := fab.StartFlow([]*Pipe{link}, 1e15, 3e8) // cap == fair share of 3
-	open1 := fab.StartFlow([]*Pipe{link}, 1e15, 0)
-	open2 := fab.StartFlow([]*Pipe{link}, 1e15, 0)
+	capped := new(Flow)
+	fab.StartFlow(capped, []*Pipe{link}, 1e15, 3e8) // cap == fair share of 3
+	open1 := new(Flow)
+	fab.StartFlow(open1, []*Pipe{link}, 1e15, 0)
+	open2 := new(Flow)
+	fab.StartFlow(open2, []*Pipe{link}, 1e15, 0)
 	e.Go("check", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		for _, fl := range []*Flow{capped, open1, open2} {

@@ -25,7 +25,7 @@ func transferTwoParks(f *Fabric, p *Proc, delay Duration, pipes []*Pipe, bytes, 
 			return
 		}
 	}
-	fl := f.startFlow(pipes, bytes, rateCap, p.flowTag, true)
+	fl := f.startFlow(nil, pipes, bytes, rateCap, p.flowTag)
 	p.abort.onFireFlow(f, fl)
 	fl.done.Wait(p)
 }

@@ -3,9 +3,6 @@ package traffic
 import (
 	"testing"
 	"time"
-
-	"storagesim/internal/netsim"
-	"storagesim/internal/resilience"
 )
 
 // allocsPerRequest runs whole traffic windows under testing.AllocsPerRun
@@ -51,23 +48,24 @@ func TestSteadyStateRequestAllocs(t *testing.T) {
 		t.Errorf("traffic-only path allocates %.3f/request amortized, budget 0.5", got)
 	}
 
-	armed := Spec{
-		Brownout: resilience.Brownout{Capacity: 1024, Tiers: []float64{1.0, 0.5}},
-		Tenants: []Tenant{{
-			Name: "bench", Clients: 1_000_000, Workload: SeqWrite,
-			Arrival:      Arrival{Kind: Poisson, Rate: 1e-3},
-			RequestBytes: 1 << 20, IOBytes: 1 << 20,
-			MaxInflight: 256,
-			Resilience: resilience.Policy{
-				Deadline: time.Second,
-				Retry:    netsim.RetryPolicy{Timeout: 10 * time.Millisecond, Multiplier: 2, MaxRetries: 2, Jitter: time.Millisecond},
-				Hedge:    resilience.Hedge{Quantile: 0.99, MinSamples: 32},
-				Breaker:  resilience.BreakerSpec{Failures: 10, Cooldown: 100 * time.Millisecond, Probes: 2, Successes: 3},
-			},
-		}},
-	}
-	if got := allocsPerRequest(t, armed); got > 0.5 {
+	if got := allocsPerRequest(t, armedSpec()); got > 0.5 {
 		t.Errorf("resilience-armed path allocates %.3f/request amortized, budget 0.5", got)
+	}
+}
+
+// TestResilientRequestStartsOneProcess: on BenchmarkResilienceOverhead's
+// rig the kernel starts one process per attempt and none for the
+// coordinator, which runs as a continuation.
+func TestResilientRequestStartsOneProcess(t *testing.T) {
+	env, fab, mount := fakeRig(1e12)
+	rep := Run(env, fab, 4, mount, Config{Spec: armedSpec(), Duration: 4096 * time.Millisecond, Seed: 1})
+	tr := rep.Tenants[0]
+	admitted := tr.Offered - tr.ShedAdmission - tr.ShedBrownout - tr.ShedBreaker
+	if admitted < 4000 || tr.Retries != 0 {
+		t.Fatalf("%d admitted, %d retries: the rig must admit every request and retry none", admitted, tr.Retries)
+	}
+	if got, want := uint64(env.Starts()), admitted+tr.Hedges; got != want {
+		t.Fatalf("%d process starts for %d requests and %d hedges, want %d", got, admitted, tr.Hedges, want)
 	}
 }
 

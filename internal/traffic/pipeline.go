@@ -465,6 +465,12 @@ func (sh *shard) arrive(now sim.Time) {
 	// successive requests of one shard) must desynchronize, so the flow id
 	// mixes the node index with the shard-local sequence number.
 	rec.call.FlowID = (uint64(sh.node)+1)*0x9e3779b97f4a7c15 + sh.reqIdx
+	if sh.resilient {
+		// The coordinator is a continuation, started like a plain
+		// request's process: one calendar event at the arrival instant.
+		sh.env.Schedule(now, rec.coordFn)
+		return
+	}
 	sh.env.GoPooled(sh.name, rec.runFn)
 }
 
@@ -502,8 +508,13 @@ type reqRec struct {
 	start  sim.Time
 	probe  bool
 	target int
-	runFn  func(rp *sim.Proc)
-	call   resilience.Call
+	runFn  func(rp *sim.Proc) // a plain tenant's request process
+
+	// A resilient tenant's request: the call, started by coordFn and
+	// settled by settleFn.
+	call     resilience.Call
+	coordFn  func()
+	settleFn func(resilience.Outcome)
 
 	// Forwarding stages: start the remote serve on the owning rack, serve,
 	// complete back home.
@@ -524,7 +535,8 @@ func (sh *shard) getRec() *reqRec {
 	}
 	rec := &reqRec{sh: sh}
 	if sh.resilient {
-		rec.runFn = rec.runResilient
+		rec.coordFn = rec.coordinate
+		rec.settleFn = rec.settle
 		rec.call.Attempt = func(ap *sim.Proc) { rec.serve(ap, sh.cl) }
 		rec.call.OnIdle = func() { sh.freeRec(rec) }
 	} else {
@@ -573,21 +585,27 @@ func (rec *reqRec) run(rp *sim.Proc) {
 	rec.sh.finish(rec, rp.Now(), resilience.Outcome{OK: true})
 }
 
-// runResilient is the request coordinator of a resilient tenant: it runs
-// the pooled call under the tenant policy and settles the breaker.
-func (rec *reqRec) runResilient(rp *sim.Proc) {
+// coordinate starts a resilient tenant's request: the pooled call under
+// the tenant policy, settled by settle.
+func (rec *reqRec) coordinate() {
 	st := rec.sh.st
 	pl := st.spec.Resilience
-	out := resilience.ExecuteCall(rp, pl, &rec.call, pl.Hedge.Delay(st.sketch), st.breaker)
+	rec.call.Run(rec.sh.env, pl, pl.Hedge.Delay(st.sketch), st.breaker, rec.settleFn)
+}
+
+// settle books a resilient request's outcome and settles the breaker.
+func (rec *reqRec) settle(out resilience.Outcome) {
+	st := rec.sh.st
+	now := rec.sh.env.Now()
 	st.retries += uint64(out.Retries)
 	st.hedges += uint64(out.Hedges)
 	st.hedgeWins += uint64(out.HedgeWins)
 	if out.OK {
 		st.breaker.Success(rec.probe)
 	} else {
-		st.breaker.Failure(rp.Now(), rec.probe)
+		st.breaker.Failure(now, rec.probe)
 	}
-	rec.sh.finish(rec, rp.Now(), out)
+	rec.sh.finish(rec, now, out)
 }
 
 // serve performs the request's I/O on cl, keyed on its operation.

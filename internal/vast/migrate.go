@@ -28,8 +28,22 @@ type stager struct {
 	// space fires when a migration completes and frees staging room; it is
 	// re-armed after each broadcast.
 	space sim.Event
-	// name names every migration process.
-	name string
+	// free lists the idle migration records.
+	free []*migration
+}
+
+// migration is one burst's SCM→QLC drain, a pooled record run by two
+// calendar continuations: start, filed at the write's instant, waits on
+// the flow, and drain books its completion and frees the record. They
+// take the sequence numbers a process waiting on the flow would take (its
+// start and its wake-up), so the schedule is that process's (MODEL.md
+// §11, "Continuations").
+type migration struct {
+	st      *stager
+	bytes   int64
+	flow    sim.Flow
+	startFn func()
+	drainFn func()
 }
 
 // newStager returns the staging accountant.
@@ -37,7 +51,6 @@ func newStager(s *System) *stager {
 	st := &stager{
 		sys:      s,
 		capacity: s.cfg.SCMStagingBytes,
-		name:     s.cfg.Name + "/migrate",
 	}
 	st.space.Init(s.env)
 	return st
@@ -90,12 +103,26 @@ func (st *stager) startMigration(bytes int64) {
 		ratio = 1
 	}
 	pipes := s.qlc.StreamPipes(device.Sequential, true, 1<<20)
-	flow := s.fab.StartFlow(pipes, float64(bytes)/ratio, 0)
-	s.env.GoPooled(st.name, func(p *sim.Proc) {
-		flow.Done().Wait(p)
-		st.staged -= bytes
-		st.migrated += bytes
-		st.space.Fire()
-		st.space.Reset()
-	})
+	var m *migration
+	if n := len(st.free); n > 0 {
+		m = st.free[n-1]
+		st.free = st.free[:n-1]
+	} else {
+		m = &migration{st: st}
+		m.startFn = func() { m.flow.Done().Notify(m.drainFn) }
+		m.drainFn = m.drain
+	}
+	m.bytes = bytes
+	s.fab.StartFlow(&m.flow, pipes, float64(bytes)/ratio, 0)
+	s.env.Schedule(s.env.Now(), m.startFn)
+}
+
+// drain releases a migrated burst's staging room and frees the record.
+func (m *migration) drain() {
+	st := m.st
+	st.staged -= m.bytes
+	st.migrated += m.bytes
+	st.space.Fire()
+	st.space.Reset()
+	st.free = append(st.free, m)
 }

@@ -127,3 +127,32 @@ func TestZeroCapacityDisablesBackpressure(t *testing.T) {
 	}
 	_ = sys
 }
+
+// TestOpWriteAllocatesNothing: once warm, an op-level write — the RPC, the
+// SCM landing and the migration that drains it to QLC — allocates nothing.
+// The migration draws its record, and the flow inside it, from the
+// stager's free list.
+func TestOpWriteAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv()
+	fab := sim.NewFabric(env)
+	cfg := testConfig(&netsim.TCPTransport{PerConnBW: 5e9, Connections: 1, RPC: 50 * time.Microsecond})
+	cfg.ClientCacheBytes = 0 // every write reaches the backend
+	sys := MustNew(env, fab, cfg)
+	cl := sys.Mount("n0", netsim.NewIface(fab, "n0/nic", 50e9, 0))
+	env.Go("w", func(p *sim.Proc) {
+		f := cl.Open(p, "/op", true)
+		for i := 0; ; i++ {
+			f.WriteAt(p, int64(i%64)<<20, 1<<20)
+		}
+	})
+	defer env.Shutdown()
+	env.StepUntil(sim.Time(2 * sim.Second)) // grows the calendar's buckets and the pools
+	before := sys.MigratedBytes()
+	allocs := testing.AllocsPerRun(20, func() { env.StepUntil(env.Now() + sim.Time(10*sim.Millisecond)) })
+	if sys.MigratedBytes() == before {
+		t.Fatal("no write migrated while measuring")
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per 10 ms of op-level writes, want 0", allocs)
+	}
+}
