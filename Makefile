@@ -76,12 +76,14 @@ bench-module:
 # queue is fuzzed differentially against the reference heap. Go allows one
 # -fuzz target per invocation, so this is one short run per target. The
 # group's message delivery is fuzzed against its exact-timing contract,
-# event continuations against the waiting processes they replace, and the
-# page cache differentially against its naive reference model.
+# event continuations against the waiting processes they replace, the
+# page cache differentially against its naive reference model, and every
+# backend's fault surface under random schedules.
 fuzz-smoke:
 	$(GO) test ./internal/units -run XXX -fuzz FuzzParseSize -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/units -run XXX -fuzz FuzzParseDuration -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faults -run XXX -fuzz FuzzSchedule -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/faults/invariants -run XXX -fuzz FuzzFaultSurface -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run XXX -fuzz FuzzWheelVsHeap -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run XXX -fuzz FuzzGroupDelivery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run XXX -fuzz FuzzNotifyVsWait -fuzztime $(FUZZTIME)

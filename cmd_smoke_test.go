@@ -7,6 +7,7 @@ package storagesim_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -177,7 +178,7 @@ func TestTrafficFlagErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	dir := buildCmds(t, "trafficbench", "tracereplay", "paperfigs", "mdbench", "tracestat")
+	dir := buildCmds(t, "trafficbench", "tracereplay", "paperfigs", "mdbench", "tracestat", "iorbench")
 	traffic := []string{"trafficbench", "tracereplay"}
 	profiled := []string{"trafficbench", "tracereplay", "paperfigs"}
 	fixture := "internal/experiments/testdata/fidelity_trace.jsonl"
@@ -187,6 +188,20 @@ func TestTrafficFlagErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	missing := filepath.Join(dir, "missing.json")
+	// Schedules that fail every server of the deployment: the two Wombat
+	// nodes under node-local NVMe, the eight CNodes of Wombat's VAST.
+	lastFail := func(name string, servers int) string {
+		var evs []string
+		for i := 0; i < servers; i++ {
+			evs = append(evs, fmt.Sprintf(`{"at":"1ms","kind":"server-fail","index":%d}`, i))
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(`{"events":[`+strings.Join(evs, ",")+`]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	lastNode, lastCNode := lastFail("last-node.json", 2), lastFail("last-cnode.json", 8)
 	for _, tc := range []struct {
 		cmds    []string
 		flags   []string
@@ -210,6 +225,10 @@ func TestTrafficFlagErrors(t *testing.T) {
 		{[]string{"tracereplay"}, []string{"-trace", fixture, "-abs-latency", "soon"}, "soon", false},
 		{[]string{"mdbench"}, []string{"-machine", "Wombat", "-fs", "gpfs"}, "gpfs on Wombat", false},
 		{[]string{"tracestat"}, []string{"-project", "lustre", "-machine", "Lassen"}, "lustre on Lassen", false},
+		{[]string{"iorbench"}, []string{"-machine", "Wombat", "-fs", "nvme", "-nodes", "2", "-faults", lastNode},
+			"event 1: 1ms server-fail index=1 fails the last healthy server", false},
+		{[]string{"trafficbench"}, []string{"-machine", "Wombat", "-fs", "vast", "-nodes", "2", "-duration", "0.1s", "-faults", lastCNode},
+			"event 7: 1ms server-fail index=7 fails the last healthy server", false},
 		{profiled, []string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}, "-cpuprofile", false},
 		{profiled, []string{"-memprofile", filepath.Join(dir, "missing", "mem.prof")}, "-memprofile", false},
 		{[]string{"trafficbench"}, []string{"-faults", missing}, "missing.json", true},

@@ -250,7 +250,7 @@ func TestStreamSequentialGetsMediaBW(t *testing.T) {
 func TestPresetsValid(t *testing.T) {
 	for _, s := range []Spec{
 		SCMSpec("scm"), QLCSpec("qlc"), SASHDDSpec("hdd"),
-		NVMe970ProSpec("nvme"), GPFSRaidSpec("gr"), LustreOSTSpec("ost"),
+		NVMe970ProSpec("nvme"),
 	} {
 		if err := s.Validate(); err != nil {
 			t.Errorf("preset %s invalid: %v", s.Name, err)

@@ -9,7 +9,10 @@ import (
 // Presets for the device families named in the paper (Section III-A and
 // IV-B). Values come from public vendor specifications and the latency
 // ranges the paper itself quotes; they are calibration constants, collected
-// here so every physical assumption is visible and testable in one place.
+// here so every device assumption is visible and testable in one place.
+// The arrays behind the GPFS NSD servers and the Lustre OSSes are scaled
+// from SASHDDSpec next to the deployments that use them
+// (cluster.GPFSRaidPerServer, cluster.LustreOSTPerOSS).
 
 // SCMSpec models a storage-class-memory SSD (the fast layer of a VAST
 // DBox). The paper quotes SCM random-access latency of "100 nanoseconds to
@@ -75,27 +78,4 @@ func NVMe970ProSpec(name string) Spec {
 		FlushLatency: 850 * time.Microsecond, // volatile-cache drain on FUA/flush
 		QueueDepth:   32,
 	}
-}
-
-// GPFSRaidSpec models one GPFS-RAID (declustered RAID) array behind a
-// Lassen NSD server: many HDDs striped so that sequential bandwidth is
-// high, while random access still pays a (reduced, because declustered)
-// seek cost.
-func GPFSRaidSpec(name string) Spec {
-	base := SASHDDSpec(name)
-	s := base.Scale(40, name) // ~40 data spindles per NSD array
-	// Declustering and track caches soften per-op costs versus a raw disk.
-	s.ReadLatency = 1 * time.Millisecond
-	s.WriteLatency = 1 * time.Millisecond
-	s.SeekPenalty = 4 * time.Millisecond
-	s.FlushLatency = 4 * time.Millisecond
-	return s
-}
-
-// LustreOSTSpec models one Lustre OSS backend: an 80-disk SAS HDD raidz2
-// group (Section IV-B), striped for bandwidth.
-func LustreOSTSpec(name string) Spec {
-	s := SASHDDSpec(name).Scale(20, name) // raidz2 groups yield ~20 disks of useful stream bw
-	s.FlushLatency = 5 * time.Millisecond // ZFS intent log on SSD mirrors absorbs fsync
-	return s
 }

@@ -88,8 +88,8 @@ func armStorm(tb *testbed, fs FS, seed uint64) (*stormRig, error) {
 	storm := chaos.Storm(seed, chaos.Profile{
 		Target:          string(fs),
 		Servers:         prot.FaultServers(),
-		Units:           prot.FaultUnits(),
-		UnitsAreServers: prot.RepairScheme().ServersHoldData,
+		Units:           faults.UnitCount(prot),
+		UnitsAreServers: faults.UnitsAreServers(prot),
 		Horizon:         30 * time.Millisecond,
 		Events:          12,
 	})

@@ -45,8 +45,8 @@ const (
 	MediaRestore Kind = "media-restore"
 	// UnitFail takes redundancy unit Index out of service: the granularity
 	// data protection works at (a VAST DBox enclosure, a GPFS NSD server's
-	// RAID array, an OSS's OSTs, a burst-buffer node's SSD). Only targets
-	// implementing UnitTarget accept it.
+	// RAID array, an OSS's OSTs, a burst-buffer node's SSD). On a target
+	// whose units are its servers (UnitsAreServers) it fails server Index.
 	UnitFail Kind = "unit-fail"
 	// UnitRecover returns a failed redundancy unit to service.
 	UnitRecover Kind = "unit-recover"
@@ -151,9 +151,9 @@ func (s Schedule) Sorted() Schedule {
 	return out
 }
 
-// Target is a storage backend that can take faults. Each backend package
-// implements it on its System type; the experiment harness registers them
-// with an Injector under the deployment's name.
+// Target is a storage backend that can take faults. Each backend embeds
+// Units, which implements it; the experiment harness registers the
+// backends with an Injector under the deployment's name.
 type Target interface {
 	// FaultServers returns how many individually failable servers the
 	// backend has (CNodes, NSD servers, OSSes, nodes).
@@ -173,13 +173,12 @@ type Target interface {
 // UnitTarget is a Target whose storage is organized into failable
 // redundancy units — the granularity data protection works at, which is
 // not always the server granularity (a VAST CNode is stateless; the unit
-// is the DBox enclosure behind it). Backends implement it to accept
-// UnitFail/UnitRecover events; internal/repair layers rebuild jobs and
-// loss accounting on top of the same interface.
+// is the DBox enclosure behind it). internal/repair layers rebuild jobs
+// and loss accounting on top of the same interface.
 type UnitTarget interface {
 	Target
-	// FaultUnits returns how many individually failable redundancy units
-	// the backend has.
+	// FaultUnits returns how many redundancy units of its own the backend
+	// has; 0 when its units are its servers (UnitsAreServers).
 	FaultUnits() int
 	// FailUnit takes unit i out of service (media loss: the enclosure, the
 	// RAID array, the node's SSD).
@@ -187,6 +186,25 @@ type UnitTarget interface {
 	// RecoverUnit returns a failed unit to service at full nominal
 	// capacity; recovering a healthy unit is a no-op.
 	RecoverUnit(i int)
+}
+
+// UnitsAreServers reports whether t's redundancy units are its servers.
+// It is the one place that decides: a target with no units of its own —
+// no UnitTarget, or one with no FaultUnits — loses a unit with each
+// server (a GPFS NSD server's array, an OSS's OSTs, a node's SSD), so a
+// unit event on it is the server event of the same index.
+func UnitsAreServers(t Target) bool {
+	ut, ok := t.(UnitTarget)
+	return !ok || ut.FaultUnits() == 0
+}
+
+// UnitCount returns how many redundancy units t has: its own, or its
+// servers when those are its units.
+func UnitCount(t Target) int {
+	if UnitsAreServers(t) {
+		return t.FaultServers()
+	}
+	return t.(UnitTarget).FaultUnits()
 }
 
 // Applied is one delivered event, recorded for tests and reports.
@@ -248,30 +266,53 @@ func (in *Injector) resolve(ev Event) (Target, error) {
 // Apply validates the schedule against the registered targets and arms one
 // simulation event per fault. It must be called before env.Run; events fire
 // at injection-time-plus-offset in (At, schedule order).
+//
+// Validation is all-or-nothing, so a bad schedule never half-applies. It
+// also walks each target's fail and recover events in firing order, from
+// a healthy target, and rejects the first that would leave it no healthy
+// server or unit: a down deployment is not a data point, and failing the
+// last healthy one panics in the backend. A recover counts at once (a
+// repair.Manager may hold a recovery back until its rebuild completes),
+// and a unit event counts against the server pool of a target whose units
+// are its servers.
 func (in *Injector) Apply(s Schedule) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
 	sorted := s.Sorted()
-	// Validate everything up front so a bad schedule never half-applies.
+	walks := map[Target]*[2]pool{} // each target's servers and own units
 	for i, ev := range sorted.Events {
 		t, err := in.resolve(ev)
 		if err != nil {
 			return fmt.Errorf("event %d: %w", i, err)
 		}
+		if !ev.Kind.needsIndex() {
+			continue
+		}
+		n, noun := t.FaultServers(), "servers"
 		if ev.Kind.needsUnits() {
-			ut, ok := t.(UnitTarget)
-			if !ok {
-				return fmt.Errorf("event %d: %s target %q has no redundancy units",
-					i, ev.Kind, ev.Target)
+			n, noun = UnitCount(t), "units"
+		}
+		if ev.Index >= n {
+			return fmt.Errorf("event %d: %s index %d out of range (target has %d %s)",
+				i, ev.Kind, ev.Index, n, noun)
+		}
+		w := walks[t]
+		if w == nil {
+			w = &[2]pool{newPool(t.FaultServers(), "server"), newPool(UnitCount(t), "unit")}
+			walks[t] = w
+		}
+		p := &w[0]
+		if ev.Kind.needsUnits() && !UnitsAreServers(t) {
+			p = &w[1]
+		}
+		if ev.Kind == ServerFail || ev.Kind == UnitFail {
+			if !p.failed[ev.Index] && p.healthy == 1 {
+				return fmt.Errorf("event %d: %v fails the last healthy %s", i, ev, p.noun)
 			}
-			if ev.Index >= ut.FaultUnits() {
-				return fmt.Errorf("event %d: %s index %d out of range (target has %d units)",
-					i, ev.Kind, ev.Index, ut.FaultUnits())
-			}
-		} else if ev.Kind.needsIndex() && ev.Index >= t.FaultServers() {
-			return fmt.Errorf("event %d: %s index %d out of range (target has %d servers)",
-				i, ev.Kind, ev.Index, t.FaultServers())
+			p.fail("", ev.Index)
+		} else {
+			p.recover(ev.Index)
 		}
 	}
 	start := in.env.Now()
@@ -285,7 +326,8 @@ func (in *Injector) Apply(s Schedule) error {
 	return nil
 }
 
-// deliver executes one event against its target and logs it.
+// deliver executes one event against its target and logs it. A unit event
+// on a target whose units are its servers is the server event.
 func (in *Injector) deliver(t Target, ev Event) {
 	switch ev.Kind {
 	case ServerFail:
@@ -301,9 +343,17 @@ func (in *Injector) deliver(t Target, ev Event) {
 	case MediaRestore:
 		t.SetMediaHealth(1)
 	case UnitFail:
-		t.(UnitTarget).FailUnit(ev.Index) // asserted at Apply
+		if UnitsAreServers(t) {
+			t.FailServer(ev.Index)
+		} else {
+			t.(UnitTarget).FailUnit(ev.Index)
+		}
 	case UnitRecover:
-		t.(UnitTarget).RecoverUnit(ev.Index)
+		if UnitsAreServers(t) {
+			t.RecoverServer(ev.Index)
+		} else {
+			t.(UnitTarget).RecoverUnit(ev.Index)
+		}
 	}
 	in.applied = append(in.applied, Applied{At: in.env.Now(), Event: ev})
 }

@@ -167,10 +167,11 @@ func TestInjectorValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("out-of-range index accepted: %v", err)
 	}
-	// Unit events against a target without redundancy units.
-	err = inj.Apply(Schedule{Events: []Event{{Kind: UnitFail, Target: "a", Index: 0}}})
-	if err == nil || !strings.Contains(err.Error(), "no redundancy units") {
-		t.Fatalf("unit-fail on unitless target accepted: %v", err)
+	// A unit index on a target whose units are its servers is a server
+	// index.
+	err = inj.Apply(Schedule{Events: []Event{{Kind: UnitFail, Target: "a", Index: 2}}})
+	if err == nil || !strings.Contains(err.Error(), "2 units") {
+		t.Fatalf("out-of-range unit index on a unitless target accepted: %v", err)
 	}
 	// Unit index validated against FaultUnits, not FaultServers.
 	inj.Register("u", &fakeUnitTarget{fakeTarget: fakeTarget{servers: 9}, units: 3})
@@ -185,21 +186,80 @@ func TestInjectorValidation(t *testing.T) {
 }
 
 func TestInjectorDeliversUnitEvents(t *testing.T) {
-	env := sim.NewEnv()
-	tgt := &fakeUnitTarget{fakeTarget: fakeTarget{servers: 2}, units: 4}
-	inj := NewInjector(env)
-	inj.Register("fs", tgt)
 	sched := Schedule{Events: []Event{
 		{At: sim.Duration(10 * time.Millisecond), Kind: UnitFail, Index: 3},
 		{At: sim.Duration(20 * time.Millisecond), Kind: UnitRecover, Index: 3},
 	}}
-	if err := inj.Apply(sched); err != nil {
-		t.Fatal(err)
+	// A target with units of its own takes unit events; on one without,
+	// the units are the servers and the events reach them.
+	for _, tc := range []struct {
+		tgt  Target
+		want string
+	}{
+		{&fakeUnitTarget{fakeTarget: fakeTarget{servers: 2}, units: 4}, "unit-fail,3,unit-recover,3"},
+		{&fakeUnitTarget{fakeTarget: fakeTarget{servers: 4}}, "fail,3,recover,3"},
+		{&fakeTarget{servers: 4}, "fail,3,recover,3"},
+	} {
+		env := sim.NewEnv()
+		inj := NewInjector(env)
+		inj.Register("fs", tc.tgt)
+		if err := inj.Apply(sched); err != nil {
+			t.Fatal(err)
+		}
+		env.Run()
+		var calls []string
+		switch tgt := tc.tgt.(type) {
+		case *fakeUnitTarget:
+			calls = tgt.calls
+		case *fakeTarget:
+			calls = tgt.calls
+		}
+		if got := strings.Join(calls, ","); got != tc.want {
+			t.Errorf("%T with %d units: delivered %s, want %s", tc.tgt, UnitCount(tc.tgt), got, tc.want)
+		}
 	}
-	env.Run()
-	want := []string{"unit-fail", "3", "unit-recover", "3"}
-	if got := strings.Join(tgt.calls, ","); got != strings.Join(want, ",") {
-		t.Fatalf("unit delivery %v, want %v", tgt.calls, want)
+}
+
+// TestApplyRejectsFailingLastHealthy pins the walk Apply makes over each
+// target's fail and recover events: the first event that leaves a server
+// or unit pool with nothing healthy is rejected, naming it, and nothing is
+// armed.
+func TestApplyRejectsFailingLastHealthy(t *testing.T) {
+	ms := func(n int) sim.Duration { return sim.Duration(n) * sim.Duration(time.Millisecond) }
+	ev := func(at int, kind Kind, target string, index int) Event {
+		return Event{At: ms(at), Kind: kind, Target: target, Index: index}
+	}
+	cases := []struct {
+		name   string
+		events []Event
+		reject string // "" accepts
+	}{
+		{"every server at one instant", []Event{ev(1, ServerFail, "s", 0), ev(1, ServerFail, "s", 1)},
+			"event 1: 1ms server-fail target=s index=1 fails the last healthy server"},
+		{"firing order, not schedule order", []Event{ev(2, ServerFail, "s", 1), ev(1, ServerFail, "s", 0)},
+			"event 1: 2ms server-fail target=s index=1"},
+		{"a recover counts at once", []Event{ev(1, ServerFail, "s", 0), ev(1, ServerRecover, "s", 0), ev(1, ServerFail, "s", 1)}, ""},
+		{"a failed server fails once", []Event{ev(1, ServerFail, "s", 0), ev(2, ServerFail, "s", 0)}, ""},
+		{"units that are servers share the pool", []Event{ev(1, UnitFail, "s", 0), ev(2, ServerFail, "s", 1)},
+			"event 1: 2ms server-fail target=s index=1 fails the last healthy server"},
+		{"own units are a pool apart", []Event{ev(1, UnitFail, "u", 0), ev(1, ServerFail, "u", 0), ev(2, UnitFail, "u", 1)},
+			"event 2: 2ms unit-fail target=u index=1 fails the last healthy unit"},
+		{"targets are apart", []Event{ev(1, ServerFail, "s", 0), ev(1, ServerFail, "u", 1)}, ""},
+	}
+	for _, tc := range cases {
+		env := sim.NewEnv()
+		inj := NewInjector(env)
+		inj.Register("s", &fakeTarget{servers: 2})
+		inj.Register("u", &fakeUnitTarget{fakeTarget: fakeTarget{servers: 2}, units: 2})
+		err := inj.Apply(Schedule{Events: tc.events})
+		switch {
+		case tc.reject == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.reject != "" && (err == nil || !strings.Contains(err.Error(), tc.reject)):
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.reject)
+		case tc.reject != "" && env.Pending() != 0:
+			t.Errorf("%s: rejected Apply armed %d events", tc.name, env.Pending())
+		}
 	}
 }
 
@@ -220,7 +280,7 @@ func TestInjectorSingleTargetDefault(t *testing.T) {
 func TestInjectorOffsetsFromApplyInstant(t *testing.T) {
 	// Events fire at injection-time-plus-offset, not at absolute time.
 	env := sim.NewEnv()
-	tgt := &fakeTarget{servers: 1}
+	tgt := &fakeTarget{servers: 2}
 	inj := NewInjector(env)
 	inj.Register("fs", tgt)
 	env.After(sim.Duration(50*time.Millisecond), func() {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"storagesim/internal/cluster"
 	"storagesim/internal/device"
 	"storagesim/internal/faults"
 	"storagesim/internal/faults/invariants"
@@ -46,7 +47,7 @@ func vastCase(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client) {
 func gpfsCase(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client) {
 	sys := gpfs.MustNew(env, fab, gpfs.Config{
 		Name: "gpfs-inv", NSDServers: 4, ServerNICBW: 10e9,
-		RaidPerServer: device.GPFSRaidSpec("raid"), ServerMemBW: 40e9,
+		RaidPerServer: cluster.GPFSRaidPerServer(), ServerMemBW: 40e9,
 		ClientStreamCap: 14.5e9, ClientWriteCap: 10e9,
 		CacheBlockBytes: 1 << 20, RPCLatency: 50 * time.Microsecond,
 	})
@@ -56,7 +57,7 @@ func gpfsCase(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client) {
 func lustreCase(env *sim.Env, fab *sim.Fabric) (faults.Target, []fsapi.Client) {
 	sys := lustre.MustNew(env, fab, lustre.Config{
 		Name: "lustre-inv", MDSCount: 2, MDSLatency: 50 * time.Microsecond,
-		OSSCount: 4, OSTPerOSS: device.LustreOSTSpec("ost"), ServerNICBW: 10e9,
+		OSSCount: 4, OSTPerOSS: cluster.LustreOSTPerOSS(), ServerNICBW: 10e9,
 		RPCLatency: 50 * time.Microsecond,
 	})
 	return sys, mounts(fab, func(name string, nic *netsim.Iface) fsapi.Client { return sys.Mount(name, nic) })
@@ -275,7 +276,7 @@ func TestUnitFaultSurface(t *testing.T) {
 					t.Errorf("%s: %v", what, err)
 				}
 			}
-			n, units := prot.FaultServers(), prot.FaultUnits()
+			n, units := prot.FaultServers(), faults.UnitCount(prot)
 			unchanged("recover healthy server", func() { prot.RecoverServer(1) })
 			unchanged("recover healthy unit", func() { prot.RecoverUnit(1) })
 			unchanged("rebuild healthy unit", func() { prot.SetUnitRebuild(1, 0.5) })
@@ -296,7 +297,7 @@ func TestUnitFaultSurface(t *testing.T) {
 				_, _, prot := build()
 				what, count, fail := "server", prot.FaultServers(), prot.FailServer
 				if unit {
-					what, count, fail = "unit", prot.FaultUnits(), prot.FailUnit
+					what, count, fail = "unit", faults.UnitCount(prot), prot.FailUnit
 				}
 				for _, i := range []int{-1, count} {
 					if !panics(func() { fail(i) }) {

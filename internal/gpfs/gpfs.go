@@ -114,14 +114,8 @@ type System struct {
 	raid      *device.Device
 	serverCch *cache.Cache
 
-	// Fault state (see faults.go): nsds tracks out-of-service NSD servers
-	// and each failed server's rebuilt fraction (see repair.go: a server
-	// 60% rebuilt contributes 0.6 of its share to the pools, so health
-	// recovers incrementally as a rebuild progresses); linkHealth and
-	// mediaHealth are the prevailing cluster-wide derates.
-	nsds        faults.Units
-	linkHealth  float64
-	mediaHealth float64
+	// Units is the fault surface, over the NSD servers (see repair.go).
+	faults.Units
 }
 
 // New builds the system on the fabric.
@@ -129,9 +123,8 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, env: env, fab: fab, ns: fsapi.NewNamespace(),
-		nsds:       faults.NewUnits(cfg.NSDServers, "gpfs "+cfg.Name, "NSD server"),
-		linkHealth: 1, mediaHealth: 1}
+	s := &System{cfg: cfg, env: env, fab: fab, ns: fsapi.NewNamespace()}
+	s.Units = faults.NewUnits("gpfs "+cfg.Name, cfg.NSDServers, "NSD server", s.apply)
 	poolBW := cfg.ServerNICBW * float64(cfg.NSDServers)
 	s.nsdUp = fab.NewPipe(cfg.Name+"/nsd/up", poolBW, 2*time.Microsecond)
 	s.nsdDown = fab.NewPipe(cfg.Name+"/nsd/down", poolBW, 2*time.Microsecond)

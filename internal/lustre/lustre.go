@@ -85,12 +85,8 @@ type System struct {
 	ossUp, ossDown *sim.Pipe
 	pool           *device.Device
 
-	// Fault state (see faults.go): osses tracks out-of-service OSSes and
-	// each failed OSS's resilvered fraction (see repair.go); linkHealth and
-	// mediaHealth are the prevailing cluster-wide derates.
-	osses       faults.Units
-	linkHealth  float64
-	mediaHealth float64
+	// Units is the fault surface, over the OSSes (see repair.go).
+	faults.Units
 
 	// perStreamCap is one OST server's bandwidth: a stripe-1 file cannot
 	// exceed it.
@@ -103,9 +99,8 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, env: env, fab: fab, ns: fsapi.NewNamespace(),
-		osses:      faults.NewUnits(cfg.OSSCount, "lustre "+cfg.Name, "OSS"),
-		linkHealth: 1, mediaHealth: 1}
+	s := &System{cfg: cfg, env: env, fab: fab, ns: fsapi.NewNamespace()}
+	s.Units = faults.NewUnits("lustre "+cfg.Name, cfg.OSSCount, "OSS", s.apply)
 	poolNIC := cfg.ServerNICBW * float64(cfg.OSSCount)
 	s.ossUp = fab.NewPipe(cfg.Name+"/oss/up", poolNIC, 2*time.Microsecond)
 	s.ossDown = fab.NewPipe(cfg.Name+"/oss/down", poolNIC, 2*time.Microsecond)

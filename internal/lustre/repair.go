@@ -5,12 +5,29 @@ import (
 	"storagesim/internal/sim"
 )
 
-// Redundancy declaration (repair.Protected). The LC Lustre deployments
-// protect each OSS's OSTs with RAID (raidz2-class parity): losing an OSS
-// hands its OSTs to an HA partner and triggers a resilver that reads
+// Faults and redundancy. The model pools the object storage servers' NICs
+// and OSTs into aggregate pipes, so losing an OSS removes its share of
+// both pools (in a real deployment its OSTs fail over to an HA partner,
+// which then serves double duty — the same aggregate-bandwidth loss). The
+// per-stream stripe-1 caps stay nominal: a surviving OSS still serves one
+// file at full speed. MDS failures are not modeled (opens would block, not
+// degrade). The LC Lustre deployments protect each OSS's OSTs with RAID
+// (raidz2-class parity): losing an OSS triggers a resilver that reads
 // surviving strips and writes reconstructed ones through the shared OST
-// pool, where the repair flows contend with foreground I/O. The
-// redundancy unit is an OSS's slice of the OST pool.
+// pool, where the repair flows contend with foreground I/O. The OSSes are
+// therefore the redundancy units (the fault surface, faults.Units, has
+// none of its own).
+
+// apply scales the pooled pipes and the OST pool to the OSSes' healthy
+// fraction combined with the prevailing cluster-wide derates. A failed
+// OSS mid-resilver contributes its rebuilt fraction, so pool capacity
+// recovers incrementally instead of snapping back.
+func (s *System) apply() {
+	frac := s.ServerFraction()
+	s.ossUp.SetHealthFactor(frac * s.LinkHealth())
+	s.ossDown.SetHealthFactor(frac * s.LinkHealth())
+	s.pool.SetHealthFactor(frac * s.MediaHealth())
+}
 
 // lustreTolerance is the concurrent OSS losses the parity layout absorbs
 // (double parity).
@@ -18,24 +35,7 @@ const lustreTolerance = 2
 
 // RepairScheme implements repair.Protected.
 func (s *System) RepairScheme() repair.Scheme {
-	return repair.Scheme{Kind: repair.DeclusteredRAID, Tolerance: lustreTolerance, ServersHoldData: true}
-}
-
-// FaultUnits implements faults.UnitTarget: one redundancy unit per OSS.
-func (s *System) FaultUnits() int { return s.osses.Len() }
-
-// FailUnit implements faults.UnitTarget.
-func (s *System) FailUnit(i int) { s.FailServer(i) }
-
-// RecoverUnit implements faults.UnitTarget.
-func (s *System) RecoverUnit(i int) { s.RecoverServer(i) }
-
-// SetUnitRebuild implements repair.Protected: count failed OSS i as
-// fraction frac resilvered when deriving pooled capacity.
-func (s *System) SetUnitRebuild(i int, frac float64) {
-	if s.osses.SetRebuilt(i, frac) {
-		s.applyHealth()
-	}
+	return repair.Scheme{Kind: repair.DeclusteredRAID, Tolerance: lustreTolerance}
 }
 
 // UnitBytes implements repair.Protected: files stripe evenly over the

@@ -14,6 +14,7 @@ package mdtest
 
 import (
 	"fmt"
+	"math"
 
 	"storagesim/internal/fsapi"
 	"storagesim/internal/sim"
@@ -40,7 +41,9 @@ func (c *Config) Validate() error {
 // Result is the outcome of one run.
 type Result struct {
 	// CreatesPerSec, OpensPerSec and RemovesPerSec are aggregate metadata
-	// rates for the three MDTest phases.
+	// rates for the three MDTest phases. A phase that takes no virtual time
+	// (an open path that charges no latency, as node-local NVMe's) is
+	// unbounded by the model: its rate is +Inf, never 0.
 	CreatesPerSec float64
 	OpensPerSec   float64
 	RemovesPerSec float64
@@ -133,16 +136,19 @@ func Run(env *sim.Env, mounts []fsapi.Client, cfg Config) (Result, error) {
 	env.Run()
 
 	res.CreateTime = sim.Duration(createEnd)
-	if res.CreateTime > 0 {
-		res.CreatesPerSec = float64(total) / res.CreateTime.Seconds()
-	}
+	res.CreatesPerSec = rate(total, res.CreateTime)
 	res.OpenTime = openEnd.Sub(openStart)
-	if res.OpenTime > 0 {
-		res.OpensPerSec = float64(total) / res.OpenTime.Seconds()
-	}
+	res.OpensPerSec = rate(total, res.OpenTime)
 	res.RemoveTime = removeEnd.Sub(removeStart)
-	if res.RemoveTime > 0 {
-		res.RemovesPerSec = float64(total) / res.RemoveTime.Seconds()
-	}
+	res.RemovesPerSec = rate(total, res.RemoveTime)
 	return res, nil
+}
+
+// rate is ops per second over a phase of duration d; +Inf when the phase
+// took no virtual time.
+func rate(ops int, d sim.Duration) float64 {
+	if d <= 0 {
+		return math.Inf(1)
+	}
+	return float64(ops) / d.Seconds()
 }

@@ -1,6 +1,7 @@
 package mdtest
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -77,6 +78,26 @@ func TestRatesMatchLatency(t *testing.T) {
 	}
 	if cl.ns.Len() != 0 {
 		t.Fatalf("%d files left after the remove pass", cl.ns.Len())
+	}
+}
+
+// TestFreePhaseIsUnbounded: an open path that charges no latency finishes
+// every phase in no virtual time, which reads as an unbounded rate, not as
+// a dead file system's zero.
+func TestFreePhaseIsUnbounded(t *testing.T) {
+	env := sim.NewEnv()
+	cl := &latClient{ns: fsapi.NewNamespace()}
+	res, err := Run(env, []fsapi.Client{cl}, Config{FilesPerRank: 10, ProcsPerNode: 2, Dir: "/md"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]float64{"creates": res.CreatesPerSec, "opens": res.OpensPerSec, "removes": res.RemovesPerSec} {
+		if !math.IsInf(r, 1) {
+			t.Errorf("%s/s = %g over a free phase, want +Inf", name, r)
+		}
+	}
+	if cl.opens != 60 {
+		t.Fatalf("metadata ops = %d, want 60", cl.opens)
 	}
 }
 

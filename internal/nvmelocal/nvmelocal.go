@@ -85,11 +85,9 @@ type System struct {
 	nodes map[string]*nodeState
 	order []string // deterministic iteration
 
-	// Fault state (see faults.go): units tracks out-of-service nodes in
-	// mount order (one unit per entry of order); mediaHealth is the
-	// prevailing cluster-wide media derate, which recovering nodes pick up.
-	units       faults.Units
-	mediaHealth float64
+	// Units is the fault surface, over the mounted nodes in mount order
+	// (one server per entry of order; see repair.go).
+	faults.Units
 }
 
 type nodeState struct {
@@ -109,8 +107,9 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, env: env, fab: fab, nodes: map[string]*nodeState{},
-		units: faults.NewUnits(0, "nvmelocal "+cfg.Name, "node"), mediaHealth: 1}, nil
+	s := &System{cfg: cfg, env: env, fab: fab, nodes: map[string]*nodeState{}}
+	s.Units = faults.NewUnits("nvmelocal "+cfg.Name, 0, "node", s.apply)
+	return s, nil
 }
 
 // MustNew is New that panics on config errors.
@@ -143,7 +142,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 		st.memInPath = []*sim.Pipe{st.memIn}
 		s.nodes[node] = st
 		s.order = append(s.order, node)
-		s.units.Add()
+		s.AddServer()
 	}
 	if st.client == nil {
 		cl := &client{sys: s, node: st}

@@ -5,30 +5,41 @@ import (
 	"storagesim/internal/sim"
 )
 
-// Redundancy declaration (repair.Protected). A node-local NVMe scratch
-// file system has no redundancy at all — the paper's Wombat nodes run a
-// plain md-RAID0 of consumer SSDs — so the scheme is None: a node failure
-// loses the node's whole local namespace, and the repair manager reports
-// those bytes as lost instead of spawning a rebuild.
+// Faults and redundancy. The failable servers are the mounted nodes in
+// mount order: a failed node's NVMe array and page-cache ingest pipe are
+// parked (the node is down; a peer reading its data over the interconnect
+// crawls at the parked rate until it returns). Register the system with
+// the fault injector only after all mounts: FaultServers reports the
+// mounted-node count. The media derate is the wear model the paper's
+// consumer 970 PRO SSDs invite: a worn or thermally-throttled drive serves
+// fraction f of its nominal bandwidth. A node-local NVMe scratch file
+// system has no redundancy at all — the paper's Wombat nodes run a plain
+// md-RAID0 of consumer SSDs — so the scheme is None: a node failure loses
+// the node's whole local namespace, and the repair manager reports those
+// bytes as lost instead of spawning a rebuild.
+
+// apply derives every pipe from the fault state: the node interconnect
+// carries the link derate, each healthy node's NVMe array the media
+// derate, and a failed node's array and ingest pipe are parked.
+func (s *System) apply() {
+	if s.cfg.Interconnect != nil {
+		s.cfg.Interconnect.SetHealthFactor(s.LinkHealth())
+	}
+	for i, name := range s.order {
+		st := s.nodes[name]
+		dev, mem := s.MediaHealth(), 1.0
+		if s.ServerFailed(i) {
+			dev, mem = 0, 0
+		}
+		st.dev.SetHealthFactor(dev)
+		st.memIn.SetHealthFactor(mem)
+	}
+}
 
 // RepairScheme implements repair.Protected.
 func (s *System) RepairScheme() repair.Scheme {
-	return repair.Scheme{Kind: repair.None, Tolerance: 0, ServersHoldData: true}
+	return repair.Scheme{Kind: repair.None, Tolerance: 0}
 }
-
-// FaultUnits implements faults.UnitTarget: one unit per mounted node (its
-// NVMe array).
-func (s *System) FaultUnits() int { return s.units.Len() }
-
-// FailUnit implements faults.UnitTarget.
-func (s *System) FailUnit(i int) { s.FailServer(i) }
-
-// RecoverUnit implements faults.UnitTarget.
-func (s *System) RecoverUnit(i int) { s.RecoverServer(i) }
-
-// SetUnitRebuild implements repair.Protected. With no redundancy there is
-// nothing to rebuild from; the manager never calls it.
-func (s *System) SetUnitRebuild(i int, frac float64) {}
 
 // UnitBytes implements repair.Protected: the live bytes of node i's
 // private namespace.

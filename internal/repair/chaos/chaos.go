@@ -33,9 +33,9 @@ type Profile struct {
 	// unit-fail events.
 	Units int
 	// UnitsAreServers marks backends where unit i and server i are the
-	// same physical pool (GPFS, Lustre, UnifyFS, nvmelocal), so both event
-	// kinds share one ever-failed budget. VAST leaves it false: CNodes and
-	// DBoxes fail independently.
+	// same physical pool (faults.UnitsAreServers: GPFS, Lustre, UnifyFS,
+	// nvmelocal), so both event kinds share one ever-failed budget. VAST
+	// leaves it false: CNodes and DBoxes fail independently.
 	UnitsAreServers bool
 	// Horizon is the window the storm's events land in.
 	Horizon sim.Duration

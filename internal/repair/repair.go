@@ -11,7 +11,9 @@
 // with declustered GPFS-RAID, Lustre with RAID behind each OSS, while
 // UnifyFS and node-local NVMe have none: node loss is data loss. The
 // protection granularity is the *unit* (faults.UnitTarget): a DBox, an NSD
-// server's array, an OSS's OSTs, a node's SSD.
+// server's array, an OSS's OSTs, a node's SSD. Only VAST has units of its
+// own; on every other backend the units are the servers
+// (faults.UnitsAreServers), so a server failure is a unit failure.
 //
 // A Manager wraps a backend's Protected implementation and intercepts the
 // fault stream. When a unit fails within the scheme's tolerance, the
@@ -58,11 +60,6 @@ type Scheme struct {
 	// (erasure parity count, RAID parity strips). A failure arriving while
 	// Tolerance units are already failed loses data. 0 for None.
 	Tolerance int
-	// ServersHoldData reports whether a *server* failure also takes a
-	// redundancy unit down (GPFS, Lustre, UnifyFS, nvmelocal: the failable
-	// server owns the unit). False for VAST, whose CNodes are stateless —
-	// only an explicit unit (DBox) failure costs data protection.
-	ServersHoldData bool
 }
 
 // String renders the scheme for reports.
@@ -111,7 +108,7 @@ func Aggressive() QoS { return QoS{} }
 
 // Protected is a backend that can be wrapped by a Manager: the fault
 // surface plus the hooks a rebuild job needs. All five backend Systems
-// implement it.
+// implement it; their fault surface, faults.Units, provides SetUnitRebuild.
 type Protected interface {
 	faults.UnitTarget
 	// RepairScheme declares the backend's redundancy scheme.
@@ -151,17 +148,23 @@ type Job struct {
 	Start, End sim.Time
 }
 
-// Manager wraps a Protected backend, turning the PR 2 instantaneous
-// fail/recover semantics into rebuild-based self-healing. Register the
-// Manager with the fault injector in place of the raw backend.
+// Manager wraps a Protected backend, turning the instantaneous
+// fail/recover semantics of the raw fault surface into rebuild-based
+// self-healing. Register the Manager with the fault injector in place of
+// the raw backend.
 type Manager struct {
+	// Protected is the wrapped backend, whose fault surface the Manager
+	// presents; it intercepts the fail and recover events.
+	Protected
 	env  *sim.Env
 	fab  *sim.Fabric
-	p    Protected
 	qos  QoS
 	name string
 
-	units []unitState
+	// serverUnits caches faults.UnitsAreServers for the backend: a server
+	// event is then the unit event of the same index.
+	serverUnits bool
+	units       []unitState
 	// losses and jobs are append-only logs in event order.
 	losses []Loss
 	jobs   []Job
@@ -187,17 +190,14 @@ type unitState struct {
 // NewManager wraps p. The fabric must be the one the backend's pipes live
 // on (rebuild flows are scheduled through it).
 func NewManager(env *sim.Env, fab *sim.Fabric, p Protected, qos QoS) *Manager {
-	m := &Manager{env: env, fab: fab, p: p, qos: qos,
-		name: fmt.Sprintf("repair(%s)", p.RepairScheme())}
-	m.units = make([]unitState, p.FaultUnits())
+	m := &Manager{Protected: p, env: env, fab: fab, qos: qos,
+		name: fmt.Sprintf("repair(%s)", p.RepairScheme()), serverUnits: faults.UnitsAreServers(p)}
+	m.units = make([]unitState, faults.UnitCount(p))
 	for i := range m.units {
 		m.units[i].job = -1
 	}
 	return m
 }
-
-// Scheme returns the wrapped backend's redundancy scheme.
-func (m *Manager) Scheme() Scheme { return m.p.RepairScheme() }
 
 // LostBytes returns the data lost to beyond-tolerance failures so far.
 func (m *Manager) LostBytes() float64 { return m.lostBytes }
@@ -232,10 +232,10 @@ func (m *Manager) unitFailed(i int) {
 		return
 	}
 	st.failed = true
-	sch := m.p.RepairScheme()
+	sch := m.RepairScheme()
 	if sch.Kind == None || m.unprotected() > sch.Tolerance {
 		st.lost = true
-		bytes := m.p.UnitBytes(i)
+		bytes := m.UnitBytes(i)
 		m.lostBytes += bytes
 		m.losses = append(m.losses, Loss{Unit: i, Bytes: bytes, At: m.env.Now()})
 		return
@@ -253,14 +253,14 @@ func (m *Manager) unitFailed(i int) {
 func (m *Manager) startRebuild(i int) {
 	st := &m.units[i]
 	st.rebuilding = true
-	bytes := m.p.UnitBytes(i)
+	bytes := m.UnitBytes(i)
 	if bytes < m.qos.MinBytes {
 		bytes = m.qos.MinBytes
 	}
 	st.job = len(m.jobs)
 	m.jobs = append(m.jobs, Job{Unit: i, Bytes: bytes, Start: m.env.Now()})
 	job := st.job
-	path := m.p.RepairPath(i)
+	path := m.RepairPath(i)
 	m.env.Go(fmt.Sprintf("%s/rebuild-unit%d", m.name, i), func(p *sim.Proc) {
 		chunks := m.qos.chunks()
 		per := bytes / float64(chunks)
@@ -269,7 +269,7 @@ func (m *Manager) startRebuild(i int) {
 				m.fab.Transfer(p, path, per, m.qos.RateBps)
 			}
 			if k < chunks && m.units[i].rebuilding {
-				m.p.SetUnitRebuild(i, float64(k)/float64(chunks))
+				m.SetUnitRebuild(i, float64(k)/float64(chunks))
 			}
 		}
 		m.finishRebuild(i, job, bytes)
@@ -277,8 +277,7 @@ func (m *Manager) startRebuild(i int) {
 }
 
 // finishRebuild marks unit i fully reconstructed and restores it to exact
-// nominal through the backend's RecoverUnit (which also resets the rebuilt
-// fraction).
+// nominal through the backend's RecoverUnit.
 func (m *Manager) finishRebuild(i, job int, bytes float64) {
 	st := &m.units[i]
 	if !st.rebuilding {
@@ -289,7 +288,7 @@ func (m *Manager) finishRebuild(i, job int, bytes float64) {
 	st.job = -1
 	m.rebuiltBytes += bytes
 	m.jobs[job].End = m.env.Now()
-	m.p.RecoverUnit(i)
+	m.Protected.RecoverUnit(i)
 }
 
 // CheckComplete is the rebuild-completes-or-reports-loss invariant: after
@@ -309,73 +308,52 @@ func (m *Manager) CheckComplete() error {
 	return nil
 }
 
-// --- faults.UnitTarget (the injector-facing surface) ---
+// --- the intercepted fault events ---
 
-// FaultServers implements faults.Target by delegation.
-func (m *Manager) FaultServers() int { return m.p.FaultServers() }
-
-// FailServer implements faults.Target: the server goes down immediately
-// (delegated), and when the backend's servers own their redundancy unit
-// (Scheme.ServersHoldData) the unit failure is processed too — rebuild or
-// loss.
+// FailServer implements faults.Target: the server goes down immediately,
+// and when the backend's units are its servers the unit failure is
+// processed too — rebuild or loss. Servers added to a node-local backend
+// after the Manager was built hold no tracked unit.
 func (m *Manager) FailServer(i int) {
-	m.p.FailServer(i)
-	if m.p.RepairScheme().ServersHoldData && i < len(m.units) {
+	m.Protected.FailServer(i)
+	if m.serverUnits && i < len(m.units) {
 		m.unitFailed(i)
 	}
 }
 
-// RecoverServer implements faults.Target. A recovery while the unit's
-// rebuild is running does NOT snap capacity back: the reconstruction is
-// what restores redundancy, incrementally, and keeps running to
-// completion. Otherwise the recovery is delegated (instant physical
-// restore — the PR 2 semantics for stateless servers and for units that
-// were never data-degraded).
+// RecoverServer implements faults.Target: the unit recovery of the same
+// index when the backend's units are its servers, otherwise an instant
+// physical restore (a stateless server never degraded any data).
 func (m *Manager) RecoverServer(i int) {
-	if m.p.RepairScheme().ServersHoldData && i < len(m.units) {
-		m.recoverUnit(i, func() { m.p.RecoverServer(i) })
+	if m.serverUnits && i < len(m.units) {
+		m.RecoverUnit(i)
 		return
 	}
-	m.p.RecoverServer(i)
+	m.Protected.RecoverServer(i)
 }
 
-// SetLinkHealth implements faults.Target by delegation.
-func (m *Manager) SetLinkHealth(f float64) { m.p.SetLinkHealth(f) }
-
-// SetMediaHealth implements faults.Target by delegation.
-func (m *Manager) SetMediaHealth(f float64) { m.p.SetMediaHealth(f) }
-
-// FaultUnits implements faults.UnitTarget by delegation.
-func (m *Manager) FaultUnits() int { return m.p.FaultUnits() }
-
-// FailUnit implements faults.UnitTarget: delegate the capacity loss, then
-// process the redundancy consequence (rebuild or loss).
+// FailUnit implements faults.UnitTarget: the backend loses the unit's
+// capacity, then the Manager processes the redundancy consequence
+// (rebuild or loss).
 func (m *Manager) FailUnit(i int) {
-	m.p.FailUnit(i)
+	m.Protected.FailUnit(i)
 	m.unitFailed(i)
 }
 
-// RecoverUnit implements faults.UnitTarget with the same
-// no-snap-back-during-rebuild rule as RecoverServer.
+// RecoverUnit implements faults.UnitTarget. A recovery while the unit's
+// rebuild is running does NOT snap capacity back: the reconstruction is
+// what restores redundancy, incrementally, and keeps running to
+// completion. Real systems fold the returning unit into the
+// reconstruction rather than trusting its stale contents. Lost or
+// never-degraded units restore instantly: capacity returns, but lost
+// bytes stay lost (the accounting is of the exposure, not the hardware).
 func (m *Manager) RecoverUnit(i int) {
-	m.recoverUnit(i, func() { m.p.RecoverUnit(i) })
-}
-
-// recoverUnit applies a physical recovery event for unit i. delegate
-// performs the backend-level restore when the Manager decides it applies.
-func (m *Manager) recoverUnit(i int, delegate func()) {
 	st := &m.units[i]
 	if st.rebuilding {
-		// The enclosure came back mid-rebuild. Real systems fold the
-		// returning unit into the reconstruction rather than trusting its
-		// stale contents; health keeps following rebuild progress.
 		return
 	}
-	// Lost or never-degraded units restore instantly: capacity returns,
-	// but lost bytes stay lost (the accounting is of the exposure, not the
-	// hardware).
 	st.failed = false
-	delegate()
+	m.Protected.RecoverUnit(i)
 }
 
 // Interface check: a Manager substitutes for its backend at the injector.

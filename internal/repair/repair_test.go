@@ -7,9 +7,11 @@ import (
 	"storagesim/internal/sim"
 )
 
-// fakeBackend is a minimal Protected implementation: 4 servers owning 4
-// units behind a declustered scheme with tolerance 1, all repair flows
-// crossing one pipe so the test can reason about rebuild duration.
+// fakeBackend is a minimal Protected implementation: 4 servers that are
+// its units (FaultUnits 0, so faults.UnitsAreServers holds) behind a
+// declustered scheme with tolerance 1, all repair flows crossing one pipe
+// so the test can reason about rebuild duration. It records server and
+// unit calls apart.
 type fakeBackend struct {
 	scheme    Scheme
 	path      []*sim.Pipe
@@ -38,7 +40,7 @@ func (b *fakeBackend) FailServer(i int)         { b.serverDown[i] = true }
 func (b *fakeBackend) RecoverServer(i int)      { b.serverDown[i] = false }
 func (b *fakeBackend) SetLinkHealth(f float64)  {}
 func (b *fakeBackend) SetMediaHealth(f float64) {}
-func (b *fakeBackend) FaultUnits() int          { return len(b.unitDown) }
+func (b *fakeBackend) FaultUnits() int          { return 0 }
 func (b *fakeBackend) FailUnit(i int)           { b.unitDown[i] = true; b.rebuilt[i] = 0 }
 func (b *fakeBackend) RepairScheme() Scheme     { return b.scheme }
 func (b *fakeBackend) UnitBytes(i int) float64  { return b.unitBytes }
@@ -56,7 +58,7 @@ func (b *fakeBackend) RecoverUnit(i int) {
 }
 
 func declustered() Scheme {
-	return Scheme{Kind: DeclusteredRAID, Tolerance: 1, ServersHoldData: true}
+	return Scheme{Kind: DeclusteredRAID, Tolerance: 1}
 }
 
 func TestRebuildWithinTolerance(t *testing.T) {
@@ -156,10 +158,10 @@ func TestBeyondToleranceReportsLoss(t *testing.T) {
 func TestSchemeNoneLosesEveryFailure(t *testing.T) {
 	env := sim.NewEnv()
 	fab := sim.NewFabric(env)
-	b := newFakeBackend(fab, Scheme{Kind: None, ServersHoldData: true})
+	b := newFakeBackend(fab, Scheme{Kind: None})
 	m := NewManager(env, fab, b, Aggressive())
 
-	// Server failure reaches the unit path via ServersHoldData.
+	// Server failure reaches the unit path: the units are the servers.
 	env.After(time.Millisecond, func() { m.FailServer(2) })
 	env.Run()
 
@@ -211,7 +213,7 @@ func TestRecoverDuringRebuildIsSwallowed(t *testing.T) {
 func TestRecoverLostUnitRestoresCapacityKeepsLoss(t *testing.T) {
 	env := sim.NewEnv()
 	fab := sim.NewFabric(env)
-	b := newFakeBackend(fab, Scheme{Kind: None, ServersHoldData: true})
+	b := newFakeBackend(fab, Scheme{Kind: None})
 	m := NewManager(env, fab, b, Aggressive())
 
 	env.After(time.Millisecond, func() { m.FailUnit(3) })

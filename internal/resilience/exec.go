@@ -155,7 +155,7 @@ func (c *Call) begin(env *sim.Env) {
 
 func (c *Call) launch(idx int) {
 	c.live++
-	c.env.GoPooled("resilience/attempt", c.att[idx])
+	c.env.Go("resilience/attempt", c.att[idx])
 }
 
 // attemptBody is the shared body of both attempt slots. Exactly-one-

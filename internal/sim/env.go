@@ -49,10 +49,9 @@ type Env struct {
 	freeWorkers    []*worker
 	spawnedWorkers int
 
-	// freeProcs is the free list behind GoPooled: finished pooled Procs
-	// (with their Done events) recycled for the next spawn. Like the event
-	// pool, a plain slice — single-threaded by construction, deterministic
-	// reuse order.
+	// freeProcs is the free list behind Go: finished Procs recycled for
+	// the next spawn. Like the event pool, a plain slice — single-threaded
+	// by construction, deterministic reuse order.
 	freeProcs []*Proc
 
 	// freePending lists the idle records of TransferAfter calls (see
@@ -158,26 +157,14 @@ func (t Timer) Cancel() {
 // outside the simulation) when Run is invoked. The goroutine that carries it
 // is drawn from the environment's pool of parked workers when one is free;
 // spawning is the exception, not the rule, on churny workloads.
-func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, fn: fn, blockedIdx: -1, Done: Event{env: e}}
-	e.scheduleEvent(e.now, evStart, nil, p)
-	return p
-}
-
-// GoPooled starts a simulated process like Go, but recycles the Proc record
-// (and its Done event) through a free list once the process function
-// returns. It deliberately returns nothing: the caller must not retain the
-// Proc or wait on its Done — both belong to the pool the moment fn returns
-// and will be rebound to a later spawn. Request-scoped fan-out (the traffic
-// engine's plain requests, the resilience layer's attempts) is the
-// intended user: fire-and-forget processes spawned millions of times per
-// run, where the per-spawn Proc+Event allocation of Go dominates the heap
-// profile.
 //
-// Scheduling is byte-identical to Go — the same evStart event, the same
-// sequence-number consumption — so switching a spawn site between Go and
-// GoPooled never perturbs the deterministic schedule.
-func (e *Env) GoPooled(name string, fn func(p *Proc)) {
+// Go hands out no reference to the process: its Proc record is recycled
+// through a free list once fn returns, so request-scoped fan-out spawned
+// millions of times per run (the traffic engine's requests, the resilience
+// layer's attempts) allocates no record per spawn. A caller that must join
+// the process uses a WaitGroup. Recycling consumes no sequence number: the
+// evStart event is the same whether the record is new or reused.
+func (e *Env) Go(name string, fn func(p *Proc)) {
 	var p *Proc
 	if n := len(e.freeProcs); n > 0 {
 		p = e.freeProcs[n-1]
@@ -186,14 +173,13 @@ func (e *Env) GoPooled(name string, fn func(p *Proc)) {
 		p.name = name
 		p.fn = fn
 		p.finished = false
-		p.Done.fired = false
 	} else {
-		p = &Proc{env: e, name: name, fn: fn, blockedIdx: -1, pooled: true, Done: Event{env: e}}
+		p = &Proc{env: e, name: name, fn: fn, blockedIdx: -1}
 	}
 	e.scheduleEvent(e.now, evStart, nil, p)
 }
 
-// recycleProc returns a finished pooled Proc to the free list. The stale
+// recycleProc returns a finished Proc to the free list. The stale
 // w.proc pointer its last worker may still hold is harmless: a parked
 // worker's proc field is only read after bindWorker overwrites it, and a
 // dispatching worker's own process cannot have been recycled and re-parked
@@ -362,10 +348,7 @@ func (e *Env) workerMain(w *worker) {
 		p.fn(p)
 		p.fn = nil
 		p.finished = true
-		p.Done.Fire()
-		if p.pooled {
-			e.recycleProc(p)
-		}
+		e.recycleProc(p)
 		if len(e.freeWorkers) >= maxFreeWorkers {
 			// Pool full: hand the baton off and retire. dispatch cannot pick
 			// this worker again — its process is finished and it is not in
@@ -499,7 +482,7 @@ func (e *Env) StepUntil(deadline Time) Time {
 // runtime.Goexit and exits, one at a time in calendar then park order, so
 // a finished run pins neither goroutines nor, through their stacks, the
 // model. The calendar is emptied: unstarted processes and pending
-// continuations never run, and unwound processes do not fire Done. Call it once a windowed run's
+// continuations never run. Call it once a windowed run's
 // results are read; the Env must not run again afterwards. On an Env that
 // Run drained it only dismisses the pool.
 func (e *Env) Shutdown() {

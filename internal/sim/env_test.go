@@ -163,20 +163,6 @@ func TestWaitGroup(t *testing.T) {
 	}
 }
 
-func TestProcDoneJoin(t *testing.T) {
-	e := NewEnv()
-	worker := e.Go("worker", func(p *Proc) { p.Sleep(77) })
-	var joined Time
-	e.Go("joiner", func(p *Proc) {
-		worker.Done.Wait(p)
-		joined = p.Now()
-	})
-	e.Run()
-	if joined != 77 {
-		t.Fatalf("joined at %v, want 77", joined)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	defer func() {
 		if recover() == nil {

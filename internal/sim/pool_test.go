@@ -57,17 +57,17 @@ func TestTimerCancelBeforeFire(t *testing.T) {
 	}
 }
 
-// TestGoPooledRecyclesRecords pins the pooling behavior itself: a long
-// sequential chain of GoPooled processes must reuse one Proc record (and
-// its Done event) rather than allocating per spawn, and the recycled
-// record must behave exactly like a fresh one.
-func TestGoPooledRecyclesRecords(t *testing.T) {
+// TestGoRecyclesRecords pins the pooling behavior itself: a long
+// sequential chain of Go processes must reuse one Proc record rather than
+// allocating per spawn, and the recycled record must behave exactly like a
+// fresh one.
+func TestGoRecyclesRecords(t *testing.T) {
 	e := NewEnv()
 	const n = 64
 	ran := 0
 	var spawn func()
 	spawn = func() {
-		e.GoPooled("worker", func(p *Proc) {
+		e.Go("worker", func(p *Proc) {
 			ran++
 			p.Sleep(1)
 			if ran < n {
@@ -81,7 +81,7 @@ func TestGoPooledRecyclesRecords(t *testing.T) {
 	spawn()
 	e.Run()
 	if ran != n {
-		t.Fatalf("ran %d pooled procs, want %d", ran, n)
+		t.Fatalf("ran %d procs, want %d", ran, n)
 	}
 	if got := len(e.freeProcs); got != 1 {
 		t.Fatalf("free list holds %d procs after a sequential chain, want 1", got)

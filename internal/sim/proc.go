@@ -9,10 +9,8 @@ import "runtime"
 //
 // The goroutine carrying a Proc is a pooled worker: when the process
 // function returns, the goroutine is recycled for the next Env.Go instead of
-// dying. A Proc started with Env.Go is never recycled — callers may hold it
-// (and its Done event) indefinitely. A Proc started with Env.GoPooled is
-// recycled the moment its function returns, which is why GoPooled hands out
-// no reference.
+// dying, and so is the Proc record itself, which is why Env.Go hands out no
+// reference to it.
 type Proc struct {
 	env        *Env
 	name       string
@@ -20,7 +18,6 @@ type Proc struct {
 	w          *worker
 	blockedIdx int // index in env.blocked, -1 when not parked on a wait
 	finished   bool
-	pooled     bool // recycled via env.freeProcs when the function returns
 
 	// flowTag labels every fabric flow this process starts (multi-tenant
 	// attribution; see Fabric.TagBytes). Backends stamp the interned handle
@@ -33,10 +30,6 @@ type Proc struct {
 	// means the process never aborts, which costs one nil check per
 	// cancellation point.
 	abort *Abort
-
-	// Done fires when the process function returns. Other processes can
-	// Wait on it to join this process.
-	Done Event
 }
 
 // worker is a recyclable process goroutine: a resume channel (the baton

@@ -471,7 +471,7 @@ func (sh *shard) arrive(now sim.Time) {
 		sh.env.Schedule(now, rec.coordFn)
 		return
 	}
-	sh.env.GoPooled(sh.name, rec.runFn)
+	sh.env.Go(sh.name, rec.runFn)
 }
 
 // placement returns the rack owning the admitted request's data: with
@@ -545,7 +545,7 @@ func (sh *shard) getRec() *reqRec {
 	if sh.place != nil {
 		// A forwarded record is handed between racks only through group
 		// messages, whose barrier orders every access to it.
-		rec.fwdFn = func() { sh.racks[rec.target].env.GoPooled(sh.name, rec.remFn) }
+		rec.fwdFn = func() { sh.racks[rec.target].env.Go(sh.name, rec.remFn) }
 		rec.remFn = func(rp *sim.Proc) {
 			owner := sh.racks[rec.target]
 			rec.serve(rp, owner.tenants[sh.ti].remote)

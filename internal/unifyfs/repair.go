@@ -5,30 +5,39 @@ import (
 	"storagesim/internal/sim"
 )
 
-// Redundancy declaration (repair.Protected). UnifyFS keeps exactly one
-// copy of every chunk on the writing node's local device — there is no
-// re-replication and no parity — so the scheme is None: a node failure
-// loses every chunk the node owns, and the repair manager reports those
-// bytes as lost instead of spawning a rebuild.
+// Faults and redundancy. UnifyFS aggregates the compute nodes' local
+// devices, so the failable servers are the mounted nodes themselves: a
+// failed node's device is parked (chunks it owns are still addressed, so
+// accesses to them crawl at the parked rate until the node returns, the
+// user-level analogue of an NFS hard mount). Register the system with the
+// fault injector only after all mounts: FaultServers reports the
+// mounted-node count. UnifyFS keeps exactly one copy of every chunk on the
+// writing node's local device — there is no re-replication and no parity
+// — so the scheme is None: a node failure loses every chunk the node owns,
+// and the repair manager reports those bytes as lost instead of spawning a
+// rebuild.
+
+// apply derives every pipe from the fault state: the node interconnect
+// that carries remote chunk traffic has the link derate, each healthy
+// node's device the media derate (SSD wear across the burst-buffer
+// fleet), and a failed node's device is parked.
+func (s *System) apply() {
+	if s.cfg.Interconnect != nil {
+		s.cfg.Interconnect.SetHealthFactor(s.LinkHealth())
+	}
+	for i, st := range s.nodes {
+		h := s.MediaHealth()
+		if s.ServerFailed(i) {
+			h = 0
+		}
+		st.dev.SetHealthFactor(h)
+	}
+}
 
 // RepairScheme implements repair.Protected.
 func (s *System) RepairScheme() repair.Scheme {
-	return repair.Scheme{Kind: repair.None, Tolerance: 0, ServersHoldData: true}
+	return repair.Scheme{Kind: repair.None, Tolerance: 0}
 }
-
-// FaultUnits implements faults.UnitTarget: one unit per mounted node (its
-// local device).
-func (s *System) FaultUnits() int { return s.units.Len() }
-
-// FailUnit implements faults.UnitTarget.
-func (s *System) FailUnit(i int) { s.FailServer(i) }
-
-// RecoverUnit implements faults.UnitTarget.
-func (s *System) RecoverUnit(i int) { s.RecoverServer(i) }
-
-// SetUnitRebuild implements repair.Protected. With no redundancy there is
-// nothing to rebuild from; the manager never calls it.
-func (s *System) SetUnitRebuild(i int, frac float64) {}
 
 // UnitBytes implements repair.Protected: the bytes of every chunk node i
 // owns. Map iteration order is irrelevant — integer addition commutes.

@@ -95,11 +95,9 @@ type System struct {
 	// by chunk index, so a remove drops one entry.
 	chunkOwner map[uint64]map[int64]int
 
-	// Fault state (see faults.go): units tracks out-of-service nodes (one
-	// unit per entry of nodes); mediaHealth is the prevailing cluster-wide
-	// media derate, which recovering nodes pick up.
-	units       faults.Units
-	mediaHealth float64
+	// Units is the fault surface, over the mounted nodes (one server per
+	// entry of nodes; see repair.go).
+	faults.Units
 }
 
 type nodeState struct {
@@ -114,15 +112,15 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &System{
-		cfg:         cfg,
-		env:         env,
-		fab:         fab,
-		ns:          fsapi.NewNamespace(),
-		chunkOwner:  map[uint64]map[int64]int{},
-		units:       faults.NewUnits(0, "unifyfs "+cfg.Name, "node"),
-		mediaHealth: 1,
-	}, nil
+	s := &System{
+		cfg:        cfg,
+		env:        env,
+		fab:        fab,
+		ns:         fsapi.NewNamespace(),
+		chunkOwner: map[uint64]map[int64]int{},
+	}
+	s.Units = faults.NewUnits("unifyfs "+cfg.Name, 0, "node", s.apply)
+	return s, nil
 }
 
 // MustNew is New that panics on config errors.
@@ -155,7 +153,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 		svc:  sim.NewResource(s.env, fmt.Sprintf("%s/%s/iosrv", s.cfg.Name, node), s.cfg.IOServersPerNode),
 	}
 	s.nodes = append(s.nodes, st)
-	s.units.Add()
+	s.AddServer()
 	return &client{sys: s, node: st, idx: len(s.nodes) - 1}
 }
 

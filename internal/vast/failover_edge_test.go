@@ -59,7 +59,7 @@ func TestFailoverSequences(t *testing.T) {
 						sys.RecoverServer(st.idx)
 					}
 					for i, cl := range clients {
-						if sys.cnodes.Failed(cl.cnode) {
+						if sys.ServerFailed(cl.cnode) {
 							t.Errorf("after %s %d: client %d pinned to failed CNode %d", st.op, st.idx, i, cl.cnode)
 						}
 					}
@@ -72,7 +72,7 @@ func TestFailoverSequences(t *testing.T) {
 			if tc.wantPanic {
 				return
 			}
-			if got := sys.cnodes.Healthy(); got != tc.wantHealthy {
+			if got := sys.HealthyServers(); got != tc.wantHealthy {
 				t.Fatalf("healthy = %d, want %d", got, tc.wantHealthy)
 			}
 		})
@@ -199,10 +199,10 @@ func TestMidFlightFailRecoverFail(t *testing.T) {
 	if !done {
 		t.Fatal("op stream did not survive fail/recover/fail")
 	}
-	if sys.cnodes.Failed(cl.cnode) {
+	if sys.ServerFailed(cl.cnode) {
 		t.Fatalf("client ended pinned to failed CNode %d", cl.cnode)
 	}
-	if got := sys.cnodes.Healthy(); got != 3 {
+	if got := sys.HealthyServers(); got != 3 {
 		t.Fatalf("healthy = %d, want 3", got)
 	}
 }

@@ -20,8 +20,8 @@ func TestFailCNodeRePinsClients(t *testing.T) {
 	}
 	victim := clients[0].cnode
 	sys.FailServer(victim)
-	if sys.cnodes.Healthy() != 3 {
-		t.Fatalf("healthy = %d, want 3", sys.cnodes.Healthy())
+	if sys.HealthyServers() != 3 {
+		t.Fatalf("healthy = %d, want 3", sys.HealthyServers())
 	}
 	for i, cl := range clients {
 		if cl.cnode == victim {

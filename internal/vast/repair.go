@@ -51,16 +51,6 @@ func (c *Config) decodeAmp() float64 {
 	return 1.5
 }
 
-// applyDBoxHealth scales the CBox↔DBox fabric and the SCM/QLC pools to
-// the DBox fraction composed with the prevailing cluster-wide derates.
-func (s *System) applyDBoxHealth() {
-	frac := s.dboxes.Fraction()
-	s.fabricUp.SetHealthFactor(s.linkHealth * frac)
-	s.fabricDown.SetHealthFactor(s.linkHealth * frac)
-	s.scm.SetHealthFactor(s.mediaHealth * frac)
-	s.qlc.SetHealthFactor(s.mediaHealth * frac)
-}
-
 // stripeHome maps a stripe index to the DBox its data strip lives on.
 func (s *System) stripeHome(stripe int64) int {
 	return int(stripe % int64(s.cfg.DBoxes))
@@ -69,12 +59,12 @@ func (s *System) stripeHome(stripe int64) int {
 // readDegraded reports whether any stripe of [off, off+n) is homed on a
 // failed enclosure — those reads must reconstruct from parity.
 func (s *System) readDegraded(off, n int64) bool {
-	if s.dboxes.Healthy() == s.cfg.DBoxes {
+	if s.HealthyUnits() == s.cfg.DBoxes {
 		return false
 	}
 	sb := s.cfg.stripeBytes()
 	for st := off / sb; st*sb < off+n; st++ {
-		if s.dboxes.Failed(s.stripeHome(st)) {
+		if s.UnitFailed(s.stripeHome(st)) {
 			return true
 		}
 	}
@@ -85,7 +75,7 @@ func (s *System) readDegraded(off, n int64) bool {
 // decode penalty — reconstruction latency plus read amplification on the
 // surviving flash — when the extent is homed on a degraded enclosure. The
 // penalty disappears the moment the enclosure's rebuild completes
-// (RecoverUnit returns the enclosure to service).
+// (the repair manager's RecoverUnit returns the enclosure to service).
 func (s *System) qlcOpRead(p *sim.Proc, id uint64, off, n int64) {
 	if s.readDegraded(off, n) {
 		p.Sleep(s.cfg.decodeLatency())
@@ -97,40 +87,10 @@ func (s *System) qlcOpRead(p *sim.Proc, id uint64, off, n int64) {
 // --- repair.Protected ---
 
 // RepairScheme implements repair.Protected: wide-stripe erasure coding
-// across enclosures; CNode failures cost capacity, never data
-// (ServersHoldData false).
+// across enclosures. CNode failures cost capacity, never data: the DBoxes
+// are the fault surface's own units.
 func (s *System) RepairScheme() repair.Scheme {
-	return repair.Scheme{Kind: repair.ErasureCode, Tolerance: s.cfg.ecTolerance(), ServersHoldData: false}
-}
-
-// FaultUnits implements faults.UnitTarget: one redundancy unit per DBox.
-func (s *System) FaultUnits() int { return s.cfg.DBoxes }
-
-// FailUnit implements faults.UnitTarget: takes enclosure i out of
-// service. The fabric and the SCM/QLC pools lose its share, and reads
-// homed on it turn degraded. Failing a failed enclosure is a no-op;
-// failing the last healthy one panics (faults.Units.Fail).
-func (s *System) FailUnit(i int) {
-	if s.dboxes.Fail(i) {
-		s.applyDBoxHealth()
-	}
-}
-
-// RecoverUnit implements faults.UnitTarget: returns enclosure i to service
-// at exact nominal capacity; recovering a healthy enclosure is a no-op.
-func (s *System) RecoverUnit(i int) {
-	if s.dboxes.Recover(i) {
-		s.applyDBoxHealth()
-	}
-}
-
-// SetUnitRebuild implements repair.Protected: counts failed enclosure i as
-// fraction frac reconstructed when deriving fabric and media capacity, so
-// health recovers incrementally as a rebuild progresses.
-func (s *System) SetUnitRebuild(i int, frac float64) {
-	if s.dboxes.SetRebuilt(i, frac) {
-		s.applyDBoxHealth()
-	}
+	return repair.Scheme{Kind: repair.ErasureCode, Tolerance: s.cfg.ecTolerance()}
 }
 
 // UnitBytes implements repair.Protected: the physical bytes homed on one

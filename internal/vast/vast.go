@@ -193,19 +193,11 @@ type System struct {
 	// migration (see migrate.go).
 	staging *stager
 
-	// cnodes tracks out-of-service CNodes (see failover.go); clients holds
-	// every mount for failover re-pinning. linkHealth is the prevailing
-	// cluster-wide link derate applied by the fault injector, remembered so
-	// recovering CNodes come back at the right capacity.
-	cnodes     faults.Units
-	clients    []*client
-	linkHealth float64
-
-	// DBox redundancy state (see repair.go): dboxes tracks degraded
-	// enclosures and their reconstructed fractions, mediaHealth the
-	// cluster-wide media derate (composed with the DBox fraction).
-	dboxes      faults.Units
-	mediaHealth float64
+	// Units is the fault surface: the CNodes are its servers and the DBoxes
+	// its own redundancy units (see failover.go and repair.go). clients
+	// holds every mount for failover re-pinning.
+	faults.Units
+	clients []*client
 
 	nextCNode int
 }
@@ -215,9 +207,8 @@ func New(env *sim.Env, fab *sim.Fabric, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, env: env, fab: fab, ns: fsapi.NewNamespace(),
-		cnodes: faults.NewUnits(cfg.CNodes, "vast "+cfg.Name, "CNode"), linkHealth: 1,
-		dboxes: faults.NewUnits(cfg.DBoxes, "vast "+cfg.Name, "DBox"), mediaHealth: 1}
+	s := &System{cfg: cfg, env: env, fab: fab, ns: fsapi.NewNamespace()}
+	s.Units = faults.NewUnits("vast "+cfg.Name, cfg.CNodes, "CNode", s.apply).WithUnits(cfg.DBoxes, "DBox")
 	for i := 0; i < cfg.CNodes; i++ {
 		s.cnodeNIC = append(s.cnodeNIC,
 			netsim.NewDuplex(fab, fmt.Sprintf("%s/cnode%d/nic", cfg.Name, i), cfg.CNodeNICBW, 2*time.Microsecond))
@@ -313,7 +304,7 @@ func (s *System) Mount(node string, nic *netsim.Iface) fsapi.Client {
 	home := s.nextCNode % s.cfg.CNodes
 	s.nextCNode++
 	cn := home
-	if s.cnodes.Failed(cn) {
+	if s.ServerFailed(cn) {
 		cn = s.nextHealthy(cn)
 	}
 	cl := &client{sys: s, nic: nic, cnode: cn, home: home, id: uint64(len(s.clients))}
@@ -377,7 +368,7 @@ func (c *client) maybeRetry(p *sim.Proc) {
 		return
 	}
 	c.sys.cfg.Retry.Retry(p, c.id, func() bool {
-		if c.sys.cnodes.Failed(c.cnode) {
+		if c.sys.ServerFailed(c.cnode) {
 			// The replacement died during the backoff; chase the VIP again.
 			c.cnode = c.sys.nextHealthy(c.cnode)
 			return false
