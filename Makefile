@@ -51,17 +51,22 @@ bench-smoke:
 	$(GO) test ./internal/sim/ -run XXX -bench BenchmarkGroupWindow -benchtime=1x
 	$(GO) test ./internal/traffic -run XXX -bench BenchmarkShardedTraffic -benchtime=1x
 
+# The traffic-path rungs, recorded in BENCH_traffic.json by bench and rerun
+# against that record by bench-diff. They run a fixed iteration count, so
+# the kernel counts the traffic rungs report per op (starts/op, resumes/op,
+# switches/op) are exact: the same b.N replays the same runs on any host.
+TRAFFIC_BENCH = ( $(GO) test ./internal/traffic -run XXX -bench 'BenchmarkTrafficEngine|BenchmarkResilienceOverhead|BenchmarkShardedTraffic' -benchtime=100000x -benchmem ; \
+	  $(GO) test ./internal/surrogate -run XXX -bench BenchmarkSurrogateScore -benchtime=100000x -benchmem )
+
 # Regression gate over the recorded traffic-path benchmarks: a short fresh
 # run of the hot-path benches diffed against the checked-in BENCH_traffic.json.
-# Any allocs/op increase fails outright (allocation counts are exact and
-# machine-independent — the real teeth of the gate); ns/op gets a generous
-# tolerance because CI runners and dev machines differ. Tighten with
-# BENCHDIFF_TOLERANCE=0.10 when comparing runs on one machine.
+# Any increase in allocs/op or in a kernel count fails outright (both are
+# exact and machine-independent — the real teeth of the gate); ns/op gets
+# a generous tolerance because CI runners and dev machines differ. Tighten
+# with BENCHDIFF_TOLERANCE=0.10 when comparing runs on one machine.
 BENCHDIFF_TOLERANCE ?= 0.5
 bench-diff:
-	( $(GO) test ./internal/traffic -run XXX -bench 'BenchmarkTrafficEngine|BenchmarkResilienceOverhead' -benchtime=100000x -benchmem ; \
-	  $(GO) test ./internal/surrogate -run XXX -bench BenchmarkSurrogateScore -benchtime=100000x -benchmem ) \
-	| $(GO) run ./cmd/benchjson -o /tmp/storagesim-bench-diff.json
+	$(TRAFFIC_BENCH) | $(GO) run ./cmd/benchjson -o /tmp/storagesim-bench-diff.json
 	$(GO) run ./cmd/benchjson -diff -threshold $(BENCHDIFF_TOLERANCE) BENCH_traffic.json /tmp/storagesim-bench-diff.json
 
 # The repository benchmark (bench/, its own Go module, so the root
@@ -102,15 +107,12 @@ bench:
 	( $(GO) test . -run XXX -bench 'BenchmarkKernel|BenchmarkFabricTransfer|BenchmarkBackendOp|BenchmarkFairShareSolver|BenchmarkCache' -benchtime=1s -benchmem ; \
 	  $(GO) test ./internal/sim/ -run XXX -bench BenchmarkFabricSolver -benchtime=3x -benchmem ; \
 	  $(GO) test ./internal/sim/ -run XXX -bench BenchmarkGroupWindow -benchtime=1s -benchmem ; \
-	  $(GO) test ./internal/traffic -run XXX -bench BenchmarkShardedTraffic -benchtime=2s -benchmem ; \
 	  $(GO) test ./internal/trace -run XXX -bench BenchmarkParseJSONL -benchtime=1s -benchmem ; \
 	  $(GO) test . -run XXX -bench 'BenchmarkConsistency|BenchmarkFig2a|BenchmarkFig3$$' -benchtime=1x -benchmem ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_kernel.json \
-	    -note "post-overhaul kernel numbers; the pre-overhaul binary-heap scheduler's are in BENCH_baseline.json. KernelProcessSwitch is a process resuming itself (no channel operation), KernelHandoff a switch between two processes (one channel operation). FabricTransfer is one transfer over a two-pipe path with propagation latency, two processes alternating: its process parks once, the kernel starting the flow at the end of the latency. BackendOp is one op-level 1 MiB write and read through each backend's fsbase op path, client page cache off. CacheLookup is a page-cache hit and CacheChurn a 256 KiB sequential read over a working set four times the capacity (a miss, insert and eviction every fourth read), both through the open-addressed block table. CacheFsyncClean is the clean-file fsync of the per-file page-cache index (flat in the resident block count). GroupWindow is one barrier window of a two-shard group with one process wake-up per busy shard, both shards stepped in turn on the Run caller's goroutine. ShardedTraffic is the 8-rack sharded traffic engine per generated request. ParseJSONL decodes a canonical 10k-event JSONL trace with the one-pass scanner. Consistency, Fig2a and Fig3 run each figure's independent simulations on GOMAXPROCS workers (two here), so they time wall clock across both cores. Recorded with go1.24.0 linux/amd64 on a 2-core Intel Xeon @2.10GHz shared container, default GOMAXPROCS"
-	( $(GO) test ./internal/traffic -run XXX -bench 'BenchmarkTrafficEngine|BenchmarkResilienceOverhead' -benchtime=2s -benchmem ; \
-	  $(GO) test ./internal/surrogate -run XXX -bench BenchmarkSurrogateScore -benchtime=2s -benchmem ) \
-	| $(GO) run ./cmd/benchjson -o BENCH_traffic.json \
-	    -note "open-loop traffic engine: cost per generated request (arrival draw, admission, spawn, transfer, sketch); ResilienceOverhead arms the full policy stack (deadline, retries, hedge, breaker, brownout) on an uncongested rig — the delta vs TrafficEngine is the layer's pure bookkeeping cost (the coordinator is a calendar continuation, so a request starts one process, its attempt). SurrogateScore is the what-if explorer's analytical predictor: cost of scoring one candidate configuration (the search layer assumes >=10k configs/sec). Recorded with go1.24.0 linux/amd64 on a 2-core Intel Xeon @2.10GHz shared container, default GOMAXPROCS"
+	    -note "post-overhaul kernel numbers; the pre-overhaul binary-heap scheduler's are in BENCH_baseline.json. KernelProcessSwitch is a process resuming itself (no channel operation), KernelHandoff a switch between two processes (one channel operation). FabricTransfer is one transfer over a two-pipe path with propagation latency, two processes alternating: its process parks once, the kernel starting the flow at the end of the latency. BackendOp is one op-level 1 MiB write and read through each backend's fsbase op path, client page cache off. CacheLookup is a page-cache hit and CacheChurn a 256 KiB sequential read over a working set four times the capacity (a miss, insert and eviction every fourth read), both through the open-addressed block table. CacheFsyncClean is the clean-file fsync of the per-file page-cache index (flat in the resident block count). GroupWindow is one barrier window of a two-shard group with one process wake-up per busy shard, both shards stepped in turn on whichever goroutine holds the baton; KernelHandoff and GroupWindow report the kernel's process starts, resumes and baton switches per op. ParseJSONL decodes a canonical 10k-event JSONL trace with the one-pass scanner. Consistency, Fig2a and Fig3 run each figure's independent simulations on GOMAXPROCS workers (two here), so they time wall clock across both cores. Recorded with go1.24.0 linux/amd64 on a 2-core Intel Xeon @2.10GHz shared container, default GOMAXPROCS"
+	$(TRAFFIC_BENCH) | $(GO) run ./cmd/benchjson -o BENCH_traffic.json \
+	    -note "open-loop traffic engine: cost per generated request (arrival draw, admission, spawn, transfer, sketch); ResilienceOverhead arms the full policy stack (deadline, retries, hedge, breaker, brownout) on an uncongested rig — the delta vs TrafficEngine is the layer's pure bookkeeping cost (the coordinator is a calendar continuation, so a request starts one process, its attempt). ShardedTraffic is the 8-rack sharded traffic engine per generated request. The three traffic rungs report the kernel's process starts, resumes and baton switches per op, exact at the fixed iteration count, which bench-diff gates like allocs/op. SurrogateScore is the what-if explorer's analytical predictor: cost of scoring one candidate configuration (the search layer assumes >=10k configs/sec). Recorded with go1.24.0 linux/amd64 on a 2-core Intel Xeon @2.10GHz shared container, default GOMAXPROCS"
 
 # Lines of Go a change adds and removes, per package directory and in
 # total, program files and _test.go files apart: the counts a CHANGES.md

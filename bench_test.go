@@ -313,7 +313,8 @@ func BenchmarkKernelProcessSwitch(b *testing.B) {
 // BenchmarkKernelHandoff measures a switch between two processes: they
 // sleep in turn, so every resume hands the baton from one goroutine to the
 // other (one channel operation) — the switch that dominates model runs,
-// which BenchmarkKernelProcessSwitch's self-resume never pays.
+// which BenchmarkKernelProcessSwitch's self-resume never pays. starts/op,
+// resumes/op and switches/op count the kernel's work exactly.
 func BenchmarkKernelHandoff(b *testing.B) {
 	b.ReportAllocs()
 	env := sim.NewEnv()
@@ -327,6 +328,11 @@ func BenchmarkKernelHandoff(b *testing.B) {
 	}
 	b.ResetTimer()
 	env.Run()
+	b.StopTimer()
+	n := float64(b.N)
+	b.ReportMetric(float64(env.Starts())/n, "starts/op")
+	b.ReportMetric(float64(env.Resumes())/n, "resumes/op")
+	b.ReportMetric(float64(env.Switches())/n, "switches/op")
 }
 
 // BenchmarkFabricTransfer measures one transfer over a two-pipe path with

@@ -14,8 +14,10 @@
 // With -diff old.json new.json the command compares two recorded documents
 // instead of reading stdin and exits non-zero when any shared benchmark
 // regressed: ns/op worse than the -threshold fraction (default 10%), or any
-// increase at all in allocs/op. That turns the checked-in BENCH_*.json files
-// into a regression gate (`make bench-diff`) rather than just a log.
+// increase at all in allocs/op or in one of the kernel's exact work counts
+// (starts/op, resumes/op, switches/op). That turns the checked-in
+// BENCH_*.json files into a regression gate (`make bench-diff`) rather
+// than just a log.
 package main
 
 import (
@@ -97,9 +99,16 @@ func loadDoc(path string) (document, error) {
 	return doc, nil
 }
 
+// countUnits are the kernel's exact work counts a benchmark may report
+// (process starts, resumes and baton switches per op). Like allocs/op they
+// do not depend on the host, so any rise is a regression.
+var countUnits = []string{"starts/op", "resumes/op", "switches/op"}
+
 // diffDocs compares two recorded documents benchmark by benchmark and
 // reports regressions to w: ns/op more than threshold (a fraction,
-// 0.10 = 10%) above the old record, or any allocs/op increase.
+// 0.10 = 10%) above the old record, any allocs/op increase, or any rise
+// in a count the old record holds (a count the new run no longer reports
+// fails too).
 // Benchmarks present in only one document are listed as explicit sorted
 // "added"/"removed" lines but never fail the gate — new benchmarks must
 // be recordable without a chicken-and-egg failure, and the output is
@@ -123,11 +132,25 @@ func diffDocs(w io.Writer, oldDoc, newDoc document, threshold float64) (failures
 	sort.Strings(removed)
 	for _, name := range shared {
 		or, nr := oldDoc.Benchmarks[name], newDoc.Benchmarks[name]
+		failed := or.NsPerOp > 0 && nr.NsPerOp > or.NsPerOp*(1+threshold) ||
+			nr.AllocsPerOp > or.AllocsPerOp
+		var counts strings.Builder
+		for _, unit := range countUnits {
+			ov, ok := or.Metrics[unit]
+			if !ok {
+				continue
+			}
+			nv, ok := nr.Metrics[unit]
+			if !ok {
+				failed = true
+				fmt.Fprintf(&counts, "  %g -> missing %s", ov, unit)
+				continue
+			}
+			failed = failed || nv > ov
+			fmt.Fprintf(&counts, "  %g -> %g %s", ov, nv, unit)
+		}
 		status := "ok     "
-		if or.NsPerOp > 0 && nr.NsPerOp > or.NsPerOp*(1+threshold) {
-			status = "FAIL   "
-			failures++
-		} else if nr.AllocsPerOp > or.AllocsPerOp {
+		if failed {
 			status = "FAIL   "
 			failures++
 		}
@@ -135,8 +158,8 @@ func diffDocs(w io.Writer, oldDoc, newDoc document, threshold float64) (failures
 		if or.NsPerOp > 0 {
 			delta = (nr.NsPerOp - or.NsPerOp) / or.NsPerOp * 100
 		}
-		fmt.Fprintf(w, "  %s %-40s %10.1f -> %10.1f ns/op (%+6.1f%%)  %6.0f -> %6.0f allocs/op\n",
-			status, name, or.NsPerOp, nr.NsPerOp, delta, or.AllocsPerOp, nr.AllocsPerOp)
+		fmt.Fprintf(w, "  %s %-40s %10.1f -> %10.1f ns/op (%+6.1f%%)  %6.0f -> %6.0f allocs/op%s\n",
+			status, name, or.NsPerOp, nr.NsPerOp, delta, or.AllocsPerOp, nr.AllocsPerOp, counts.String())
 	}
 	for _, name := range added {
 		nr := newDoc.Benchmarks[name]
@@ -171,7 +194,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)
 		}
-		fmt.Printf("benchjson diff: %s -> %s (ns/op tolerance %+.0f%%, allocs/op tolerance 0)\n",
+		fmt.Printf("benchjson diff: %s -> %s (ns/op tolerance %+.0f%%, allocs/op and counts tolerance 0)\n",
 			flag.Arg(0), flag.Arg(1), *threshold*100)
 		if n := diffDocs(os.Stdout, oldDoc, newDoc, *threshold); n > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed\n", n)

@@ -35,6 +35,14 @@ func TestDiffDocs(t *testing.T) {
 		}
 		return d
 	}
+	// counted is a one-benchmark document that also reports counts.
+	counted := func(ns float64, counts map[string]float64) document {
+		d := doc("BenchmarkA", ns, 0.0)
+		r := d.Benchmarks["BenchmarkA"]
+		r.Metrics = counts
+		d.Benchmarks["BenchmarkA"] = r
+		return d
+	}
 	cases := []struct {
 		name           string
 		oldDoc, newDoc document
@@ -66,6 +74,39 @@ func TestDiffDocs(t *testing.T) {
 			threshold:    0.10,
 			wantFailures: 1,
 			wantLines:    []string{"FAIL    BenchmarkA"},
+		},
+		{
+			name:         "switch count rise fails even within ns threshold",
+			oldDoc:       counted(100.0, map[string]float64{"starts/op": 1.2, "resumes/op": 1.2, "switches/op": 1.055}),
+			newDoc:       counted(90.0, map[string]float64{"starts/op": 1.2, "resumes/op": 1.2, "switches/op": 1.056}),
+			threshold:    0.10,
+			wantFailures: 1,
+			wantLines:    []string{"FAIL    BenchmarkA", "1.055 -> 1.056 switches/op"},
+		},
+		{
+			name:         "switch count fall passes",
+			oldDoc:       counted(100.0, map[string]float64{"starts/op": 1.2, "resumes/op": 1.2, "switches/op": 2.5}),
+			newDoc:       counted(100.0, map[string]float64{"starts/op": 1.2, "resumes/op": 1.2, "switches/op": 1.055}),
+			threshold:    0.10,
+			wantFailures: 0,
+			wantLines:    []string{"ok      BenchmarkA", "1.2 -> 1.2 starts/op", "1.2 -> 1.2 resumes/op", "2.5 -> 1.055 switches/op"},
+		},
+		{
+			name:         "start or resume count rise fails",
+			oldDoc:       counted(100.0, map[string]float64{"starts/op": 1.2, "resumes/op": 1.2}),
+			newDoc:       counted(100.0, map[string]float64{"starts/op": 1.2, "resumes/op": 1.3}),
+			threshold:    0.10,
+			wantFailures: 1,
+			wantLines:    []string{"FAIL    BenchmarkA", "1.2 -> 1.3 resumes/op"},
+		},
+		{
+			name:         "a recorded count the new run lacks fails; a new count does not",
+			oldDoc:       counted(100.0, map[string]float64{"switches/op": 1.0}),
+			newDoc:       counted(100.0, map[string]float64{"starts/op": 1.0}),
+			threshold:    0.10,
+			wantFailures: 1,
+			wantLines:    []string{"FAIL    BenchmarkA", "1 -> missing switches/op"},
+			rejectLines:  []string{"starts/op"},
 		},
 		{
 			name:         "added and removed are sorted and never fail",

@@ -1,7 +1,11 @@
 // Command trafficbench drives a storage deployment with the open-loop
 // multi-tenant traffic engine: millions of logical clients aggregated into
 // per-tenant arrival processes, per-tenant SLO accounting, optional fault
-// schedules, and admission control with queue-depth backpressure.
+// schedules, and admission control with queue-depth backpressure. When the
+// spec arms a resilience policy (a tenant's deadline, retries, hedging or
+// breaker, or engine-wide brownout), a second table shows what the layer
+// did per tenant: retries, hedges and their wins, deadline misses, sheds
+// by cause and breaker transitions.
 //
 // Examples:
 //
@@ -143,5 +147,33 @@ func run() error {
 			tr.Name, tr.Offered, tr.Shed, tr.Completed, tr.InFlightEnd,
 			units.BPS(tr.GoodputBps(rep.Duration)), tr.P50, tr.P99, slo, attain)
 	}
+	if armed(spec) {
+		printResilience(rep.Tenants)
+	}
 	return nil
+}
+
+// armed reports whether the spec arms any resilience policy.
+func armed(spec traffic.Spec) bool {
+	for _, t := range spec.Tenants {
+		if t.Resilience.Enabled() {
+			return true
+		}
+	}
+	return spec.Brownout.Enabled()
+}
+
+// printResilience prints the resilience layer's per-tenant counters:
+// retries, hedges and hedge wins, deadline misses, sheds by cause
+// (admission cap, brownout, open breaker) and breaker transitions.
+func printResilience(tenants []traffic.TenantReport) {
+	fmt.Printf("%-8s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n",
+		"tenant", "retries", "hedges", "hedge-won", "dl-miss",
+		"shed-adm", "shed-brwn", "shed-brkr", "brk-open", "brk-half", "brk-close")
+	for _, tr := range tenants {
+		fmt.Printf("%-8s %9d %9d %9d %9d %9d %9d %9d %9d %9d %9d\n",
+			tr.Name, tr.Retries, tr.Hedges, tr.HedgeWins, tr.DeadlineMiss,
+			tr.ShedAdmission, tr.ShedBrownout, tr.ShedBreaker,
+			tr.Breaker.Opens, tr.Breaker.HalfOpens, tr.Breaker.Closes)
+	}
 }

@@ -103,6 +103,10 @@ func TestCommandsSmoke(t *testing.T) {
 	if !strings.Contains(out, "ckpt") || !strings.Contains(out, "goodput") {
 		t.Fatalf("trafficbench output:\n%s", out)
 	}
+	if strings.Contains(out, "retries") {
+		t.Fatalf("trafficbench printed resilience counters for a spec that arms no policy:\n%s", out)
+	}
+	checkResilienceTable(t, dir)
 
 	// tracereplay round trip: record a short synthetic run, re-ingest it,
 	// replay it on the same deployment, and demand a passing audit.
@@ -159,6 +163,45 @@ func TestCommandsSmoke(t *testing.T) {
 	for _, name := range []string{"takeaway-rdma-vs-tcp.csv", "ablation-fabric.csv"} {
 		if _, err := os.Stat(filepath.Join(csvDir, name)); err != nil {
 			t.Fatalf("csv export missing: %v", err)
+		}
+	}
+}
+
+// armedSpec is a one-tenant spec that arms every resilience mechanism.
+// Its 1 µs deadline fails every attempt, so the retry, deadline-miss,
+// breaker-shed and breaker-transition counters all move.
+const armedSpec = `{"tenants": [{"name": "ckpt", "clients": 10000, "workload": "seq-write",
+  "arrival": {"kind": "poisson", "rate": 0.01}, "request": "1m", "io": "1m", "max_inflight": 8,
+  "deadline": "1us", "retry_policy": {"timeout": "1ms", "max_retries": 1},
+  "hedge": {"quantile": 0.5, "min_samples": 8},
+  "breaker": {"failures": 5, "cooldown": "50ms"}}],
+ "brownout": {"capacity": 4}}`
+
+// checkResilienceTable runs trafficbench, single and sharded, on
+// armedSpec: after the main table it must print the resilience table,
+// one row per tenant (the merged rows when sharded), with counts that
+// moved.
+func checkResilienceTable(t *testing.T, dir string) {
+	t.Helper()
+	specFile := filepath.Join(dir, "armed.json")
+	if err := os.WriteFile(specFile, []byte(armedSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, racks := range []string{"1", "2"} {
+		out := run(t, filepath.Join(dir, "trafficbench"), "-machine", "Wombat", "-fs", "vast",
+			"-racks", racks, "-nodes", "1", "-duration", "300ms", "-spec", specFile)
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		n := len(lines)
+		header := strings.Fields(lines[n-2])
+		want := []string{"tenant", "retries", "hedges", "hedge-won", "dl-miss",
+			"shed-adm", "shed-brwn", "shed-brkr", "brk-open", "brk-half", "brk-close"}
+		row := strings.Fields(lines[n-1])
+		if strings.Join(header, " ") != strings.Join(want, " ") || len(row) != len(want) || row[0] != "ckpt" ||
+			!strings.Contains(strings.Join(lines[:n-2], "\n"), "goodput") {
+			t.Fatalf("trafficbench -racks %s resilience table:\n%s", racks, out)
+		}
+		if strings.Trim(strings.Join(row[1:], ""), "0") == "" {
+			t.Fatalf("trafficbench -racks %s: every resilience counter is zero:\n%s", racks, out)
 		}
 	}
 }

@@ -235,9 +235,12 @@ func TestHedgeDelay(t *testing.T) {
 // deadline, retry and hedge machinery allocates nothing per request. The
 // attempts cycle through slow (a 10 ms transfer, past the 2 ms deadline)
 // and fast (0.1 ms) ones: a slow primary and a slow hedge miss and retry,
-// a slow primary and a fast hedge resolve on the hedge.
+// a slow primary and a fast hedge resolve on the hedge. A one-shard Group
+// steps the Env, so its pooled workers stay parked between steps.
 func TestCallRecyclesAbortTokens(t *testing.T) {
 	r := newRig()
+	g := sim.NewGroup(1)
+	g.AddShard("rig", r.env)
 	pl := Policy{Deadline: 2 * sim.Millisecond, Retry: retry(sim.Millisecond, 2, 3)}
 	inv := 0
 	c := &Call{FlowID: 7, Attempt: func(ap *sim.Proc) {
@@ -267,9 +270,9 @@ func TestCallRecyclesAbortTokens(t *testing.T) {
 		}
 	}
 	r.env.Schedule(0, next)
-	defer r.env.Shutdown()
-	r.env.StepUntil(sim.Time(10 * sim.Second)) // grows the calendar's buckets and the pools
-	allocs := testing.AllocsPerRun(20, func() { r.env.StepUntil(r.env.Now() + sim.Time(100*sim.Millisecond)) })
+	defer g.Shutdown()
+	g.Run(sim.Time(10 * sim.Second)) // grows the calendar's buckets and the pools
+	allocs := testing.AllocsPerRun(20, func() { g.Run(g.Now() + sim.Time(100*sim.Millisecond)) })
 	if total.Retries == 0 || total.Hedges == 0 || total.HedgeWins == 0 {
 		t.Fatalf("outcomes %+v: the rig must retry, hedge and win hedges", total)
 	}

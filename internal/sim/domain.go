@@ -23,11 +23,13 @@ import (
 //
 //	T' = min(until, max(T+L, earliest pending event across all shards))
 //
-// and steps every shard, in shard order on the Run caller's goroutine,
-// through its events with timestamps <= T'. Messages a shard sends during
-// the window wait in the group's pending set until the barrier, where they
-// are delivered in the global (deliverAt, source shard, send seq) order
-// before any shard moves again.
+// and steps every shard, in shard order, through its events with
+// timestamps <= T'. Messages a shard sends during the window wait in the
+// group's pending set until the barrier, where they are delivered in the
+// global (deliverAt, source shard, send seq) order before any shard moves
+// again. The window loop (next) runs on whichever goroutine holds the
+// baton when a shard's calendar drains: a process goroutine of any shard,
+// or the Run caller.
 //
 // Correctness of the window: a message sent at local time s carries
 // deliverAt >= s+L. In a busy window every executed event has s in [T, T'],
@@ -47,6 +49,19 @@ type Group struct {
 
 	clock     Time
 	finalized bool
+
+	// The run in progress (see next): its deadline, the current window's
+	// boundary and the index of the shard being stepped, len(shards)
+	// while no window is open. running is set for the length of Run.
+	until, bound Time
+	cur          int
+	running      bool
+
+	// back is where Run waits while another goroutine holds the baton.
+	// Every shard's Env shares it as its mainResume, so the goroutine
+	// that ends the run, or relays a callback panic from any shard, hands
+	// the baton back here.
+	back chan struct{}
 
 	// pending holds the messages sent since the last barrier, reused
 	// across windows.
@@ -81,7 +96,7 @@ type xmsg struct {
 // NewGroup returns an empty group. Its argument is ignored; it stays so
 // that callers passing an executor count still compile. Pass 1.
 func NewGroup(int) *Group {
-	return &Group{links: map[[2]int32]Duration{}}
+	return &Group{links: map[[2]int32]Duration{}, back: make(chan struct{})}
 }
 
 // AddShard registers env as one shard of the group. The Env must be
@@ -91,9 +106,10 @@ func (g *Group) AddShard(name string, env *Env) *Shard {
 	if g.finalized {
 		panic("sim: AddShard after the group started running")
 	}
-	if env.now != 0 || env.running {
+	if env.now != 0 || env.running || env.group != nil {
 		panic("sim: shard Env must be fresh: " + name)
 	}
+	env.group, env.mainResume = g, g.back
 	s := &Shard{id: int32(len(g.shards)), name: name, env: env, group: g}
 	g.shards = append(g.shards, s)
 	return s
@@ -194,20 +210,79 @@ func (g *Group) finalize() {
 // window synchronization and returns the barrier clock. It may be called
 // repeatedly with increasing deadlines; call Shutdown when the simulation
 // is over.
+//
+// The caller lends the baton to the first process a shard resumes or
+// starts, and the windows go on on whichever goroutine holds it (next).
+// The caller gets it back once, when the run reaches `until` or a model
+// callback on any shard panics; Run re-panics with the original value.
 func (g *Group) Run(until Time) Time {
 	g.finalize()
 	if until < g.clock {
 		panic(fmt.Sprintf("sim: group run until %v before barrier clock %v", until, g.clock))
 	}
-	for g.clock < until {
-		g.deliver()
-		boundary := g.boundary(until)
+	g.until, g.bound, g.cur = until, g.clock, len(g.shards)
+	g.setRunning(true)
+	defer g.setRunning(false)
+	if g.next(nil) == dispHandoff {
+		<-g.back
 		for _, s := range g.shards {
-			s.env.StepUntil(boundary)
+			s.env.rethrow()
 		}
-		g.clock = boundary
 	}
 	return g.clock
+}
+
+// setRunning marks the group and every shard Env running or not. Run
+// clears the marks on every exit, a panic's included, so that Shutdown
+// works afterwards.
+func (g *Group) setRunning(on bool) {
+	g.running = on
+	for _, s := range g.shards {
+		s.env.running = on
+	}
+}
+
+// next is the window loop, run by whichever goroutine holds the baton: a
+// process goroutine of any shard (w), or the Run caller (w nil). It
+// carries on where the shard being stepped drained to the boundary: it
+// stands that shard's clock there and steps the next one, and when the
+// window closes it delivers the pending messages and opens the next. It
+// returns dispDone when the run reaches its deadline, else the outcome of
+// the dispatch that handed the baton off or resumed w's own process.
+//
+// Only the goroutine differs; calendars, boundaries and deliveries are
+// the same on any. A worker may step other shards because a process runs
+// only while its own shard is stepped, dispatch returns dispSelf only for
+// w's own process or for w on top of its own Env's pool, and a pooled w
+// stays on top of that pool until it hands the baton off, so recycleProc's
+// argument holds (docs/MODEL.md §11).
+func (g *Group) next(w *worker) int {
+	for {
+		if g.cur < len(g.shards) {
+			// The shard being stepped has drained to the boundary.
+			if e := g.shards[g.cur].env; e.now < g.bound {
+				e.now = g.bound
+			}
+			g.cur++
+		} else {
+			// The window has closed: every shard stands at the boundary.
+			g.clock = g.bound
+			if g.clock == g.until {
+				return dispDone
+			}
+			g.deliver()
+			g.bound = g.boundary(g.until)
+			g.cur = 0
+		}
+		if g.cur == len(g.shards) {
+			continue
+		}
+		e := g.shards[g.cur].env
+		e.deadline = g.bound
+		if d := e.dispatch(w); d != dispDone {
+			return d
+		}
+	}
 }
 
 // boundary picks the next barrier time: one lookahead ahead, stretched to

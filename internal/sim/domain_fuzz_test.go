@@ -16,10 +16,14 @@ func fuzzMix(x uint64) uint64 {
 
 // FuzzGroupDelivery runs a randomized multi-shard model built from (seed,
 // shards, lat, events): a generator per shard sleeps, draws a target shard
-// and sends it a message with a random extra delay. Every message due by
-// the deadline must run exactly once, at its send time plus the link
-// latency plus the extra delay; no conservative-synchronization panic may
-// fire; and every shard's clock must stand at the deadline after Run.
+// and sends it a message with a random extra delay, and each delivered
+// message starts a short-lived process on its destination. Every message
+// due by the deadline must run exactly once, at its send time plus the
+// link latency plus the extra delay; no conservative-synchronization panic
+// may fire; and every shard's clock must stand at the deadline after Run.
+// The window loop runs on whichever goroutine holds the baton, so every
+// switch the Run makes, summed over the shards, goes to a resumed or
+// started process but the one that hands the baton back to the caller.
 func FuzzGroupDelivery(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint16(10), uint8(20))
 	f.Add(uint64(0x5eed), uint8(3), uint16(1), uint8(40))
@@ -62,6 +66,7 @@ func FuzzGroupDelivery(f *testing.F) {
 						if now := to.Env().Now(); now != want {
 							t.Errorf("%s -> %s: message ran at %d, want %d", s.Name(), to.Name(), now, want)
 						}
+						to.Env().Go("receiver", func(p *Proc) { p.Sleep(extra + 1) })
 					})
 				}
 			})
@@ -74,6 +79,9 @@ func FuzzGroupDelivery(f *testing.F) {
 			}()
 			g.Run(until)
 		}()
+		if switches, resumes, starts := groupCounts(g); switches > resumes+starts+1 {
+			t.Errorf("%d switches for %d resumes and %d starts", switches, resumes, starts)
+		}
 		g.Shutdown()
 		if ran != due {
 			t.Errorf("%d messages ran, %d were due by %d", ran, due, until)

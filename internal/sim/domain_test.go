@@ -3,6 +3,7 @@ package sim
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -200,7 +201,7 @@ func TestGroupResume(t *testing.T) {
 // TestGroupPanicPropagation: a model-callback panic surfaces at the Run
 // caller with its original value (process-function panics crash on their
 // worker goroutine, exactly as in single-Env runs), and Shutdown must
-// return afterwards.
+// return afterwards, whichever goroutine held the baton.
 func TestGroupPanicPropagation(t *testing.T) {
 	t.Run("lone busy shard in-line", func(t *testing.T) {
 		g := NewGroup(1)
@@ -219,6 +220,111 @@ func TestGroupPanicPropagation(t *testing.T) {
 		g.Run(1000)
 		t.Fatal("run returned despite panicking model")
 	})
+	t.Run("on a process goroutine of another shard", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		g := NewGroup(1)
+		s0 := g.AddShard("s0", NewEnv())
+		s1 := g.AddShard("s1", NewEnv())
+		g.LinkAll(100)
+		// The sleeper starts in the first window and parks past it, so its
+		// goroutine holds the baton when shard 1 is stepped.
+		s0.Env().Go("sleeper", func(p *Proc) { p.Sleep(1000) })
+		s1.Env().Schedule(30, func() {
+			// One switch, the sleeper's start, and no hand-back since.
+			if n := s0.Env().Switches(); n != 1 {
+				t.Errorf("shard 0 made %d switches: shard 1 is not stepped on the sleeper's goroutine", n)
+			}
+			panic("model bug")
+		})
+		defer func() {
+			if r := recover(); r != "model bug" {
+				t.Fatalf("recovered %v, want model bug", r)
+			}
+			g.Shutdown()
+			settleGoroutines(t, base)
+		}()
+		g.Run(1000)
+		t.Fatal("run returned despite panicking model")
+	})
+}
+
+// groupCounts sums the kernel's counts over a group's shards.
+func groupCounts(g *Group) (switches, resumes, starts int) {
+	for _, s := range g.shards {
+		switches += s.env.Switches()
+		resumes += s.env.Resumes()
+		starts += s.env.Starts()
+	}
+	return switches, resumes, starts
+}
+
+// TestGroupWindowSwitches pins where the baton goes on
+// BenchmarkGroupWindow's rig. The window loop runs on whichever goroutine
+// holds the baton, so with one busy shard a Run makes two switches
+// whatever its window count: the start of the process's goroutine and the
+// hand-back to the Run caller. With two busy shards it makes two per
+// window, one to each shard's process.
+func TestGroupWindowSwitches(t *testing.T) {
+	for _, tc := range []struct {
+		busy, windows, want int
+	}{
+		{1, 1, 2}, {1, 10, 2}, {1, 1000, 2},
+		{2, 1, 3}, {2, 10, 21}, {2, 1000, 2001},
+	} {
+		g := windowRig(tc.busy, tc.windows)
+		g.Run(Time(tc.windows) * windowLat)
+		g.Shutdown()
+		if got, _, _ := groupCounts(g); got != tc.want {
+			t.Errorf("busy=%d, %d windows: %d switches, want %d", tc.busy, tc.windows, got, tc.want)
+		}
+	}
+}
+
+// TestGroupRunsInARow: a Run that ended on a process goroutine leaves the
+// group ready for the next one. Two shards trade messages from processes
+// that sleep between sends, so the first Run hands the baton off and gets
+// it back from a worker, parked or pooled; the second picks the same
+// workers up. Every message must run at its exact due time, and each Run
+// hands the baton back to its caller once, so every other switch goes to
+// a process.
+func TestGroupRunsInARow(t *testing.T) {
+	g := NewGroup(1)
+	a := g.AddShard("a", NewEnv())
+	b := g.AddShard("b", NewEnv())
+	g.LinkAll(50)
+	ran := 0
+	for _, pair := range [][2]*Shard{{a, b}, {b, a}} {
+		from, to := pair[0], pair[1]
+		from.Env().Go("sender", func(p *Proc) {
+			for i := 0; i < 6; i++ {
+				p.Sleep(70)
+				due := p.Now() + 50
+				from.Send(to, 0, func() {
+					ran++
+					if now := to.Env().Now(); now != due {
+						t.Errorf("message to %s ran at %d, want %d", to.Name(), now, due)
+					}
+					to.Env().Go("receiver", func(p *Proc) { p.Sleep(10) })
+				})
+			}
+		})
+	}
+	for run, until := range []Time{250, 1000} {
+		if end := g.Run(until); end != until {
+			t.Fatalf("run %d ended at %d, want %d", run, end, until)
+		}
+		switches, resumes, starts := groupCounts(g)
+		if switches == 0 {
+			t.Fatalf("run %d never handed the baton to a process", run)
+		}
+		if switches > resumes+starts+run+1 {
+			t.Errorf("after run %d: %d switches for %d resumes and %d starts", run, switches, resumes, starts)
+		}
+	}
+	g.Shutdown()
+	if ran != 12 {
+		t.Fatalf("%d messages ran, want 12", ran)
+	}
 }
 
 // TestGroupValidation covers the constructor/topology guard rails.

@@ -17,7 +17,10 @@ import (
 // a process hands the baton directly to that process's goroutine with a
 // single channel operation. When an event resumes the very process that is
 // draining the calendar — the Sleep-loop pattern — no channel operation or
-// goroutine switch happens at all.
+// goroutine switch happens at all. When the calendar drains, the goroutine
+// holding the baton passes it on: to the window loop of the Group the Env
+// is a shard of, while that group runs, and otherwise back to the Run
+// caller.
 type Env struct {
 	now Time
 	seq uint64
@@ -28,8 +31,12 @@ type Env struct {
 	deadline Time
 	running  bool
 
+	// group is the Group this Env is a shard of, nil for a plain Env.
+	group *Group
+
 	// mainResume is where Run/RunUntil wait while a process holds the
-	// baton; whichever goroutine drains the calendar hands it back.
+	// baton; whichever goroutine drains the calendar hands it back. A
+	// shard shares its group's channel, where Group.Run waits.
 	mainResume chan struct{}
 
 	// fnPanic carries a model-callback panic from a worker goroutine to the
@@ -39,9 +46,10 @@ type Env struct {
 
 	blocked []blockedProc
 
-	// starts and resumes count the process functions begun and the
-	// wake-ups of parked processes (see Starts and Resumes).
-	starts, resumes int
+	// starts, resumes and switches count the process functions begun,
+	// the wake-ups of parked processes and the baton's hand-offs between
+	// goroutines (see Starts, Resumes and Switches).
+	starts, resumes, switches int
 
 	// freeWorkers are parked goroutines whose process has finished,
 	// available for reuse by the next Go. spawnedWorkers counts actual
@@ -80,13 +88,21 @@ func NewEnv() *Env {
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
-// Starts returns how many process functions have begun. With Resumes it
-// counts the kernel's process switches; tests read both to pin the work a
-// design keeps out of processes.
+// Starts returns how many process functions have begun. Tests and
+// benchmarks read it, with Resumes and Switches, to pin the work a design
+// keeps out of processes.
 func (e *Env) Starts() int { return e.starts }
 
 // Resumes returns how many times a parked process has been woken.
 func (e *Env) Resumes() int { return e.resumes }
+
+// Switches returns how many times the baton passed from one goroutine to
+// another on this Env's behalf: to the goroutine of a resumed or started
+// process, to a fresh worker, or back to the Run caller. A resume or start
+// that the goroutine already holding the baton runs itself is no switch.
+// Like the other counts it is deterministic: it follows from the calendar
+// alone.
+func (e *Env) Switches() int { return e.switches }
 
 // Pending returns the number of live events on the calendar — cancelled
 // events are dropped from the count immediately and never resurface.
@@ -195,7 +211,7 @@ func (e *Env) recycleProc(p *Proc) {
 const (
 	dispHandoff = iota // baton handed to another goroutine; caller must wait
 	dispSelf           // the caller's own process was resumed (or re-assigned)
-	dispDone           // calendar drained (or deadline reached); main only
+	dispDone           // calendar drained up to the deadline
 )
 
 // dispatch is the scheduler's inner loop. It runs calendar events on the
@@ -204,6 +220,9 @@ const (
 // bounce through a central scheduler goroutine is gone); resuming the
 // calling process returns dispSelf with no channel traffic at all. w is the
 // calling worker, nil when main dispatches.
+//
+// A drained calendar returns dispDone, to the Run caller and to a worker
+// alike; a worker then passes the baton on itself (drain).
 //
 // Plain fn events run inline on whichever goroutine drains them. That is
 // what lets steady request traffic chain on a single worker with no channel
@@ -221,11 +240,7 @@ func (e *Env) dispatch(w *worker) int {
 	for {
 		ev := e.q.pop(e.deadline)
 		if ev == nil {
-			if w == nil {
-				return dispDone
-			}
-			e.mainResume <- struct{}{}
-			return dispHandoff
+			return dispDone
 		}
 		e.now = ev.at
 		switch ev.kind {
@@ -235,11 +250,11 @@ func (e *Env) dispatch(w *worker) int {
 			if w == nil {
 				fn()
 			} else if !e.runFnOnWorker(fn) {
-				// The callback panicked: relay the value home, where runLoop
-				// re-panics at the Run caller. The simulation is dead; this
+				// The callback panicked: relay the value home, where the Run
+				// caller re-panics (rethrow). The simulation is dead; this
 				// goroutine parks forever on its resume channel (exactly the
 				// fate of every other worker parked mid-wait at a panic).
-				e.mainResume <- struct{}{}
+				e.handBack()
 				return dispHandoff
 			}
 		case evResume:
@@ -256,7 +271,7 @@ func (e *Env) dispatch(w *worker) int {
 				resume, ok = e.stepPendingOnWorker(p, x)
 			}
 			if !ok {
-				e.mainResume <- struct{}{} // relayed like a callback panic
+				e.handBack() // relayed like a callback panic
 				return dispHandoff
 			}
 			if resume {
@@ -270,6 +285,7 @@ func (e *Env) dispatch(w *worker) int {
 			if nw == nil {
 				nw = &worker{resume: make(chan struct{})}
 				e.spawnedWorkers++
+				e.switches++
 				bindWorker(nw, p)
 				go e.workerMain(nw)
 				return dispHandoff
@@ -281,6 +297,7 @@ func (e *Env) dispatch(w *worker) int {
 				// loop instead of this goroutine sending to itself.
 				return dispSelf
 			}
+			e.switches++
 			nw.resume <- struct{}{}
 			return dispHandoff
 		}
@@ -295,8 +312,41 @@ func (e *Env) resume(w *worker, p *Proc) int {
 	if w != nil && p == w.proc {
 		return dispSelf
 	}
+	e.switches++
 	p.w.resume <- struct{}{}
 	return dispHandoff
+}
+
+// drain is dispatch for a worker, which must pass the baton on when the
+// calendar drains: to the window loop of the running Group this Env is a
+// shard of (Group.next), and otherwise, or once the group's run reaches
+// its deadline, back to the Run caller.
+func (e *Env) drain(w *worker) int {
+	if d := e.dispatch(w); d != dispDone {
+		return d
+	}
+	if g := e.group; g != nil && g.running {
+		if d := g.next(w); d != dispDone {
+			return d
+		}
+	}
+	e.handBack()
+	return dispHandoff
+}
+
+// handBack hands the baton back to the Run caller, waiting on mainResume.
+func (e *Env) handBack() {
+	e.switches++
+	e.mainResume <- struct{}{}
+}
+
+// rethrow re-panics, at the Run caller, with the value of a callback
+// panic a worker relayed (see dispatch).
+func (e *Env) rethrow() {
+	if r := e.fnPanic; r != nil {
+		e.fnPanic = nil
+		panic(r)
+	}
 }
 
 // runFnOnWorker executes a model callback on a worker goroutine, converting
@@ -354,11 +404,11 @@ func (e *Env) workerMain(w *worker) {
 			// this worker again — its process is finished and it is not in
 			// the free pool — so dispSelf is impossible here.
 			w.proc = nil
-			e.dispatch(w)
+			e.drain(w)
 			return
 		}
 		e.freeWorkers = append(e.freeWorkers, w)
-		if e.dispatch(w) != dispSelf {
+		if e.drain(w) != dispSelf {
 			<-w.resume
 			if w.proc == nil {
 				// Dismissed by stopWorkers; ack and unwind.
@@ -403,20 +453,14 @@ func (e *Env) stopWorkers() {
 }
 
 // runLoop drains the calendar up to e.deadline, lending the baton out to
-// process goroutines and reclaiming it when they quiesce.
+// process goroutines. A worker hands it back only once the calendar has
+// drained (drain) or a callback panicked.
 func (e *Env) runLoop() {
 	e.running = true
 	defer func() { e.running = false }()
-	for {
-		if e.dispatch(nil) == dispDone {
-			return
-		}
+	if e.dispatch(nil) == dispHandoff {
 		<-e.mainResume
-		if e.fnPanic != nil {
-			r := e.fnPanic
-			e.fnPanic = nil
-			panic(r)
-		}
+		e.rethrow()
 	}
 }
 
@@ -461,24 +505,10 @@ func (e *Env) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// StepUntil is RunUntil for callers that will advance the clock again: the
-// pooled worker goroutines stay parked for the next step instead of being
-// dismissed and respawned. A Group stepping its shards through thousands
-// of conservative-synchronization windows calls this once per shard and
-// window; pay stopWorkers only once, via Shutdown, when the whole run ends.
-func (e *Env) StepUntil(deadline Time) Time {
-	e.deadline = deadline
-	e.runLoop()
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
-}
-
 // Shutdown ends the simulation: it dismisses the idle worker pool and
 // unwinds every process still parked — on a timer, an Event, a Resource or
-// a Queue past a RunUntil deadline, or in a Group shard stepped with
-// StepUntil. Each such goroutine runs its process's deferred calls through
+// a Queue past a RunUntil deadline, or in a Group shard between windows.
+// Each such goroutine runs its process's deferred calls through
 // runtime.Goexit and exits, one at a time in calendar then park order, so
 // a finished run pins neither goroutines nor, through their stacks, the
 // model. The calendar is emptied: unstarted processes and pending

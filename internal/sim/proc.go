@@ -72,19 +72,21 @@ func (p *Proc) FlowTag() string { return p.env.TagName(p.flowTag) }
 
 // park hands control to the scheduler and blocks until some event resumes
 // this process. The calling goroutine drains the calendar itself (see
-// Env.dispatch): if the next wake-up belongs to this very process, park
-// returns without a single channel operation; otherwise the baton goes
-// directly to the resumed process's goroutine. why is recorded for deadlock
-// diagnostics; processes parked on timers pass "" and are not tracked (a
-// timer always fires). A transfer parks with "" and the kernel lists the
-// process once its flow starts (Fabric.TransferAfter), so park leaves the
-// deadlock list by the index, not by why.
+// Env.dispatch and Env.drain): if the next wake-up belongs to this very
+// process, park returns without a single channel operation; otherwise the
+// baton goes directly to the resumed process's goroutine, or, once the
+// calendar drains, to the next shard of a running Group or back to the Run
+// caller. why is recorded for deadlock diagnostics; processes parked on
+// timers pass "" and are not tracked (a timer always fires). A transfer
+// parks with "" and the kernel lists the process once its flow starts
+// (Fabric.TransferAfter), so park leaves the deadlock list by the index,
+// not by why.
 func (p *Proc) park(why string) {
 	e := p.env
 	if why != "" {
 		e.pushBlocked(p, why)
 	}
-	if e.dispatch(p.w) != dispSelf {
+	if e.drain(p.w) != dispSelf {
 		if _, ok := <-p.w.resume; !ok {
 			runtime.Goexit() // Env.Shutdown: run the process's defers and exit
 		}

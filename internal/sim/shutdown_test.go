@@ -77,7 +77,10 @@ func TestShutdownUnwindsParkedProcesses(t *testing.T) {
 }
 
 // TestGroupShutdownUnwindsShards: a group's windowed run leaves processes
-// parked in every shard; Group.Shutdown unwinds them all.
+// parked in every shard, and the goroutines of finished ones pooled;
+// Group.Shutdown unwinds the first and dismisses the second. The run ends
+// on a worker: once the Run caller hands the baton to a process, it gets
+// it back only from the goroutine that ends the run.
 func TestGroupShutdownUnwindsShards(t *testing.T) {
 	base := runtime.NumGoroutine()
 	g := NewGroup(1)
@@ -92,10 +95,14 @@ func TestGroupShutdownUnwindsShards(t *testing.T) {
 					p.Sleep(7)
 				}
 			})
+			env.Go("short", func(p *Proc) { p.Sleep(Duration(10 * (i + j))) })
 		}
 	}
 	g.LinkAll(5)
 	g.Run(100)
+	if switches, _, _ := groupCounts(g); switches == 0 {
+		t.Fatal("the run never handed the baton to a process")
+	}
 	g.Shutdown()
 	if unwound != 12 {
 		t.Fatalf("unwound %d processes, want 12", unwound)
@@ -124,9 +131,13 @@ func TestDeadlockReportReasons(t *testing.T) {
 }
 
 // TestBlockingAllocFree: once warm, processes that block on both sides of
-// a Queue and contend for a Resource allocate nothing per wait.
+// a Queue and contend for a Resource allocate nothing per wait. A
+// one-shard Group steps the Env, so its pooled workers stay parked between
+// steps.
 func TestBlockingAllocFree(t *testing.T) {
 	e := NewEnv()
+	g := NewGroup(1)
+	g.AddShard("blocking", e)
 	ping, pong := NewQueue(e, "ping", 1), NewQueue(e, "pong", 1)
 	slow := NewQueue(e, "slow", 2)
 	res := NewResource(e, "slot", 1)
@@ -148,9 +159,9 @@ func TestBlockingAllocFree(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		forever("user", func(p *Proc) { res.Acquire(p, 1); p.Sleep(2); res.Release(1) })
 	}
-	defer e.Shutdown()
-	e.StepUntil(2 * wheelSpan) // every calendar bucket has grown its slice
-	allocs := testing.AllocsPerRun(100, func() { e.StepUntil(e.Now() + 64) })
+	defer g.Shutdown()
+	g.Run(2 * wheelSpan) // every calendar bucket has grown its slice
+	allocs := testing.AllocsPerRun(100, func() { g.Run(g.Now() + 64) })
 	if allocs != 0 {
 		t.Fatalf("%.1f allocations per 64 ns of blocking traffic, want 0", allocs)
 	}

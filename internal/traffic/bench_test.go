@@ -14,7 +14,8 @@ import (
 // whole traffic windows (~4096 requests each) until b.N requests have been
 // generated, so ns/op and allocs/op read as per generated request — the
 // number that bounds how many logical clients a saturation sweep can
-// afford to aggregate.
+// afford to aggregate. starts/op, resumes/op and switches/op count the
+// kernel's work exactly.
 func BenchmarkTrafficEngine(b *testing.B) {
 	b.ReportAllocs()
 	spec := Spec{Tenants: []Tenant{{
@@ -27,17 +28,20 @@ func BenchmarkTrafficEngine(b *testing.B) {
 	window := time.Duration(requestsPerRun) * time.Millisecond
 	runs := 0
 	var generated uint64
+	var counts kernelCounts
 	b.ResetTimer()
 	for generated < uint64(b.N) {
 		env, fab, mount := fakeRig(1e12)
 		rep := Run(env, fab, 4, mount, Config{
 			Spec: spec, Duration: window, Seed: uint64(runs + 1),
 		})
+		counts.add(env)
 		generated += rep.Tenants[0].Offered
 		runs++
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(generated)/float64(runs), "req/run")
+	counts.report(b)
 }
 
 // armedSpec is BenchmarkTrafficEngine's tenant with the full policy stack
@@ -75,15 +79,18 @@ func BenchmarkResilienceOverhead(b *testing.B) {
 	window := time.Duration(requestsPerRun) * time.Millisecond
 	runs := 0
 	var generated uint64
+	var counts kernelCounts
 	b.ResetTimer()
 	for generated < uint64(b.N) {
 		env, fab, mount := fakeRig(1e12)
 		rep := Run(env, fab, 4, mount, Config{
 			Spec: spec, Duration: window, Seed: uint64(runs + 1),
 		})
+		counts.add(env)
 		generated += rep.Tenants[0].Offered
 		runs++
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(generated)/float64(runs), "req/run")
+	counts.report(b)
 }

@@ -131,9 +131,12 @@ func TestZeroCapacityDisablesBackpressure(t *testing.T) {
 // TestOpWriteAllocatesNothing: once warm, an op-level write — the RPC, the
 // SCM landing and the migration that drains it to QLC — allocates nothing.
 // The migration draws its record, and the flow inside it, from the
-// stager's free list.
+// stager's free list. A one-shard Group steps the Env, so its pooled
+// workers stay parked between steps.
 func TestOpWriteAllocatesNothing(t *testing.T) {
 	env := sim.NewEnv()
+	g := sim.NewGroup(1)
+	g.AddShard("rig", env)
 	fab := sim.NewFabric(env)
 	cfg := testConfig(&netsim.TCPTransport{PerConnBW: 5e9, Connections: 1, RPC: 50 * time.Microsecond})
 	cfg.ClientCacheBytes = 0 // every write reaches the backend
@@ -145,10 +148,10 @@ func TestOpWriteAllocatesNothing(t *testing.T) {
 			f.WriteAt(p, int64(i%64)<<20, 1<<20)
 		}
 	})
-	defer env.Shutdown()
-	env.StepUntil(sim.Time(2 * sim.Second)) // grows the calendar's buckets and the pools
+	defer g.Shutdown()
+	g.Run(sim.Time(2 * sim.Second)) // grows the calendar's buckets and the pools
 	before := sys.MigratedBytes()
-	allocs := testing.AllocsPerRun(20, func() { env.StepUntil(env.Now() + sim.Time(10*sim.Millisecond)) })
+	allocs := testing.AllocsPerRun(20, func() { g.Run(g.Now() + sim.Time(10*sim.Millisecond)) })
 	if sys.MigratedBytes() == before {
 		t.Fatal("no write migrated while measuring")
 	}
