@@ -100,6 +100,22 @@ func TestDiffDocs(t *testing.T) {
 			wantLines:    []string{"FAIL    BenchmarkA", "1.2 -> 1.3 resumes/op"},
 		},
 		{
+			name:         "filed-event count rise fails even within ns threshold",
+			oldDoc:       counted(100.0, map[string]float64{"events/op": 5.25, "starts/op": 0}),
+			newDoc:       counted(90.0, map[string]float64{"events/op": 5.26, "starts/op": 0}),
+			threshold:    0.10,
+			wantFailures: 1,
+			wantLines:    []string{"FAIL    BenchmarkA", "5.25 -> 5.26 events/op"},
+		},
+		{
+			name:         "filed-event count fall passes",
+			oldDoc:       counted(100.0, map[string]float64{"events/op": 5.25, "starts/op": 1.02}),
+			newDoc:       counted(100.0, map[string]float64{"events/op": 4.25, "starts/op": 0}),
+			threshold:    0.10,
+			wantFailures: 0,
+			wantLines:    []string{"ok      BenchmarkA", "5.25 -> 4.25 events/op", "1.02 -> 0 starts/op"},
+		},
+		{
 			name:         "a recorded count the new run lacks fails; a new count does not",
 			oldDoc:       counted(100.0, map[string]float64{"switches/op": 1.0}),
 			newDoc:       counted(100.0, map[string]float64{"starts/op": 1.0}),

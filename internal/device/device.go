@@ -369,16 +369,33 @@ func (d *Device) stream(p *sim.Proc, a Access, write bool, ioSize int64, bytes f
 	if bytes <= 0 {
 		return
 	}
-	devPipes := d.StreamPipes(a, write, ioSize)
-	if len(path) == 0 {
-		// Device-only stream: hand the fabric the cached slice directly.
-		d.fab.Transfer(p, devPipes, bytes, rateCap)
+	var buf [8]*sim.Pipe
+	d.fab.Transfer(p, d.streamPath(&buf, a, write, ioSize, path), bytes, rateCap)
+}
+
+// StreamThen is StreamRead (StreamWrite when write is set) without a
+// process: the stream's flow carries tag, and then runs as a continuation
+// of its completion (sim.Fabric.TransferThen) — at once, before StreamThen
+// returns, when there are no bytes to move.
+func (d *Device) StreamThen(a Access, write bool, ioSize int64, bytes float64, path []*sim.Pipe, rateCap float64, tag sim.FlowTag, then func()) {
+	if bytes <= 0 {
+		then()
 		return
 	}
-	// Concatenate into a stack array: devPipes is a shared cached slice and
-	// must never be extended in place, and Transfer keeps the pipes but not
-	// the slice that lists them.
 	var buf [8]*sim.Pipe
-	pipes := append(append(buf[:0], devPipes...), path...)
-	d.fab.Transfer(p, pipes, bytes, rateCap)
+	d.fab.TransferThen(0, d.streamPath(&buf, a, write, ioSize, path), bytes, rateCap, tag, then)
+}
+
+// streamPath resolves a stream's pipes: the device's (StreamPipes), then
+// the caller's path. A device-only stream gets the cached slice itself;
+// otherwise the two are concatenated into buf, since the cached slice is
+// shared and must never be extended in place. The fabric keeps the pipes
+// but not the slice that lists them, so buf may live on the caller's
+// stack.
+func (d *Device) streamPath(buf *[8]*sim.Pipe, a Access, write bool, ioSize int64, path []*sim.Pipe) []*sim.Pipe {
+	devPipes := d.StreamPipes(a, write, ioSize)
+	if len(path) == 0 {
+		return devPipes
+	}
+	return append(append(buf[:0], devPipes...), path...)
 }

@@ -81,6 +81,30 @@ type FlowTagger interface {
 	SetFlowTag(tag string)
 }
 
+// Starter is implemented by mounts that can serve a flow-level request
+// without a simulated process. Each method runs the pre-transfer code of
+// its blocking counterpart at the call, in the same order, moves the bytes
+// through continuations (sim.Fabric.TransferThen), runs what the blocking
+// form runs after its transfer, and calls done where the blocking form
+// would have returned — before the method returns when nothing waits.
+// The calendar sees the same events at the same instants either way, so a
+// caller may pick either form without moving the schedule.
+//
+// A method reports false, having changed nothing, when its blocking form
+// would park before its transfer (a retransmit penalty to pay, a full
+// staging tier to wait on): the caller then serves the request with a
+// process. Starter calls carry no cancellation token, so resilient
+// requests, which carry one, keep their processes. The traffic engine
+// serves its plain requests through a Starter when the mount offers one.
+type Starter interface {
+	// StartStreamWrite is StreamWrite without a process.
+	StartStreamWrite(path string, a Access, ioSize, total int64, done func()) bool
+	// StartStreamRead is StreamRead without a process.
+	StartStreamRead(path string, a Access, ioSize, total int64, done func()) bool
+	// StartMeta is Open(path, false) then Close without a process.
+	StartMeta(path string, done func()) bool
+}
+
 // File is an open handle.
 type File interface {
 	// Path returns the file's path.

@@ -63,12 +63,18 @@ func (c *ClientCore) SetFlowTag(tag string) { c.FlowTag = tag }
 // tag a shared process may carry from a previous mount. The op-level core
 // stamps its own entry points; concrete clients must call Stamp at the top
 // of their stream methods.
-func (c *ClientCore) Stamp(p *sim.Proc) {
+func (c *ClientCore) Stamp(p *sim.Proc) { p.SetFlowTagID(c.Tag(p.Env())) }
+
+// Tag returns the interned handle of the mount's flow tag, interning the
+// tag on env when it changed since the last call. Handles are assigned in
+// interning order, so a process-free operation must call Tag where its
+// blocking form calls Stamp.
+func (c *ClientCore) Tag(env *sim.Env) sim.FlowTag {
 	if c.tagFor != c.FlowTag {
-		c.tagID = p.Env().InternTag(c.FlowTag)
+		c.tagID = env.InternTag(c.FlowTag)
 		c.tagFor = c.FlowTag
 	}
-	p.SetFlowTagID(c.tagID)
+	return c.tagID
 }
 
 // FSName implements fsapi.Client.
@@ -105,12 +111,19 @@ func (c *ClientCore) Remove(p *sim.Proc, path string) {
 // Open implements fsapi.Client.
 func (c *ClientCore) Open(p *sim.Proc, path string, truncate bool) fsapi.File {
 	c.Stamp(p)
+	ino := c.OpenInode(path, truncate)
+	c.Backend.OpenLatency(p, ino)
+	return &file{client: c, ino: ino}
+}
+
+// OpenInode is Open's namespace step: it creates path if needed and, with
+// truncate, empties it and drops its cached pages.
+func (c *ClientCore) OpenInode(path string, truncate bool) *fsapi.Inode {
 	ino := c.NS.Create(path, truncate)
 	if truncate && c.Cache != nil {
 		c.Cache.InvalidateFile(ino.ID)
 	}
-	c.Backend.OpenLatency(p, ino)
-	return &file{client: c, ino: ino}
+	return ino
 }
 
 type file struct {

@@ -270,7 +270,12 @@ func (g *Group) next(w *worker) int {
 			if g.clock == g.until {
 				return dispDone
 			}
-			g.deliver()
+			if w == nil {
+				g.deliver()
+			} else if !g.deliverOnWorker() {
+				g.shards[0].env.handBack() // relayed like a callback panic
+				return dispHandoff
+			}
 			g.bound = g.boundary(g.until)
 			g.cur = 0
 		}
@@ -341,6 +346,21 @@ func (g *Group) deliver() {
 	}
 	clear(g.pending)
 	g.pending = g.pending[:0]
+}
+
+// deliverOnWorker is deliver for a process goroutine closing the window.
+// Its conservative-violation panic, a kernel bug, is relayed through the
+// first shard's fnPanic like a callback panic, so it surfaces at the
+// Group.Run caller, which rethrows every shard's relayed value, instead of
+// crashing the program on the worker.
+func (g *Group) deliverOnWorker() (ok bool) {
+	defer func() {
+		if !ok {
+			g.shards[0].env.fnPanic = recover()
+		}
+	}()
+	g.deliver()
+	return true
 }
 
 // Shutdown shuts every shard Env down, unwinding the processes still

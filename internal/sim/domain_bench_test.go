@@ -28,8 +28,8 @@ func windowRig(busy, windows int) *Group {
 
 // BenchmarkGroupWindow is the window-cost rung of the bench ladder: ns/op
 // is the cost of one window of windowRig, both shards stepped in turn.
-// starts/op, resumes/op and switches/op count the kernel's work exactly,
-// summed over the shards.
+// events/op, starts/op, resumes/op and switches/op count the kernel's work
+// exactly, summed over the shards.
 func BenchmarkGroupWindow(b *testing.B) {
 	for _, busy := range []int{1, 2} {
 		b.Run(fmt.Sprintf("busy=%d", busy), func(b *testing.B) {
@@ -40,7 +40,12 @@ func BenchmarkGroupWindow(b *testing.B) {
 			b.StopTimer()
 			g.Shutdown()
 			switches, resumes, starts := groupCounts(g)
+			events := 0
+			for _, s := range g.shards {
+				events += s.env.Events()
+			}
 			n := float64(b.N)
+			b.ReportMetric(float64(events)/n, "events/op")
 			b.ReportMetric(float64(starts)/n, "starts/op")
 			b.ReportMetric(float64(resumes)/n, "resumes/op")
 			b.ReportMetric(float64(switches)/n, "switches/op")

@@ -246,6 +246,31 @@ func TestGroupPanicPropagation(t *testing.T) {
 		g.Run(1000)
 		t.Fatal("run returned despite panicking model")
 	})
+	t.Run("conservative violation on a process goroutine", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		g := NewGroup(1)
+		s0 := g.AddShard("s0", NewEnv())
+		g.AddShard("s1", NewEnv())
+		g.LinkAll(100)
+		// The process plants a message due before the barrier it is
+		// delivered at, which only a kernel bug could send, and parks: its
+		// goroutine closes the window and delivers.
+		s0.Env().Go("planter", func(p *Proc) {
+			p.Sleep(150)
+			g.pending = append(g.pending, xmsg{at: 10, src: 0, dst: 1, fn: func() {}})
+			p.Sleep(1000)
+		})
+		defer func() {
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, "conservative synchronization violated") {
+				t.Fatalf("recovered %v, want the conservative-violation panic", r)
+			}
+			g.Shutdown()
+			settleGoroutines(t, base)
+		}()
+		g.Run(10000)
+		t.Fatal("run returned despite the late message")
+	})
 }
 
 // groupCounts sums the kernel's counts over a group's shards.

@@ -90,7 +90,8 @@ func (e *Env) Now() Time { return e.now }
 
 // Starts returns how many process functions have begun. Tests and
 // benchmarks read it, with Resumes and Switches, to pin the work a design
-// keeps out of processes.
+// keeps out of processes. An attempt that GoTry served without a process
+// is no start.
 func (e *Env) Starts() int { return e.starts }
 
 // Resumes returns how many times a parked process has been woken.
@@ -103,6 +104,14 @@ func (e *Env) Resumes() int { return e.resumes }
 // Like the other counts it is deterministic: it follows from the calendar
 // alone.
 func (e *Env) Switches() int { return e.switches }
+
+// Events returns how many events have been filed on the calendar: every
+// timer, process start and wake-up, continuation, transfer stage and
+// group delivery, cancelled ones included. Each filing takes the next
+// sequence number, so two designs that file the same count at the same
+// pops run the same schedule; benchmarks report it to show, on any host,
+// that a change moved no event.
+func (e *Env) Events() int { return int(e.seq) }
 
 // Pending returns the number of live events on the calendar — cancelled
 // events are dropped from the count immediately and never resurface.
@@ -180,7 +189,19 @@ func (t Timer) Cancel() {
 // layer's attempts) allocates no record per spawn. A caller that must join
 // the process uses a WaitGroup. Recycling consumes no sequence number: the
 // evStart event is the same whether the record is new or reused.
-func (e *Env) Go(name string, fn func(p *Proc)) {
+func (e *Env) Go(name string, fn func(p *Proc)) { e.GoTry(name, nil, fn) }
+
+// GoTry is Go for work that usually needs no process. It files the same
+// start event as Go. When dispatch pops it, try runs first, on whichever
+// goroutine drains the calendar, like a continuation (MODEL.md §11). If
+// try returns true it has served the work by itself, typically by filing
+// continuations, and no process starts: Starts, Resumes and Switches do
+// not move. If it returns false, fn starts at that same pop, exactly as
+// Go's process would have, so try must change nothing when it declines.
+// A panic in try surfaces at the Run caller like a callback panic, and
+// Shutdown drops an attempt that has not run with its start event. A nil
+// try is Go.
+func (e *Env) GoTry(name string, try func() bool, fn func(p *Proc)) {
 	var p *Proc
 	if n := len(e.freeProcs); n > 0 {
 		p = e.freeProcs[n-1]
@@ -192,6 +213,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) {
 	} else {
 		p = &Proc{env: e, name: name, fn: fn, blockedIdx: -1}
 	}
+	p.try = try
 	e.scheduleEvent(e.now, evStart, nil, p)
 }
 
@@ -234,8 +256,9 @@ const (
 // model's high-water mark, bounded by the worker pool cap; panics from
 // model callbacks are relayed through fnPanic so they still surface at the
 // Run caller, as they did in the seed. The stages of a pending transfer
-// (Fabric.TransferAfter) run inline the same way, and resume their process
-// only when the transfer returns at a stage.
+// (Fabric.TransferAfter, TransferThen) run inline the same way, and resume
+// their process only when the transfer returns at a stage; so does a
+// GoTry attempt, which starts its process only when it declines.
 func (e *Env) dispatch(w *worker) int {
 	for {
 		ev := e.q.pop(e.deadline)
@@ -262,13 +285,13 @@ func (e *Env) dispatch(w *worker) int {
 			e.q.release(ev)
 			return e.resume(w, p)
 		case evTransfer:
-			p, x := ev.proc, ev.xfer
+			p, x := ev.proc, ev.xfer // p is nil for TransferThen's stages
 			e.q.release(ev)
 			resume, ok := false, true
 			if w == nil {
-				resume = x.f.stepPending(p, x)
+				resume = x.f.stepPending(x)
 			} else {
-				resume, ok = e.stepPendingOnWorker(p, x)
+				resume, ok = e.stepPendingOnWorker(x)
 			}
 			if !ok {
 				e.handBack() // relayed like a callback panic
@@ -280,6 +303,24 @@ func (e *Env) dispatch(w *worker) int {
 		default: // evStart
 			p := ev.proc
 			e.q.release(ev)
+			if try := p.try; try != nil {
+				p.try = nil
+				served, ok := false, true
+				if w == nil {
+					served = try()
+				} else {
+					served, ok = e.tryOnWorker(try)
+				}
+				if !ok {
+					e.handBack() // relayed like a callback panic
+					return dispHandoff
+				}
+				if served {
+					p.fn = nil
+					e.recycleProc(p)
+					continue
+				}
+			}
 			e.starts++
 			nw := e.takeWorker()
 			if nw == nil {
@@ -365,13 +406,23 @@ func (e *Env) runFnOnWorker(fn func()) (ok bool) {
 
 // stepPendingOnWorker is runFnOnWorker for the in-line stage of a pending
 // transfer (Fabric.stepPending), which starts a flow and so runs model code.
-func (e *Env) stepPendingOnWorker(p *Proc, x *pendingTransfer) (resume, ok bool) {
+func (e *Env) stepPendingOnWorker(x *pendingTransfer) (resume, ok bool) {
 	defer func() {
 		if !ok {
 			e.fnPanic = recover()
 		}
 	}()
-	return x.f.stepPending(p, x), true
+	return x.f.stepPending(x), true
+}
+
+// tryOnWorker is runFnOnWorker for a GoTry attempt.
+func (e *Env) tryOnWorker(try func() bool) (served, ok bool) {
+	defer func() {
+		if !ok {
+			e.fnPanic = recover()
+		}
+	}()
+	return try(), true
 }
 
 // maxFreeWorkers bounds the idle-goroutine pool. Recycling wins on churny
@@ -557,15 +608,16 @@ func (e *Env) Shutdown() {
 // dropCalendar empties the calendar for Shutdown. It returns each process
 // a pending resume belongs to — one parked on a timer or in a transfer's
 // delay or latency stage, or woken but not yet resumed — and marks it
-// finished so it is listed once. Unstarted processes are dropped with
-// their start events.
+// finished so it is listed once. Unstarted processes and GoTry attempts
+// are dropped with their start events, and the stages of a TransferThen,
+// which have no process, with their events.
 func (e *Env) dropCalendar() (parked []*Proc) {
 	for {
 		ev := e.q.pop(Time(math.MaxInt64))
 		if ev == nil {
 			return parked
 		}
-		if p := ev.proc; (ev.kind == evResume || ev.kind == evTransfer) && !p.finished {
+		if p := ev.proc; p != nil && (ev.kind == evResume || ev.kind == evTransfer) && !p.finished {
 			p.finished = true
 			parked = append(parked, p)
 		}

@@ -297,24 +297,47 @@ func (f *Fabric) TransferAfter(p *Proc, delay Duration, pipes []*Pipe, bytes flo
 		p.Sleep(max(delay, 0))
 		return
 	}
-	x := f.newPending(pipes, bytes, rateCap)
-	if delay > 0 {
-		f.env.scheduleEvent(f.env.now.Add(delay), evTransfer, nil, p).xfer = x
-	} else if f.stepPending(p, x) {
+	if f.pend(delay, pipes, bytes, rateCap, waiter{p: p}, p.flowTag) {
 		return // the token had fired: no delay to wait out
 	}
 	p.park("")
 }
 
-// pendingTransfer is a TransferAfter whose flow has not started: its
-// process is parked and an evTransfer event carries the record to the next
-// stage. The path is copied into buf, so the caller's pipe slice may live
-// on its stack.
+// TransferThen is TransferAfter without a process: the flow carries tag,
+// and then runs as a continuation of its completion (Event.Notify), filed
+// where Fire would have filed the resume of a process waiting in
+// TransferAfter. The stages run as TransferAfter's do and take the same
+// sequence numbers, so a request that turns a process's TransferAfter and
+// what follows it into TransferThen and a continuation keeps the
+// schedule (MODEL.md §11, "Continuations"). A continuation is not a
+// process: no abort token is involved and no deadlock-list entry is made.
+// With no bytes, then runs after the delay — before TransferThen returns
+// when there is none, as TransferAfter would return at once.
+func (f *Fabric) TransferThen(delay Duration, pipes []*Pipe, bytes float64, rateCap float64, tag FlowTag, then func()) {
+	if bytes <= 0 {
+		if delay > 0 {
+			f.env.After(delay, then)
+		} else {
+			then()
+		}
+		return
+	}
+	f.pend(delay, pipes, bytes, rateCap, waiter{fn: then}, tag)
+}
+
+// pendingTransfer is a transfer whose flow has not started: a
+// TransferAfter, whose process is parked, or a TransferThen. An
+// evTransfer event carries the record to the next stage. The path is
+// copied into buf, so the caller's pipe slice may live on its stack.
 type pendingTransfer struct {
 	f       *Fabric
 	pipes   []*Pipe // the path, in buf unless it is longer
 	bytes   float64
 	rateCap float64
+	tag     FlowTag
+	// w waits on the flow: TransferAfter's process or TransferThen's
+	// continuation, as on an Event's waiter list.
+	w       waiter
 	latency bool             // the delay is over; the next stage starts the flow
 	next    *pendingTransfer // Env.freePending's link
 	buf     [8]*Pipe
@@ -328,7 +351,10 @@ type pendingTransfer struct {
 // (Env.stopWorkers); a record keeps nothing of a run between uses.
 var pendingPool sync.Pool
 
-func (f *Fabric) newPending(pipes []*Pipe, bytes, rateCap float64) *pendingTransfer {
+// pend records a transfer for waiter w and files its first stage at the
+// end of the delay, or runs it at once when there is none; it reports
+// whether the transfer returned at once (stepPending).
+func (f *Fabric) pend(delay Duration, pipes []*Pipe, bytes, rateCap float64, w waiter, tag FlowTag) bool {
 	e := f.env
 	x := e.freePending
 	if x != nil {
@@ -341,7 +367,12 @@ func (f *Fabric) newPending(pipes []*Pipe, bytes, rateCap float64) *pendingTrans
 	x.f = f
 	x.pipes = append(x.buf[:0], pipes...)
 	x.bytes, x.rateCap, x.latency = bytes, rateCap, false
-	return x
+	x.w, x.tag = w, tag
+	if delay > 0 {
+		e.scheduleEvent(e.now.Add(delay), evTransfer, nil, w.p).xfer = x
+		return false
+	}
+	return f.stepPending(x)
 }
 
 // poolTransfers hands the Env's idle transfer records to pendingPool,
@@ -356,16 +387,18 @@ func (e *Env) poolTransfers() {
 	e.freePending = nil
 }
 
-// stepPending runs the stage of p's pending transfer x that is due now —
+// stepPending runs the stage of the pending transfer x that is due now —
 // on the goroutine draining the calendar, or at the call when there is no
 // delay — exactly as the woken process would have: a fired abort token
-// ends the transfer, the end of the delay files the latency stage, and the
-// start instant starts the flow with p as its waiter, registered on p's
-// abort token and listed on the deadlock list as Event.Wait would list it.
-// It reports whether the transfer returned.
-func (f *Fabric) stepPending(p *Proc, x *pendingTransfer) (returned bool) {
+// ends a process's transfer, the end of the delay files the latency
+// stage, and the start instant starts the flow with x's waiter. A process
+// waiter is registered on its abort token and listed on the deadlock list
+// as Event.Wait would list it; a continuation is neither. It reports
+// whether the transfer returned, which only an abort makes it do.
+func (f *Fabric) stepPending(x *pendingTransfer) (returned bool) {
 	e := f.env
-	if returned = p.Aborted(); !returned {
+	p := x.w.p
+	if returned = p != nil && p.Aborted(); !returned {
 		if !x.latency {
 			x.latency = true
 			if lat := PathLatency(x.pipes); lat > 0 {
@@ -373,11 +406,14 @@ func (f *Fabric) stepPending(p *Proc, x *pendingTransfer) (returned bool) {
 				return false
 			}
 		}
-		fl := f.startFlow(nil, x.pipes, x.bytes, x.rateCap, p.flowTag)
-		p.abort.onFireFlow(f, fl)
-		fl.done.addWaiter(p)
-		e.pushBlocked(p, "event")
+		fl := f.startFlow(nil, x.pipes, x.bytes, x.rateCap, x.tag)
+		fl.done.add(x.w)
+		if p != nil {
+			p.abort.onFireFlow(f, fl)
+			e.pushBlocked(p, "event")
+		}
 	}
+	x.w = waiter{}
 	x.next, e.freePending = e.freePending, x
 	return returned
 }

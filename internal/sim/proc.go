@@ -18,6 +18,9 @@ type Proc struct {
 	w          *worker
 	blockedIdx int // index in env.blocked, -1 when not parked on a wait
 	finished   bool
+	// try is the attempt of a GoTry start, nil for Go; dispatch clears it
+	// when it runs.
+	try func() bool
 
 	// flowTag labels every fabric flow this process starts (multi-tenant
 	// attribution; see Fabric.TagBytes). Backends stamp the interned handle

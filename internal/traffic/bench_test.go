@@ -4,44 +4,58 @@ import (
 	"testing"
 	"time"
 
+	"storagesim/internal/fsapi"
 	"storagesim/internal/netsim"
 	"storagesim/internal/resilience"
 )
 
 // BenchmarkTrafficEngine measures the end-to-end cost of one generated
 // request through the open-loop engine: arrival draw, admission check,
-// request process spawn, one fabric transfer, sketch update. The loop runs
+// the request's start, one fabric transfer, sketch update. The loop runs
 // whole traffic windows (~4096 requests each) until b.N requests have been
 // generated, so ns/op and allocs/op read as per generated request — the
 // number that bounds how many logical clients a saturation sweep can
-// afford to aggregate. starts/op, resumes/op and switches/op count the
-// kernel's work exactly.
+// afford to aggregate. events/op, starts/op, resumes/op and switches/op
+// count the kernel's work exactly. The continuation variant serves each
+// request without a process, through the mount's fsapi.Starter, as the
+// engine does on VAST; the process variant hides the Starter, as on the
+// other backends. Both file the same events.
 func BenchmarkTrafficEngine(b *testing.B) {
-	b.ReportAllocs()
 	spec := Spec{Tenants: []Tenant{{
 		Name: "bench", Clients: 1_000_000, Workload: SeqWrite,
 		Arrival:      Arrival{Kind: Poisson, Rate: 1e-3}, // 1000 req/s aggregate
 		RequestBytes: 1 << 20, IOBytes: 1 << 20,
 		MaxInflight: 256,
 	}}}
-	const requestsPerRun = 4096
-	window := time.Duration(requestsPerRun) * time.Millisecond
-	runs := 0
-	var generated uint64
-	var counts kernelCounts
-	b.ResetTimer()
-	for generated < uint64(b.N) {
-		env, fab, mount := fakeRig(1e12)
-		rep := Run(env, fab, 4, mount, Config{
-			Spec: spec, Duration: window, Seed: uint64(runs + 1),
+	for _, v := range []struct {
+		name string
+		wrap func(func(string, int) fsapi.Client) func(string, int) fsapi.Client
+	}{{"continuation", nil}, {"process", processMounts}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			const requestsPerRun = 4096
+			window := time.Duration(requestsPerRun) * time.Millisecond
+			runs := 0
+			var generated uint64
+			var counts kernelCounts
+			b.ResetTimer()
+			for generated < uint64(b.N) {
+				env, fab, mount := fakeRig(1e12)
+				if v.wrap != nil {
+					mount = v.wrap(mount)
+				}
+				rep := Run(env, fab, 4, mount, Config{
+					Spec: spec, Duration: window, Seed: uint64(runs + 1),
+				})
+				counts.add(env)
+				generated += rep.Tenants[0].Offered
+				runs++
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(generated)/float64(runs), "req/run")
+			counts.report(b)
 		})
-		counts.add(env)
-		generated += rep.Tenants[0].Offered
-		runs++
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(generated)/float64(runs), "req/run")
-	counts.report(b)
 }
 
 // armedSpec is BenchmarkTrafficEngine's tenant with the full policy stack

@@ -42,6 +42,8 @@ type tenantState struct {
 	obs      func(trace.Event)
 	outObs   func(OutcomeEvent)
 	remote   fsapi.Client // serves the requests other racks forward here
+	// remoteStart is remote's process-free form, nil when it has none.
+	remoteStart fsapi.Starter
 
 	// Resilience-layer state; zero/nil for tenants without a policy.
 	breaker       *resilience.Breaker
@@ -155,6 +157,7 @@ func startRacks(cfg *Config, racks []Rack, env *sim.Env, remote float64) []*rack
 		if remote > 0 {
 			for ti, st := range rk.tenants {
 				st.remote = mountTagged(rs.Mount, st.spec.Name+"@rem", ti%rs.Nodes, st.spec.Name)
+				st.remoteStart, _ = st.remote.(fsapi.Starter)
 			}
 		}
 		base += rs.Nodes
@@ -317,7 +320,8 @@ type shard struct {
 	rk        *rack
 	st        *tenantState
 	cl        fsapi.Client
-	r         int // rack index
+	start     fsapi.Starter // cl's process-free form on the plain path, else nil
+	r         int           // rack index
 	node      int
 	resilient bool
 	name      string
@@ -337,7 +341,8 @@ type shard struct {
 
 // newShard builds the shard of tenant st on node `node` of rack r, serving
 // on cl under the /<ns>/<tenant>/n<node>/f<k> paths. Tenants without a
-// resilience policy (in specs without brownout) run the plain path.
+// resilience policy (in specs without brownout) run the plain path, with
+// no process when cl offers fsapi.Starter.
 func newShard(rk *rack, st *tenantState, r, node int, cl fsapi.Client, ns string) *shard {
 	sh := &shard{
 		env:       rk.env,
@@ -348,6 +353,9 @@ func newShard(rk *rack, st *tenantState, r, node int, cl fsapi.Client, ns string
 		node:      node,
 		resilient: st.spec.Resilience.Enabled() || rk.brown.Enabled(),
 		name:      fmt.Sprintf("%s/%s/r%dn%d", ns, st.spec.Name, r, node),
+	}
+	if !sh.resilient {
+		sh.start, _ = cl.(fsapi.Starter)
 	}
 	for i := range sh.paths {
 		sh.paths[i] = fmt.Sprintf("/%s/%s/n%d/f%d", ns, st.spec.Name, node, i)
@@ -465,13 +473,17 @@ func (sh *shard) arrive(now sim.Time) {
 	// successive requests of one shard) must desynchronize, so the flow id
 	// mixes the node index with the shard-local sequence number.
 	rec.call.FlowID = (uint64(sh.node)+1)*0x9e3779b97f4a7c15 + sh.reqIdx
-	if sh.resilient {
+	switch {
+	case sh.resilient:
 		// The coordinator is a continuation, started like a plain
 		// request's process: one calendar event at the arrival instant.
 		sh.env.Schedule(now, rec.coordFn)
-		return
+	case sh.start != nil:
+		// Served without a process unless the mount must park first.
+		sh.env.GoTry(sh.name, rec.tryFn, rec.runFn)
+	default:
+		sh.env.Go(sh.name, rec.runFn)
 	}
-	sh.env.Go(sh.name, rec.runFn)
 }
 
 // placement returns the rack owning the admitted request's data: with
@@ -509,6 +521,8 @@ type reqRec struct {
 	probe  bool
 	target int
 	runFn  func(rp *sim.Proc) // a plain tenant's request process
+	tryFn  func() bool        // its GoTry attempt on the shard's Starter
+	doneFn func()             // a served request's completion, back home
 
 	// A resilient tenant's request: the call, started by coordFn and
 	// settled by settleFn.
@@ -516,11 +530,13 @@ type reqRec struct {
 	coordFn  func()
 	settleFn func(resilience.Outcome)
 
-	// Forwarding stages: start the remote serve on the owning rack, serve,
-	// complete back home.
-	fwdFn   func()
-	remFn   func(rp *sim.Proc)
-	replyFn func()
+	// Forwarding stages: start the remote serve on the owning rack, serve
+	// there, with a process (remFn) or without (remTryFn), and send the
+	// reply home (sendFn), where doneFn completes the request.
+	fwdFn    func()
+	remFn    func(rp *sim.Proc)
+	remTryFn func() bool
+	sendFn   func()
 }
 
 // getRec draws a record from the shard pool, creating (and binding its
@@ -534,6 +550,7 @@ func (sh *shard) getRec() *reqRec {
 		return rec
 	}
 	rec := &reqRec{sh: sh}
+	rec.doneFn = func() { sh.finish(rec, sh.env.Now(), resilience.Outcome{OK: true}) }
 	if sh.resilient {
 		rec.coordFn = rec.coordinate
 		rec.settleFn = rec.settle
@@ -541,17 +558,27 @@ func (sh *shard) getRec() *reqRec {
 		rec.call.OnIdle = func() { sh.freeRec(rec) }
 	} else {
 		rec.runFn = rec.run
+		rec.tryFn = func() bool { return rec.startOn(sh.start, rec.doneFn) }
 	}
 	if sh.place != nil {
 		// A forwarded record is handed between racks only through group
 		// messages, whose barrier orders every access to it.
-		rec.fwdFn = func() { sh.racks[rec.target].env.Go(sh.name, rec.remFn) }
-		rec.remFn = func(rp *sim.Proc) {
+		rec.fwdFn = func() {
 			owner := sh.racks[rec.target]
-			rec.serve(rp, owner.tenants[sh.ti].remote)
-			owner.shard.Send(sh.rk.shard, 0, rec.replyFn)
+			if owner.tenants[sh.ti].remoteStart != nil {
+				owner.env.GoTry(sh.name, rec.remTryFn, rec.remFn)
+			} else {
+				owner.env.Go(sh.name, rec.remFn)
+			}
 		}
-		rec.replyFn = func() { sh.finish(rec, sh.env.Now(), resilience.Outcome{OK: true}) }
+		rec.remFn = func(rp *sim.Proc) {
+			rec.serve(rp, sh.racks[rec.target].tenants[sh.ti].remote)
+			rec.sendFn()
+		}
+		rec.remTryFn = func() bool {
+			return rec.startOn(sh.racks[rec.target].tenants[sh.ti].remoteStart, rec.sendFn)
+		}
+		rec.sendFn = func() { sh.racks[rec.target].shard.Send(sh.rk.shard, 0, rec.doneFn) }
 	}
 	return rec
 }
@@ -582,7 +609,7 @@ func (rec *reqRec) release() {
 // run is the request body of a plain tenant.
 func (rec *reqRec) run(rp *sim.Proc) {
 	rec.serve(rp, rec.sh.cl)
-	rec.sh.finish(rec, rp.Now(), resilience.Outcome{OK: true})
+	rec.doneFn()
 }
 
 // coordinate starts a resilient tenant's request: the pooled call under
@@ -621,6 +648,24 @@ func (rec *reqRec) serve(p *sim.Proc, cl fsapi.Client) {
 		f := cl.Open(p, rec.path, false)
 		f.Close(p)
 	}
+}
+
+// startOn is serve without a process, on a mount that offers it: it reports
+// false, having changed nothing, when the mount must park before the
+// transfer, and otherwise calls done where serve would have returned.
+func (rec *reqRec) startOn(s fsapi.Starter, done func()) bool {
+	switch rec.ev.Op {
+	case trace.OpWrite:
+		return s.StartStreamWrite(rec.path, fsapi.Sequential, rec.io, rec.ev.Bytes, done)
+	case trace.OpRead:
+		return s.StartStreamRead(rec.path, fsapi.Sequential, rec.io, rec.ev.Bytes, done)
+	case trace.OpRandRead:
+		return s.StartStreamRead(rec.path, fsapi.Random, rec.io, rec.ev.Bytes, done)
+	case trace.OpMeta:
+		return s.StartMeta(rec.path, done)
+	}
+	done() // serve does nothing for any other op
+	return true
 }
 
 // finish settles a request that ended at now — served, or failed by its

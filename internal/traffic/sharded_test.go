@@ -30,7 +30,7 @@ func buildShardedRig(nracks, nodes int, bw float64, linkLat sim.Duration) (*sim.
 			Fab:   fab,
 			Nodes: nodes,
 			Mount: func(tenant string, node int) fsapi.Client {
-				return &fakeClient{fab: fab, path: []*sim.Pipe{pipe}, opLat: 200 * time.Microsecond}
+				return &fakeClient{env: env, fab: fab, path: []*sim.Pipe{pipe}, opLat: 200 * time.Microsecond}
 			},
 		}
 	}

@@ -192,6 +192,16 @@ func (c *ioCaptureClient) StreamRead(p *sim.Proc, path string, a fsapi.Access, i
 	c.fakeClient.StreamRead(p, path, a, ioSize, total)
 }
 
+func (c *ioCaptureClient) StartStreamWrite(path string, a fsapi.Access, ioSize, total int64, done func()) bool {
+	*c.ios = append(*c.ios, ioSize)
+	return c.fakeClient.StartStreamWrite(path, a, ioSize, total, done)
+}
+
+func (c *ioCaptureClient) StartStreamRead(path string, a fsapi.Access, ioSize, total int64, done func()) bool {
+	*c.ios = append(*c.ios, ioSize)
+	return c.fakeClient.StartStreamRead(path, a, ioSize, total, done)
+}
+
 // TestReplayOpSize: a recorded Event.IO overrides the replay's default op
 // size; without one the default applies, clamped to the request payload.
 func TestReplayOpSize(t *testing.T) {

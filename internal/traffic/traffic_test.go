@@ -14,8 +14,11 @@ import (
 
 // fakeClient is a minimal fsapi.Client for engine tests: every stream
 // crosses one shared pipe (so tenants contend and tagging is observable)
-// and metadata ops cost a fixed latency.
+// and metadata ops cost a fixed latency. It offers fsapi.Starter, as the
+// VAST mounts do, so plain requests run without a process; processClient
+// hides that.
 type fakeClient struct {
+	env   *sim.Env
 	fab   *sim.Fabric
 	path  []*sim.Pipe
 	tag   string
@@ -45,6 +48,45 @@ func (c *fakeClient) Open(p *sim.Proc, path string, truncate bool) fsapi.File {
 func (c *fakeClient) Remove(p *sim.Proc, path string) { p.Sleep(c.opLat) }
 func (c *fakeClient) DropCaches()                     {}
 
+// StartStreamWrite implements fsapi.Starter: StreamWrite without a process.
+func (c *fakeClient) StartStreamWrite(path string, a fsapi.Access, ioSize, total int64, done func()) bool {
+	c.fab.TransferThen(0, c.path, float64(total), 0, c.env.InternTag(c.tag), done)
+	return true
+}
+
+// StartStreamRead implements fsapi.Starter: StreamRead without a process.
+func (c *fakeClient) StartStreamRead(path string, a fsapi.Access, ioSize, total int64, done func()) bool {
+	c.fab.TransferThen(0, c.path, float64(total), 0, c.env.InternTag(c.tag), done)
+	return true
+}
+
+// StartMeta implements fsapi.Starter: Open and Close without a process.
+func (c *fakeClient) StartMeta(path string, done func()) bool {
+	c.env.InternTag(c.tag)
+	if c.opLat > 0 {
+		c.env.After(c.opLat, done)
+	} else {
+		done()
+	}
+	return true
+}
+
+// processClient hides a mount's fsapi.Starter, so the engine serves every
+// plain request with a process, as on a backend without one. It forwards
+// the flow tag.
+type processClient struct{ fsapi.Client }
+
+func (c processClient) SetFlowTag(tag string) {
+	if tg, ok := c.Client.(fsapi.FlowTagger); ok {
+		tg.SetFlowTag(tag)
+	}
+}
+
+// processMounts wraps every mount mount mints in a processClient.
+func processMounts(mount func(string, int) fsapi.Client) func(string, int) fsapi.Client {
+	return func(tenant string, node int) fsapi.Client { return processClient{mount(tenant, node)} }
+}
+
 type fakeFile struct{}
 
 func (fakeFile) Path() string                      { return "" }
@@ -61,7 +103,7 @@ func fakeRig(bw float64) (*sim.Env, *sim.Fabric, func(string, int) fsapi.Client)
 	fab := sim.NewFabric(env)
 	link := fab.NewPipe("link", bw, 10*time.Microsecond)
 	mount := func(tenant string, node int) fsapi.Client {
-		return &fakeClient{fab: fab, path: []*sim.Pipe{link}, opLat: 200 * time.Microsecond}
+		return &fakeClient{env: env, fab: fab, path: []*sim.Pipe{link}, opLat: 200 * time.Microsecond}
 	}
 	return env, fab, mount
 }

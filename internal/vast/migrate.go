@@ -69,19 +69,26 @@ func (st *stager) Migrated() int64 { return st.migrated }
 // throttled is refused at the next space broadcast (migrations keep
 // draining during faults, so the wait is bounded) and must not migrate.
 func (st *stager) admit(p *sim.Proc, bytes int64) bool {
-	if bytes <= 0 {
-		return true
-	}
-	if st.capacity > 0 {
-		for st.staged >= st.capacity {
-			if p.Aborted() {
-				return false
-			}
-			st.space.Wait(p)
+	for st.full(bytes) {
+		if p.Aborted() {
+			return false
 		}
+		st.space.Wait(p)
 	}
-	st.staged += bytes
+	st.stage(bytes)
 	return true
+}
+
+// full reports whether a write of bytes must wait for staging room.
+func (st *stager) full(bytes int64) bool {
+	return bytes > 0 && st.capacity > 0 && st.staged >= st.capacity
+}
+
+// stage accounts an admitted write's bytes as staged.
+func (st *stager) stage(bytes int64) {
+	if bytes > 0 {
+		st.staged += bytes
+	}
 }
 
 // migrate starts the asynchronous drain of bytes that have landed on SCM.

@@ -200,6 +200,10 @@ type System struct {
 	clients []*client
 
 	nextCNode int
+
+	// freeStarts lists the idle records of process-free requests (see
+	// start.go).
+	freeStarts []*startRec
 }
 
 // New builds the system, creating all pipes and devices on fab.
@@ -435,8 +439,7 @@ func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, t
 	if fsapi.Aborted(p) {
 		return // deadline fired during the retransmit penalty
 	}
-	ino := c.sys.ns.Create(path, false)
-	c.sys.ns.Extend(ino, 0, total)
+	c.extend(path, total)
 	if !c.sys.staging.admit(p, total) {
 		return // aborted while throttled behind the staging tier
 	}
@@ -457,6 +460,19 @@ func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, to
 		return
 	}
 	pa := c.readPath()
+	c.sys.qlc.StreamRead(p, a, ioSize, float64(total), pa.Pipes, readCap(pa, a, ioSize))
+}
+
+// extend creates path if needed and grows it to total bytes: a stream
+// write's namespace update.
+func (c *client) extend(path string, total int64) {
+	ino := c.sys.ns.Create(path, false)
+	c.sys.ns.Extend(ino, 0, total)
+}
+
+// readCap is a read stream's rate cap on pa: the path's, and for random
+// streams also the blocking-request ceiling.
+func readCap(pa netsim.Path, a fsapi.Access, ioSize int64) float64 {
 	capBps := pa.FlowCap
 	if a == fsapi.Random {
 		rtt := 2*pa.Latency() + pa.RPCLatency
@@ -464,7 +480,7 @@ func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, to
 			capBps = bc
 		}
 	}
-	c.sys.qlc.StreamRead(p, a, ioSize, float64(total), pa.Pipes, capBps)
+	return capBps
 }
 
 // --- op-level backend ---
@@ -529,14 +545,20 @@ func (b *backend) OpCommit(p *sim.Proc, ino *fsapi.Inode) {}
 func (b *backend) OpenLatency(p *sim.Proc, ino *fsapi.Inode) {
 	c := (*client)(b)
 	c.maybeRetry(p)
-	pa := c.readPath()
-	if d := pa.RPCLatency + c.sys.cfg.MetaLatency; d > 0 {
+	if d := c.metaLatency(); d > 0 {
 		p.Sleep(d)
 	}
+}
+
+// metaLatency is the cost of one metadata round trip: the RPC and the
+// SCM metadata lookup.
+func (c *client) metaLatency() sim.Duration {
+	return c.readPath().RPCLatency + c.sys.cfg.MetaLatency
 }
 
 // Interface checks.
 var (
 	_ fsapi.Client   = (*client)(nil)
+	_ fsapi.Starter  = (*client)(nil)
 	_ fsbase.Backend = (*backend)(nil)
 )
