@@ -26,7 +26,10 @@ test:
 
 # The race gate checks the baton's hand-offs between process goroutines
 # (docs/MODEL.md §11) and that the figure sweeps' concurrent simulations
-# (§6) share no state. A sim.Group starts no goroutine of its own.
+# (§6) share no state. A sim.Group starts no goroutine of its own. The
+# panic and shutdown tests run ten times more: a worker that a panic
+# unwound writes its state, hands the value back and exits, an ordering
+# across goroutines that one pass may not exercise.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiments/... \
 		./internal/faults/... ./internal/vast/... ./internal/repair/... \
@@ -34,6 +37,7 @@ race:
 		./internal/resilience/... ./internal/configsearch/... \
 		./internal/surrogate/...
 	$(GO) test -race -tags simreference ./internal/sim/
+	$(GO) test -race -count=10 -run 'Panic|Shutdown' ./internal/sim/
 
 # The oracle build: -tags simreference swaps the DES kernel's calendar
 # queue for the seed's binary-heap scheduler. Every internal test passes

@@ -34,10 +34,16 @@ func dlioNodes(model string, quick bool) []int {
 	return []int{1, 2, 4, 8, 16, 32}
 }
 
-// dlioSweep runs the model on both file systems over the node sweep, all
-// points at once on the point pool, and hands each node count's
-// repetitions to collect in serial order.
-func dlioSweep(cfg dlio.Config, opts Options, collect func(fs FS, nodes int, reps []dlio.Result)) error {
+// dlioPanels runs the model on both file systems over the node sweep, all
+// points at once on the point pool, and builds its three panels from that
+// one sweep: the I/O time analysis, the application throughput and the
+// system throughput. model is "resnet50" (Figs. 4a and 5, weak scaling) or
+// "cosmoflow" (Figs. 4b and 6, strong scaling).
+func dlioPanels(model string, opts Options) (io, app, system Panel, err error) {
+	cfg, id, err := modelConfig(model)
+	if err != nil {
+		return Panel{}, Panel{}, Panel{}, err
+	}
 	opts = opts.withDefaults()
 	fss := []FS{VAST, GPFS}
 	var pts []repPoint
@@ -50,70 +56,37 @@ func dlioSweep(cfg dlio.Config, opts Options, collect func(fs FS, nodes int, rep
 		return dlioPoint(fss[pt.series], pt.x, cfg, pt.derate, pt.seed)
 	})
 	if err != nil {
-		return err
+		return Panel{}, Panel{}, Panel{}, err
+	}
+	// Per file system: I/O seconds overlapping compute and not
+	// overlapping it, application and system samples/s.
+	series := make([][4]stats.Series, len(fss))
+	for s, fs := range fss {
+		name := string(fs)
+		series[s] = [4]stats.Series{{Name: name + " overlap"}, {Name: name + " non-overlap"}, {Name: name}, {Name: name}}
 	}
 	for i := 0; i < len(pts); i += opts.Reps {
-		collect(fss[pts[i].series], pts[i].x, res[i:i+opts.Reps])
-	}
-	return nil
-}
-
-// Fig4 reproduces Figure 4 (I/O time analysis): for each file system, the
-// overlapping and non-overlapping I/O seconds per node count. model is
-// "resnet50" (Fig. 4a, weak scaling) or "cosmoflow" (Fig. 4b, strong
-// scaling).
-func Fig4(model string, opts Options) (Panel, error) {
-	cfg, id, err := modelConfig(model)
-	if err != nil {
-		return Panel{}, err
-	}
-	panel := Panel{
-		ID:     "fig4" + id,
-		Title:  fmt.Sprintf("%s I/O time analysis (Lassen, VAST vs GPFS)", cfg.Model),
-		XLabel: "nodes",
-		YLabel: "seconds",
-	}
-	series := map[string]*stats.Series{}
-	order := []string{}
-	for _, fs := range []FS{VAST, GPFS} {
-		for _, part := range []string{"overlap", "non-overlap"} {
-			name := string(fs) + " " + part
-			series[name] = &stats.Series{Name: name}
-			order = append(order, name)
-		}
-	}
-	err = dlioSweep(cfg, opts, func(fs FS, n int, reps []dlio.Result) {
-		var ovl, novl []float64
-		for _, r := range reps {
+		var ovl, novl, av, sv []float64
+		for _, r := range res[i : i+opts.Reps] {
 			ovl = append(ovl, r.Analysis.OverlapIO.Seconds())
 			novl = append(novl, r.Analysis.NonOverlapIO.Seconds())
+			av = append(av, r.AppSamplesPerSec)
+			sv = append(sv, r.SysSamplesPerSec)
 		}
-		m, d := summarizeReps(ovl)
-		series[string(fs)+" overlap"].Append(float64(n), m, d)
-		m, d = summarizeReps(novl)
-		series[string(fs)+" non-overlap"].Append(float64(n), m, d)
-	})
-	if err != nil {
-		return Panel{}, err
-	}
-	for _, name := range order {
-		panel.Series = append(panel.Series, *series[name])
-	}
-	return panel, nil
-}
-
-// Fig56 reproduces Figures 5 and 6 (application and system throughput in
-// samples/s) for the given model: "resnet50" → Fig. 5, "cosmoflow" →
-// Fig. 6. It returns the app-throughput panel and the system-throughput
-// panel.
-func Fig56(model string, opts Options) (app, system Panel, err error) {
-	cfg, id, err := modelConfig(model)
-	if err != nil {
-		return Panel{}, Panel{}, err
+		for k, vals := range [][]float64{ovl, novl, av, sv} {
+			m, d := summarizeReps(vals)
+			series[pts[i].series][k].Append(float64(pts[i].x), m, d)
+		}
 	}
 	figNum := "fig5"
 	if id == "b" {
 		figNum = "fig6"
+	}
+	io = Panel{
+		ID:     "fig4" + id,
+		Title:  fmt.Sprintf("%s I/O time analysis (Lassen, VAST vs GPFS)", cfg.Model),
+		XLabel: "nodes",
+		YLabel: "seconds",
 	}
 	app = Panel{
 		ID:     figNum + "a-app-throughput",
@@ -125,27 +98,30 @@ func Fig56(model string, opts Options) (app, system Panel, err error) {
 		Title:  cfg.Model + " system throughput (samples/s)",
 		XLabel: "nodes", YLabel: "samples/s",
 	}
-	appSeries := map[FS]*stats.Series{VAST: {Name: "vast"}, GPFS: {Name: "gpfs"}}
-	sysSeries := map[FS]*stats.Series{VAST: {Name: "vast"}, GPFS: {Name: "gpfs"}}
-	err = dlioSweep(cfg, opts, func(fs FS, n int, reps []dlio.Result) {
-		var av, sv []float64
-		for _, r := range reps {
-			av = append(av, r.AppSamplesPerSec)
-			sv = append(sv, r.SysSamplesPerSec)
-		}
-		m, d := summarizeReps(av)
-		appSeries[fs].Append(float64(n), m, d)
-		m, d = summarizeReps(sv)
-		sysSeries[fs].Append(float64(n), m, d)
-	})
-	if err != nil {
-		return Panel{}, Panel{}, err
+	for _, ss := range series {
+		io.Series = append(io.Series, ss[0], ss[1])
+		app.Series = append(app.Series, ss[2])
+		system.Series = append(system.Series, ss[3])
 	}
-	for _, fs := range []FS{VAST, GPFS} {
-		app.Series = append(app.Series, *appSeries[fs])
-		system.Series = append(system.Series, *sysSeries[fs])
-	}
-	return app, system, nil
+	return io, app, system, nil
+}
+
+// Fig4 reproduces Figure 4 (I/O time analysis): for each file system, the
+// overlapping and non-overlapping I/O seconds per node count. model is
+// "resnet50" (Fig. 4a, weak scaling) or "cosmoflow" (Fig. 4b, strong
+// scaling).
+func Fig4(model string, opts Options) (Panel, error) {
+	io, _, _, err := dlioPanels(model, opts)
+	return io, err
+}
+
+// Fig56 reproduces Figures 5 and 6 (application and system throughput in
+// samples/s) for the given model: "resnet50" → Fig. 5, "cosmoflow" →
+// Fig. 6. It returns the app-throughput panel and the system-throughput
+// panel.
+func Fig56(model string, opts Options) (app, system Panel, err error) {
+	_, app, system, err = dlioPanels(model, opts)
+	return app, system, err
 }
 
 // modelConfig maps a model name to its DLIO preset and figure suffix.

@@ -9,29 +9,55 @@ import (
 	"time"
 
 	"storagesim/internal/dlio"
+	"storagesim/internal/sim"
 	"storagesim/internal/trace"
 )
 
 // TestRunPointsPanicSurfacesAtCaller: a point that panics on a worker
 // re-raises its value on the calling goroutine, lowest index first — ahead
-// of a later point's error and a later point's panic.
+// of a later point's error and a later point's panic — whether the point
+// panics in its own code or inside a simulated process, as a model bug in
+// an IOR or DLIO rank would.
 func TestRunPointsPanicSurfacesAtCaller(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	defer func() {
-		if r := recover(); r != "point 2" {
-			t.Fatalf("recovered %v, want point 2", r)
-		}
-	}()
-	runPoints(5, func(i int) (int, error) {
-		switch i {
-		case 2, 4:
-			panic(fmt.Sprintf("point %d", i))
-		case 3:
-			return 0, errors.New("point 3")
-		}
-		return i, nil
-	})
-	t.Fatal("runPoints returned despite a panicking point")
+	for _, tc := range []struct {
+		name  string
+		raise func(i int) // panics in point i, 2 or 4
+		want  any
+	}{
+		{"in the point", func(i int) { panic(fmt.Sprintf("point %d", i)) }, "point 2"},
+		{"in a process", func(i int) {
+			// Point 2's process makes a zero-delay transfer over an empty
+			// path, which the kernel refuses on the process's goroutine.
+			env := sim.NewEnv()
+			fab := sim.NewFabric(env)
+			env.Go("rank", func(p *sim.Proc) {
+				if i == 2 {
+					fab.TransferAfter(p, 0, nil, 1e3, 0)
+				}
+				panic(fmt.Sprintf("point %d", i))
+			})
+			env.Run()
+		}, "sim: flow must cross at least one pipe"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != tc.want {
+					t.Fatalf("recovered %v, want %v", r, tc.want)
+				}
+			}()
+			runPoints(5, func(i int) (int, error) {
+				switch i {
+				case 2, 4:
+					tc.raise(i)
+				case 3:
+					return 0, errors.New("point 3")
+				}
+				return i, nil
+			})
+			t.Fatal("runPoints returned despite a panicking point")
+		})
+	}
 }
 
 // TestRunPointsLowestErrorAndOrder: results come back by index, and of two

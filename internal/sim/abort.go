@@ -15,15 +15,12 @@ package sim
 // nil-safe, so unpoliced requests pay one nil check and nothing else.
 type Abort struct {
 	fired bool
-	// cancels holds the cancellation hooks of in-flight blocking operations.
-	// Hooks are never deregistered: each one is a no-op once its operation
-	// completed, and the slice dies with the request (or is truncated by
-	// Reset when the token is pooled). A request accumulates one hook per
-	// operation it starts, which is bounded by its op count — never by
-	// simulation length.
-	cancels []func()
-	// flows holds the closure-free form of the dominant hook: in-flight
-	// fabric transfers registered with onFireFlow. Each entry snapshots the
+	// flows holds the in-flight fabric transfers registered with
+	// onFireFlow, the token's only hooks. Hooks are never deregistered:
+	// each one is a no-op once its flow completed, and the slice dies with
+	// the request (or is truncated by Reset when the token is pooled), so
+	// a request accumulates one hook per transfer it starts, bounded by
+	// its op count — never by simulation length. Each entry snapshots the
 	// flow's pool generation, so a hook outliving its (completed, recycled)
 	// flow can never abort the pooled object's next incarnation.
 	flows []flowRef
@@ -45,14 +42,13 @@ func NewAbort() *Abort { return &Abort{} }
 // token — for the request pool that is the record's live-attempt count.
 func (a *Abort) Reset() {
 	a.fired = false
-	a.cancels = a.cancels[:0]
 	a.flows = a.flows[:0]
 }
 
 // Fired reports whether the token has fired. Nil-safe.
 func (a *Abort) Fired() bool { return a != nil && a.fired }
 
-// Fire triggers the token: every registered cancellation hook runs (in
+// Fire triggers the token: every registered flow is aborted (in
 // registration order, deterministically) and subsequent Fired calls report
 // true. Firing twice — or firing a nil token — is a no-op.
 func (a *Abort) Fire() {
@@ -60,45 +56,25 @@ func (a *Abort) Fire() {
 		return
 	}
 	a.fired = true
-	cancels := a.cancels
-	a.cancels = a.cancels[:0]
-	for _, fn := range cancels {
-		fn()
-	}
 	flows := a.flows
 	a.flows = a.flows[:0]
 	for _, fr := range flows {
 		if fr.fl.gen == fr.gen {
-			fr.fab.AbortFlow(fr.fl)
+			fr.fab.abortFlow(fr.fl)
 		}
 	}
 }
 
-// OnFire registers a cancellation hook. If the token already fired the hook
-// runs immediately; otherwise it runs (once) when Fire is called. Hooks
-// must tolerate running after their operation completed on its own.
-func (a *Abort) OnFire(fn func()) {
-	if a == nil {
-		return
-	}
-	if a.fired {
-		fn()
-		return
-	}
-	a.cancels = append(a.cancels, fn)
-}
-
-// onFireFlow registers cancellation of an in-flight fabric flow: the
-// closure-free fast path behind Transfer. Flow hooks run after the generic
-// cancels, in registration order; in practice a token carries one kind or
-// the other. The generation snapshot makes a hook that outlives its flow's
-// pooled lifetime an explicit no-op.
+// onFireFlow registers cancellation of an in-flight fabric flow, the hook
+// behind Transfer: a fired token aborts the flow at once, an unfired one
+// when it fires. The generation snapshot makes a hook that outlives its
+// flow's pooled lifetime an explicit no-op.
 func (a *Abort) onFireFlow(f *Fabric, fl *Flow) {
 	if a == nil {
 		return
 	}
 	if a.fired {
-		f.AbortFlow(fl)
+		f.abortFlow(fl)
 		return
 	}
 	a.flows = append(a.flows, flowRef{fab: f, fl: fl, gen: fl.gen})
@@ -118,7 +94,7 @@ func (p *Proc) AbortSignal() *Abort { return p.abort }
 // Aborted reports whether the process carries a fired abort token.
 func (p *Proc) Aborted() bool { return p.abort != nil && p.abort.fired }
 
-// AbortFlow removes an in-flight flow from the fabric before it completes:
+// abortFlow removes an in-flight flow from the fabric before it completes:
 // the flow leaves its class, its pipes' flow counts drop, the region is
 // re-solved, and the flow's done event fires so its waiter unwinds. Bytes
 // already moved stay moved (and stay attributed to the flow's tag) — an
@@ -126,7 +102,7 @@ func (p *Proc) Aborted() bool { return p.abort != nil && p.abort.fired }
 // deadline-abandoned work expensive in a retry storm. Aborting a flow that
 // already completed is a no-op, so cancellation hooks may race benignly
 // with normal completion.
-func (f *Fabric) AbortFlow(fl *Flow) {
+func (f *Fabric) abortFlow(fl *Flow) {
 	if fl.done.fired {
 		return
 	}

@@ -59,9 +59,9 @@ type Group struct {
 
 	// back is where Run waits while another goroutine holds the baton.
 	// Every shard's Env shares it as its mainResume, so the goroutine
-	// that ends the run, or relays a callback panic from any shard, hands
-	// the baton back here.
-	back chan struct{}
+	// that ends the run, or a worker of any shard that a panic unwound,
+	// hands the baton back here.
+	back chan any
 
 	// pending holds the messages sent since the last barrier, reused
 	// across windows.
@@ -96,7 +96,7 @@ type xmsg struct {
 // NewGroup returns an empty group. Its argument is ignored; it stays so
 // that callers passing an executor count still compile. Pass 1.
 func NewGroup(int) *Group {
-	return &Group{links: map[[2]int32]Duration{}, back: make(chan struct{})}
+	return &Group{links: map[[2]int32]Duration{}, back: make(chan any)}
 }
 
 // AddShard registers env as one shard of the group. The Env must be
@@ -213,8 +213,8 @@ func (g *Group) finalize() {
 //
 // The caller lends the baton to the first process a shard resumes or
 // starts, and the windows go on on whichever goroutine holds it (next).
-// The caller gets it back once, when the run reaches `until` or a model
-// callback on any shard panics; Run re-panics with the original value.
+// The caller gets it back once, when the run reaches `until` or a panic
+// unwinds a worker of any shard; Run re-panics with the original value.
 func (g *Group) Run(until Time) Time {
 	g.finalize()
 	if until < g.clock {
@@ -224,9 +224,8 @@ func (g *Group) Run(until Time) Time {
 	g.setRunning(true)
 	defer g.setRunning(false)
 	if g.next(nil) == dispHandoff {
-		<-g.back
-		for _, s := range g.shards {
-			s.env.rethrow()
+		if r := <-g.back; r != nil {
+			panic(r)
 		}
 	}
 	return g.clock
@@ -270,12 +269,7 @@ func (g *Group) next(w *worker) int {
 			if g.clock == g.until {
 				return dispDone
 			}
-			if w == nil {
-				g.deliver()
-			} else if !g.deliverOnWorker() {
-				g.shards[0].env.handBack() // relayed like a callback panic
-				return dispHandoff
-			}
+			g.deliver()
 			g.bound = g.boundary(g.until)
 			g.cur = 0
 		}
@@ -346,21 +340,6 @@ func (g *Group) deliver() {
 	}
 	clear(g.pending)
 	g.pending = g.pending[:0]
-}
-
-// deliverOnWorker is deliver for a process goroutine closing the window.
-// Its conservative-violation panic, a kernel bug, is relayed through the
-// first shard's fnPanic like a callback panic, so it surfaces at the
-// Group.Run caller, which rethrows every shard's relayed value, instead of
-// crashing the program on the worker.
-func (g *Group) deliverOnWorker() (ok bool) {
-	defer func() {
-		if !ok {
-			g.shards[0].env.fnPanic = recover()
-		}
-	}()
-	g.deliver()
-	return true
 }
 
 // Shutdown shuts every shard Env down, unwinding the processes still

@@ -198,10 +198,9 @@ func TestGroupResume(t *testing.T) {
 	}
 }
 
-// TestGroupPanicPropagation: a model-callback panic surfaces at the Run
-// caller with its original value (process-function panics crash on their
-// worker goroutine, exactly as in single-Env runs), and Shutdown must
-// return afterwards, whichever goroutine held the baton.
+// TestGroupPanicPropagation: a panic surfaces at the Run caller with its
+// original value, and Shutdown must return afterwards, whichever goroutine
+// held the baton (TestPanicSurfacesAtRun raises one at every site).
 func TestGroupPanicPropagation(t *testing.T) {
 	t.Run("lone busy shard in-line", func(t *testing.T) {
 		g := NewGroup(1)

@@ -35,14 +35,11 @@ type Env struct {
 	group *Group
 
 	// mainResume is where Run/RunUntil wait while a process holds the
-	// baton; whichever goroutine drains the calendar hands it back. A
-	// shard shares its group's channel, where Group.Run waits.
-	mainResume chan struct{}
-
-	// fnPanic carries a model-callback panic from a worker goroutine to the
-	// main goroutine (see dispatch), so callback panics always surface at the
-	// Run caller no matter which goroutine happened to drain the event.
-	fnPanic any
+	// baton; whichever goroutine drains the calendar hands it back. It
+	// carries the value of a panic that unwound a worker (workerMain), nil
+	// for a plain hand-back. A shard shares its group's channel, where
+	// Group.Run waits.
+	mainResume chan any
 
 	blocked []blockedProc
 
@@ -82,7 +79,7 @@ type blockedProc struct {
 
 // NewEnv returns an environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{mainResume: make(chan struct{})}
+	return &Env{mainResume: make(chan any)}
 }
 
 // Now returns the current virtual time.
@@ -198,9 +195,9 @@ func (e *Env) Go(name string, fn func(p *Proc)) { e.GoTry(name, nil, fn) }
 // continuations, and no process starts: Starts, Resumes and Switches do
 // not move. If it returns false, fn starts at that same pop, exactly as
 // Go's process would have, so try must change nothing when it declines.
-// A panic in try surfaces at the Run caller like a callback panic, and
-// Shutdown drops an attempt that has not run with its start event. A nil
-// try is Go.
+// A panic in try surfaces at the Run caller like any panic in the
+// simulation, and Shutdown drops an attempt that has not run with its
+// start event. A nil try is Go.
 func (e *Env) GoTry(name string, try func() bool, fn func(p *Proc)) {
 	var p *Proc
 	if n := len(e.freeProcs); n > 0 {
@@ -219,9 +216,10 @@ func (e *Env) GoTry(name string, try func() bool, fn func(p *Proc)) {
 
 // recycleProc returns a finished Proc to the free list. The stale
 // w.proc pointer its last worker may still hold is harmless: a parked
-// worker's proc field is only read after bindWorker overwrites it, and a
+// worker's proc field is only read after bindWorker overwrites it, a
 // dispatching worker's own process cannot have been recycled and re-parked
-// within that same dispatch (restarting it rebinds and ends the dispatch).
+// within that same dispatch (restarting it rebinds and ends the dispatch),
+// and workerMain's panic relay checks the record's p.w first.
 func (e *Env) recycleProc(p *Proc) {
 	p.w = nil
 	p.flowTag = 0
@@ -253,12 +251,12 @@ const (
 // itself (dispSelf) — where stashing fn events for the main goroutine would
 // cost two baton hand-offs per callback. The price is that deep model
 // callbacks (the fabric solver above all) can grow worker stacks to the
-// model's high-water mark, bounded by the worker pool cap; panics from
-// model callbacks are relayed through fnPanic so they still surface at the
-// Run caller, as they did in the seed. The stages of a pending transfer
-// (Fabric.TransferAfter, TransferThen) run inline the same way, and resume
-// their process only when the transfer returns at a stage; so does a
-// GoTry attempt, which starts its process only when it declines.
+// model's high-water mark, bounded by the worker pool cap. The stages of a
+// pending transfer (Fabric.TransferAfter, TransferThen) run inline the
+// same way, and resume their process only when the transfer returns at a
+// stage; so does a GoTry attempt, which starts its process only when it
+// declines. A panic in any of them unwinds the goroutine that ran it: the
+// Run caller's to its caller, a worker's to workerMain, which relays it.
 func (e *Env) dispatch(w *worker) int {
 	for {
 		ev := e.q.pop(e.deadline)
@@ -270,16 +268,7 @@ func (e *Env) dispatch(w *worker) int {
 		case evFn:
 			fn := ev.fn
 			e.q.release(ev)
-			if w == nil {
-				fn()
-			} else if !e.runFnOnWorker(fn) {
-				// The callback panicked: relay the value home, where the Run
-				// caller re-panics (rethrow). The simulation is dead; this
-				// goroutine parks forever on its resume channel (exactly the
-				// fate of every other worker parked mid-wait at a panic).
-				e.handBack()
-				return dispHandoff
-			}
+			fn()
 		case evResume:
 			p := ev.proc
 			e.q.release(ev)
@@ -287,17 +276,7 @@ func (e *Env) dispatch(w *worker) int {
 		case evTransfer:
 			p, x := ev.proc, ev.xfer // p is nil for TransferThen's stages
 			e.q.release(ev)
-			resume, ok := false, true
-			if w == nil {
-				resume = x.f.stepPending(x)
-			} else {
-				resume, ok = e.stepPendingOnWorker(x)
-			}
-			if !ok {
-				e.handBack() // relayed like a callback panic
-				return dispHandoff
-			}
-			if resume {
+			if x.f.stepPending(x) {
 				return e.resume(w, p)
 			}
 		default: // evStart
@@ -305,17 +284,7 @@ func (e *Env) dispatch(w *worker) int {
 			e.q.release(ev)
 			if try := p.try; try != nil {
 				p.try = nil
-				served, ok := false, true
-				if w == nil {
-					served = try()
-				} else {
-					served, ok = e.tryOnWorker(try)
-				}
-				if !ok {
-					e.handBack() // relayed like a callback panic
-					return dispHandoff
-				}
-				if served {
+				if try() {
 					p.fn = nil
 					e.recycleProc(p)
 					continue
@@ -371,58 +340,15 @@ func (e *Env) drain(w *worker) int {
 			return d
 		}
 	}
-	e.handBack()
+	e.handBack(nil)
 	return dispHandoff
 }
 
-// handBack hands the baton back to the Run caller, waiting on mainResume.
-func (e *Env) handBack() {
+// handBack hands the baton back to the Run caller, waiting on mainResume,
+// with the value of the panic that ended the run, nil when it did not.
+func (e *Env) handBack(r any) {
 	e.switches++
-	e.mainResume <- struct{}{}
-}
-
-// rethrow re-panics, at the Run caller, with the value of a callback
-// panic a worker relayed (see dispatch).
-func (e *Env) rethrow() {
-	if r := e.fnPanic; r != nil {
-		e.fnPanic = nil
-		panic(r)
-	}
-}
-
-// runFnOnWorker executes a model callback on a worker goroutine, converting
-// a panic into a false return with the value parked in fnPanic. Keeping the
-// recover in its own frame keeps dispatch's hot loop free of deferred calls,
-// and a callback that returns skips recover altogether.
-func (e *Env) runFnOnWorker(fn func()) (ok bool) {
-	defer func() {
-		if !ok {
-			e.fnPanic = recover()
-		}
-	}()
-	fn()
-	return true
-}
-
-// stepPendingOnWorker is runFnOnWorker for the in-line stage of a pending
-// transfer (Fabric.stepPending), which starts a flow and so runs model code.
-func (e *Env) stepPendingOnWorker(x *pendingTransfer) (resume, ok bool) {
-	defer func() {
-		if !ok {
-			e.fnPanic = recover()
-		}
-	}()
-	return x.f.stepPending(x), true
-}
-
-// tryOnWorker is runFnOnWorker for a GoTry attempt.
-func (e *Env) tryOnWorker(try func() bool) (served, ok bool) {
-	defer func() {
-		if !ok {
-			e.fnPanic = recover()
-		}
-	}()
-	return try(), true
+	e.mainResume <- r
 }
 
 // maxFreeWorkers bounds the idle-goroutine pool. Recycling wins on churny
@@ -438,11 +364,32 @@ const maxFreeWorkers = 64
 // baton with a job bound; after the process function returns, the worker
 // pools itself and keeps draining the calendar, so a process finish costs no
 // goroutine switch either.
+//
+// Its deferred call holds the kernel's one recover. A panic that unwinds
+// the worker — from its process body, or from a callback, transfer stage,
+// GoTry attempt or group delivery it ran for any shard — ends the
+// simulation: the worker marks its own process finished, so Shutdown does
+// not unwind it, leaves the top of its pool, hands the value back to the
+// Run caller, which panics with it again, and exits. A process that
+// Shutdown unwinds acks instead.
 func (e *Env) workerMain(w *worker) {
 	defer func() {
 		if w.unwound != nil {
 			w.unwound <- struct{}{} // Shutdown: the process's defers have run
+			return
 		}
+		r := recover()
+		if r == nil {
+			return // retired, or dismissed by stopWorkers
+		}
+		// A pooled worker may still point at a recycled record.
+		if p := w.proc; p != nil && p.w == w {
+			p.finished = true
+		}
+		if n := len(e.freeWorkers); n > 0 && e.freeWorkers[n-1] == w {
+			e.freeWorkers = e.freeWorkers[:n-1]
+		}
+		e.handBack(r)
 	}()
 	for {
 		p := w.proc
@@ -463,7 +410,7 @@ func (e *Env) workerMain(w *worker) {
 			<-w.resume
 			if w.proc == nil {
 				// Dismissed by stopWorkers; ack and unwind.
-				e.mainResume <- struct{}{}
+				e.mainResume <- nil
 				return
 			}
 		}
@@ -504,14 +451,16 @@ func (e *Env) stopWorkers() {
 }
 
 // runLoop drains the calendar up to e.deadline, lending the baton out to
-// process goroutines. A worker hands it back only once the calendar has
-// drained (drain) or a callback panicked.
+// process goroutines. A worker hands it back once the calendar has drained
+// (drain), or with the value of a panic that unwound it (workerMain),
+// which runLoop raises again.
 func (e *Env) runLoop() {
 	e.running = true
 	defer func() { e.running = false }()
 	if e.dispatch(nil) == dispHandoff {
-		<-e.mainResume
-		e.rethrow()
+		if r := <-e.mainResume; r != nil {
+			panic(r)
+		}
 	}
 }
 
@@ -520,7 +469,10 @@ func (e *Env) runLoop() {
 // non-timer waits (a lost signal, a full queue nobody drains, ...) Run
 // panics with a deadlock report naming the stuck processes in name order: in
 // a correct model every blocked process is eventually woken by a scheduled
-// event.
+// event. A panic in the simulation, on whichever goroutine ran the
+// process, callback, transfer stage or GoTry attempt that raised it,
+// leaves Run (and RunUntil) with its original value; Shutdown still works
+// afterwards.
 func (e *Env) Run() Time {
 	e.deadline = Time(math.MaxInt64)
 	e.runLoop()

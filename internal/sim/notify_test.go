@@ -185,26 +185,6 @@ func TestResetWithPendingNotifyPanics(t *testing.T) {
 	ev.Reset()
 }
 
-// A continuation that panics on a worker goroutine surfaces at the Run
-// caller, like any calendar callback.
-func TestNotifyPanicSurfacesAtRun(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("recovered %v, want boom", r)
-		}
-	}()
-	e := NewEnv()
-	ev := NewEvent(e)
-	ev.Notify(func() { panic("boom") })
-	// The process fires the event and parks, so its worker goroutine pops
-	// and runs the continuation.
-	e.Go("firer", func(p *Proc) {
-		ev.Fire()
-		p.Sleep(100)
-	})
-	e.Run()
-}
-
 // Shutdown drops pending continuations: one filed by a Fire in an
 // unwinding process's deferred call and one still waiting on an event
 // never run.

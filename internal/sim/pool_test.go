@@ -177,21 +177,3 @@ func TestDeadClassCacheEviction(t *testing.T) {
 		t.Fatalf("TagBytes = %v after eviction churn, want ~301e3", got)
 	}
 }
-
-// TestWorkerPanicSurfacesAtRun pins the panic-relay contract: a model
-// callback that panics while a pooled worker goroutine is draining the
-// calendar must still surface at the Run caller, exactly as when the main
-// goroutine runs it.
-func TestWorkerPanicSurfacesAtRun(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("recovered %v, want boom", r)
-		}
-	}()
-	e := NewEnv()
-	// The process parks mid-calendar, so its worker goroutine is the one
-	// that pops and runs the panicking callback.
-	e.Go("parker", func(p *Proc) { p.Sleep(100) })
-	e.Schedule(50, func() { panic("boom") })
-	e.Run()
-}
