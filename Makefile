@@ -27,9 +27,11 @@ test:
 # The race gate checks the baton's hand-offs between process goroutines
 # (docs/MODEL.md §11) and that the figure sweeps' concurrent simulations
 # (§6) share no state. A sim.Group starts no goroutine of its own. The
-# panic and shutdown tests run ten times more: a worker that a panic
-# unwound writes its state, hands the value back and exits, an ordering
-# across goroutines that one pass may not exercise.
+# panic, shutdown and deadlock-report tests run ten times more: a worker
+# that a panic unwound takes its process off the Env's live list, hands
+# the value back and exits, and the Run caller's deadlock report and
+# Shutdown read that list, an ordering across goroutines that one pass
+# may not exercise.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiments/... \
 		./internal/faults/... ./internal/vast/... ./internal/repair/... \
@@ -37,7 +39,7 @@ race:
 		./internal/resilience/... ./internal/configsearch/... \
 		./internal/surrogate/...
 	$(GO) test -race -tags simreference ./internal/sim/
-	$(GO) test -race -count=10 -run 'Panic|Shutdown' ./internal/sim/
+	$(GO) test -race -count=10 -run 'Panic|Shutdown|Deadlock' ./internal/sim/
 
 # The oracle build: -tags simreference swaps the DES kernel's calendar
 # queue for the seed's binary-heap scheduler. Every internal test passes
@@ -88,9 +90,9 @@ bench-module:
 # group's message delivery is fuzzed against its exact-timing contract,
 # event continuations against the waiting processes they replace, GoTry
 # attempts and TransferThen against the processes and TransferAfter calls
-# they replace, the
-# page cache differentially against its naive reference model, and every
-# backend's fault surface under random schedules.
+# they replace, Shutdown against models ended by a cut, a deadlock or a
+# panic, the page cache differentially against its naive reference model,
+# and every backend's fault surface under random schedules.
 fuzz-smoke:
 	$(GO) test ./internal/units -run XXX -fuzz FuzzParseSize -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/units -run XXX -fuzz FuzzParseDuration -fuzztime $(FUZZTIME)
@@ -100,6 +102,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run XXX -fuzz FuzzGroupDelivery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run XXX -fuzz FuzzNotifyVsWait -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run XXX -fuzz FuzzGoTryVsGo -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run XXX -fuzz FuzzShutdown -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run XXX -fuzz FuzzCacheVsReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traffic -run XXX -fuzz FuzzTenantSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run XXX -fuzz FuzzParseTraceCSV -fuzztime $(FUZZTIME)

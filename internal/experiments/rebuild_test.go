@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"storagesim/internal/faults"
 	"storagesim/internal/faults/invariants"
@@ -300,4 +302,30 @@ func goldenRebuild(t *testing.T) string {
 		t.Fatal("rebuild sweep rendered an all-zero figure")
 	}
 	return p.Render()
+}
+
+// TestManagedScheduleRejected: a repair.Manager holds a DBox's recovery
+// back while its rebuild runs, so recovering two failed DBoxes of four
+// and then failing the other two would fail the last healthy one. Apply
+// must reject the schedule, naming the event, before anything runs:
+// reached mid-run, that failure panics in the backend.
+func TestManagedScheduleRejected(t *testing.T) {
+	ms := func(n int) sim.Duration { return sim.Duration(n) * sim.Duration(time.Millisecond) }
+	var sched faults.Schedule
+	for _, e := range []struct {
+		at    int
+		kind  faults.Kind
+		index int
+	}{
+		{1, faults.UnitFail, 0}, {1, faults.UnitFail, 1},
+		{2, faults.UnitRecover, 0}, {2, faults.UnitRecover, 1},
+		{3, faults.UnitFail, 2}, {3, faults.UnitFail, 3},
+	} {
+		sched.Events = append(sched.Events, faults.Event{At: ms(e.at), Kind: e.kind, Index: e.index})
+	}
+	_, _, err := RunIORWithRepair("Wombat", VAST, 2, smallOpCfg(), sched, repair.QoS{MinBytes: 256 << 20})
+	want := "event 5: 3ms unit-fail index=3 fails the last healthy unit"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %v, want an error containing %q", err, want)
+	}
 }

@@ -188,6 +188,17 @@ type UnitTarget interface {
 	RecoverUnit(i int)
 }
 
+// RecoveryHolder is a Target that may hold a redundancy unit's recovery
+// back until the unit's rebuild completes, so that a recover event leaves
+// the unit failed for a time no schedule can tell (internal/repair's
+// Manager does).
+type RecoveryHolder interface {
+	Target
+	// HoldsRecovery reports whether a unit recover may leave the unit
+	// failed.
+	HoldsRecovery() bool
+}
+
 // UnitsAreServers reports whether t's redundancy units are its servers.
 // It is the one place that decides: a target with no units of its own —
 // no UnitTarget, or one with no FaultUnits — loses a unit with each
@@ -271,10 +282,12 @@ func (in *Injector) resolve(ev Event) (Target, error) {
 // also walks each target's fail and recover events in firing order, from
 // a healthy target, and rejects the first that would leave it no healthy
 // server or unit: a down deployment is not a data point, and failing the
-// last healthy one panics in the backend. A recover counts at once (a
-// repair.Manager may hold a recovery back until its rebuild completes),
-// and a unit event counts against the server pool of a target whose units
-// are its servers.
+// last healthy one panics in the backend. A recover counts at once,
+// except one that addresses a redundancy unit (a unit recover, or a server
+// recover where the units are the servers) on a RecoveryHolder: it leaves
+// the walk's pool as it was, since the unit may stay failed until its
+// rebuild completes. A unit event counts against the server pool of a
+// target whose units are its servers.
 func (in *Injector) Apply(s Schedule) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -306,12 +319,13 @@ func (in *Injector) Apply(s Schedule) error {
 		if ev.Kind.needsUnits() && !UnitsAreServers(t) {
 			p = &w[1]
 		}
-		if ev.Kind == ServerFail || ev.Kind == UnitFail {
+		switch {
+		case ev.Kind == ServerFail || ev.Kind == UnitFail:
 			if !p.failed[ev.Index] && p.healthy == 1 {
 				return fmt.Errorf("event %d: %v fails the last healthy %s", i, ev, p.noun)
 			}
 			p.fail("", ev.Index)
-		} else {
+		case !holdsRecovery(t, ev.Kind):
 			p.recover(ev.Index)
 		}
 	}
@@ -324,6 +338,13 @@ func (in *Injector) Apply(s Schedule) error {
 		})
 	}
 	return nil
+}
+
+// holdsRecovery reports whether t may hold back a recover of kind k: t is
+// a RecoveryHolder and k addresses one of its redundancy units.
+func holdsRecovery(t Target, k Kind) bool {
+	h, ok := t.(RecoveryHolder)
+	return ok && h.HoldsRecovery() && (k == UnitRecover || UnitsAreServers(t))
 }
 
 // deliver executes one event against its target and logs it. A unit event

@@ -31,6 +31,14 @@ func (f *fakeUnitTarget) FaultUnits() int   { return f.units }
 func (f *fakeUnitTarget) FailUnit(i int)    { f.calls = append(f.calls, "unit-fail", itoa(i)) }
 func (f *fakeUnitTarget) RecoverUnit(i int) { f.calls = append(f.calls, "unit-recover", itoa(i)) }
 
+// holdingTarget and holdingUnitTarget hold unit recoveries back, as a
+// repair.Manager around a backend does.
+type holdingTarget struct{ *fakeTarget }
+type holdingUnitTarget struct{ *fakeUnitTarget }
+
+func (holdingTarget) HoldsRecovery() bool     { return true }
+func (holdingUnitTarget) HoldsRecovery() bool { return true }
+
 func itoa(i int) string     { return string(rune('0' + i)) }
 func ftoa(v float64) string { return string(rune('0' + int(v*10))) }
 
@@ -223,7 +231,8 @@ func TestInjectorDeliversUnitEvents(t *testing.T) {
 // TestApplyRejectsFailingLastHealthy pins the walk Apply makes over each
 // target's fail and recover events: the first event that leaves a server
 // or unit pool with nothing healthy is rejected, naming it, and nothing is
-// armed.
+// armed. A recover that a target may hold back until a rebuild completes
+// does not count.
 func TestApplyRejectsFailingLastHealthy(t *testing.T) {
 	ms := func(n int) sim.Duration { return sim.Duration(n) * sim.Duration(time.Millisecond) }
 	ev := func(at int, kind Kind, target string, index int) Event {
@@ -245,12 +254,19 @@ func TestApplyRejectsFailingLastHealthy(t *testing.T) {
 		{"own units are a pool apart", []Event{ev(1, UnitFail, "u", 0), ev(1, ServerFail, "u", 0), ev(2, UnitFail, "u", 1)},
 			"event 2: 2ms unit-fail target=u index=1 fails the last healthy unit"},
 		{"targets are apart", []Event{ev(1, ServerFail, "s", 0), ev(1, ServerFail, "u", 1)}, ""},
+		{"a held unit recover does not count", []Event{ev(1, UnitFail, "hu", 0), ev(2, UnitRecover, "hu", 0), ev(3, UnitFail, "hu", 1)},
+			"event 2: 3ms unit-fail target=hu index=1 fails the last healthy unit"},
+		{"a held recover of a server that is a unit does not count", []Event{ev(1, ServerFail, "hs", 0), ev(2, ServerRecover, "hs", 0), ev(3, UnitFail, "hs", 1)},
+			"event 2: 3ms unit-fail target=hs index=1 fails the last healthy server"},
+		{"a holder's server recover counts where units are apart", []Event{ev(1, ServerFail, "hu", 0), ev(2, ServerRecover, "hu", 0), ev(3, ServerFail, "hu", 1)}, ""},
 	}
 	for _, tc := range cases {
 		env := sim.NewEnv()
 		inj := NewInjector(env)
 		inj.Register("s", &fakeTarget{servers: 2})
 		inj.Register("u", &fakeUnitTarget{fakeTarget: fakeTarget{servers: 2}, units: 2})
+		inj.Register("hs", holdingTarget{&fakeTarget{servers: 2}})
+		inj.Register("hu", holdingUnitTarget{&fakeUnitTarget{fakeTarget: fakeTarget{servers: 2}, units: 2}})
 		err := inj.Apply(Schedule{Events: tc.events})
 		switch {
 		case tc.reject == "" && err != nil:

@@ -356,5 +356,14 @@ func (m *Manager) RecoverUnit(i int) {
 	m.Protected.RecoverUnit(i)
 }
 
-// Interface check: a Manager substitutes for its backend at the injector.
-var _ faults.UnitTarget = (*Manager)(nil)
+// HoldsRecovery implements faults.RecoveryHolder: RecoverUnit leaves a
+// unit failed while its rebuild runs, so the injector's schedule walk
+// counts no unit recover on a Manager.
+func (m *Manager) HoldsRecovery() bool { return true }
+
+// Interface checks: a Manager substitutes for its backend at the injector,
+// and tells it that it holds recoveries back.
+var (
+	_ faults.UnitTarget     = (*Manager)(nil)
+	_ faults.RecoveryHolder = (*Manager)(nil)
+)

@@ -41,7 +41,11 @@ type Env struct {
 	// Group.Run waits.
 	mainResume chan any
 
-	blocked []blockedProc
+	// live lists the processes started and not yet returned, each with its
+	// index kept in its Proc (swap-remove, so the order follows from the
+	// calendar alone). Run reports them as deadlocked once the calendar
+	// has drained, and Shutdown unwinds them.
+	live []*Proc
 
 	// starts, resumes and switches count the process functions begun,
 	// the wake-ups of parked processes and the baton's hand-offs between
@@ -66,15 +70,6 @@ type Env struct {
 	// Interned flow tags (see tag.go). tagNames[0] is the untagged "".
 	tagIndex map[string]FlowTag
 	tagNames []string
-}
-
-// blockedProc records one process parked on a non-timer wait, for the
-// deadlock report. A slice (with the index mirrored in the Proc) replaces
-// the seed's map so the report order never depends on map iteration and the
-// park hot path never hashes.
-type blockedProc struct {
-	p   *Proc
-	why string
 }
 
 // NewEnv returns an environment with the clock at zero.
@@ -206,9 +201,8 @@ func (e *Env) GoTry(name string, try func() bool, fn func(p *Proc)) {
 		e.freeProcs = e.freeProcs[:n-1]
 		p.name = name
 		p.fn = fn
-		p.finished = false
 	} else {
-		p = &Proc{env: e, name: name, fn: fn, blockedIdx: -1}
+		p = &Proc{env: e, name: name, fn: fn}
 	}
 	p.try = try
 	e.scheduleEvent(e.now, evStart, nil, p)
@@ -291,6 +285,8 @@ func (e *Env) dispatch(w *worker) int {
 				}
 			}
 			e.starts++
+			p.liveIdx = len(e.live)
+			e.live = append(e.live, p)
 			nw := e.takeWorker()
 			if nw == nil {
 				nw = &worker{resume: make(chan struct{})}
@@ -368,10 +364,10 @@ const maxFreeWorkers = 64
 // Its deferred call holds the kernel's one recover. A panic that unwinds
 // the worker — from its process body, or from a callback, transfer stage,
 // GoTry attempt or group delivery it ran for any shard — ends the
-// simulation: the worker marks its own process finished, so Shutdown does
-// not unwind it, leaves the top of its pool, hands the value back to the
-// Run caller, which panics with it again, and exits. A process that
-// Shutdown unwinds acks instead.
+// simulation: the worker takes its own process off the live list, so
+// Shutdown does not unwind it, leaves the top of its pool, hands the value
+// back to the Run caller, which panics with it again, and exits. A process
+// that Shutdown unwinds acks instead.
 func (e *Env) workerMain(w *worker) {
 	defer func() {
 		if w.unwound != nil {
@@ -384,7 +380,7 @@ func (e *Env) workerMain(w *worker) {
 		}
 		// A pooled worker may still point at a recycled record.
 		if p := w.proc; p != nil && p.w == w {
-			p.finished = true
+			e.dropLive(p)
 		}
 		if n := len(e.freeWorkers); n > 0 && e.freeWorkers[n-1] == w {
 			e.freeWorkers = e.freeWorkers[:n-1]
@@ -395,7 +391,7 @@ func (e *Env) workerMain(w *worker) {
 		p := w.proc
 		p.fn(p)
 		p.fn = nil
-		p.finished = true
+		e.dropLive(p)
 		e.recycleProc(p)
 		if len(e.freeWorkers) >= maxFreeWorkers {
 			// Pool full: hand the baton off and retire. dispatch cannot pick
@@ -415,6 +411,17 @@ func (e *Env) workerMain(w *worker) {
 			}
 		}
 	}
+}
+
+// dropLive takes p off the live list: its function returned, or a panic
+// ended its goroutine.
+func (e *Env) dropLive(p *Proc) {
+	last := len(e.live) - 1
+	moved := e.live[last]
+	e.live[p.liveIdx] = moved
+	moved.liveIdx = p.liveIdx
+	e.live[last] = nil
+	e.live = e.live[:last]
 }
 
 func (e *Env) takeWorker() *worker {
@@ -465,32 +472,32 @@ func (e *Env) runLoop() {
 }
 
 // Run executes events until the calendar is empty, then returns the final
-// virtual time. If the calendar drains while processes are still blocked on
-// non-timer waits (a lost signal, a full queue nobody drains, ...) Run
-// panics with a deadlock report naming the stuck processes in name order: in
-// a correct model every blocked process is eventually woken by a scheduled
-// event. A panic in the simulation, on whichever goroutine ran the
-// process, callback, transfer stage or GoTry attempt that raised it,
-// leaves Run (and RunUntil) with its original value; Shutdown still works
-// afterwards.
+// virtual time. If the calendar drains while processes are still live,
+// parked on waits no event is left to end (a lost signal, a full queue
+// nobody drains, ...), Run panics with a deadlock report naming them in
+// name order: in a correct model every parked process is eventually woken
+// by a scheduled event. A panic in the simulation, on whichever goroutine
+// ran the process, callback, transfer stage or GoTry attempt that raised
+// it, leaves Run (and RunUntil) with its original value; Shutdown still
+// works afterwards.
 func (e *Env) Run() Time {
 	e.deadline = Time(math.MaxInt64)
 	e.runLoop()
-	if len(e.blocked) > 0 {
+	if len(e.live) > 0 {
 		panic(fmt.Sprintf("sim: deadlock at %v: %d process(es) blocked with no pending events: %v",
-			e.now, len(e.blocked), e.blockedReport()))
+			e.now, len(e.live), e.deadlockReport()))
 	}
 	e.stopWorkers()
 	return e.now
 }
 
-// blockedReport lists the parked processes as "name (reason)", sorted by
-// process name (then reason) — never in map or park order, so two runs of
+// deadlockReport lists the live processes as "name (reason)", sorted by
+// process name (then reason) — never in list or park order, so two runs of
 // the same deadlocking model print the same report.
-func (e *Env) blockedReport() []string {
-	names := make([]string, 0, len(e.blocked))
-	for _, b := range e.blocked {
-		names = append(names, fmt.Sprintf("%s (%s)", b.p.name, b.why))
+func (e *Env) deadlockReport() []string {
+	names := make([]string, 0, len(e.live))
+	for _, p := range e.live {
+		names = append(names, fmt.Sprintf("%s (%s)", p.name, p.why))
 	}
 	sort.Strings(names)
 	return names
@@ -508,36 +515,30 @@ func (e *Env) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// Shutdown ends the simulation: it dismisses the idle worker pool and
-// unwinds every process still parked — on a timer, an Event, a Resource or
-// a Queue past a RunUntil deadline, or in a Group shard between windows.
-// Each such goroutine runs its process's deferred calls through
-// runtime.Goexit and exits, one at a time in calendar then park order, so
-// a finished run pins neither goroutines nor, through their stacks, the
-// model. The calendar is emptied: unstarted processes and pending
-// continuations never run. Call it once a windowed run's
-// results are read; the Env must not run again afterwards. On an Env that
-// Run drained it only dismisses the pool.
+// Shutdown ends the simulation: it dismisses the idle worker pool, empties
+// the calendar, and unwinds every live process — parked on a timer, an
+// Event, a Resource, a Queue or a transfer past a RunUntil deadline, in a
+// Group shard between windows, or left behind by a panic that ended the
+// run. Each such goroutine runs its process's deferred calls through
+// runtime.Goexit and exits, one at a time in live-list order, so a
+// finished run pins neither goroutines nor, through their stacks, the
+// model. Unstarted processes and pending continuations never run. Call it
+// once a windowed run's results are read; the Env must not run again
+// afterwards. On an Env that Run drained it only dismisses the pool.
 func (e *Env) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown from inside the simulation")
 	}
 	e.stopWorkers()
-	parked := e.dropCalendar()
-	for _, b := range e.blocked {
-		if !b.p.finished {
-			b.p.finished = true
-			parked = append(parked, b.p)
-		}
-	}
-	if len(parked) == 0 {
+	e.dropCalendar()
+	if len(e.live) == 0 {
 		return
 	}
 	// A deferred call that parks finds nothing to dispatch below this
 	// deadline and hands the baton straight back.
 	e.deadline = Time(math.MinInt64)
 	acks := make(chan struct{})
-	for _, p := range parked {
+	for _, p := range e.live {
 		p.w.unwound = acks
 		close(p.w.resume)
 		for unwinding := true; unwinding; {
@@ -550,46 +551,18 @@ func (e *Env) Shutdown() {
 			}
 		}
 	}
-	// Deferred calls may have scheduled, spawned or parked: drop it all.
+	// Deferred calls may have scheduled or spawned: drop it all.
 	e.dropCalendar()
-	clear(e.blocked)
-	e.blocked = e.blocked[:0]
+	clear(e.live)
+	e.live = e.live[:0]
 	runtime.Gosched() // let the acked goroutines finish exiting
 }
 
-// dropCalendar empties the calendar for Shutdown. It returns each process
-// a pending resume belongs to — one parked on a timer or in a transfer's
-// delay or latency stage, or woken but not yet resumed — and marks it
-// finished so it is listed once. Unstarted processes and GoTry attempts
-// are dropped with their start events, and the stages of a TransferThen,
-// which have no process, with their events.
-func (e *Env) dropCalendar() (parked []*Proc) {
-	for {
-		ev := e.q.pop(Time(math.MaxInt64))
-		if ev == nil {
-			return parked
-		}
-		if p := ev.proc; p != nil && (ev.kind == evResume || ev.kind == evTransfer) && !p.finished {
-			p.finished = true
-			parked = append(parked, p)
-		}
+// dropCalendar empties the calendar for Shutdown: unstarted processes and
+// GoTry attempts go with their start events, and the resumes and transfer
+// stages of live processes, and the stages of a TransferThen, with theirs.
+func (e *Env) dropCalendar() {
+	for ev := e.q.pop(Time(math.MaxInt64)); ev != nil; ev = e.q.pop(Time(math.MaxInt64)) {
 		e.q.release(ev)
 	}
-}
-
-func (e *Env) pushBlocked(p *Proc, why string) {
-	p.blockedIdx = len(e.blocked)
-	e.blocked = append(e.blocked, blockedProc{p: p, why: why})
-}
-
-func (e *Env) popBlocked(p *Proc) {
-	i := p.blockedIdx
-	last := len(e.blocked) - 1
-	if i != last {
-		e.blocked[i] = e.blocked[last]
-		e.blocked[i].p.blockedIdx = i
-	}
-	e.blocked[last] = blockedProc{}
-	e.blocked = e.blocked[:last]
-	p.blockedIdx = -1
 }

@@ -8,11 +8,12 @@ import (
 )
 
 // TestPanicSurfacesAtRun raises a panic at every site where the kernel runs
-// code — a process body, a calendar callback, a transfer stage, a GoTry
-// attempt, a Notify continuation and a group's delivery — on the Run
-// caller's goroutine and on a process goroutine, on an Env and on a
-// two-shard Group, where the process goroutine may be stepping the other
-// shard. Every row recovers the original value at Run or Group.Run, and
+// code — a process body, a calendar callback, a transfer stage (of a
+// TransferThen, or of a process parked in TransferAfter), a GoTry attempt,
+// a Notify continuation and a group's delivery — on the Run caller's
+// goroutine and on a process goroutine, on an Env and on a two-shard
+// Group, where the process goroutine may be stepping the other shard.
+// Every row recovers the original value at Run or Group.Run, and
 // afterwards Shutdown returns and leaves no goroutine behind.
 func TestPanicSurfacesAtRun(t *testing.T) {
 	sites := []struct {
@@ -35,6 +36,15 @@ func TestPanicSurfacesAtRun(t *testing.T) {
 		{name: "callback", plant: func(e *Env, v any) { e.After(10, func() { panic(v) }) }},
 		{name: "transfer", kernel: "flow must cross at least one pipe", plant: func(e *Env, v any) {
 			NewFabric(e).TransferThen(10, nil, 1e3, 0, 0, func() {})
+		}},
+		{name: "parked-transfer", kernel: "flow must cross at least one pipe", plant: func(e *Env, v any) {
+			// The client parks in its transfer's delay stage and the
+			// sleeper takes the baton from it, so the stage pops on
+			// another goroutine: the client stays parked, live, and only
+			// Shutdown can unwind it.
+			fab := NewFabric(e)
+			e.Go("client", func(p *Proc) { fab.TransferAfter(p, 10, nil, 1e3, 0) })
+			e.Go("sleeper", func(p *Proc) { p.Sleep(1000) })
 		}},
 		{name: "attempt", plant: func(e *Env, v any) { e.GoTry("attempt", func() bool { panic(v) }, nil) }},
 		{name: "continuation", plant: func(e *Env, v any) {

@@ -300,7 +300,7 @@ func (f *Fabric) TransferAfter(p *Proc, delay Duration, pipes []*Pipe, bytes flo
 	if f.pend(delay, pipes, bytes, rateCap, waiter{p: p}, p.flowTag) {
 		return // the token had fired: no delay to wait out
 	}
-	p.park("")
+	p.park("event")
 }
 
 // TransferThen is TransferAfter without a process: the flow carries tag,
@@ -310,7 +310,8 @@ func (f *Fabric) TransferAfter(p *Proc, delay Duration, pipes []*Pipe, bytes flo
 // sequence numbers, so a request that turns a process's TransferAfter and
 // what follows it into TransferThen and a continuation keeps the
 // schedule (MODEL.md §11, "Continuations"). A continuation is not a
-// process: no abort token is involved and no deadlock-list entry is made.
+// process: no abort token is involved, and the deadlock report does not
+// list it.
 // With no bytes, then runs after the delay — before TransferThen returns
 // when there is none, as TransferAfter would return at once.
 func (f *Fabric) TransferThen(delay Duration, pipes []*Pipe, bytes float64, rateCap float64, tag FlowTag, then func()) {
@@ -392,9 +393,8 @@ func (e *Env) poolTransfers() {
 // delay — exactly as the woken process would have: a fired abort token
 // ends a process's transfer, the end of the delay files the latency
 // stage, and the start instant starts the flow with x's waiter. A process
-// waiter is registered on its abort token and listed on the deadlock list
-// as Event.Wait would list it; a continuation is neither. It reports
-// whether the transfer returned, which only an abort makes it do.
+// waiter is registered on its abort token; a continuation has none. It
+// reports whether the transfer returned, which only an abort makes it do.
 func (f *Fabric) stepPending(x *pendingTransfer) (returned bool) {
 	e := f.env
 	p := x.w.p
@@ -410,7 +410,6 @@ func (f *Fabric) stepPending(x *pendingTransfer) (returned bool) {
 		fl.done.add(x.w)
 		if p != nil {
 			p.abort.onFireFlow(f, fl)
-			e.pushBlocked(p, "event")
 		}
 	}
 	x.w = waiter{}

@@ -12,12 +12,12 @@ import "runtime"
 // dying, and so is the Proc record itself, which is why Env.Go hands out no
 // reference to it.
 type Proc struct {
-	env        *Env
-	name       string
-	fn         func(p *Proc)
-	w          *worker
-	blockedIdx int // index in env.blocked, -1 when not parked on a wait
-	finished   bool
+	env     *Env
+	name    string
+	fn      func(p *Proc)
+	w       *worker
+	liveIdx int    // index in env.live while the process is live
+	why     string // what the process last parked on, for the deadlock report
 	// try is the attempt of a GoTry start, nil for Go; dispatch clears it
 	// when it runs.
 	try func() bool
@@ -79,23 +79,15 @@ func (p *Proc) FlowTag() string { return p.env.TagName(p.flowTag) }
 // process, park returns without a single channel operation; otherwise the
 // baton goes directly to the resumed process's goroutine, or, once the
 // calendar drains, to the next shard of a running Group or back to the Run
-// caller. why is recorded for deadlock diagnostics; processes parked on
-// timers pass "" and are not tracked (a timer always fires). A transfer
-// parks with "" and the kernel lists the process once its flow starts
-// (Fabric.TransferAfter), so park leaves the deadlock list by the index,
-// not by why.
+// caller. why is recorded for the deadlock report, which lists every live
+// process once the calendar has drained; a process parked on a timer
+// passes "" and is never in it, since its timer is still on the calendar.
 func (p *Proc) park(why string) {
-	e := p.env
-	if why != "" {
-		e.pushBlocked(p, why)
-	}
-	if e.drain(p.w) != dispSelf {
+	p.why = why
+	if p.env.drain(p.w) != dispSelf {
 		if _, ok := <-p.w.resume; !ok {
 			runtime.Goexit() // Env.Shutdown: run the process's defers and exit
 		}
-	}
-	if p.blockedIdx >= 0 {
-		e.popBlocked(p)
 	}
 }
 

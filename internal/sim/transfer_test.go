@@ -194,17 +194,17 @@ func TestTransferAfterAborts(t *testing.T) {
 			if got := fab.TagBytes("tenant"); !approx(got, wantBytes, 1e-6) {
 				t.Errorf("tenant moved %.1f bytes, want %.1f", got, wantBytes)
 			}
-			if fab.liveFlows != 0 || len(e.blocked) != 0 || e.resumes != 1 {
-				t.Errorf("after the run: %d live flows, %d blocked, %d resumes (want 0, 0, 1)",
-					fab.liveFlows, len(e.blocked), e.resumes)
+			if fab.liveFlows != 0 || len(e.live) != 0 || e.resumes != 1 {
+				t.Errorf("after the run: %d live flows, %d live processes, %d resumes (want 0, 0, 1)",
+					fab.liveFlows, len(e.live), e.resumes)
 			}
 		})
 	}
 }
 
 // TestTransferAfterShutdown: Shutdown unwinds processes parked in either
-// stage of a transfer in calendar order, then the one waiting on its flow,
-// running each one's deferred calls.
+// stage of a transfer and the one waiting on its flow, in the live list's
+// order, which here is start order, running each one's deferred calls.
 func TestTransferAfterShutdown(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEnv()
@@ -222,35 +222,31 @@ func TestTransferAfterShutdown(t *testing.T) {
 	transfer("delay", 1_000) // delay stage until 1000
 	transfer("latency", 500) // latency stage from 500 until 800
 	e.RunUntil(600)
-	if got := e.blockedReport(); !slices.Equal(got, []string{"flow (event)"}) {
-		t.Errorf("deadlock list %v, want only the process waiting on its flow", got)
-	}
 	e.Shutdown()
-	if want := []string{"latency", "delay", "flow"}; !slices.Equal(unwound, want) {
+	if want := []string{"flow", "delay", "latency"}; !slices.Equal(unwound, want) {
 		t.Errorf("unwound %v, want %v", unwound, want)
 	}
 	settleGoroutines(t, base)
 }
 
-// TestTransferAfterDeadlockReport: a process whose flow the kernel started
-// in-line is on the deadlock list as a waiter on an event, and leaves it
-// when the flow completes.
+// TestTransferAfterDeadlockReport: the deadlock report names a process
+// parked in TransferAfter as a waiter on an event, in the delay stage and
+// while the kernel's in-line start has its flow running, and no longer
+// names it once the flow completes and the process returns.
 func TestTransferAfterDeadlockReport(t *testing.T) {
 	e := NewEnv()
 	fab := NewFabric(e)
 	link := fab.NewPipe("link", 1e9, 0)
 	e.Go("client", func(p *Proc) { fab.TransferAfter(p, 100, []*Pipe{link}, 1e3, 0) })
-	e.RunUntil(50)
-	if len(e.blocked) != 0 {
-		t.Fatalf("a process in its delay stage is on the deadlock list: %v", e.blockedReport())
-	}
-	e.RunUntil(150)
-	if got := e.blockedReport(); !slices.Equal(got, []string{"client (event)"}) {
-		t.Fatalf("deadlock list %v, want [client (event)]", got)
+	for _, stage := range []Time{50, 150} {
+		e.RunUntil(stage)
+		if got := e.deadlockReport(); !slices.Equal(got, []string{"client (event)"}) {
+			t.Fatalf("report %v at %v, want [client (event)]", got, stage)
+		}
 	}
 	e.Run()
-	if len(e.blocked) != 0 {
-		t.Fatalf("deadlock list %v after the flow completed", e.blockedReport())
+	if got := e.deadlockReport(); len(got) != 0 {
+		t.Fatalf("report %v after the flow completed", got)
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 // The request pipeline shared by Run, RunSharded and ReplayTrace. Every
 // request flows through one tenant×rack×node shard in six stages:
 //
-//   - source: the shard's pre-drawn generator ring, or its slice of a
-//     recorded trace, admitted from a self-re-arming calendar tick;
+//   - source: the shard's arrival generator, drawn one arrival ahead, or
+//     its slice of a recorded trace, admitted from a self-re-arming
+//     calendar tick;
 //   - admission: breaker, then brownout tiers, then the tenant's cap;
 //   - placement: local, or forwarded to the rack that owns the data;
 //   - policy: plain, or the tenant's resilience stack;
@@ -245,57 +246,28 @@ func sketchDur(s *stats.Sketch, p float64) sim.Duration {
 	return sim.Duration(q * 1e9)
 }
 
-// arrivalChunk is the number of arrival timestamps a shard pre-draws per
-// refill of its ring. The draws come from the shard-private RNG in exactly
-// the order the old one-draw-per-wakeup generator made them, so the
-// timestamp sequence is bit-identical; chunking only amortizes the
-// dispatch.
-const arrivalChunk = 64
-
-// shardGen feeds one shard's arrival timestamps from a chunked pre-drawn
-// ring. The underlying arrivalGen is consulted in the same next(prev)
-// sequence the per-request generator loop used (including the final
-// beyond-window draw that terminates the stream).
+// shardGen feeds one shard's arrival timestamps, one ahead: peek draws the
+// next from the arrivalGen once the one before it is taken. The generator
+// is consulted in the next(prev) sequence the per-request generator loop
+// used, including the final beyond-window draw that ends the stream,
+// which stays held so that peek reports the end from then on.
 type shardGen struct {
 	gen  *arrivalGen
 	end  sim.Time
-	buf  [arrivalChunk]sim.Time
-	idx  int
-	n    int
-	last sim.Time
-	done bool
-}
-
-func (sg *shardGen) fill() {
-	sg.idx, sg.n = 0, 0
-	for sg.n < len(sg.buf) {
-		at := sg.gen.next(sg.last)
-		sg.last = at
-		if at > sg.end {
-			sg.done = true
-			return
-		}
-		sg.buf[sg.n] = at
-		sg.n++
-	}
+	at   sim.Time // the arrival held, or the last one taken
+	held bool
 }
 
 // peek returns the next arrival time without consuming it; ok is false once
 // the stream passed the window end.
 func (sg *shardGen) peek() (at sim.Time, ok bool) {
-	if sg.idx >= sg.n {
-		if sg.done {
-			return 0, false
-		}
-		sg.fill()
-		if sg.n == 0 {
-			return 0, false
-		}
+	if !sg.held {
+		sg.at, sg.held = sg.gen.next(sg.at), true
 	}
-	return sg.buf[sg.idx], true
+	return sg.at, sg.at <= sg.end
 }
 
-func (sg *shardGen) pop() { sg.idx++ }
+func (sg *shardGen) pop() { sg.held = false }
 
 // reqFiles is the rotating file-set size per tenant×shard: requests cycle
 // through this many paths, so the namespace stays bounded no matter how
@@ -308,7 +280,7 @@ type shard struct {
 	env *sim.Env
 	fn  func() // tick, bound once; re-armed for every future arrival
 
-	// Source: the generator ring, whose requests all follow tmpl, or —
+	// Source: the generator, whose requests all follow tmpl, or —
 	// when events is set — a recorded slice replayed with op size io by
 	// default.
 	gen    shardGen

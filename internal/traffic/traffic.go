@@ -168,10 +168,10 @@ type Report struct {
 // Run is the one-rack case of the request pipeline RunSharded drives:
 // each tenant×node shard carries 1/nodes-th of the tenant's aggregate
 // arrival stream (see arrivalGen for why the merge is exact for
-// Poisson-family processes) from a pre-drawn ring admitted by calendar
-// ticks, through admission, the tenant's policy, serve and completion. No
-// process exists per client or per generator, so process count is
-// O(in-flight requests) regardless of Tenant.Clients.
+// Poisson-family processes), drawn one arrival ahead and admitted by
+// calendar ticks, through admission, the tenant's policy, serve and
+// completion. No process exists per client or per generator, so process
+// count is O(in-flight requests) regardless of Tenant.Clients.
 //
 // Run drives env itself (RunUntil the window's end) and must be called
 // with a quiescent env; fault schedules armed on the same env beforehand
