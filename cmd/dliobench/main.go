@@ -24,6 +24,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "dliobench:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses the flags, runs the model and prints its analysis. The
+// Chrome trace, when asked for, is written before anything is printed, so
+// a failed write leaves stdout empty.
+func run() error {
 	model := flag.String("model", "resnet50", "resnet50, cosmoflow or custom")
 	fs := flag.String("fs", "vast", "vast or gpfs")
 	nodes := flag.Int("nodes", 1, "compute nodes")
@@ -49,11 +59,11 @@ func main() {
 	case "custom":
 		sb, err := units.ParseBytes(*sampleSize)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		xb, err := units.ParseBytes(*xfer)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		cfg = storagesim.DLIOConfig{
 			Model: "custom", Samples: *samples, SampleBytes: int64(sb),
@@ -63,13 +73,13 @@ func main() {
 			Scaling: dlio.WeakScaling, Shuffle: true, Dir: "/dlio/custom",
 		}
 	default:
-		fail(fmt.Errorf("unknown model %q", *model))
+		return fmt.Errorf("unknown model %q", *model)
 	}
 	cfg.Seed = *seed
 	if *ckptEvery > 0 {
 		cb, err := units.ParseBytes(*ckptSize)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		cfg.CheckpointEveryBatches = *ckptEvery
 		cfg.CheckpointBytes = int64(cb)
@@ -77,7 +87,20 @@ func main() {
 
 	res, rec, err := experiments.RunDLIOOnce(experiments.FS(*fs), *nodes, cfg)
 	if err != nil {
-		fail(err)
+		return err
+	}
+	if *traceOut != "" {
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			return err
+		}
+		err = trace.WriteChromeTrace(f, rec.Spans())
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
 	}
 	a := res.Analysis
 	fmt.Printf("model=%s fs=%s nodes=%d ranks=%d\n", cfg.Model, *fs, *nodes, a.Ranks)
@@ -91,19 +114,7 @@ func main() {
 	fmt.Printf("  training runtime: %10.3fs (virtual)\n", res.Runtime.Seconds())
 
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		if err := trace.WriteChromeTrace(f, rec.Spans()); err != nil {
-			fail(err)
-		}
 		fmt.Printf("  trace: %s (%d spans)\n", *traceOut, rec.Len())
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "dliobench:", err)
-	os.Exit(1)
+	return nil
 }

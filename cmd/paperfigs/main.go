@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -240,29 +241,26 @@ func renderPanels(panels []storagesim.Panel, err error) error {
 }
 
 // exportPanelCSV writes the panel to <csvDir>/<id>.csv when -csv is set.
-func exportPanelCSV(p storagesim.Panel) error {
-	if *csvDir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(*csvDir, p.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return p.WriteCSV(f)
-}
+func exportPanelCSV(p storagesim.Panel) error { return exportCSV(p.ID, p.WriteCSV) }
 
 // exportTableCSV writes a result table likewise.
-func exportTableCSV(t storagesim.ResultTable) error {
+func exportTableCSV(t storagesim.ResultTable) error { return exportCSV(t.ID, t.WriteCSV) }
+
+// exportCSV writes <csvDir>/<id>.csv with write when -csv is set. A failed
+// Close is an error like a failed write: the file may be incomplete.
+func exportCSV(id string, write func(io.Writer) error) error {
 	if *csvDir == "" {
 		return nil
 	}
-	f, err := os.Create(filepath.Join(*csvDir, t.ID+".csv"))
+	f, err := os.Create(filepath.Join(*csvDir, id+".csv"))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return t.WriteCSV(f)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // fail prints an error line and returns the exit status 1.

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -208,20 +209,21 @@ func checkResilienceTable(t *testing.T, dir string) {
 
 // TestTrafficFlagErrors: a traffic window, load or count the engine cannot
 // run, a flag combination it cannot honour, a profile path that cannot be
-// created, a missing input, or a (machine, file system) pair no deployment
-// exists for, is a user error. The traffic CLIs, paperfigs, mdbench and
-// tracestat must exit 1 with an error line before any output, never panic,
-// never hang (a NaN or infinite load once spun forever), and never run
-// with a flag silently replaced or dropped (a zero rep count once ran one
-// rep, a sharded tracereplay once ignored -audit, -o and -record, and the
-// traffic CLIs once ran unprofiled past an unwritable profile path). An
-// error after the profiles started still writes the CPU profile (the
-// commands once left it empty).
+// created, a missing input, a (machine, file system) pair no deployment
+// exists for, or an output file that cannot be written, is a user error.
+// The traffic CLIs, paperfigs, mdbench, tracestat and dliobench must exit
+// 1 with an error line before any output, never panic, never hang (a NaN
+// or infinite load once spun forever), and never run with a flag silently
+// replaced or dropped (a zero rep count once ran one rep, a sharded
+// tracereplay once ignored -audit, -o and -record, and the traffic CLIs
+// once ran unprofiled past an unwritable profile path). An error after
+// the profiles started still writes the CPU profile (the commands once
+// left it empty).
 func TestTrafficFlagErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	dir := buildCmds(t, "trafficbench", "tracereplay", "paperfigs", "mdbench", "tracestat", "iorbench")
+	dir := buildCmds(t, "trafficbench", "tracereplay", "paperfigs", "mdbench", "tracestat", "iorbench", "dliobench")
 	traffic := []string{"trafficbench", "tracereplay"}
 	profiled := []string{"trafficbench", "tracereplay", "paperfigs"}
 	fixture := "internal/experiments/testdata/fidelity_trace.jsonl"
@@ -245,6 +247,8 @@ func TestTrafficFlagErrors(t *testing.T) {
 		return path
 	}
 	lastNode, lastCNode := lastFail("last-node.json", 2), lastFail("last-cnode.json", 8)
+	_, err := os.Stat("/dev/full")
+	devFull := err == nil
 	for _, tc := range []struct {
 		cmds    []string
 		flags   []string
@@ -277,7 +281,11 @@ func TestTrafficFlagErrors(t *testing.T) {
 		{[]string{"trafficbench"}, []string{"-faults", missing}, "missing.json", true},
 		{[]string{"tracereplay"}, []string{"-trace", missing}, "missing.json", true},
 		{[]string{"paperfigs"}, []string{"-csv", filepath.Join(chromeTrace, "csv")}, "-csv", true},
+		{[]string{"dliobench"}, []string{"-model", "custom", "-samples", "64", "-trace", "/dev/full"}, "no space left on device", false},
 	} {
+		if slices.Contains(tc.flags, "/dev/full") && !devFull {
+			continue // a write error needs the full device
+		}
 		for _, name := range tc.cmds {
 			args := append([]string{name}, tc.flags...)
 			switch {

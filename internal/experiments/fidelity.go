@@ -52,9 +52,6 @@ type AuditOptions struct {
 	// the documented defaults: 2% on percentiles, 5% on goodput, exact
 	// completion counts).
 	Tolerance fidelity.Tolerance
-	// SketchAlpha is the percentile sketch's relative-error bound used on
-	// both the recorded and the simulated side (0 = stats default, 1%).
-	SketchAlpha float64
 }
 
 // FidelityAudit replays tr against the deployment and compares simulated
@@ -62,14 +59,11 @@ type AuditOptions struct {
 // the metrics recorded in the trace, reporting per-metric error bands. The
 // replay report is returned alongside so callers can render both views.
 func FidelityAudit(machine string, fs FS, nodes int, tr *trace.Trace, opts AuditOptions) (*fidelity.Report, traffic.Report, error) {
-	rep, err := ReplayTraceOn(machine, fs, nodes, tr, traffic.TraceConfig{
-		IOBytes:     opts.IOBytes,
-		SketchAlpha: opts.SketchAlpha,
-	})
+	rep, err := ReplayTraceOn(machine, fs, nodes, tr, traffic.TraceConfig{IOBytes: opts.IOBytes})
 	if err != nil {
 		return nil, traffic.Report{}, err
 	}
-	audit, err := fidelity.Audit(tr, rep, opts.Tolerance, opts.SketchAlpha)
+	audit, err := fidelity.Audit(tr, rep, opts.Tolerance, 0)
 	if err != nil {
 		return nil, traffic.Report{}, err
 	}

@@ -161,15 +161,10 @@ func sampleRebuildRun(cfg ior.Config, sched faults.Schedule, qos repair.QoS, int
 	if err != nil {
 		return nil, err
 	}
-	deltas := make([]float64, rebuildSweepBuckets)
-	cfg.OnSegment = func(rank int, at sim.Time, bytes int64) {
-		k := int(sim.Duration(at) / interval)
-		if k >= 0 && k < len(deltas) {
-			deltas[k] += float64(bytes)
-		}
-	}
+	deltas := newTimeline(interval, rebuildSweepBuckets)
+	cfg.OnSegment = func(rank int, at sim.Time, bytes int64) { deltas.add(at, float64(bytes)) }
 	if _, err := ior.Run(tb.env, tb.mounts, cfg); err != nil {
 		return nil, err
 	}
-	return deltas, nil
+	return deltas.sums, nil
 }

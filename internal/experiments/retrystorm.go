@@ -89,28 +89,24 @@ func retryStormSpec(naive bool) traffic.Spec {
 
 // stormTimeline is one variant's bucketed observer accumulation.
 type stormTimeline struct {
-	goodput []float64 // bytes completed per bucket
-	retries []float64 // retries reported by terminal outcomes per bucket
+	goodput timeline // bytes completed per bucket
+	retries timeline // retries reported by terminal outcomes per bucket
 }
 
 // runRetryStorm runs one variant over the deployment and returns its
 // timeline and tenant report.
 func runRetryStorm(naive bool, window time.Duration, seed uint64) (stormTimeline, traffic.TenantReport, error) {
 	nb := int(window / stormBucket)
-	tl := stormTimeline{goodput: make([]float64, nb), retries: make([]float64, nb)}
+	tl := stormTimeline{goodput: newTimeline(stormBucket, nb), retries: newTimeline(stormBucket, nb)}
 	cfg := traffic.Config{
 		Spec:     retryStormSpec(naive),
 		Duration: window,
 		Seed:     seed,
 		OutcomeObserver: func(ev traffic.OutcomeEvent) {
-			b := int(time.Duration(ev.At) / stormBucket)
-			if b < 0 || b >= nb {
-				return
-			}
 			if ev.Kind == traffic.OutcomeCompleted {
-				tl.goodput[b] += float64(ev.Bytes)
+				tl.goodput.add(ev.At, float64(ev.Bytes))
 			}
-			tl.retries[b] += float64(ev.Retries)
+			tl.retries.add(ev.At, float64(ev.Retries))
 		},
 	}
 	sched := faults.Schedule{Events: []faults.Event{
@@ -128,12 +124,12 @@ func runRetryStorm(naive bool, window time.Duration, seed uint64) (stormTimeline
 // returning a rate in bytes/s.
 func (tl stormTimeline) windowMean(from, to time.Duration) float64 {
 	lo, hi := int(from/stormBucket), int(to/stormBucket)
-	if hi > len(tl.goodput) {
-		hi = len(tl.goodput)
+	if hi > len(tl.goodput.sums) {
+		hi = len(tl.goodput.sums)
 	}
 	var sum float64
 	for b := lo; b < hi; b++ {
-		sum += tl.goodput[b]
+		sum += tl.goodput.sums[b]
 	}
 	return sum / time.Duration((hi-lo)*int(stormBucket)).Seconds()
 }
@@ -181,11 +177,11 @@ func RetryStormStudy(opts Options) (RetryStormResult, error) {
 	for _, v := range variants {
 		gp := stats.Series{Name: v.name}
 		rt := stats.Series{Name: v.name}
-		for b := range v.tl.goodput {
+		for b, bytes := range v.tl.goodput.sums {
 			x := (time.Duration(b+1) * stormBucket).Seconds()
-			gp.Points = append(gp.Points, stats.Point{X: x, Y: v.tl.goodput[b] / stormBucket.Seconds() / 1e6})
+			gp.Points = append(gp.Points, stats.Point{X: x, Y: bytes / stormBucket.Seconds() / 1e6})
 			gp.Err = append(gp.Err, 0)
-			rt.Points = append(rt.Points, stats.Point{X: x, Y: v.tl.retries[b]})
+			rt.Points = append(rt.Points, stats.Point{X: x, Y: v.tl.retries.sums[b]})
 			rt.Err = append(rt.Err, 0)
 		}
 		goodput.Series = append(goodput.Series, gp)

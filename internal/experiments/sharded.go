@@ -52,9 +52,7 @@ func buildShardedTestbeds(machine string, fs FS, racks, nodesPerRack int) (*sim.
 			Mount: tb.tenantMount,
 		}
 	}
-	if racks > 1 {
-		g.LinkAll(interRackLatency)
-	}
+	g.LinkAll(interRackLatency)
 	return g, trs, tbs, nil
 }
 

@@ -6,7 +6,7 @@
 // DropCaches and SetFlowTag, and provide only their network/server/device
 // paths via the Backend interface plus the flow-level stream methods.
 // unifyfs routes every operation through its chunk placement instead and
-// does not use the core.
+// does not use the core; its client embeds only the core's FlowTagCache.
 package fsbase
 
 import (
@@ -43,19 +43,23 @@ type ClientCore struct {
 	// Cache is the client page cache; nil models a cache-less client
 	// (direct I/O).
 	Cache *cache.Cache
-	// FlowTag attributes this mount's fabric traffic to a tenant (see
-	// fsapi.FlowTagger); "" is the untagged default.
-	FlowTag string
 
-	// tagID caches the interned handle of FlowTag (valid while tagFor ==
-	// FlowTag), so per-operation stamping is an integer write instead of a
-	// string intern.
+	FlowTagCache
+}
+
+// FlowTagCache holds the flow tag that attributes a mount's fabric traffic
+// to a tenant (see fsapi.FlowTagger; "" is the untagged default) and
+// caches its interned handle, so per-operation stamping is an integer
+// write instead of a string intern. Every backend's client embeds it,
+// through ClientCore or directly.
+type FlowTagCache struct {
+	tag    string
 	tagID  sim.FlowTag
-	tagFor string
+	tagFor string // the tag tagID was interned for
 }
 
 // SetFlowTag implements fsapi.FlowTagger.
-func (c *ClientCore) SetFlowTag(tag string) { c.FlowTag = tag }
+func (c *FlowTagCache) SetFlowTag(tag string) { c.tag = tag }
 
 // Stamp applies the mount's flow tag to the calling process, so every
 // fabric flow the ensuing operation starts is attributed to this mount's
@@ -63,16 +67,16 @@ func (c *ClientCore) SetFlowTag(tag string) { c.FlowTag = tag }
 // tag a shared process may carry from a previous mount. The op-level core
 // stamps its own entry points; concrete clients must call Stamp at the top
 // of their stream methods.
-func (c *ClientCore) Stamp(p *sim.Proc) { p.SetFlowTagID(c.Tag(p.Env())) }
+func (c *FlowTagCache) Stamp(p *sim.Proc) { p.SetFlowTagID(c.Tag(p.Env())) }
 
 // Tag returns the interned handle of the mount's flow tag, interning the
 // tag on env when it changed since the last call. Handles are assigned in
 // interning order, so a process-free operation must call Tag where its
 // blocking form calls Stamp.
-func (c *ClientCore) Tag(env *sim.Env) sim.FlowTag {
-	if c.tagFor != c.FlowTag {
-		c.tagID = env.InternTag(c.FlowTag)
-		c.tagFor = c.FlowTag
+func (c *FlowTagCache) Tag(env *sim.Env) sim.FlowTag {
+	if c.tagFor != c.tag {
+		c.tagID = env.InternTag(c.tag)
+		c.tagFor = c.tag
 	}
 	return c.tagID
 }

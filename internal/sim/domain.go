@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -12,9 +13,9 @@ import (
 // A Shard owns a whole Env — its own virtual clock, timer wheel, event pool
 // and process set — so shard-local execution is exactly the single-threaded
 // kernel, untouched. Shards interact only through timestamped cross-shard
-// messages carried over declared Links, and every link has a positive
-// latency. The minimum link latency is the group's lookahead L: a shard at
-// virtual time t cannot affect any other shard before t+L, which is the
+// messages, and every shard reaches every other at one positive latency,
+// declared with LinkAll. That latency is the group's lookahead L: a shard
+// at virtual time t cannot affect any other shard before t+L, which is the
 // classical conservative-synchronization guarantee the group exploits.
 //
 // The Group advances the shards in bounded windows. All shards stand at a
@@ -26,7 +27,7 @@ import (
 // and steps every shard, in shard order, through its events with
 // timestamps <= T'. Messages a shard sends during the window wait in the
 // group's pending set until the barrier, where they are delivered in the
-// global (deliverAt, source shard, send seq) order before any shard moves
+// global (deliverAt, source shard, send order) order before any shard moves
 // again. The window loop (next) runs on whichever goroutine holds the
 // baton when a shard's calendar drains: a process goroutine of any shard,
 // or the Run caller.
@@ -44,11 +45,10 @@ import (
 // build (docs/MODEL.md §13).
 type Group struct {
 	shards    []*Shard
-	links     map[[2]int32]Duration
-	lookahead Duration
+	lookahead Duration // the mesh latency; 0 until LinkAll
 
-	clock     Time
-	finalized bool
+	clock   Time
+	started bool // set by the first Run
 
 	// The run in progress (see next): its deadline, the current window's
 	// boundary and the index of the shard being stepped, len(shards)
@@ -76,34 +76,27 @@ type Shard struct {
 	name  string
 	env   *Env
 	group *Group
-
-	// out[i] is the latency of this shard's link to shard i (0 = no link),
-	// resolved from the group's link set when the first Run finalizes the
-	// topology.
-	out     []Duration
-	sendSeq uint64
 }
 
 // xmsg is one cross-shard message: fn runs on the destination shard's Env at
-// virtual time at. (src, seq) breaks delivery ties deterministically.
+// virtual time at.
 type xmsg struct {
 	at       Time
 	src, dst int32
-	seq      uint64
 	fn       func()
 }
 
 // NewGroup returns an empty group. Its argument is ignored; it stays so
 // that callers passing an executor count still compile. Pass 1.
 func NewGroup(int) *Group {
-	return &Group{links: map[[2]int32]Duration{}, back: make(chan any)}
+	return &Group{back: make(chan any)}
 }
 
 // AddShard registers env as one shard of the group. The Env must be
 // exclusive to this shard — its clock is advanced only through the group
 // from here on. Shards must all be added before the first Run.
 func (g *Group) AddShard(name string, env *Env) *Shard {
-	if g.finalized {
+	if g.started {
 		panic("sim: AddShard after the group started running")
 	}
 	if env.now != 0 || env.running || env.group != nil {
@@ -121,39 +114,20 @@ func (s *Shard) Name() string { return s.name }
 // Env returns the shard's environment.
 func (s *Shard) Env() *Env { return s.env }
 
-// Link declares a one-way channel from shard a to shard b with the given
-// message latency. Latency must be positive: a zero-latency link would give
-// the group zero lookahead and serialize every window. Re-linking a pair
-// keeps the smaller latency.
-func (g *Group) Link(a, b *Shard, latency Duration) {
-	if g.finalized {
-		panic("sim: Link after the group started running")
-	}
-	if a.group != g || b.group != g {
-		panic("sim: Link across groups")
-	}
-	if a == b {
-		panic("sim: self-link: " + a.name)
+// LinkAll couples the shards in a full mesh: a message from any shard
+// reaches any other after latency, which is also the group's lookahead.
+// Latency must be positive: zero lookahead would serialize every window.
+// Calling LinkAll again keeps the smaller latency. A group with fewer than
+// two shards has no coupling and runs in one window whatever its latency.
+func (g *Group) LinkAll(latency Duration) {
+	if g.started {
+		panic("sim: LinkAll after the group started running")
 	}
 	if latency <= 0 {
-		panic(fmt.Sprintf("sim: link latency must be positive: %s -> %s", a.name, b.name))
+		panic(fmt.Sprintf("sim: link latency must be positive: %v", latency))
 	}
-	key := [2]int32{a.id, b.id}
-	if cur, ok := g.links[key]; !ok || latency < cur {
-		g.links[key] = latency
-	}
-}
-
-// LinkAll declares a full bidirectional mesh over every shard at the given
-// latency — the common fabric-segment topology where any rack can reach any
-// other in one hop.
-func (g *Group) LinkAll(latency Duration) {
-	for _, a := range g.shards {
-		for _, b := range g.shards {
-			if a != b {
-				g.Link(a, b, latency)
-			}
-		}
+	if g.lookahead == 0 || latency < g.lookahead {
+		g.lookahead = latency
 	}
 }
 
@@ -162,48 +136,25 @@ func (g *Group) LinkAll(latency Duration) {
 func (g *Group) Now() Time { return g.clock }
 
 // Send schedules fn to run on shard `to` at the sender's current virtual
-// time plus the link latency plus extra (>= 0). It must be called from
+// time plus the mesh latency plus extra (>= 0). It must be called from
 // within the sending shard's window — a process or event callback running
-// on s.Env() — and the two shards must be linked. Messages become visible
-// to the destination at the next barrier; conservative synchronization
-// guarantees that is always before their timestamp.
+// on s.Env() — to another shard of the same, linked group. Messages become
+// visible to the destination at the next barrier; conservative
+// synchronization guarantees that is always before their timestamp.
 func (s *Shard) Send(to *Shard, extra Duration, fn func()) {
 	if extra < 0 {
 		panic("sim: negative extra send delay")
 	}
-	lat := Duration(0)
-	if int(to.id) < len(s.out) {
-		lat = s.out[to.id]
-	}
-	if lat <= 0 {
-		panic(fmt.Sprintf("sim: no link %s -> %s", s.name, to.name))
-	}
 	g := s.group
-	g.pending = append(g.pending, xmsg{
-		at:  s.env.now.Add(lat + extra),
-		src: s.id, dst: to.id,
-		seq: s.sendSeq,
-		fn:  fn,
-	})
-	s.sendSeq++
-}
-
-// finalize freezes the topology: per-shard link slices and the lookahead.
-func (g *Group) finalize() {
-	if g.finalized {
-		return
+	switch {
+	case to == s:
+		panic("sim: self-send: " + s.name)
+	case to.group != g:
+		panic(fmt.Sprintf("sim: send across groups: %s -> %s", s.name, to.name))
+	case g.lookahead == 0:
+		panic(fmt.Sprintf("sim: send in an unlinked group: %s -> %s", s.name, to.name))
 	}
-	g.finalized = true
-	n := len(g.shards)
-	for _, s := range g.shards {
-		s.out = make([]Duration, n)
-	}
-	for key, lat := range g.links {
-		g.shards[key[0]].out[key[1]] = lat
-		if g.lookahead == 0 || lat < g.lookahead {
-			g.lookahead = lat
-		}
-	}
+	g.pending = append(g.pending, xmsg{at: s.env.now.Add(g.lookahead + extra), src: s.id, dst: to.id, fn: fn})
 }
 
 // Run advances every shard to virtual time `until` under conservative
@@ -216,7 +167,7 @@ func (g *Group) finalize() {
 // The caller gets it back once, when the run reaches `until` or a panic
 // unwinds a worker of any shard; Run re-panics with the original value.
 func (g *Group) Run(until Time) Time {
-	g.finalize()
+	g.started = true
 	if until < g.clock {
 		panic(fmt.Sprintf("sim: group run until %v before barrier clock %v", until, g.clock))
 	}
@@ -288,7 +239,8 @@ func (g *Group) next(w *worker) int {
 // the earliest pending event when every shard is idle longer than that
 // (idle skip), and capped at the deadline. With no pending events anywhere
 // — and deliver() has already drained the message queue — nothing can
-// happen before `until`, so the window jumps straight there.
+// happen before `until`, so the window jumps straight there; so it does
+// when no shard can hear from another (unlinked, or one shard).
 func (g *Group) boundary(until Time) Time {
 	earliest := Time(math.MaxInt64)
 	for _, s := range g.shards {
@@ -296,7 +248,7 @@ func (g *Group) boundary(until Time) Time {
 			earliest = min(earliest, at)
 		}
 	}
-	if earliest == math.MaxInt64 || g.lookahead == 0 {
+	if earliest == math.MaxInt64 || g.lookahead == 0 || len(g.shards) < 2 {
 		return until
 	}
 	boundary := g.clock.Add(g.lookahead)
@@ -307,27 +259,19 @@ func (g *Group) boundary(until Time) Time {
 }
 
 // deliver schedules every pending message on its destination shard in the
-// global (deliverAt, src, seq) order — a total order, since (src, seq) is
-// unique — so the destination Env's tie-breaking sequence numbers follow
-// from the messages alone.
+// global (deliverAt, src, send order) order, so the destination Env's
+// tie-breaking sequence numbers follow from the messages alone. Each shard
+// appends its own messages in send order, so a stable sort on (deliverAt,
+// src) gives that order.
 func (g *Group) deliver() {
 	if len(g.pending) == 0 {
 		return
 	}
-	slices.SortFunc(g.pending, func(a, b xmsg) int {
-		switch {
-		case a.at != b.at:
-			if a.at < b.at {
-				return -1
-			}
-			return 1
-		case a.src != b.src:
-			return int(a.src - b.src)
-		case a.seq < b.seq:
-			return -1
-		default:
-			return 1
+	slices.SortStableFunc(g.pending, func(a, b xmsg) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
 		}
+		return cmp.Compare(a.src, b.src)
 	})
 	for i := range g.pending {
 		m := &g.pending[i]

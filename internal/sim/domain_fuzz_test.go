@@ -19,8 +19,11 @@ func fuzzMix(x uint64) uint64 {
 // and sends it a message with a random extra delay, and each delivered
 // message starts a short-lived process on its destination. Every message
 // due by the deadline must run exactly once, at its send time plus the
-// link latency plus the extra delay; no conservative-synchronization panic
-// may fire; and every shard's clock must stand at the deadline after Run.
+// mesh latency plus the extra delay; messages due at the same instant on
+// one shard must run in the order of the barriers that delivered them and,
+// within one barrier, in (source shard, send order); no
+// conservative-synchronization panic may fire; and every shard's clock
+// must stand at the deadline after Run.
 // The window loop runs on whichever goroutine holds the baton, so every
 // switch the Run makes, summed over the shards, goes to a resumed or
 // started process but the one that hands the baton back to the caller.
@@ -29,6 +32,7 @@ func FuzzGroupDelivery(f *testing.F) {
 	f.Add(uint64(0x5eed), uint8(3), uint16(1), uint8(40))
 	f.Add(uint64(42), uint8(4), uint16(350), uint8(60))
 	f.Add(uint64(7777), uint8(4), uint16(65535), uint8(10))
+	f.Add(uint64(1), uint8(1), uint16(350), uint8(59)) // s1 and s2 tie on s0 at 2251
 	f.Fuzz(func(t *testing.T, seed uint64, shardsRaw uint8, latRaw uint16, eventsRaw uint8) {
 		nshards := 2 + int(shardsRaw)%3 // 2..4
 		lat := Duration(1 + int(latRaw)%1000)
@@ -42,6 +46,14 @@ func FuzzGroupDelivery(f *testing.F) {
 		}
 		g.LinkAll(lat)
 		due, ran := 0, 0
+		// last[d] is the message that ran last on shard d: its due time,
+		// the barrier that delivered it (the close of the window it was
+		// sent in), its source shard and its send index.
+		type sent struct {
+			at, barrier Time
+			src, k      int
+		}
+		last := make([]sent, nshards)
 		for i, s := range shards {
 			rng := seed ^ uint64(i)*0x9e3779b97f4a7c15
 			s.Env().Go("gen", func(p *Proc) {
@@ -61,11 +73,18 @@ func FuzzGroupDelivery(f *testing.F) {
 					if want <= until {
 						due++
 					}
+					m := sent{want, g.bound, i, k}
 					s.Send(to, extra, func() {
 						ran++
 						if now := to.Env().Now(); now != want {
 							t.Errorf("%s -> %s: message ran at %d, want %d", s.Name(), to.Name(), now, want)
 						}
+						if l := last[target]; l.at == m.at && (l.barrier > m.barrier ||
+							l.barrier == m.barrier && (l.src > m.src || l.src == m.src && l.k > m.k)) {
+							t.Errorf("on %s at %d: message %d of s%d (barrier %d) ran after message %d of s%d (barrier %d)",
+								to.Name(), m.at, m.k, m.src, m.barrier, l.k, l.src, l.barrier)
+						}
+						last[target] = m
 						to.Env().Go("receiver", func(p *Proc) { p.Sleep(extra + 1) })
 					})
 				}

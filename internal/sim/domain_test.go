@@ -74,13 +74,13 @@ func TestGroupLockstep(t *testing.T) {
 }
 
 // TestGroupMessageTiming checks that a message runs on the destination at
-// exactly send-time + link latency + extra, and that the destination clock
+// exactly send-time + mesh latency + extra, and that the destination clock
 // has reached (not passed) that instant.
 func TestGroupMessageTiming(t *testing.T) {
 	g := NewGroup(1)
 	a := g.AddShard("a", NewEnv())
 	b := g.AddShard("b", NewEnv())
-	g.Link(a, b, 150)
+	g.LinkAll(150)
 	var got Time
 	a.Env().Go("sender", func(p *Proc) {
 		p.Sleep(40)
@@ -126,8 +126,7 @@ func TestGroupIdleSkip(t *testing.T) {
 	g := NewGroup(1)
 	a := g.AddShard("a", NewEnv())
 	b := g.AddShard("b", NewEnv())
-	g.Link(a, b, 10)
-	g.Link(b, a, 10)
+	g.LinkAll(10)
 	var times []Time
 	a.Env().Go("sparse", func(p *Proc) {
 		for i := 0; i < 5; i++ {
@@ -174,7 +173,7 @@ func TestGroupResume(t *testing.T) {
 	g := NewGroup(1)
 	a := g.AddShard("a", NewEnv())
 	b := g.AddShard("b", NewEnv())
-	g.Link(a, b, 50)
+	g.LinkAll(50)
 	var hits []Time
 	a.Env().Go("p", func(p *Proc) {
 		for i := 0; i < 4; i++ {
@@ -351,7 +350,7 @@ func TestGroupRunsInARow(t *testing.T) {
 	}
 }
 
-// TestGroupValidation covers the constructor/topology guard rails.
+// TestGroupValidation covers the constructor/coupling guard rails.
 func TestGroupValidation(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -365,25 +364,67 @@ func TestGroupValidation(t *testing.T) {
 	g := NewGroup(1)
 	a := g.AddShard("a", NewEnv())
 	b := g.AddShard("b", NewEnv())
-	mustPanic("self link", func() { g.Link(a, a, 10) })
-	mustPanic("zero latency", func() { g.Link(a, b, 0) })
+	mustPanic("zero latency", func() { g.LinkAll(0) })
+	mustPanic("send without link", func() { a.Send(b, 0, func() {}) })
 	g.Run(10)
 	mustPanic("late AddShard", func() { g.AddShard("c", NewEnv()) })
-	mustPanic("late Link", func() { g.Link(a, b, 5) })
+	mustPanic("late LinkAll", func() { g.LinkAll(5) })
 	mustPanic("rewind", func() { g.Run(5) })
 	g.Shutdown()
 
 	g2 := NewGroup(1)
 	x := g2.AddShard("x", NewEnv())
 	y := g2.AddShard("y", NewEnv())
-	g2.Link(x, y, 10)
+	g2.LinkAll(10)
 	x.Env().Go("p", func(p *Proc) {
 		p.Sleep(1)
-		mustPanic("send without link", func() { y.Send(x, 0, func() {}) })
+		mustPanic("self-send", func() { x.Send(x, 0, func() {}) })
+		mustPanic("send across groups", func() { x.Send(b, 0, func() {}) })
 		mustPanic("negative extra", func() { x.Send(y, -1, func() {}) })
 	})
 	g2.Run(100)
 	g2.Shutdown()
+}
+
+// TestGroupLinkAll: a second LinkAll keeps the smaller latency, which both
+// stamps messages and bounds the windows, and a one-shard group runs in
+// one window whatever its latency.
+func TestGroupLinkAll(t *testing.T) {
+	g := NewGroup(1)
+	a := g.AddShard("a", NewEnv())
+	b := g.AddShard("b", NewEnv())
+	g.LinkAll(30)
+	g.LinkAll(10)
+	g.LinkAll(20)
+	var got Time
+	a.Env().Schedule(5, func() {
+		if end := a.env.deadline; end != 10 {
+			t.Errorf("first window ends at %d, want 10", end)
+		}
+		a.Send(b, 25, func() { got = b.Env().Now() })
+	})
+	g.Run(1000)
+	g.Shutdown()
+	if want := Time(5 + 10 + 25); got != want {
+		t.Fatalf("message ran at %d, want %d", got, want)
+	}
+
+	solo := NewGroup(1)
+	s := solo.AddShard("solo", NewEnv())
+	solo.LinkAll(10)
+	ran := 0
+	for _, at := range []Time{5, 500} {
+		s.Env().Schedule(at, func() {
+			if end := s.env.deadline; end != 1000 {
+				t.Errorf("event at %d runs in a window ending at %d, want 1000", at, end)
+			}
+			ran++
+		})
+	}
+	if end := solo.Run(1000); end != 1000 || ran != 2 {
+		t.Fatalf("one-shard run ended at %d after %d events, want 1000 and 2", end, ran)
+	}
+	solo.Shutdown()
 }
 
 // TestGroupUnlinkedShards: with no links there is no coupling and the

@@ -102,7 +102,7 @@ func newRack(env *sim.Env, home *sim.Shard, cfg *Config, nracks int) *rack {
 		rk.tenants = append(rk.tenants, &tenantState{
 			spec:     t,
 			capacity: (t.MaxInflight + nracks - 1) / nracks,
-			sketch:   stats.NewSketch(cfg.SketchAlpha),
+			sketch:   stats.NewSketch(0),
 			keep:     cfg.KeepLatencies,
 			obs:      cfg.Observer,
 			outObs:   cfg.OutcomeObserver,

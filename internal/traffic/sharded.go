@@ -139,7 +139,7 @@ func RunSharded(g *sim.Group, racks []Rack, cfg ShardedConfig) ShardedReport {
 	}
 	for ti := range cfg.Spec.Tenants {
 		t := &cfg.Spec.Tenants[ti]
-		merged := TenantReport{Name: t.Name, SLOP99: t.SLOP99, Sketch: stats.NewSketch(cfg.SketchAlpha)}
+		merged := TenantReport{Name: t.Name, SLOP99: t.SLOP99, Sketch: stats.NewSketch(0)}
 		for r := range racks {
 			tr := &rep.Racks[r].Tenants[ti]
 			merged.Offered += tr.Offered

@@ -34,9 +34,7 @@ func buildShardedRig(nracks, nodes int, bw float64, linkLat sim.Duration) (*sim.
 			},
 		}
 	}
-	if nracks > 1 {
-		g.LinkAll(linkLat)
-	}
+	g.LinkAll(linkLat)
 	return g, racks
 }
 

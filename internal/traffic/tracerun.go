@@ -30,9 +30,6 @@ type TraceConfig struct {
 	// beyond it like the stochastic engine. 0 replays everything: the
 	// recorded stream already is the admitted load.
 	MaxInflight int
-	// SketchAlpha is the latency sketch's relative-error bound (0 =
-	// stats.DefaultSketchAlpha).
-	SketchAlpha float64
 	// KeepLatencies retains every completed request's latency in seconds.
 	KeepLatencies bool
 	// Observer, when set, receives one event per completed request with the
@@ -115,7 +112,6 @@ func ReplayTrace(env *sim.Env, fab *sim.Fabric, nodes int, mount func(tenant str
 
 	rk := newRack(env, nil, &Config{
 		Spec:          Spec{Tenants: specs},
-		SketchAlpha:   cfg.SketchAlpha,
 		KeepLatencies: cfg.KeepLatencies,
 		Observer:      cfg.Observer,
 	}, 1)

@@ -24,9 +24,6 @@ type Config struct {
 	// LoadScale multiplies every tenant's offered rate — the x axis of a
 	// saturation sweep. 0 means 1.
 	LoadScale float64
-	// SketchAlpha is the latency sketch's relative-error bound (0 =
-	// stats.DefaultSketchAlpha).
-	SketchAlpha float64
 	// KeepLatencies retains every completed request's latency in seconds,
 	// in completion order — the exact-oracle input of the differential
 	// tests. Off by default: the whole point of the sketch is not keeping

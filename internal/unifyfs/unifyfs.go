@@ -24,6 +24,7 @@ import (
 	"storagesim/internal/device"
 	"storagesim/internal/faults"
 	"storagesim/internal/fsapi"
+	"storagesim/internal/fsbase"
 	"storagesim/internal/netsim"
 	"storagesim/internal/sim"
 )
@@ -183,11 +184,7 @@ type client struct {
 	node *nodeState
 	idx  int
 
-	// tag attributes this mount's fabric traffic (fsapi.FlowTagger); tagID
-	// caches its interned handle (valid while tagFor == tag).
-	tag    string
-	tagID  sim.FlowTag
-	tagFor string
+	fsbase.FlowTagCache
 
 	// Per-owner interconnect paths, cached on first use (chunk sweeps hit
 	// the same few owners over and over); indexed by owner node, one slice
@@ -205,23 +202,9 @@ func (c *client) NodeName() string { return c.node.name }
 // DropCaches implements fsapi.Client: UnifyFS has no client page cache.
 func (c *client) DropCaches() {}
 
-// SetFlowTag implements fsapi.FlowTagger.
-func (c *client) SetFlowTag(tag string) { c.tag = tag }
-
-// stamp applies the mount's flow tag to the calling process at every
-// data-path entry (see fsbase.ClientCore.Stamp for the convention). The
-// interned handle is cached so the per-op stamp is an integer write.
-func (c *client) stamp(p *sim.Proc) {
-	if c.tagFor != c.tag {
-		c.tagID = p.Env().InternTag(c.tag)
-		c.tagFor = c.tag
-	}
-	p.SetFlowTagID(c.tagID)
-}
-
 // Remove implements fsapi.Client.
 func (c *client) Remove(p *sim.Proc, path string) {
-	c.stamp(p)
+	c.Stamp(p)
 	ino := c.sys.ns.Lookup(path)
 	if ino == nil {
 		return
@@ -235,7 +218,7 @@ func (c *client) Remove(p *sim.Proc, path string) {
 
 // Open implements fsapi.Client.
 func (c *client) Open(p *sim.Proc, path string, truncate bool) fsapi.File {
-	c.stamp(p)
+	c.Stamp(p)
 	if c.sys.cfg.ServerLatency > 0 {
 		p.Sleep(c.sys.cfg.ServerLatency)
 	}
@@ -309,7 +292,7 @@ func (c *client) localRemoteSplit(total int64) (local, remote int64) {
 // StreamWrite implements fsapi.Client: local share to the own device,
 // remote share across the interconnect to the peers' devices in parallel.
 func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}
@@ -329,7 +312,7 @@ func (c *client) StreamWrite(p *sim.Proc, path string, a fsapi.Access, ioSize, t
 // engine models the common IOR reorder case by checking chunk ownership of
 // chunk 0.
 func (c *client) StreamRead(p *sim.Proc, path string, a fsapi.Access, ioSize, total int64) {
-	c.stamp(p)
+	c.Stamp(p)
 	if fsapi.Aborted(p) {
 		return
 	}
@@ -362,7 +345,7 @@ func (c *client) streamSplit(p *sim.Proc, a fsapi.Access, ioSize, local, remote 
 	wg := sim.NewWaitGroup(p.Env())
 	if local > 0 {
 		wg.Go(c.node.name+"/local", func(p *sim.Proc) {
-			c.stamp(p)
+			c.Stamp(p)
 			p.SetAbort(ab)
 			if p.Aborted() {
 				return
@@ -380,7 +363,7 @@ func (c *client) streamSplit(p *sim.Proc, a fsapi.Access, ioSize, local, remote 
 		peer := s.nodes[(c.idx+1)%len(s.nodes)]
 		path := c.remotePath(peer, write)
 		wg.Go(c.node.name+"/remote", func(p *sim.Proc) {
-			c.stamp(p)
+			c.Stamp(p)
 			p.SetAbort(ab)
 			if p.Aborted() {
 				return
