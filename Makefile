@@ -2,9 +2,10 @@
 # included), build, the whole test suite (tier-1 and the CLI smoke), the
 # race-enabled tests, the whole internal suite under the oracle kernel
 # build, a short fuzz pass over each input parser and differential, one
-# iteration of each micro-benchmark (catches benchmark rot without paying
-# for stable timings), the repository benchmark's own tests and smoke run,
-# and last bench-diff, whose ns/op check depends on the host.
+# iteration of each micro-benchmark and of every quick paperfigs figure
+# (catches benchmark rot without paying for stable timings), the
+# repository benchmark's own tests and smoke run, and last bench-diff,
+# whose ns/op check depends on the host.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -56,6 +57,7 @@ bench-smoke:
 	$(GO) test ./internal/trace -run XXX -bench BenchmarkParseJSONL -benchtime=1x
 	$(GO) test ./internal/sim/ -run XXX -bench BenchmarkGroupWindow -benchtime=1x
 	$(GO) test ./internal/traffic -run XXX -bench BenchmarkShardedTraffic -benchtime=1x
+	$(GO) test ./cmd/paperfigs -run XXX -bench BenchmarkFigure -benchtime=1x
 
 # The traffic-path rungs, recorded in BENCH_traffic.json by bench and rerun
 # against that record by bench-diff. They run a fixed iteration count, so

@@ -1,6 +1,8 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper (see DESIGN.md's per-experiment index), the takeaway and ablation
-// sweeps, and micro-benchmarks of the simulation engine itself.
+// Benchmark harness: the three figures `make bench` records in
+// BENCH_kernel.json (Fig. 2a, Fig. 3 and the consistency table), whole
+// IOR, DLIO, MDTest and trace-replay runs, and micro-benchmarks of the
+// simulation engine itself. Every paperfigs figure at -quick is
+// cmd/paperfigs' BenchmarkFigure/<name>.
 //
 // Figure benchmarks measure how long the simulator takes to regenerate the
 // artifact (wall time of the sweep) and report the headline simulated
@@ -39,15 +41,6 @@ func findSeries(p storagesim.Panel, name string) stats.Series {
 	return stats.Series{}
 }
 
-// BenchmarkTableI regenerates Table I (cluster inventory).
-func BenchmarkTableI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tab := storagesim.TableIExperiment(); len(tab.Rows) != 4 {
-			b.Fatal("Table I incomplete")
-		}
-	}
-}
-
 // BenchmarkFig2a regenerates Figure 2a (Lassen IOR scalability, VAST vs
 // GPFS, three workloads). Reports VAST's gateway plateau and GPFS's
 // 64-node aggregate in GB/s.
@@ -61,20 +54,6 @@ func BenchmarkFig2a(b *testing.B) {
 		_, vmax := findSeries(sci, "vast").MaxY()
 		b.ReportMetric(vmax, "vast-plateau-GB/s")
 		b.ReportMetric(findSeries(sci, "gpfs").YAt(64), "gpfs-64n-GB/s")
-	}
-}
-
-// BenchmarkFig2b regenerates Figure 2b (Wombat IOR scalability, VAST/RDMA
-// vs node-local NVMe).
-func BenchmarkFig2b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		panels, err := storagesim.Fig2b(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		ml := panels[2]
-		_, vmax := findSeries(ml, "vast").MaxY()
-		b.ReportMetric(vmax, "vast-ml-plateau-GB/s")
 	}
 }
 
@@ -95,162 +74,12 @@ func BenchmarkFig3(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4aResNet regenerates Figure 4a (ResNet-50 I/O time
-// analysis). Reports VAST's hidden-I/O fraction.
-func BenchmarkFig4aResNet(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p, err := storagesim.Fig4("resnet50", quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		ovl := findSeries(p, "vast overlap").YAt(8)
-		novl := findSeries(p, "vast non-overlap").YAt(8)
-		b.ReportMetric(ovl/(ovl+novl), "vast-hidden-frac")
-	}
-}
-
-// BenchmarkFig4bCosmoflow regenerates Figure 4b (Cosmoflow I/O time
-// analysis) — the heaviest sweep in the suite.
-func BenchmarkFig4bCosmoflow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p, err := storagesim.Fig4("cosmoflow", quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(findSeries(p, "vast non-overlap").YAt(1), "vast-stall-s")
-		b.ReportMetric(findSeries(p, "gpfs non-overlap").YAt(1), "gpfs-stall-s")
-	}
-}
-
-// BenchmarkFig5ResNet regenerates Figure 5 (ResNet-50 app/system
-// throughput).
-func BenchmarkFig5ResNet(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		app, system, err := storagesim.Fig56("resnet50", quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(findSeries(app, "gpfs").YAt(8)/findSeries(app, "vast").YAt(8), "app-gpfs/vast")
-		b.ReportMetric(findSeries(system, "gpfs").YAt(8)/findSeries(system, "vast").YAt(8), "sys-gpfs/vast")
-	}
-}
-
-// BenchmarkFig6Cosmoflow regenerates Figure 6 (Cosmoflow app/system
-// throughput).
-func BenchmarkFig6Cosmoflow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		app, system, err := storagesim.Fig56("cosmoflow", quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(findSeries(app, "gpfs").YAt(1)/findSeries(app, "vast").YAt(1), "app-gpfs/vast")
-		_ = system
-	}
-}
-
-// BenchmarkTakeawayRDMAvsTCP regenerates the administrator takeaway.
-func BenchmarkTakeawayRDMAvsTCP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := storagesim.TakeawayRDMAvsTCP(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) != 2 {
-			b.Fatal("takeaway incomplete")
-		}
-	}
-}
-
-// BenchmarkTakeawaySeqVsRandom regenerates the I/O-researcher takeaway.
-func BenchmarkTakeawaySeqVsRandom(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := storagesim.TakeawaySeqVsRandom(quickOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationFabric sweeps the CBox-DBox fabric (the paper's future
-// work, AB1 in DESIGN.md).
-func BenchmarkAblationFabric(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := storagesim.AblationFabric(quickOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationNconnect sweeps nconnect (AB2).
-func BenchmarkAblationNconnect(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := storagesim.AblationNconnect(quickOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationCNodes sweeps the CNode count (AB3).
-func BenchmarkAblationCNodes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := storagesim.AblationCNodes(quickOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationTCPGateway sweeps the Lassen gateway capacity.
-func BenchmarkAblationTCPGateway(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := storagesim.AblationTCPGateway(quickOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationSharedFile quantifies the N-1 vs N-N methodology
-// choice (Section IV-C.1).
-func BenchmarkAblationSharedFile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := storagesim.AblationSharedFile(quickOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkConsistency reproduces the 10-repetition shared-environment
 // methodology (Section IV-C).
 func BenchmarkConsistency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := storagesim.Consistency(quickOpts()); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWorkloadSuitability regenerates the Section III-B workload
-// mapping matrix.
-func BenchmarkWorkloadSuitability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := storagesim.WorkloadSuitability(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) < 6 {
-			b.Fatal("suitability matrix incomplete")
-		}
-	}
-}
-
-// BenchmarkFailoverStudy exercises stateless-CNode failover in degraded
-// mode (Section III-A.2).
-func BenchmarkFailoverStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := storagesim.FailoverStudy(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) != 4 {
-			b.Fatal("failover study incomplete")
 		}
 	}
 }
@@ -576,19 +405,5 @@ func BenchmarkTraceReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.Speedup, "speedup")
-	}
-}
-
-// BenchmarkAblationUnifyFS sweeps UnifyFS's placement and I/O-server
-// policies (UF1 in DESIGN.md).
-func BenchmarkAblationUnifyFS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := storagesim.AblationUnifyFS(quickOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) != 4 {
-			b.Fatal("unifyfs ablation incomplete")
-		}
 	}
 }

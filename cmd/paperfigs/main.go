@@ -8,7 +8,9 @@
 //	paperfigs -fig 2a -reps 10    # one figure, paper-style 10 repetitions
 //	paperfigs -fig takeaways -quick
 //
-// Figures: table1, 2a, 2b, 3, 4a, 4b, 5, 6, takeaways, ablations, all.
+// Figures: table1, 1, 2a, 2b, 3, 4a, 4b, 5, 6, takeaways, ablations,
+// consistency, suitability, failover, degraded, rebuild, saturation,
+// retrystorm, whatif, all.
 //
 // A figure's simulations — its (series, x, repetition) points — are
 // independent, so each figure runs them on GOMAXPROCS worker goroutines at
@@ -44,7 +46,7 @@ func run() int {
 	seed := flag.Uint64("seed", 0x5eed, "random seed for contention and shuffles")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	racks := flag.Int("racks", 0, "shard the traffic-driven figures over this many racks (0 = classic single-env path)")
+	racks := flag.Int("racks", 0, "shard the saturation figure's traffic runs over this many racks (0 = classic single-env path); no other figure reads it")
 	remote := flag.Float64("remote", 0.25, "cross-rack placement fraction when -racks > 1")
 	flag.Parse()
 	want := strings.ToLower(*fig)
@@ -70,7 +72,7 @@ func run() int {
 		}
 	}
 
-	opts := storagesim.ExperimentOptions{
+	opts := options{
 		Reps: *reps, Quick: *quick, Seed: *seed,
 		Racks: *racks, RemoteFraction: *remote,
 	}
@@ -79,152 +81,100 @@ func run() int {
 			continue
 		}
 		fmt.Printf("--- %s ---\n", f.name)
-		if err := f.run(opts); err != nil {
+		if err := render(f, opts); err != nil {
 			return fail("%s: %v", f.name, err)
 		}
 	}
 	return 0
 }
 
+type options = storagesim.ExperimentOptions
+
+// A figure is one -fig name: the facade calls that build its panels and
+// its tables (nil: none), which render prints in that order.
 type figure struct {
-	name string
-	run  func(storagesim.ExperimentOptions) error
+	name   string
+	panels func(options) ([]storagesim.Panel, error)
+	tables func(options) ([]storagesim.ResultTable, error)
 }
 
 var figures = []figure{
-	{"table1", func(o storagesim.ExperimentOptions) error {
-		fmt.Println(storagesim.TableIExperiment().Render())
-		return nil
-	}},
-	{"1", func(o storagesim.ExperimentOptions) error {
-		diagram, err := storagesim.Fig1()
-		if err != nil {
-			return err
-		}
-		fmt.Println(diagram)
-		return nil
-	}},
-	{"2a", func(o storagesim.ExperimentOptions) error {
-		panels, err := storagesim.Fig2a(o)
-		return renderPanels(panels, err)
-	}},
-	{"2b", func(o storagesim.ExperimentOptions) error {
-		panels, err := storagesim.Fig2b(o)
-		return renderPanels(panels, err)
-	}},
-	{"3", func(o storagesim.ExperimentOptions) error {
-		panels, err := storagesim.Fig3(o)
-		return renderPanels(panels, err)
-	}},
-	{"4a", func(o storagesim.ExperimentOptions) error {
-		p, err := storagesim.Fig4("resnet50", o)
-		return renderPanels([]storagesim.Panel{p}, err)
-	}},
-	{"4b", func(o storagesim.ExperimentOptions) error {
-		p, err := storagesim.Fig4("cosmoflow", o)
-		return renderPanels([]storagesim.Panel{p}, err)
-	}},
-	{"5", func(o storagesim.ExperimentOptions) error {
-		app, sys, err := storagesim.Fig56("resnet50", o)
-		return renderPanels([]storagesim.Panel{app, sys}, err)
-	}},
-	{"6", func(o storagesim.ExperimentOptions) error {
-		app, sys, err := storagesim.Fig56("cosmoflow", o)
-		return renderPanels([]storagesim.Panel{app, sys}, err)
-	}},
-	{"takeaways", func(o storagesim.ExperimentOptions) error {
-		t1, err := storagesim.TakeawayRDMAvsTCP(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(t1.Render())
-		if err := exportTableCSV(t1); err != nil {
-			return err
-		}
-		t2, err := storagesim.TakeawaySeqVsRandom(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(t2.Render())
-		return exportTableCSV(t2)
-	}},
-	{"ablations", func(o storagesim.ExperimentOptions) error {
-		for _, ab := range []func(storagesim.ExperimentOptions) (storagesim.Panel, error){
-			storagesim.AblationFabric,
-			storagesim.AblationNconnect,
-			storagesim.AblationCNodes,
-			storagesim.AblationTCPGateway,
-		} {
-			p, err := ab(o)
-			if err = renderPanels([]storagesim.Panel{p}, err); err != nil {
-				return err
-			}
-		}
-		sf, err := storagesim.AblationSharedFile(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(sf.Render())
-		if err := exportTableCSV(sf); err != nil {
-			return err
-		}
-		ufs, err := storagesim.AblationUnifyFS(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(ufs.Render())
-		return exportTableCSV(ufs)
-	}},
-	{"consistency", func(o storagesim.ExperimentOptions) error {
-		tab, err := storagesim.Consistency(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.Render())
-		return exportTableCSV(tab)
-	}},
-	{"suitability", func(o storagesim.ExperimentOptions) error {
-		tab, err := storagesim.WorkloadSuitability(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.Render())
-		return exportTableCSV(tab)
-	}},
-	{"failover", func(o storagesim.ExperimentOptions) error {
-		tab, err := storagesim.FailoverStudy(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.Render())
-		return exportTableCSV(tab)
-	}},
-	{"degraded", func(o storagesim.ExperimentOptions) error {
-		p, err := storagesim.DegradedSweep(o)
-		return renderPanels([]storagesim.Panel{p}, err)
-	}},
-	{"rebuild", func(o storagesim.ExperimentOptions) error {
-		p, err := storagesim.RebuildSweep(o)
-		return renderPanels([]storagesim.Panel{p}, err)
-	}},
-	{"saturation", func(o storagesim.ExperimentOptions) error {
-		panels, err := storagesim.SaturationSweep(o)
-		return renderPanels(panels, err)
-	}},
-	{"retrystorm", func(o storagesim.ExperimentOptions) error {
-		res, err := storagesim.RetryStormStudy(o)
-		if err != nil {
-			return err
-		}
-		return renderPanels(res.Panels, nil)
-	}},
-	{"whatif", func(o storagesim.ExperimentOptions) error {
-		panels, err := storagesim.FigWhatIf(o)
-		return renderPanels(panels, err)
-	}},
+	{"table1", nil, list(tableI)},
+	{"1", diagram, nil},
+	{"2a", storagesim.Fig2a, nil},
+	{"2b", storagesim.Fig2b, nil},
+	{"3", storagesim.Fig3, nil},
+	{"4a", list(fig4("resnet50")), nil},
+	{"4b", list(fig4("cosmoflow")), nil},
+	{"5", fig56("resnet50"), nil},
+	{"6", fig56("cosmoflow"), nil},
+	{"takeaways", nil, list(storagesim.TakeawayRDMAvsTCP, storagesim.TakeawaySeqVsRandom)},
+	{"ablations", list(storagesim.AblationFabric, storagesim.AblationNconnect, storagesim.AblationCNodes, storagesim.AblationTCPGateway),
+		list(storagesim.AblationSharedFile, storagesim.AblationUnifyFS)},
+	{"consistency", nil, list(storagesim.Consistency)},
+	{"suitability", nil, list(storagesim.WorkloadSuitability)},
+	{"failover", nil, list(storagesim.FailoverStudy)},
+	{"degraded", list(storagesim.DegradedSweep), nil},
+	{"rebuild", list(storagesim.RebuildSweep), nil},
+	{"saturation", storagesim.SaturationSweep, nil},
+	{"retrystorm", retryStorm, nil},
+	{"whatif", storagesim.FigWhatIf, nil},
 }
 
-func renderPanels(panels []storagesim.Panel, err error) error {
+// list adapts facade calls that build one panel or one table each to a
+// figure's panels or tables, in call order.
+func list[T any](calls ...func(options) (T, error)) func(options) ([]T, error) {
+	return func(o options) ([]T, error) {
+		out := make([]T, len(calls))
+		for i, call := range calls {
+			var err error
+			if out[i], err = call(o); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+}
+
+func tableI(options) (storagesim.ResultTable, error) { return storagesim.TableIExperiment(), nil }
+
+// diagram prints Figure 1, the one figure that is text rather than panels.
+func diagram(options) ([]storagesim.Panel, error) {
+	d, err := storagesim.Fig1()
+	if err == nil {
+		fmt.Println(d)
+	}
+	return nil, err
+}
+
+func fig4(model string) func(options) (storagesim.Panel, error) {
+	return func(o options) (storagesim.Panel, error) { return storagesim.Fig4(model, o) }
+}
+
+func fig56(model string) func(options) ([]storagesim.Panel, error) {
+	return func(o options) ([]storagesim.Panel, error) {
+		app, sys, err := storagesim.Fig56(model, o)
+		return []storagesim.Panel{app, sys}, err
+	}
+}
+
+func retryStorm(o options) ([]storagesim.Panel, error) {
+	res, err := storagesim.RetryStormStudy(o)
+	return res.Panels, err
+}
+
+// render builds figure f, then prints its panels (each plotted first when
+// -plots is on) and its tables, writing each as CSV when -csv is set.
+func render(f figure, o options) error {
+	var panels []storagesim.Panel
+	var tables []storagesim.ResultTable
+	var err error
+	if f.panels != nil {
+		panels, err = f.panels(o)
+	}
+	if f.tables != nil && err == nil {
+		tables, err = f.tables(o)
+	}
 	if err != nil {
 		return err
 	}
@@ -233,18 +183,18 @@ func renderPanels(panels []storagesim.Panel, err error) error {
 			fmt.Println(p.RenderPlot())
 		}
 		fmt.Println(p.Render())
-		if err := exportPanelCSV(p); err != nil {
+		if err := exportCSV(p.ID, p.WriteCSV); err != nil {
+			return err
+		}
+	}
+	for _, t := range tables {
+		fmt.Println(t.Render())
+		if err := exportCSV(t.ID, t.WriteCSV); err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-// exportPanelCSV writes the panel to <csvDir>/<id>.csv when -csv is set.
-func exportPanelCSV(p storagesim.Panel) error { return exportCSV(p.ID, p.WriteCSV) }
-
-// exportTableCSV writes a result table likewise.
-func exportTableCSV(t storagesim.ResultTable) error { return exportCSV(t.ID, t.WriteCSV) }
 
 // exportCSV writes <csvDir>/<id>.csv with write when -csv is set. A failed
 // Close is an error like a failed write: the file may be incomplete.

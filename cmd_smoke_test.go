@@ -159,9 +159,10 @@ func TestCommandsSmoke(t *testing.T) {
 	}
 
 	csvDir := filepath.Join(dir, "csv")
-	run(t, filepath.Join(dir, "paperfigs"), "-fig", "takeaways", "-quick", "-csv", csvDir)
-	run(t, filepath.Join(dir, "paperfigs"), "-fig", "ablations", "-quick", "-csv", csvDir)
-	for _, name := range []string{"takeaway-rdma-vs-tcp.csv", "ablation-fabric.csv"} {
+	for _, fig := range []string{"table1", "takeaways", "ablations"} {
+		run(t, filepath.Join(dir, "paperfigs"), "-fig", fig, "-quick", "-csv", csvDir)
+	}
+	for _, name := range []string{"table1.csv", "takeaway-rdma-vs-tcp.csv", "ablation-fabric.csv"} {
 		if _, err := os.Stat(filepath.Join(csvDir, name)); err != nil {
 			t.Fatalf("csv export missing: %v", err)
 		}

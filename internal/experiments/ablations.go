@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"storagesim/internal/ior"
-	"storagesim/internal/stats"
 	"storagesim/internal/vast"
 )
 
@@ -17,121 +16,112 @@ import (
 // instance and measures aggregate random-read bandwidth at full machine
 // scale — testing the paper's hypothesis that the 2×50 Gb Ethernet
 // enclosure links cap VAST's scalability (Section V-A).
-func AblationFabric(opts Options) (Panel, error) {
-	opts = opts.withDefaults()
-	sweep := []float64{1.5625e9, 3.125e9, 6.25e9, 12.5e9, 25e9}
-	if opts.Quick {
-		sweep = []float64{3.125e9, 6.25e9, 12.5e9}
-	}
-	panel := Panel{
-		ID:     "ablation-fabric",
-		Title:  "Wombat VAST: ML aggregate bandwidth vs per-DBox fabric bandwidth (8 nodes)",
-		XLabel: "fabric GB/s per DBox",
-		YLabel: "aggregate GB/s",
-	}
-	s := stats.Series{Name: "vast ml read"}
-	for _, bw := range sweep {
-		bw := bw
-		v, err := iorPoint("Wombat", VAST, 8, 48, ior.ML, 3000, false, 1, opts.Seed,
-			func(c *vast.Config) { c.FabricBWPerDBox = bw })
-		if err != nil {
-			return Panel{}, err
-		}
-		s.Append(bw/1e9, v, 0)
-	}
-	panel.Series = []stats.Series{s}
-	panel.Notes = append(panel.Notes,
-		"hypothesis confirmed when aggregate bandwidth tracks the fabric sweep until another resource binds")
-	return panel, nil
-}
+func AblationFabric(opts Options) (Panel, error) { return vastAblations[0].run(opts) }
 
 // AblationNconnect sweeps the NFS nconnect count of the RDMA deployment
 // and measures per-node sequential-read bandwidth at one node.
-func AblationNconnect(opts Options) (Panel, error) {
-	opts = opts.withDefaults()
-	sweep := []int{1, 2, 4, 8, 16, 32}
-	if opts.Quick {
-		sweep = []int{1, 4, 16}
-	}
-	panel := Panel{
-		ID:     "ablation-nconnect",
-		Title:  "Wombat VAST: single-node read bandwidth vs nconnect",
-		XLabel: "nconnect",
-		YLabel: "GB/s per node",
-	}
-	s := stats.Series{Name: "vast seq read"}
-	for _, n := range sweep {
-		n := n
-		v, err := iorPoint("Wombat", VAST, 1, 48, ior.Analytics, 3000, false, 1, opts.Seed,
-			func(c *vast.Config) { setNconnect(c, n) })
-		if err != nil {
-			return Panel{}, err
-		}
-		s.Append(float64(n), v, 0)
-	}
-	panel.Series = []stats.Series{s}
-	panel.Notes = append(panel.Notes,
-		"diminishing returns once the connection pool exceeds the node's link share")
-	return panel, nil
-}
+func AblationNconnect(opts Options) (Panel, error) { return vastAblations[1].run(opts) }
 
 // AblationCNodes sweeps the CNode count of the RDMA deployment and
 // measures aggregate sequential-read bandwidth at 8 nodes — the paper
 // attributes the 8-node saturation of Figure 2b to the 8 CNodes.
-func AblationCNodes(opts Options) (Panel, error) {
-	opts = opts.withDefaults()
-	sweep := []int{1, 2, 4, 8, 16}
-	if opts.Quick {
-		sweep = []int{1, 8}
-	}
-	panel := Panel{
-		ID:     "ablation-cnodes",
-		Title:  "Wombat VAST: aggregate read bandwidth vs CNode count (8 nodes)",
-		XLabel: "CNodes",
-		YLabel: "aggregate GB/s",
-	}
-	s := stats.Series{Name: "vast seq read"}
-	for _, n := range sweep {
-		n := n
-		v, err := iorPoint("Wombat", VAST, 8, 48, ior.Analytics, 3000, false, 1, opts.Seed,
-			func(c *vast.Config) { c.CNodes = n })
-		if err != nil {
-			return Panel{}, err
-		}
-		s.Append(float64(n), v, 0)
-	}
-	panel.Series = []stats.Series{s}
-	panel.Notes = append(panel.Notes,
-		"below 2 CNodes the protocol-server NICs bind; beyond that the enclosure fabric does — together they explain the Figure 2b saturation")
-	return panel, nil
-}
+func AblationCNodes(opts Options) (Panel, error) { return vastAblations[2].run(opts) }
 
 // AblationTCPGateway sweeps the Lassen gateway link bandwidth under the
 // TCP deployment — the knob the LC administrators would upgrade (the
 // paper's "help Livermore Computing administrators improve the
 // interconnection used with VAST").
-func AblationTCPGateway(opts Options) (Panel, error) {
-	opts = opts.withDefaults()
-	// Sweeping the gateway means rebuilding the transport; express it as a
-	// fraction of the stock 25 GB/s gateway via Derate on repetition 0.
-	sweep := []float64{0.25, 0.5, 1.0}
-	panel := Panel{
-		ID:     "ablation-tcp-gateway",
-		Title:  "Lassen VAST: 64-node aggregate write bandwidth vs gateway capacity",
-		XLabel: "gateway fraction of 2x100GbE",
-		YLabel: "aggregate GB/s",
+func AblationTCPGateway(opts Options) (Panel, error) { return vastAblations[3].run(opts) }
+
+// vastAblation is one VAST knob sweep: its panel, its series, the IOR
+// point it measures (3000 one-MiB segments per rank), its x values (full
+// and quick) and the setter that applies x to the deployment. Without a
+// setter, x is the fraction of the server-side capacity left (derate).
+type vastAblation struct {
+	panel       Panel
+	series      string
+	machine     string
+	nodes, ppn  int
+	wl          ior.Workload
+	xs, quickXs []float64 // quickXs nil: the quick sweep is xs
+	set         func(c *vast.Config, x float64)
+}
+
+// vastAblations holds the fabric, nconnect, CNode and TCP-gateway sweeps.
+var vastAblations = [...]vastAblation{
+	{
+		panel: Panel{
+			ID:     "ablation-fabric",
+			Title:  "Wombat VAST: ML aggregate bandwidth vs per-DBox fabric bandwidth (8 nodes)",
+			XLabel: "fabric GB/s per DBox",
+			YLabel: "aggregate GB/s",
+			Notes:  []string{"hypothesis confirmed when aggregate bandwidth tracks the fabric sweep until another resource binds"},
+		},
+		series: "vast ml read", machine: "Wombat", nodes: 8, ppn: 48, wl: ior.ML,
+		xs:      []float64{1.5625, 3.125, 6.25, 12.5, 25},
+		quickXs: []float64{3.125, 6.25, 12.5},
+		set:     func(c *vast.Config, x float64) { c.FabricBWPerDBox = x * 1e9 },
+	},
+	{
+		panel: Panel{
+			ID:     "ablation-nconnect",
+			Title:  "Wombat VAST: single-node read bandwidth vs nconnect",
+			XLabel: "nconnect",
+			YLabel: "GB/s per node",
+			Notes:  []string{"diminishing returns once the connection pool exceeds the node's link share"},
+		},
+		series: "vast seq read", machine: "Wombat", nodes: 1, ppn: 48, wl: ior.Analytics,
+		xs:      []float64{1, 2, 4, 8, 16, 32},
+		quickXs: []float64{1, 4, 16},
+		set:     func(c *vast.Config, x float64) { setNconnect(c, int(x)) },
+	},
+	{
+		panel: Panel{
+			ID:     "ablation-cnodes",
+			Title:  "Wombat VAST: aggregate read bandwidth vs CNode count (8 nodes)",
+			XLabel: "CNodes",
+			YLabel: "aggregate GB/s",
+			Notes:  []string{"below 2 CNodes the protocol-server NICs bind; beyond that the enclosure fabric does — together they explain the Figure 2b saturation"},
+		},
+		series: "vast seq read", machine: "Wombat", nodes: 8, ppn: 48, wl: ior.Analytics,
+		xs:      []float64{1, 2, 4, 8, 16},
+		quickXs: []float64{1, 8},
+		set:     func(c *vast.Config, x float64) { c.CNodes = int(x) },
+	},
+	{
+		// Sweeping the gateway means rebuilding the transport; express it
+		// as a fraction of the stock 25 GB/s gateway via Derate.
+		panel: Panel{
+			ID:     "ablation-tcp-gateway",
+			Title:  "Lassen VAST: 64-node aggregate write bandwidth vs gateway capacity",
+			XLabel: "gateway fraction of 2x100GbE",
+			YLabel: "aggregate GB/s",
+		},
+		series: "vast seq write", machine: "Lassen", nodes: 64, ppn: 44, wl: ior.Scientific,
+		xs: []float64{0.25, 0.5, 1.0},
+	},
+}
+
+// run measures the ablation once per x, uncontended, whatever opts.Reps
+// is.
+func (a vastAblation) run(opts Options) (Panel, error) {
+	xs := a.xs
+	if opts.Quick && a.quickXs != nil {
+		xs = a.quickXs
 	}
-	s := stats.Series{Name: "vast seq write"}
-	for _, f := range sweep {
-		f := f
-		v, err := iorPoint("Lassen", VAST, 64, 44, ior.Scientific, 3000, false, f, opts.Seed, nil)
-		if err != nil {
-			return Panel{}, err
-		}
-		s.Append(f, v, 0)
+	opts.Reps = 1
+	panels, err := sweep([]Panel{a.panel}, []sweepSeries{{name: a.series, fs: VAST, xs: xs,
+		point: func(x, derate float64, seed uint64) (float64, error) {
+			mutate := func(c *vast.Config) { a.set(c, x) }
+			if a.set == nil {
+				derate, mutate = x, nil
+			}
+			return iorPoint(a.machine, VAST, a.nodes, a.ppn, a.wl, 3000, false, derate, seed, mutate)
+		}}}, opts)
+	if err != nil {
+		return Panel{}, err
 	}
-	panel.Series = []stats.Series{s}
-	return panel, nil
+	return panels[0], nil
 }
 
 // setNconnect adjusts the RDMA transport's connection count in a Wombat

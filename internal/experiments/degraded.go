@@ -7,7 +7,6 @@ import (
 	"storagesim/internal/faults"
 	"storagesim/internal/ior"
 	"storagesim/internal/sim"
-	"storagesim/internal/stats"
 )
 
 // Degraded-mode studies: what the paper's deployments deliver while
@@ -57,6 +56,10 @@ func DegradedSweep(opts Options) (Panel, error) {
 		Title:  "Degraded-mode IOR writes vs fraction of failed servers",
 		XLabel: "failed",
 		YLabel: "write GB/s",
+		Notes: []string{
+			"servers fail 10ms into the run; failed fraction rounds down to whole servers",
+			fmt.Sprintf("seed %#x; same seed and schedule reproduce these bytes exactly", opts.Seed),
+		},
 	}
 	type deployment struct {
 		name    string
@@ -80,32 +83,27 @@ func DegradedSweep(opts Options) (Panel, error) {
 	if opts.Quick {
 		segments = 32
 	}
+	var series []sweepSeries
 	for _, d := range deps {
-		series := stats.Series{Name: d.name}
-		for _, frac := range fracs {
-			failures := int(frac * float64(d.servers))
-			res, _, err := RunIORWithFaults(d.machine, d.fs, d.nodes, ior.Config{
-				Workload:     ior.Scientific,
-				BlockSize:    1 << 20,
-				TransferSize: 1 << 20,
-				Segments:     segments,
-				ProcsPerNode: 8,
-				OpLevel:      true, // ops re-resolve paths, so failover is live
-				Seed:         opts.Seed,
-				Dir:          "/degraded",
-			}, serverFailures(failures, 10*time.Millisecond))
-			if err != nil {
-				return Panel{}, err
-			}
-			series.Points = append(series.Points,
-				stats.Point{X: frac, Y: res.WriteBW / 1e9})
-			series.Err = append(series.Err, 0)
-		}
-		p.Series = append(p.Series, series)
+		series = append(series, sweepSeries{name: d.name, fs: d.fs, xs: fracs,
+			point: func(frac, _ float64, seed uint64) (float64, error) {
+				res, _, err := RunIORWithFaults(d.machine, d.fs, d.nodes, ior.Config{
+					Workload:     ior.Scientific,
+					BlockSize:    1 << 20,
+					TransferSize: 1 << 20,
+					Segments:     segments,
+					ProcsPerNode: 8,
+					OpLevel:      true, // ops re-resolve paths, so failover is live
+					Seed:         seed,
+					Dir:          "/degraded",
+				}, serverFailures(int(frac*float64(d.servers)), 10*time.Millisecond))
+				return res.WriteBW / 1e9, err
+			}})
 	}
-	p.Notes = append(p.Notes,
-		"servers fail 10ms into the run; failed fraction rounds down to whole servers",
-		fmt.Sprintf("seed %#x; same seed and schedule reproduce these bytes exactly", opts.Seed),
-	)
-	return p, nil
+	opts.Reps = 1 // one run per point, whatever -reps is
+	panels, err := sweep([]Panel{p}, series, opts)
+	if err != nil {
+		return Panel{}, err
+	}
+	return panels[0], nil
 }

@@ -21,17 +21,17 @@ func dlioPoint(fs FS, nodes int, cfg dlio.Config, derate float64, seed uint64) (
 }
 
 // dlioNodes returns the node sweep for a model.
-func dlioNodes(model string, quick bool) []int {
+func dlioNodes(model string, quick bool) []float64 {
 	if model == "cosmoflow" {
 		if quick {
-			return []int{1, 8}
+			return []float64{1, 8}
 		}
-		return []int{1, 2, 4, 8}
+		return []float64{1, 2, 4, 8}
 	}
 	if quick {
-		return []int{1, 8, 32}
+		return []float64{1, 8, 32}
 	}
-	return []int{1, 2, 4, 8, 16, 32}
+	return []float64{1, 2, 4, 8, 16, 32}
 }
 
 // dlioPanels runs the model on both file systems over the node sweep, all
@@ -53,7 +53,7 @@ func dlioPanels(model string, opts Options) (io, app, system Panel, err error) {
 	}
 	res, err := runPoints(len(pts), func(i int) (dlio.Result, error) {
 		pt := pts[i]
-		return dlioPoint(fss[pt.series], pt.x, cfg, pt.derate, pt.seed)
+		return dlioPoint(fss[pt.series], int(pt.x), cfg, pt.derate, pt.seed)
 	})
 	if err != nil {
 		return Panel{}, Panel{}, Panel{}, err
@@ -75,7 +75,7 @@ func dlioPanels(model string, opts Options) (io, app, system Panel, err error) {
 		}
 		for k, vals := range [][]float64{ovl, novl, av, sv} {
 			m, d := summarizeReps(vals)
-			series[pts[i].series][k].Append(float64(pts[i].x), m, d)
+			series[pts[i].series][k].Append(pts[i].x, m, d)
 		}
 	}
 	figNum := "fig5"

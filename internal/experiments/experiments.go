@@ -27,10 +27,13 @@ type Options struct {
 	Seed uint64
 	// Quick shrinks the sweeps (for unit tests and smoke runs).
 	Quick bool
-	// Racks partitions the traffic-driven experiments into this many
+	// Racks partitions SaturationSweep's traffic runs into this many
 	// group shards — one full testbed per rack, advanced in windows under
 	// conservative synchronization. 0 or 1 keeps the classic single-env
-	// path (and its byte-identical goldens).
+	// path (and its byte-identical goldens). No other experiment reads
+	// it: RetryStormStudy's timeline needs an outcome observer, which a
+	// sharded run rejects, and FigWhatIf verifies its candidates on
+	// single-Env testbeds.
 	Racks int
 	// RemoteFraction is the cross-rack placement probability of the
 	// sharded traffic engine when Racks > 1.
@@ -151,25 +154,25 @@ func summarizeReps(vals []float64) (mean, dev float64) {
 }
 
 // nodesSweep returns the Figure 2a node counts (1..128 on Lassen).
-func nodesSweep(quick bool) []int {
+func nodesSweep(quick bool) []float64 {
 	if quick {
-		return []int{1, 4, 16, 64}
+		return []float64{1, 4, 16, 64}
 	}
-	return []int{1, 2, 4, 8, 16, 32, 64, 128}
+	return []float64{1, 2, 4, 8, 16, 32, 64, 128}
 }
 
 // wombatSweep returns the Figure 2b node counts (Wombat has 8 nodes).
-func wombatSweep(quick bool) []int {
+func wombatSweep(quick bool) []float64 {
 	if quick {
-		return []int{1, 4, 8}
+		return []float64{1, 4, 8}
 	}
-	return []int{1, 2, 4, 8}
+	return []float64{1, 2, 4, 8}
 }
 
 // procsSweep returns the Figure 3 per-node process counts.
-func procsSweep(quick bool) []int {
+func procsSweep(quick bool) []float64 {
 	if quick {
-		return []int{1, 8, 32}
+		return []float64{1, 8, 32}
 	}
-	return []int{1, 2, 4, 8, 16, 32}
+	return []float64{1, 2, 4, 8, 16, 32}
 }

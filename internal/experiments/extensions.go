@@ -21,36 +21,31 @@ func AblationSharedFile(opts Options) (Table, error) {
 		Title:  "N-N vs N-1 sequential write bandwidth (Lassen, 4 nodes x 16 ppn)",
 		Header: []string{"file system", "N-N GB/s", "N-1 GB/s", "N-1 penalty"},
 	}
-	for _, fs := range []FS{VAST, GPFS} {
-		run := func(shared bool) (float64, error) {
-			tb, err := buildTestbed("Lassen", fs, nodes, nil)
-			if err != nil {
-				return 0, err
-			}
-			res, err := ior.Run(tb.env, tb.mounts, ior.Config{
-				Workload:     ior.Scientific,
-				BlockSize:    1 << 20,
-				TransferSize: 1 << 20,
-				Segments:     segments,
-				ProcsPerNode: ppn,
-				SharedFile:   shared,
-				OpLevel:      true, // locking is an op-level effect
-				Seed:         opts.Seed,
-				Dir:          "/n1",
-			})
-			if err != nil {
-				return 0, err
-			}
-			return res.WriteBW / 1e9, nil
-		}
-		nn, err := run(false)
+	// N-N, then N-1, on each file system.
+	fss := []FS{VAST, GPFS}
+	bw, err := runPoints(2*len(fss), func(i int) (float64, error) {
+		tb, err := buildTestbed("Lassen", fss[i/2], nodes, nil)
 		if err != nil {
-			return Table{}, err
+			return 0, err
 		}
-		n1, err := run(true)
-		if err != nil {
-			return Table{}, err
-		}
+		res, err := ior.Run(tb.env, tb.mounts, ior.Config{
+			Workload:     ior.Scientific,
+			BlockSize:    1 << 20,
+			TransferSize: 1 << 20,
+			Segments:     segments,
+			ProcsPerNode: ppn,
+			SharedFile:   i%2 == 1,
+			OpLevel:      true, // locking is an op-level effect
+			Seed:         opts.Seed,
+			Dir:          "/n1",
+		})
+		return res.WriteBW / 1e9, err
+	})
+	if err != nil {
+		return Table{}, err
+	}
+	for k, fs := range fss {
+		nn, n1 := bw[2*k], bw[2*k+1]
 		t.Rows = append(t.Rows, []string{
 			string(fs),
 			fmt.Sprintf("%.2f", nn),
@@ -91,11 +86,11 @@ func Consistency(opts Options) (Table, error) {
 	var pts []repPoint
 	for i, fs := range fss {
 		rng := stats.NewRNG(opts.Seed ^ hashString("consistency"+string(fs)))
-		pts = appendReps(pts, i, []int{nodes}, reps, rng, contentionSpread(fs), opts.Seed)
+		pts = appendReps(pts, i, []float64{float64(nodes)}, reps, rng, contentionSpread(fs), opts.Seed)
 	}
 	vals, err := runPoints(len(pts), func(i int) (float64, error) {
 		pt := pts[i]
-		return iorPoint("Lassen", fss[pt.series], pt.x, 44, ior.Analytics, 3000, false, pt.derate, pt.seed, nil)
+		return iorPoint("Lassen", fss[pt.series], int(pt.x), 44, ior.Analytics, 3000, false, pt.derate, pt.seed, nil)
 	})
 	if err != nil {
 		return Table{}, err

@@ -19,18 +19,22 @@ func FailoverStudy(opts Options) (Table, error) {
 		Title:  "VAST degraded-mode writes (Wombat, 2 nodes, CNodes failed mid-run)",
 		Header: []string{"failed CNodes", "healthy", "write GB/s", "vs healthy"},
 	}
-	baseline := 0.0
-	for _, failures := range []int{0, 1, 2, 4} {
-		bw, healthy, err := failoverPoint(failures, opts)
-		if err != nil {
-			return Table{}, err
-		}
-		if failures == 0 {
-			baseline = bw
-		}
+	failures := []int{0, 1, 2, 4}
+	type run struct {
+		bw      float64
+		healthy int
+	}
+	runs, err := runPoints(len(failures), func(i int) (run, error) {
+		bw, healthy, err := failoverPoint(failures[i], opts)
+		return run{bw, healthy}, err
+	})
+	if err != nil {
+		return Table{}, err
+	}
+	for i, r := range runs {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(failures), fmt.Sprint(healthy),
-			fmt.Sprintf("%.2f", bw), fmt.Sprintf("%.0f%%", 100*bw/baseline),
+			fmt.Sprint(failures[i]), fmt.Sprint(r.healthy),
+			fmt.Sprintf("%.2f", r.bw), fmt.Sprintf("%.0f%%", 100*r.bw/runs[0].bw),
 		})
 	}
 	t.Notes = append(t.Notes,

@@ -7,7 +7,6 @@ import (
 	"storagesim/internal/dlio"
 	"storagesim/internal/ior"
 	"storagesim/internal/sim"
-	"storagesim/internal/stats"
 	"storagesim/internal/trace"
 	"storagesim/internal/vast"
 )
@@ -103,26 +102,6 @@ func iorPoint(machine string, fs FS, nodes, ppn int, wl ior.Workload, segments i
 	return bw / 1e9, nil
 }
 
-// iorSeries sweeps xs (node or proc counts) with reps repetitions, all
-// points at once on the point pool, and returns a series of mean aggregate
-// GB/s with stddev error bars.
-func iorSeries(name, machine string, fs FS, xs []int, point func(x int, derate float64, seed uint64) (float64, error), opts Options) (stats.Series, error) {
-	opts = opts.withDefaults()
-	s := stats.Series{Name: name}
-	pts := appendReps(nil, 0, xs, opts.Reps, stats.NewRNG(opts.Seed^hashString(name)), contentionSpread(fs), opts.Seed)
-	vals, err := runPoints(len(pts), func(i int) (float64, error) {
-		return point(pts[i].x, pts[i].derate, pts[i].seed)
-	})
-	if err != nil {
-		return s, err
-	}
-	for i := 0; i < len(pts); i += opts.Reps {
-		mean, dev := summarizeReps(vals[i : i+opts.Reps])
-		s.Append(float64(pts[i].x), mean, dev)
-	}
-	return s, nil
-}
-
 // hashString mixes a name into a seed (FNV-1a).
 func hashString(s string) uint64 {
 	h := uint64(1469598103934665603)
@@ -149,76 +128,45 @@ func workloadTitle(wl ior.Workload) string {
 // nodes, 1 MiB transfers, 3000 segments ≈ 129 GB/node), VAST (NFS/TCP)
 // against GPFS, one panel per workload.
 func Fig2a(opts Options) ([]Panel, error) {
-	opts = opts.withDefaults()
-	segments := 3000
-	var panels []Panel
-	for _, wl := range []ior.Workload{ior.Scientific, ior.Analytics, ior.ML} {
-		panel := Panel{
-			ID:     fmt.Sprintf("fig2a-%s", wl),
-			Title:  "Lassen scalability: " + workloadTitle(wl),
-			XLabel: "nodes",
-			YLabel: "aggregate GB/s",
-		}
-		for _, fs := range []FS{VAST, GPFS} {
-			fs := fs
-			wl := wl
-			s, err := iorSeries(string(fs), "Lassen", fs, nodesSweep(opts.Quick),
-				func(x int, f float64, seed uint64) (float64, error) {
-					return iorPoint("Lassen", fs, x, 44, wl, segments, false, f, seed, nil)
-				}, opts)
-			if err != nil {
-				return nil, err
-			}
-			panel.Series = append(panel.Series, s)
-		}
-		panels = append(panels, panel)
-	}
-	return panels, nil
+	return iorScaling("fig2a", "Lassen", 44, []FS{VAST, GPFS}, nodesSweep(opts.Quick), opts)
 }
 
 // Fig2b reproduces Figure 2b: IOR scalability on Wombat (48 ppn, 1→8
 // nodes), VAST (NFS/RDMA, nconnect=16, multipath) against node-local NVMe.
 func Fig2b(opts Options) ([]Panel, error) {
-	opts = opts.withDefaults()
-	segments := 3000
-	var panels []Panel
-	for _, wl := range []ior.Workload{ior.Scientific, ior.Analytics, ior.ML} {
-		panel := Panel{
-			ID:     fmt.Sprintf("fig2b-%s", wl),
-			Title:  "Wombat scalability: " + workloadTitle(wl),
-			XLabel: "nodes",
-			YLabel: "aggregate GB/s",
-		}
-		for _, fs := range []FS{VAST, NVMe} {
-			fs := fs
-			wl := wl
-			s, err := iorSeries(string(fs), "Wombat", fs, wombatSweep(opts.Quick),
-				func(x int, f float64, seed uint64) (float64, error) {
-					return iorPoint("Wombat", fs, x, 48, wl, segments, false, f, seed, nil)
-				}, opts)
-			if err != nil {
-				return nil, err
-			}
-			panel.Series = append(panel.Series, s)
-		}
-		panels = append(panels, panel)
-	}
-	return panels, nil
+	return iorScaling("fig2b", "Wombat", 48, []FS{VAST, NVMe}, wombatSweep(opts.Quick), opts)
 }
 
-// fig3Case describes one Figure 3 sub-figure.
-type fig3Case struct {
-	sub     string
-	machine string
-	systems []FS
+// iorScaling sweeps machine's node counts at ppn processes per node on
+// each file system, one panel per IOR workload.
+func iorScaling(fig, machine string, ppn int, fss []FS, nodes []float64, opts Options) ([]Panel, error) {
+	var panels []Panel
+	var series []sweepSeries
+	for _, wl := range []ior.Workload{ior.Scientific, ior.Analytics, ior.ML} {
+		for _, fs := range fss {
+			series = append(series, sweepSeries{panel: len(panels), name: string(fs), fs: fs, xs: nodes,
+				point: func(x, derate float64, seed uint64) (float64, error) {
+					return iorPoint(machine, fs, int(x), ppn, wl, 3000, false, derate, seed, nil)
+				}})
+		}
+		panels = append(panels, Panel{
+			ID:     fmt.Sprintf("%s-%s", fig, wl),
+			Title:  machine + " scalability: " + workloadTitle(wl),
+			XLabel: "nodes",
+			YLabel: "aggregate GB/s",
+		})
+	}
+	return sweep(panels, series, opts)
 }
 
 // Fig3 reproduces Figure 3: single-node tests with fsync on writes,
 // scaling processes 1→32, on all four machines. Each sub-figure yields a
 // write panel (scientific, fsync) and a read panel (data analytics).
 func Fig3(opts Options) ([]Panel, error) {
-	opts = opts.withDefaults()
-	cases := []fig3Case{
+	cases := []struct {
+		sub, machine string
+		systems      []FS
+	}{
 		{"a", "Lassen", []FS{VAST, GPFS}},
 		{"b", "Quartz", []FS{VAST, Lustre}},
 		{"c", "Ruby", []FS{VAST, Lustre}},
@@ -228,33 +176,26 @@ func Fig3(opts Options) ([]Panel, error) {
 	// reaching steady state.
 	const segments = 32
 	var panels []Panel
+	var series []sweepSeries
 	for _, c := range cases {
 		for _, phase := range []ior.Workload{ior.Scientific, ior.Analytics} {
 			kind := "write+fsync"
 			if phase == ior.Analytics {
 				kind = "read"
 			}
-			panel := Panel{
+			for _, fs := range c.systems {
+				series = append(series, sweepSeries{panel: len(panels), name: string(fs), fs: fs, xs: procsSweep(opts.Quick),
+					point: func(x, derate float64, seed uint64) (float64, error) {
+						return iorPoint(c.machine, fs, 1, int(x), phase, segments, true, derate, seed, nil)
+					}})
+			}
+			panels = append(panels, Panel{
 				ID:     fmt.Sprintf("fig3%s-%s", c.sub, kind),
 				Title:  fmt.Sprintf("%s single node, %s", c.machine, kind),
 				XLabel: "processes",
 				YLabel: "GB/s",
-			}
-			for _, fs := range c.systems {
-				fs := fs
-				phase := phase
-				machine := c.machine
-				s, err := iorSeries(string(fs), machine, fs, procsSweep(opts.Quick),
-					func(x int, f float64, seed uint64) (float64, error) {
-						return iorPoint(machine, fs, 1, x, phase, segments, true, f, seed, nil)
-					}, opts)
-				if err != nil {
-					return nil, err
-				}
-				panel.Series = append(panel.Series, s)
-			}
-			panels = append(panels, panel)
+			})
 		}
 	}
-	return panels, nil
+	return sweep(panels, series, opts)
 }

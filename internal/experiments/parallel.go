@@ -63,7 +63,7 @@ func runPoint[T any](i int, point func(i int) (T, error)) (v T, panicked any, er
 // repPoint is one repetition of a contended sweep point.
 type repPoint struct {
 	series int     // index of the point's series in the figure
-	x      int     // node or process count
+	x      float64 // the swept value: a node or process count, or a knob
 	derate float64 // contention factor (derateFactor)
 	seed   uint64  // the repetition's seed: the sweep seed plus rep
 }
@@ -71,11 +71,53 @@ type repPoint struct {
 // appendReps appends series s's points over xs, reps repetitions each,
 // x-major as the serial loops ran them, drawing each repetition's
 // contention factor from rng in that order.
-func appendReps(pts []repPoint, s int, xs []int, reps int, rng *stats.RNG, spread float64, seed uint64) []repPoint {
+func appendReps(pts []repPoint, s int, xs []float64, reps int, rng *stats.RNG, spread float64, seed uint64) []repPoint {
 	for _, x := range xs {
 		for rep := 0; rep < reps; rep++ {
 			pts = append(pts, repPoint{series: s, x: x, derate: derateFactor(rng, rep, spread), seed: seed + uint64(rep)})
 		}
 	}
 	return pts
+}
+
+// sweepSeries is one series of a swept figure: the panel it joins, its
+// name, its file system (which picks its contention stream and spread),
+// its x values and the simulation that measures one repetition of a point.
+type sweepSeries struct {
+	panel int
+	name  string
+	fs    FS
+	xs    []float64
+	point func(x, derate float64, seed uint64) (float64, error)
+}
+
+// sweep runs every (series, x, rep) point of a figure in one runPoints
+// call and appends each series, mean ± stddev per x, to its panel. Each
+// series draws its repetitions' contention factors from its own stream,
+// the seed mixed with its file system's name, in series order before the
+// fan-out.
+func sweep(panels []Panel, series []sweepSeries, opts Options) ([]Panel, error) {
+	opts = opts.withDefaults()
+	var pts []repPoint
+	for s, ss := range series {
+		rng := stats.NewRNG(opts.Seed ^ hashString(string(ss.fs)))
+		pts = appendReps(pts, s, ss.xs, opts.Reps, rng, contentionSpread(ss.fs), opts.Seed)
+	}
+	vals, err := runPoints(len(pts), func(i int) (float64, error) {
+		pt := pts[i]
+		return series[pt.series].point(pt.x, pt.derate, pt.seed)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]stats.Series, len(series))
+	for i := 0; i < len(pts); i += opts.Reps {
+		mean, dev := summarizeReps(vals[i : i+opts.Reps])
+		out[pts[i].series].Append(pts[i].x, mean, dev)
+	}
+	for s, ss := range series {
+		out[s].Name = ss.name
+		panels[ss.panel].Series = append(panels[ss.panel].Series, out[s])
+	}
+	return panels, nil
 }

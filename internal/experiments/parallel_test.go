@@ -87,12 +87,12 @@ func TestRunPointsLowestErrorAndOrder(t *testing.T) {
 	}
 }
 
-// quickFigures renders, at two repetitions, every quick figure whose
-// simulations run on the point pool — all of paperfigs' quick set except
-// the closed-form table, the diagram and the single-simulation studies.
-// race marks the set the race detector's build renders: the cheapest
-// figure of each sweep helper but the retry storm's two points, which
-// TestGolden already runs under it.
+// quickFigures renders, at two repetitions, every quick figure of
+// paperfigs but the closed-form table and the diagram: each runs its
+// simulations on the point pool. race marks the set the race detector's
+// build renders: every figure but the heavy sweeps (2a, 3, and the DLIO
+// figures but 5) and the retry storm's two points, which TestGolden
+// already runs under it.
 var quickFigures = []struct {
 	name   string
 	race   bool
@@ -111,13 +111,22 @@ var quickFigures = []struct {
 		a, s, err := Fig56("cosmoflow", o)
 		return renderPanels(t, err, a, s)
 	}},
-	{"consistency", true, func(t *testing.T, o Options) string {
-		tab, err := Consistency(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab.Render()
+	{"takeaways", true, func(t *testing.T, o Options) string {
+		return renderTables(t, o, TakeawayRDMAvsTCP, TakeawaySeqVsRandom)
 	}},
+	{"ablations", true, func(t *testing.T, o Options) string {
+		var b strings.Builder
+		for _, ab := range []func(Options) (Panel, error){AblationFabric, AblationNconnect, AblationCNodes, AblationTCPGateway} {
+			p, err := ab(o)
+			b.WriteString(renderPanels(t, err, p))
+		}
+		return b.String() + renderTables(t, o, AblationSharedFile, AblationUnifyFS)
+	}},
+	{"consistency", true, func(t *testing.T, o Options) string { return renderTables(t, o, Consistency) }},
+	{"suitability", true, func(t *testing.T, o Options) string { return renderTables(t, o, WorkloadSuitability) }},
+	{"failover", true, func(t *testing.T, o Options) string { return renderTables(t, o, FailoverStudy) }},
+	{"degraded", true, func(t *testing.T, o Options) string { p, err := DegradedSweep(o); return renderPanels(t, err, p) }},
+	{"rebuild", true, func(t *testing.T, o Options) string { p, err := RebuildSweep(o); return renderPanels(t, err, p) }},
 	{"saturation", true, func(t *testing.T, o Options) string {
 		ps, err := SaturationSweep(o)
 		return renderPanels(t, err, ps...)
@@ -127,6 +136,20 @@ var quickFigures = []struct {
 		return renderPanels(t, err, res.Panels...)
 	}},
 	{"whatif", true, func(t *testing.T, o Options) string { ps, err := FigWhatIf(o); return renderPanels(t, err, ps...) }},
+}
+
+// renderTables renders the tables the figures build, in order.
+func renderTables(t *testing.T, o Options, figs ...func(Options) (Table, error)) string {
+	t.Helper()
+	var b strings.Builder
+	for _, fig := range figs {
+		tab, err := fig(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(tab.Render())
+	}
+	return b.String()
 }
 
 // TestQuickFiguresIdenticalAcrossWidths renders the quick figures on one

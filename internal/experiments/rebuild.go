@@ -121,18 +121,20 @@ func RebuildSweep(opts Options) (Panel, error) {
 		{"throttled", repair.QoS{RateBps: rebuildThrottleBps, MinBytes: rebuildFloorBytes}},
 		{"aggressive", repair.QoS{MinBytes: rebuildFloorBytes}},
 	}
-	for _, m := range modes {
-		deltas, err := sampleRebuildRun(cfg, sched, m.qos, interval)
-		if err != nil {
-			return Panel{}, err
-		}
+	runs, err := runPoints(len(modes), func(i int) ([]float64, error) {
+		return sampleRebuildRun(cfg, sched, modes[i].qos, interval)
+	})
+	if err != nil {
+		return Panel{}, err
+	}
+	for i, m := range modes {
 		// Plot the running average (delivered bytes over elapsed time):
 		// rank-synchronized segment completions alias per-bucket deltas,
 		// but the running mean is smooth, and the failure, the rebuild
 		// contention and the recovery all show as slope changes.
 		series := stats.Series{Name: m.name}
 		cum := 0.0
-		for k, d := range deltas {
+		for k, d := range runs[i] {
 			cum += d
 			elapsed := float64(k+1) * interval.Seconds()
 			series.Points = append(series.Points, stats.Point{

@@ -16,32 +16,38 @@ import (
 // ResNet-50.
 func WorkloadSuitability(opts Options) (Table, error) {
 	opts = opts.withDefaults()
-	const nodes, ppn = 4, 16
 	t := Table{
 		ID:     "workload-suitability",
-		Title:  fmt.Sprintf("Workload suitability on Lassen (%d nodes): VAST (NFS/TCP) vs GPFS", nodes),
+		Title:  fmt.Sprintf("Workload suitability on Lassen (%d nodes): VAST (NFS/TCP) vs GPFS", suitabilityNodes),
 		Header: []string{"application", "metric", "vast", "gpfs", "suited to VAST?"},
 	}
-	cat := workloads.Catalogue(ppn)
+	cat := workloads.Catalogue(16) // ranks per node
 	// Fixed report order (map iteration is random).
-	order := []string{"cm1", "hacc", "bdcats", "kmeans", "oocsort", "resnet50", "cosmoflow", "cosmic-tagger"}
-	for _, name := range order {
-		w := cat[name]
-		var row []string
-		var err error
-		switch w.Kind {
-		case workloads.IORKind:
-			row, err = suitabilityIOR(w, nodes, opts)
-		case workloads.DLIOKind:
-			if opts.Quick && name == "cosmoflow" {
-				continue // the heavy sweep; covered by Fig. 6
+	var ws []workloads.Workload
+	for _, name := range []string{"cm1", "hacc", "bdcats", "kmeans", "oocsort", "resnet50", "cosmoflow", "cosmic-tagger"} {
+		if opts.Quick && name == "cosmoflow" {
+			continue // the heavy sweep; covered by Fig. 6
+		}
+		ws = append(ws, cat[name])
+	}
+	// VAST, then GPFS, per workload.
+	fss := []FS{VAST, GPFS}
+	vals, err := runPoints(len(ws)*len(fss), func(i int) (float64, error) {
+		return suitabilityPoint(ws[i/len(fss)], fss[i%len(fss)], opts)
+	})
+	if err != nil {
+		return Table{}, err
+	}
+	for k, w := range ws {
+		v, g := vals[2*k], vals[2*k+1]
+		metric, cell := "app samples/s", "%.1f"
+		if w.Kind == workloads.IORKind {
+			metric, cell = "read GB/s", "%.2f"
+			if w.IOR.Workload == ior.Scientific {
+				metric = "write GB/s"
 			}
-			row, err = suitabilityDLIO(w, nodes, opts)
 		}
-		if err != nil {
-			return Table{}, err
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, []string{w.Name, metric, fmt.Sprintf(cell, v), fmt.Sprintf(cell, g), verdict(v, g)})
 	}
 	t.Notes = append(t.Notes,
 		"\"suited\" = VAST delivers >= 80% of GPFS on the workload's headline metric,",
@@ -49,75 +55,36 @@ func WorkloadSuitability(opts Options) (Table, error) {
 	return t, nil
 }
 
-// suitabilityIOR runs one IOR-kind preset on both systems.
-func suitabilityIOR(w workloads.Workload, nodes int, opts Options) ([]string, error) {
-	cfg := w.IOR
-	if opts.Quick && cfg.Segments > 64 {
-		cfg.Segments = 64
-	}
-	cfg.Seed = opts.Seed
-	run := func(fs FS) (float64, error) {
-		res, err := RunIOROnce("Lassen", fs, nodes, cfg)
-		if err != nil {
-			return 0, err
-		}
-		if cfg.Workload == ior.Scientific {
-			return res.WriteBW / 1e9, nil
-		}
-		return res.ReadBW / 1e9, nil
-	}
-	v, err := run(VAST)
-	if err != nil {
-		return nil, err
-	}
-	g, err := run(GPFS)
-	if err != nil {
-		return nil, err
-	}
-	metric := "write GB/s"
-	if cfg.Workload != ior.Scientific {
-		metric = "read GB/s"
-	}
-	return []string{
-		w.Name, metric,
-		fmt.Sprintf("%.2f", v), fmt.Sprintf("%.2f", g), verdict(v, g),
-	}, nil
-}
+// suitabilityNodes is the Lassen node count of the suitability matrix.
+const suitabilityNodes = 4
 
-// suitabilityDLIO runs one DLIO-kind preset on both systems and compares
-// the application-perceived throughput (what the user cares about).
-func suitabilityDLIO(w workloads.Workload, nodes int, opts Options) ([]string, error) {
-	cfg := w.DLIO
-	if opts.Quick {
-		cfg.Samples /= 2
-		if cfg.Samples < nodes*cfg.ProcsPerNode {
-			cfg.Samples = nodes * cfg.ProcsPerNode
+// suitabilityPoint runs one preset on fs and returns its headline metric:
+// the GB/s of the phase an IOR preset measures, or a DLIO preset's
+// application-perceived samples/s (what the user cares about).
+func suitabilityPoint(w workloads.Workload, fs FS, opts Options) (float64, error) {
+	tb, err := buildTestbed("Lassen", fs, suitabilityNodes, nil)
+	if err != nil {
+		return 0, err
+	}
+	if w.Kind == workloads.DLIOKind {
+		cfg := w.DLIO
+		if opts.Quick {
+			cfg.Samples = max(cfg.Samples/2, suitabilityNodes*cfg.ProcsPerNode)
 		}
+		cfg.Seed = opts.Seed
+		res, err := dlio.Run(tb.env, tb.mounts, cfg, nil)
+		return res.AppSamplesPerSec, err
+	}
+	cfg := w.IOR
+	if opts.Quick {
+		cfg.Segments = min(cfg.Segments, 64)
 	}
 	cfg.Seed = opts.Seed
-	run := func(fs FS) (float64, error) {
-		tb, err := buildTestbed("Lassen", fs, nodes, nil)
-		if err != nil {
-			return 0, err
-		}
-		res, err := dlio.Run(tb.env, tb.mounts, cfg, nil)
-		if err != nil {
-			return 0, err
-		}
-		return res.AppSamplesPerSec, nil
+	res, err := ior.Run(tb.env, tb.mounts, cfg)
+	if cfg.Workload == ior.Scientific {
+		return res.WriteBW / 1e9, err
 	}
-	v, err := run(VAST)
-	if err != nil {
-		return nil, err
-	}
-	g, err := run(GPFS)
-	if err != nil {
-		return nil, err
-	}
-	return []string{
-		w.Name, "app samples/s",
-		fmt.Sprintf("%.1f", v), fmt.Sprintf("%.1f", g), verdict(v, g),
-	}, nil
+	return res.ReadBW / 1e9, err
 }
 
 // verdict applies the suitability rule.

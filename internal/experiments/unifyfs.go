@@ -26,17 +26,18 @@ func AblationUnifyFS(opts Options) (Table, error) {
 	if opts.Quick {
 		servers = []int{1, 16}
 	}
-	for _, pl := range []unifyfs.Placement{unifyfs.LocalFirst, unifyfs.RoundRobin} {
-		for _, srv := range servers {
-			w, r, err := unifyFSPoint(pl, srv, opts)
-			if err != nil {
-				return Table{}, err
-			}
-			t.Rows = append(t.Rows, []string{
-				pl.String(), fmt.Sprint(srv),
-				fmt.Sprintf("%.2f", w), fmt.Sprintf("%.2f", r),
-			})
-		}
+	placements := []unifyfs.Placement{unifyfs.LocalFirst, unifyfs.RoundRobin}
+	runs, err := runPoints(len(placements)*len(servers), func(i int) (ior.Result, error) {
+		return unifyFSPoint(placements[i/len(servers)], servers[i%len(servers)], opts)
+	})
+	if err != nil {
+		return Table{}, err
+	}
+	for i, res := range runs {
+		t.Rows = append(t.Rows, []string{
+			placements[i/len(servers)].String(), fmt.Sprint(servers[i%len(servers)]),
+			fmt.Sprintf("%.2f", res.WriteBW/1e9), fmt.Sprintf("%.2f", res.ReadBW/1e9),
+		})
 	}
 	t.Notes = append(t.Notes,
 		"local-first wins checkpoints (all writes local); round-robin balances the restart reads",
@@ -46,19 +47,19 @@ func AblationUnifyFS(opts Options) (Table, error) {
 
 // unifyFSPoint runs one HACC-shaped IOR configuration on a UnifyFS
 // deployment with the given policies.
-func unifyFSPoint(pl unifyfs.Placement, servers int, opts Options) (write, read float64, err error) {
+func unifyFSPoint(pl unifyfs.Placement, servers int, opts Options) (ior.Result, error) {
 	env := sim.NewEnv()
 	fab := sim.NewFabric(env)
 	cl, err := cluster.New(env, fab, cluster.WombatSpec(), 4)
 	if err != nil {
-		return 0, 0, err
+		return ior.Result{}, err
 	}
 	cfg := cluster.UnifyFSWombatConfig(cl)
 	cfg.Placement = pl
 	cfg.IOServersPerNode = servers
 	sys, err := unifyfs.New(env, fab, cfg)
 	if err != nil {
-		return 0, 0, err
+		return ior.Result{}, err
 	}
 	var mounts []fsapi.Client
 	for _, n := range cl.Nodes() {
@@ -68,7 +69,7 @@ func unifyFSPoint(pl unifyfs.Placement, servers int, opts Options) (write, read 
 	if opts.Quick {
 		segments = 48
 	}
-	res, err := ior.Run(env, mounts, ior.Config{
+	return ior.Run(env, mounts, ior.Config{
 		Workload:     ior.Analytics, // write + reordered read back
 		BlockSize:    1 << 20,
 		TransferSize: 1 << 20,
@@ -79,8 +80,4 @@ func unifyFSPoint(pl unifyfs.Placement, servers int, opts Options) (write, read 
 		Seed:         opts.Seed,
 		Dir:          "/ufs",
 	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.WriteBW / 1e9, res.ReadBW / 1e9, nil
 }

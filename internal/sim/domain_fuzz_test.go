@@ -28,11 +28,12 @@ func fuzzMix(x uint64) uint64 {
 // switch the Run makes, summed over the shards, goes to a resumed or
 // started process but the one that hands the baton back to the caller.
 func FuzzGroupDelivery(f *testing.F) {
-	f.Add(uint64(1), uint8(2), uint16(10), uint8(20))
-	f.Add(uint64(0x5eed), uint8(3), uint16(1), uint8(40))
-	f.Add(uint64(42), uint8(4), uint16(350), uint8(60))
-	f.Add(uint64(7777), uint8(4), uint16(65535), uint8(10))
-	f.Add(uint64(1), uint8(1), uint16(350), uint8(59)) // s1 and s2 tie on s0 at 2251
+	// Each seed's comment is its decoded (shards, latency ns, events).
+	f.Add(uint64(1), uint8(2), uint16(10), uint8(20))       // (4, 11, 21)
+	f.Add(uint64(0x5eed), uint8(3), uint16(1), uint8(40))   // (2, 2, 41)
+	f.Add(uint64(42), uint8(4), uint16(350), uint8(59))     // (3, 351, 60)
+	f.Add(uint64(7777), uint8(4), uint16(65535), uint8(10)) // (3, 536, 11)
+	f.Add(uint64(1), uint8(1), uint16(350), uint8(59))      // (3, 351, 60): s1 and s2 tie on s0 at 2251
 	f.Fuzz(func(t *testing.T, seed uint64, shardsRaw uint8, latRaw uint16, eventsRaw uint8) {
 		nshards := 2 + int(shardsRaw)%3 // 2..4
 		lat := Duration(1 + int(latRaw)%1000)
