@@ -15,9 +15,9 @@
 // instead of reading stdin and exits non-zero when any shared benchmark
 // regressed: ns/op worse than the -threshold fraction (default 10%), or any
 // increase at all in allocs/op or in one of the kernel's exact work counts
-// (events/op, starts/op, resumes/op, switches/op). That turns the checked-in
-// BENCH_*.json files into a regression gate (`make bench-diff`) rather
-// than just a log.
+// (events/op, overflows/op, starts/op, resumes/op, switches/op). That turns
+// the checked-in BENCH_*.json files into a regression gate (`make
+// bench-diff`) rather than just a log.
 package main
 
 import (
@@ -100,10 +100,10 @@ func loadDoc(path string) (document, error) {
 }
 
 // countUnits are the kernel's exact work counts a benchmark may report
-// (calendar events filed, process starts, resumes and baton switches per
-// op). Like allocs/op they do not depend on the host, so any rise is a
-// regression.
-var countUnits = []string{"events/op", "starts/op", "resumes/op", "switches/op"}
+// (calendar events filed, those filed into the calendar's overflow heap,
+// process starts, resumes and baton switches per op). Like allocs/op they
+// do not depend on the host, so any rise is a regression.
+var countUnits = []string{"events/op", "overflows/op", "starts/op", "resumes/op", "switches/op"}
 
 // diffDocs compares two recorded documents benchmark by benchmark and
 // reports regressions to w: ns/op more than threshold (a fraction,

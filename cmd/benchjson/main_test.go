@@ -116,6 +116,14 @@ func TestDiffDocs(t *testing.T) {
 			wantLines:    []string{"ok      BenchmarkA", "5.25 -> 4.25 events/op", "1.02 -> 0 starts/op"},
 		},
 		{
+			name:         "overflow-insert count rise fails even within ns threshold",
+			oldDoc:       counted(100.0, map[string]float64{"events/op": 6.15, "overflows/op": 2.1}),
+			newDoc:       counted(90.0, map[string]float64{"events/op": 6.15, "overflows/op": 2.2}),
+			threshold:    0.10,
+			wantFailures: 1,
+			wantLines:    []string{"FAIL    BenchmarkA", "6.15 -> 6.15 events/op", "2.1 -> 2.2 overflows/op"},
+		},
+		{
 			name:         "a recorded count the new run lacks fails; a new count does not",
 			oldDoc:       counted(100.0, map[string]float64{"switches/op": 1.0}),
 			newDoc:       counted(100.0, map[string]float64{"starts/op": 1.0}),

@@ -105,6 +105,13 @@ func (e *Env) Switches() int { return e.switches }
 // that a change moved no event.
 func (e *Env) Events() int { return int(e.seq) }
 
+// Overflows returns how many of those events were filed into the
+// calendar's overflow heap, the only part of it whose insert costs more
+// than O(1) (MODEL.md §11). Like Events it follows from the calendar
+// alone. Under -tags simreference the whole calendar is a heap, so it
+// counts every filing.
+func (e *Env) Overflows() int { return e.q.overflows }
+
 // Pending returns the number of live events on the calendar — cancelled
 // events are dropped from the count immediately and never resurface.
 // Periodic observers (the fault-injection invariant sampler) use it to

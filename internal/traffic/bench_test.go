@@ -15,8 +15,9 @@ import (
 // whole traffic windows (~4096 requests each) until b.N requests have been
 // generated, so ns/op and allocs/op read as per generated request — the
 // number that bounds how many logical clients a saturation sweep can
-// afford to aggregate. events/op, starts/op, resumes/op and switches/op
-// count the kernel's work exactly. The continuation variant serves each
+// afford to aggregate. events/op, overflows/op (the events filed into the
+// calendar's overflow heap), starts/op, resumes/op and switches/op count
+// the kernel's work exactly. The continuation variant serves each
 // request without a process, through the mount's fsapi.Starter, as the
 // engine does on VAST; the process variant hides the Starter, as on the
 // other backends. Both file the same events.

@@ -83,10 +83,11 @@ func TestShardedSwitches(t *testing.T) {
 // benchmark's runs and reports them per op. Like allocs/op they are
 // deterministic for a fixed -benchtime=Nx, so benchjson -diff fails on
 // any rise.
-type kernelCounts struct{ events, starts, resumes, switches int }
+type kernelCounts struct{ events, overflows, starts, resumes, switches int }
 
 func (c *kernelCounts) add(e *sim.Env) {
 	c.events += e.Events()
+	c.overflows += e.Overflows()
 	c.starts += e.Starts()
 	c.resumes += e.Resumes()
 	c.switches += e.Switches()
@@ -95,6 +96,7 @@ func (c *kernelCounts) add(e *sim.Env) {
 func (c *kernelCounts) report(b *testing.B) {
 	n := float64(b.N)
 	b.ReportMetric(float64(c.events)/n, "events/op")
+	b.ReportMetric(float64(c.overflows)/n, "overflows/op")
 	b.ReportMetric(float64(c.starts)/n, "starts/op")
 	b.ReportMetric(float64(c.resumes)/n, "resumes/op")
 	b.ReportMetric(float64(c.switches)/n, "switches/op")
