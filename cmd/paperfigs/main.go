@@ -46,8 +46,8 @@ func run() int {
 	seed := flag.Uint64("seed", 0x5eed, "random seed for contention and shuffles")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	racks := flag.Int("racks", 0, "shard the saturation figure's traffic runs over this many racks (0 = classic single-env path); no other figure reads it")
-	remote := flag.Float64("remote", 0.25, "cross-rack placement fraction when -racks > 1")
+	racks := flag.Int("racks", 0, "shard the saturation figure's traffic runs over this many racks (0 = classic single-env path); only -fig saturation and all accept it")
+	remote := flag.Float64("remote", 0.25, "cross-rack placement fraction in [0,1] when -racks > 1")
 	flag.Parse()
 	want := strings.ToLower(*fig)
 	switch {
@@ -55,10 +55,14 @@ func run() int {
 		return fail("reps %d is not positive", *reps)
 	case *racks < 0:
 		return fail("racks %d is negative", *racks)
+	case !(*remote >= 0 && *remote <= 1):
+		return fail("remote fraction %g out of [0,1]", *remote)
 	case want != "all" && !slices.ContainsFunc(figures, func(f figure) bool { return f.name == want }):
 		fmt.Fprintf(os.Stderr, "paperfigs: unknown figure %q\n", *fig)
 		flag.Usage()
 		return 2
+	case *racks != 0 && want != "saturation" && want != "all":
+		return fail("-racks %d: figure %s does not read it (only saturation does)", *racks, want)
 	}
 
 	stop, err := profiling.Start(*cpuProfile, *memProfile)

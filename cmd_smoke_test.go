@@ -266,6 +266,8 @@ func TestTrafficFlagErrors(t *testing.T) {
 		{[]string{"paperfigs"}, []string{"-reps", "0"}, "reps 0 is not positive", false},
 		{[]string{"paperfigs"}, []string{"-reps", "-3"}, "reps -3 is not positive", false},
 		{[]string{"paperfigs"}, []string{"-racks", "-2"}, "racks -2 is negative", false},
+		{[]string{"paperfigs"}, []string{"-racks", "4"}, "-racks 4: figure table1 does not read it", false},
+		{[]string{"paperfigs"}, []string{"-fig", "saturation", "-quick", "-racks", "2", "-remote", "1.5"}, "remote fraction 1.5 out of [0,1]", false},
 		{[]string{"tracereplay"}, []string{"-racks", "2", "-audit"}, "-audit is not supported with -racks > 1", false},
 		{[]string{"tracereplay"}, []string{"-racks", "2", "-o", filepath.Join(dir, "audit.json")}, "-o is not supported with -racks > 1", false},
 		{[]string{"tracereplay"}, []string{"-racks", "2", "-record"}, "-record is not supported with -racks > 1", false},
@@ -290,7 +292,7 @@ func TestTrafficFlagErrors(t *testing.T) {
 		for _, name := range tc.cmds {
 			args := append([]string{name}, tc.flags...)
 			switch {
-			case name == "paperfigs":
+			case name == "paperfigs" && !slices.Contains(tc.flags, "-fig"):
 				// The cheapest figure, should a bad count be let through.
 				args = append(args, "-fig", "table1")
 			case name == "tracereplay" && tc.flags[0] == "-racks":

@@ -452,21 +452,26 @@ func TestGroupUnlinkedShards(t *testing.T) {
 }
 
 // TestNextEventAt exercises the calendar peek the group's boundary uses,
-// on both wheel regions: the near-future buckets, tombstoned entries and
-// the far-future overflow heap.
+// on every level: the near-future buckets, the second level's slots,
+// tombstoned entries in both and the far-future overflow heap.
 func TestNextEventAt(t *testing.T) {
 	e := NewEnv()
 	if _, ok := e.q.nextAt(); ok {
 		t.Fatal("empty calendar reported an event")
 	}
 	h1 := e.Schedule(100, func() {})
-	e.Schedule(50_000_000, func() {}) // far future: overflow heap
+	h2 := e.Schedule(1_000_000, func() {}) // past the wheel: second level
+	e.Schedule(50_000_000, func() {})      // far future: overflow heap
 	if at, ok := e.q.nextAt(); !ok || at != 100 {
 		t.Fatalf("peek = %v,%v want 100,true", at, ok)
 	}
 	h1.Cancel()
+	if at, ok := e.q.nextAt(); !ok || at != 1_000_000 {
+		t.Fatalf("peek after cancel = %v,%v want 1000000,true", at, ok)
+	}
+	h2.Cancel()
 	if at, ok := e.q.nextAt(); !ok || at != 50_000_000 {
-		t.Fatalf("peek after cancel = %v,%v want 50000000,true", at, ok)
+		t.Fatalf("peek after second cancel = %v,%v want 50000000,true", at, ok)
 	}
 	e.Schedule(70, func() {})
 	if at, ok := e.q.nextAt(); !ok || at != 70 {

@@ -18,6 +18,7 @@ const (
 const (
 	evIdxNone   = -1 // popped, cancelled, or sitting in the free pool
 	evIdxBucket = -2 // sitting in a calendar-queue bucket
+	evIdxSlot   = -3 // sitting in a calendar-queue second-level slot
 )
 
 // timedEvent is an entry in the event calendar. Events scheduled for the
@@ -37,12 +38,15 @@ type timedEvent struct {
 	// Tracking it makes Cancel a true removal, so Pending() never counts
 	// dead events — periodic observers (the invariant sampler) re-arm off
 	// Pending() and must not be kept alive by a cancelled far-future timer.
-	idx  int
+	// An int32 sits beside kind, which keeps the event at 64 bytes.
+	idx  int32
 	fn   func()
 	proc *Proc
 	// xfer is the pending transfer an evTransfer event advances (see
-	// Fabric.TransferAfter); it fits the event's 64-byte size class.
+	// Fabric.TransferAfter).
 	xfer *pendingTransfer
+	// next links the events of one calendar second-level slot.
+	next *timedEvent
 }
 
 // before reports whether a precedes b in the calendar's total order.
@@ -108,12 +112,12 @@ func (h *eventHeap) less(i, j int) bool { return h.items[i].before(h.items[j]) }
 
 func (h *eventHeap) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].idx = i
-	h.items[j].idx = j
+	h.items[i].idx = int32(i)
+	h.items[j].idx = int32(j)
 }
 
 func (h *eventHeap) push(ev *timedEvent) {
-	ev.idx = len(h.items)
+	ev.idx = int32(len(h.items))
 	h.items = append(h.items, ev)
 	h.up(len(h.items) - 1)
 }

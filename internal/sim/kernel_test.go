@@ -49,12 +49,15 @@ func TestCancelLifecycle(t *testing.T) {
 		}},
 		{"stale handle cannot cancel recycled event", func(t *testing.T) {
 			e := NewEnv()
-			h := e.Schedule(Time(10*wheelSpan), func() {}) // overflow: cancel recycles immediately
+			h := e.Schedule(10*levelSpan, func() {}) // overflow: cancel recycles immediately
 			stale := h
 			h.Cancel()
 			fired := false
 			// The pool hands the just-released object to the next schedule.
-			e.Schedule(Time(10*wheelSpan), func() { fired = true })
+			next := e.Schedule(10*levelSpan, func() { fired = true })
+			if next.ev != stale.ev {
+				t.Fatal("the cancelled event was not recycled")
+			}
 			stale.Cancel() // generation mismatch: must not touch the new event
 			if e.Pending() != 1 {
 				t.Fatalf("Pending = %d after stale cancel, want 1", e.Pending())
@@ -62,6 +65,30 @@ func TestCancelLifecycle(t *testing.T) {
 			e.Run()
 			if !fired {
 				t.Fatal("stale handle cancelled a later schedule's event")
+			}
+		}},
+		{"stale handle cannot cancel a slot event recycled at cascade", func(t *testing.T) {
+			e := NewEnv()
+			h := e.Schedule(10*wheelSpan, func() {}) // second level: cancel leaves a tombstone
+			stale := h
+			h.Cancel()
+			e.Schedule(10*wheelSpan+64, func() {}) // same slot: its cascade recycles the tombstone
+			e.Run()
+			// The pool hands out the fired event's record, then the
+			// tombstone's (the reference heap recycled it at the cancel and
+			// reused it for the fired event: the first schedule takes it).
+			fired := 0
+			next := [2]Timer{e.Schedule(e.Now()+5, func() { fired++ }), e.Schedule(e.Now()+5, func() { fired++ })}
+			if next[0].ev != stale.ev && next[1].ev != stale.ev {
+				t.Fatal("the tombstone was not recycled")
+			}
+			stale.Cancel() // generation mismatch: must not touch either event
+			if e.Pending() != 2 {
+				t.Fatalf("Pending = %d after stale cancel, want 2", e.Pending())
+			}
+			e.Run()
+			if fired != 2 {
+				t.Fatalf("%d of 2 later events fired: a stale handle cancelled one", fired)
 			}
 		}},
 		{"cancel near event drops Pending", func(t *testing.T) {
@@ -76,9 +103,24 @@ func TestCancelLifecycle(t *testing.T) {
 			}
 			e.Run()
 		}},
+		{"cancel slot event drops Pending", func(t *testing.T) {
+			e := NewEnv()
+			h := e.Schedule(10*wheelSpan, func() {}) // past the wheel: second-level slot, tombstoned
+			if e.Pending() != 1 {
+				t.Fatalf("Pending = %d, want 1", e.Pending())
+			}
+			h.Cancel()
+			if e.Pending() != 0 {
+				t.Fatalf("Pending = %d after slot cancel, want 0", e.Pending())
+			}
+			e.Run()
+			if e.Now() != 0 {
+				t.Fatalf("clock at %d, want 0 (a tombstone must not advance it)", e.Now())
+			}
+		}},
 		{"cancel far event drops Pending", func(t *testing.T) {
 			e := NewEnv()
-			h := e.Schedule(Time(10*wheelSpan), func() {}) // beyond the window: overflow heap
+			h := e.Schedule(10*levelSpan, func() {}) // beyond the second level: overflow heap
 			h.Cancel()
 			if e.Pending() != 0 {
 				t.Fatalf("Pending = %d after overflow cancel, want 0", e.Pending())
